@@ -601,10 +601,10 @@ def divide_h(a: AlgebraElement, k: int = 1) -> AlgebraElement:
     """Exact division by h^k: every coefficient must vanish below h^k.
 
     The top k coefficients of the result are unknown (they would require
-    information beyond the truncation order) and are set to zero; callers work
-    in a lifted context and truncate before comparing, so the lost coefficients
-    never reach a verdict.  Powers only ever add in products, so the unknown
-    top slots cannot contaminate lower orders downstream.
+    information beyond the truncation order) and are set to zero.  A quotient
+    wanted exact at order N is therefore computed at order N + k and projected
+    back, which drops the unknown slots; bases.kappa_quotients does this with
+    k = 1 for kappa ln Pi_tau and the kappa terms of the Majid-Ruegg brackets.
     """
     alg = a.algebra
     N = alg.order

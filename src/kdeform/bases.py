@@ -188,58 +188,79 @@ def is_orthogonally_adapted(ctx: DeformationContext) -> bool:
 @dataclass
 class MRGenerators:
     """The nonlinear generators of the bicrossproduct presentation:
-    p_tilde_tau = kappa ln Pi_tau (primitive), p_tilde[i] = P_i Pi^-1.
-    Elements live in the context they were built from; the rotations are the
-    unchanged M_{0i} (= M_{tau i}) and M_{ij}."""
+    p_tilde_tau = kappa ln Pi_tau (primitive), p_tilde[i] = P_i Pi^-1, and the
+    series kappa_term = kappa (1 - Pi^-2 - tau^2/kappa^2 P~_k P~^k) of the
+    deformed bracket [M_{tau i}, P~_j].  Elements live in the context they were
+    built from; the rotations are the unchanged M_{0i} (= M_{tau i}) and M_{ij}."""
 
     context: DeformationContext
     p_tilde_tau: AlgebraElement
     p_tilde: list
+    kappa_term: AlgebraElement
 
-    def p_tilde_raised(self, k: int) -> AlgebraElement:
-        """p_tilde^k = g^{kl} p_tilde_l over the spatial block."""
-        alg = self.context.algebra
-        ginv = self.context.metric.inverse
-        out = alg.zero()
-        for l in range(1, alg.dim):
-            if ginv[k][l]:
-                out = out + self.p_tilde[l - 1] * GaussRational(ginv[k][l])
-        return out
+
+def _raised(ctx: DeformationContext, lowered: list, k: int) -> AlgebraElement:
+    """x^k = g^{kl} x_l over the spatial block, for lowered = [x_1, ..., x_{D-1}]."""
+    alg = ctx.algebra
+    ginv = ctx.metric.inverse
+    out = alg.zero()
+    for l in range(1, alg.dim):
+        if ginv[k][l]:
+            out = out + lowered[l - 1] * GaussRational(ginv[k][l])
+    return out
+
+
+def _p_tilde(ctx: DeformationContext) -> list:
+    return [ctx.algebra.P(i) * ctx.pi_inv for i in range(1, ctx.algebra.dim)]
+
+
+def kappa_quotients(ctx: DeformationContext, numerator) -> tuple:
+    """(kappa ln Pi_tau, kappa * numerator(lifted)) at the order N of ctx.
+
+    divide_h(x, 1) cannot know the top coefficient of its result, so both
+    quotients are taken in lifted = ctx.lift(1), where that coefficient sits
+    at h^(N+1), and projected back to N, which drops it.  Nothing else needs
+    the lift: every other series is exact when computed at order N."""
+    lifted = ctx.lift(1)
+    log_pi = series_log_one_plus(lifted.pi - lifted.algebra.one())
+    return tuple(divide_h(x).project_to(ctx.algebra) for x in (log_pi, numerator(lifted)))
+
+
+def _mr_bracket_numerator(ctx: DeformationContext) -> AlgebraElement:
+    """1 - Pi^-2 - tau^2 h^2 P~_k P~^k."""
+    alg = ctx.algebra
+    ptil = _p_tilde(ctx)
+    pp = alg.zero()
+    for k in range(1, alg.dim):
+        pp = pp + ptil[k - 1] * _raised(ctx, ptil, k)
+    t2h2 = HSeries.h_power(alg.order, 2, GaussRational(ctx.tau.tau_sq))
+    return alg.one() - ctx.pi_inv * ctx.pi_inv - pp * t2h2
 
 
 def mr_generators(ctx: DeformationContext) -> MRGenerators:
     """Build the Majid-Ruegg generators in an orthogonally adapted context.
 
-    The logarithm costs one division by h, so the series are computed in a
-    lifted context and truncated back; the returned elements are exact modulo
-    h^(N+1)."""
+    Only p_tilde_tau and kappa_term divide by h; kappa_quotients computes
+    them one order up and projects them back.  p_tilde[i] = P_i Pi^-1 is built
+    at order N.  Every element is exact modulo h^(N+1)."""
     if not is_orthogonally_adapted(ctx):
         raise BasisError(
             "Majid-Ruegg generators need the adapted basis (e_0 = tau, g_0i = 0); "
             "apply orthogonal_decompose first"
         )
-    lifted = ctx.lift(2)
-    mr = _mr_in_context(lifted)
-    alg = ctx.algebra
-    return MRGenerators(
-        ctx,
-        mr.p_tilde_tau.project_to(alg),
-        [p.project_to(alg) for p in mr.p_tilde],
-    )
-
-
-def _mr_in_context(ctx: DeformationContext) -> MRGenerators:
-    alg = ctx.algebra
-    p_tilde_tau = divide_h(series_log_one_plus(ctx.pi - alg.one()))
-    p_tilde = [alg.P(i) * ctx.pi_inv for i in range(1, alg.dim)]
-    return MRGenerators(ctx, p_tilde_tau, p_tilde)
+    p_tilde_tau, kappa_term = kappa_quotients(ctx, _mr_bracket_numerator)
+    return MRGenerators(ctx, p_tilde_tau, _p_tilde(ctx), kappa_term)
 
 
 def verify_mr(ctx: DeformationContext) -> VerificationReport:
     """The Majid-Ruegg suite: the four bicrossproduct coproducts, the deformed
     commutators including the exp(-2 p_tilde_tau / kappa) term, the reduced
     1+(D-1) coproducts against the universal ones, and the classical limits.
-    Residuals are computed in a lifted context and compared modulo h^(N+1)."""
+
+    Every residual is computed at the order N of the adapted context: ctx
+    itself when it is orthogonally adapted, so its coproduct tables and
+    caches are the ones checked.  Only p_tilde_tau and the kappa term divide
+    by h; mr_generators lifts those two by one order and projects them back."""
     t0 = time.monotonic()
     rep = VerificationReport("majid-ruegg")
     if ctx.tau.is_zero or not ctx.tau.tau_sq:
@@ -251,29 +272,20 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
     else:
         note = None
 
-    base_alg = ctx.algebra
-    d = base_alg.dim
+    alg = ctx.algebra
+    d = alg.dim
     t2 = ctx.tau.tau_sq
-    lifted = ctx.lift(2)
-    alg = lifted.algebra
-    mr = _mr_in_context(lifted)
+    mr = mr_generators(ctx)
     pt, ptil = mr.p_tilde_tau, mr.p_tilde
-    pi, pi_inv = lifted.pi, lifted.pi_inv
+    pi_inv = ctx.pi_inv
     one = alg.one()
 
-    def trunc(x):
-        return x.project_to(base_alg)
-
-    def trunc_t(t):
-        return t.project_to(base_alg)
-
-    rep.record("exp-of-p-tilde-tau-recovers-pi", trunc(series_exp(pt * alg.h()) - pi), note=note)
+    rep.record("exp-of-p-tilde-tau-recovers-pi", series_exp(pt * alg.h()) - ctx.pi, note=note)
 
     # classical limits at h = 0
-    q = {m: c for m, c in pt.h_coefficient(0).items()}
     rep.record(
         "p-tilde-tau-classical-limit",
-        _dict_sub(q, lifted.p_tau.h_coefficient(0)),
+        _dict_sub(pt.h_coefficient(0), ctx.p_tau.h_coefficient(0)),
     )
     for i in range(1, d):
         rep.record(
@@ -284,53 +296,52 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
 
     # -- bicrossproduct coproducts ------------------------------------------
     prim = TensorElement.of(pt, one) + TensorElement.of(one, pt)
-    rep.record("coproduct-p-tilde-tau-primitive", trunc_t(lifted.coproduct_of(pt) - prim))
+    rep.record("coproduct-p-tilde-tau-primitive", ctx.coproduct_of(pt) - prim)
 
     for i in range(1, d):
         for j in range(1, d):
             if i >= j:
                 continue
             code, _ = alg.rotation_code(i, j)
-            dm = lifted.coproduct(code)
             rep.record(
                 "coproduct-m-ij-primitive",
-                trunc_t(dm - lifted._primitive_gen(code)),
+                ctx.coproduct(code) - ctx._primitive_gen(code),
                 generator=f"M_{i}{j}",
             )
 
     for i in range(1, d):
-        lhs = lifted.coproduct_of(ptil[i - 1])
+        lhs = ctx.coproduct_of(ptil[i - 1])
         rhs = TensorElement.of(pi_inv, ptil[i - 1]) + TensorElement.of(ptil[i - 1], one)
-        rep.record("coproduct-p-tilde-i", trunc_t(lhs - rhs), generator=f"P~_{i}")
+        rep.record("coproduct-p-tilde-i", lhs - rhs, generator=f"P~_{i}")
 
     for j in range(1, d):
         code, _ = alg.rotation_code(0, j)
-        lhs = lifted.coproduct(code)
+        lhs = ctx.coproduct(code)
         m0j = alg.M(0, j)
         rhs = TensorElement.of(m0j, one) + TensorElement.of(pi_inv, m0j)
         for k in range(1, d):
-            ptk = mr.p_tilde_raised(k)
+            ptk = _raised(ctx, ptil, k)
             if ptk:
                 rhs = rhs - TensorElement.of(ptk, alg.M(k, j)) * HSeries.h_power(
                     alg.order, 1, GaussRational(t2)
                 )
-        rep.record("coproduct-m-tau-j-bicrossproduct", trunc_t(lhs - rhs), generator=f"M_0{j}")
+        rep.record("coproduct-m-tau-j-bicrossproduct", lhs - rhs, generator=f"M_0{j}")
 
     # -- reduced 1+(D-1) coproducts against the universal ones ----------------
-    _reduced_coproducts_report(rep, lifted, trunc_t)
+    _reduced_coproducts_report(rep, ctx)
 
     # -- commutators -----------------------------------------------------------
     for i in range(1, d):
         m0i = alg.M(0, i)
         rep.record(
             "bracket-m-tau-i-with-p-tilde-tau",
-            trunc(alg.bracket(m0i, pt) + ptil[i - 1] * GaussRational(0, t2)),
+            alg.bracket(m0i, pt) + ptil[i - 1] * GaussRational(0, t2),
             generator=f"[M_0{i}, P~_tau]",
         )
         for j in range(i + 1, d):
             rep.record(
                 "bracket-m-ij-with-p-tilde-tau-vanishes",
-                trunc(alg.bracket(alg.M(i, j), pt)),
+                alg.bracket(alg.M(i, j), pt),
                 generator=f"[M_{i}{j}, P~_tau]",
             )
 
@@ -347,18 +358,13 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
                 )
                 rep.record(
                     "bracket-m-ij-with-p-tilde-k-classical",
-                    trunc(lhs - rhs),
+                    lhs - rhs,
                     generator=f"[M_{i}{j}, P~_{k}]",
                 )
 
     # [M_{tau i}, P~_j] = i/2 kappa g_ij (1 - exp(-2 P~_tau/kappa) - tau^2/kappa^2 P~_k P~^k)
     #                     + i tau^2/kappa P~_j P~_i
-    pp = alg.zero()
-    for k in range(1, d):
-        pp = pp + ptil[k - 1] * mr.p_tilde_raised(k)
-    pi_inv_sq = pi_inv * pi_inv
-    inner = one - pi_inv_sq - pp * HSeries.h_power(alg.order, 2, GaussRational(t2))
-    half_kappa_part = divide_h(inner) * GaussRational(0, Fraction(1, 2))
+    half_kappa_part = mr.kappa_term * GaussRational(0, Fraction(1, 2))
     for i in range(1, d):
         m0i = alg.M(0, i)
         for j in range(1, d):
@@ -368,7 +374,7 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
             ] * HSeries.h_power(alg.order, 1, GaussRational(0, t2))
             rep.record(
                 "bracket-m-tau-i-with-p-tilde-j-deformed",
-                trunc(lhs - rhs),
+                lhs - rhs,
                 generator=f"[M_0{i}, P~_{j}]",
             )
 
@@ -376,7 +382,7 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
     return rep
 
 
-def _reduced_coproducts_report(rep, ctx, trunc_t):
+def _reduced_coproducts_report(rep, ctx):
     """(DPtau)-(DMtau): the universal coproducts collapse to the quoted reduced
     forms in the adapted basis."""
     alg = ctx.algebra
@@ -386,24 +392,19 @@ def _reduced_coproducts_report(rep, ctx, trunc_t):
     pi, pi_inv = ctx.pi, ctx.pi_inv
     h1 = alg.h(1)
 
-    p_up = [None] + [
-        sum(
-            (alg.P(k) * GaussRational(ctx.metric.inverse[j][k]) for k in range(1, d)),
-            alg.zero(),
-        )
-        for j in range(1, d)
-    ]
+    p_low = [alg.P(k) for k in range(1, d)]
+    p_up = [None] + [_raised(ctx, p_low, j) for j in range(1, d)]
 
     lhs = ctx.coproduct_of(ctx.p_tau)
     rhs = TensorElement.of(ctx.p_tau, pi) + TensorElement.of(pi_inv, ctx.p_tau)
     for j in range(1, d):
         rhs = rhs - TensorElement.of(p_up[j] * pi_inv, alg.P(j)) * (h1 * GaussRational(t2))
-    rep.record("reduced-coproduct-p-tau", trunc_t(lhs - rhs), generator="P_tau")
+    rep.record("reduced-coproduct-p-tau", lhs - rhs, generator="P_tau")
 
     for i in range(1, d):
         lhs = ctx.coproduct(alg.momentum_code(i))
         rhs = TensorElement.of(alg.P(i), pi) + TensorElement.of(one, alg.P(i))
-        rep.record("reduced-coproduct-p-i", trunc_t(lhs - rhs), generator=f"P_{i}")
+        rep.record("reduced-coproduct-p-i", lhs - rhs, generator=f"P_{i}")
 
     for i in range(1, d):
         code, _ = alg.rotation_code(0, i)
@@ -414,7 +415,7 @@ def _reduced_coproducts_report(rep, ctx, trunc_t):
             rhs = rhs + TensorElement.of(p_up[j] * pi_inv, alg.M(i, j)) * (
                 h1 * GaussRational(t2)
             )
-        rep.record("reduced-coproduct-m-tau-i", trunc_t(lhs - rhs), generator=f"M_0{i}")
+        rep.record("reduced-coproduct-m-tau-i", lhs - rhs, generator=f"M_0{i}")
 
 
 def pushforward_consistency_report(

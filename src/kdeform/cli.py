@@ -1,7 +1,8 @@
 """Command-line front end: orbit classification, expression emission, and the
 verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.
+Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 internal
+defect (two computation routes or truncation contexts disagreed).
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import sys
 
 from . import jsonio, render
 from .bases import adapted_context, verify_mr
-from .errors import BasisError, InvalidVectorError
+from .errors import BasisError, ContextMismatchError, InvalidVectorError
+from .errors import InternalConsistencyError, OrderMismatchError
 from .hopf import DeformationContext, pi_identities_report, verify_hopf
 from .minkowski import verify_covariance
 from .reports import VerificationReport
@@ -328,6 +330,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.suite, args.corrupt)
         raise AssertionError(args.command)
+    # the mismatch errors are ValueErrors, so they must be caught first
+    except (InternalConsistencyError, OrderMismatchError, ContextMismatchError) as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except (ValueError, OSError, BasisError, InvalidVectorError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -128,9 +128,9 @@ class DeformationContext:
             out = out + cpow * HSeries.h_power(alg.order, 2 * n - 2, GaussRational(c))
         return out
 
-    def lift(self, extra: int = 2) -> "DeformationContext":
-        """The same deformation at a higher truncation order (used wherever an
-        exact division by h is needed)."""
+    def lift(self, extra: int = 1) -> "DeformationContext":
+        """The same deformation at order N + extra.  divide_h(x, 1) is exact at N
+        when computed at N + 1 and projected back (see bases.kappa_quotients)."""
         return DeformationContext(self.metric, self.tau, self.order + extra)
 
     # -- structure maps on generators ------------------------------------------

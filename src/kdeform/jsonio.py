@@ -270,7 +270,7 @@ def config_from_json(data: dict) -> RunConfig:
     metric = Metric(rows)
     tau = VectorTau(metric, tau_comps)
     order = data.get("truncation_order")
-    if order is not None and (not isinstance(order, int) or order < 1):
+    if order is not None and (type(order) is not int or order < 1):
         raise ValueError("truncation_order must be an integer >= 1")
     basis = data.get("basis", "auto")
     if basis not in BASIS_CHOICES:

@@ -33,7 +33,6 @@ from .algebra import (
     Metric,
     PoincareAlgebra,
     VectorTau,
-    divide_h,
     series_exp,
     series_log_one_plus,
 )
@@ -42,7 +41,7 @@ from .hopf import DeformationContext
 from .reports import VerificationReport
 from .scalars import GR_I, GR_MINUS_I, GaussRational, HSeries
 from .tensors import TensorElement, tensor_exp, tensor_invert
-from .bases import adapted_context
+from .bases import adapted_context, kappa_quotients
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -274,57 +273,49 @@ def _reduced_lightcone_report(rep: VerificationReport, ctx: DeformationContext):
 
 def _partial_mr_report(rep: VerificationReport, ctx: DeformationContext):
     """The partial Majid-Ruegg scheme in the light-cone basis, with the
-    kappa factors and the sign forced by P~_+ = kappa ln Pi_+."""
-    base_alg = ctx.algebra
-    lifted = ctx.lift(2)
-    alg = lifted.algebra
+    kappa factors and the sign forced by P~_+ = kappa ln Pi_+.  Only P~_+ and
+    kappa (1 - exp(-P~_+ / kappa)) divide by h; kappa_quotients builds them."""
+    alg = ctx.algebra
     d = alg.dim
     minus = d - 1
     one = alg.one()
-    pi, pi_inv = lifted.pi, lifted.pi_inv
+    pi, pi_inv = ctx.pi, ctx.pi_inv
 
-    p_tilde_plus = divide_h(series_log_one_plus(pi - one))
+    p_tilde_plus, kappa_jump = kappa_quotients(ctx, lambda up: up.algebra.one() - up.pi_inv)
     p_tilde = {a: alg.P(a) * pi_inv for a in range(1, minus)}
-    kappa_jump = divide_h(one - pi_inv)  # kappa (1 - exp(-P~_+ / kappa))
 
-    def trunc(x):
-        return x.project_to(base_alg)
-
-    rep.record(
-        "partial-mr-exp-recovers-pi",
-        trunc(series_exp(p_tilde_plus * alg.h()) - pi),
-    )
+    rep.record("partial-mr-exp-recovers-pi", series_exp(p_tilde_plus * alg.h()) - pi)
     m_pm = alg.M(0, minus)
     rep.record(
         "partial-mr-bracket-m-plus-minus-with-p-tilde-plus",
-        trunc(alg.bracket(m_pm, p_tilde_plus) - kappa_jump * GR_I),
+        alg.bracket(m_pm, p_tilde_plus) - kappa_jump * GR_I,
         note="kappa normalization forced by [M_+-, P_+] = i P_+",
     )
     for a in range(1, minus):
         m_pa = alg.M(0, a)
         rep.record(
             "partial-mr-bracket-m-plus-a-with-p-tilde-plus-vanishes",
-            trunc(alg.bracket(m_pa, p_tilde_plus)),
+            alg.bracket(m_pa, p_tilde_plus),
             generator=f"[M_+{a}, P~_+]",
         )
         for b in range(1, minus):
             g_ab = ctx.metric.rows[a][b]
             rep.record(
                 "partial-mr-bracket-m-plus-a-with-p-tilde-b",
-                trunc(alg.bracket(m_pa, p_tilde[b]) - kappa_jump * GaussRational(0, g_ab)),
+                alg.bracket(m_pa, p_tilde[b]) - kappa_jump * GaussRational(0, g_ab),
                 generator=f"[M_+{a}, P~_{b}]",
             )
         jump = one - pi_inv  # 1 - exp(-P~_+ / kappa)
         rep.record(
             "partial-mr-bracket-m-plus-minus-with-p-tilde-a",
-            trunc(alg.bracket(m_pm, p_tilde[a]) + p_tilde[a] * jump * GR_I),
+            alg.bracket(m_pm, p_tilde[a]) + p_tilde[a] * jump * GR_I,
             generator=f"[M_+-, P~_{a}]",
             note="sign forced by [M_+-, Pi_+^-1] = -i h P_+ Pi_+^-2",
         )
         m_ma = alg.M(minus, a)
         rep.record(
             "partial-mr-bracket-m-minus-a-with-p-tilde-plus",
-            trunc(alg.bracket(m_ma, p_tilde_plus) + p_tilde[a] * GR_I),
+            alg.bracket(m_ma, p_tilde_plus) + p_tilde[a] * GR_I,
             generator=f"[M_-{a}, P~_+]",
             note="normalization forced by [M_-a, P_+] = -i P_a",
         )

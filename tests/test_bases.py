@@ -1,11 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from kdeform import Metric, PoincareAlgebra, VectorTau
+from conftest import random_metric, random_tau
+from kdeform import GaussRational, HSeries, Metric, PoincareAlgebra, TensorElement, VectorTau
 from kdeform.bases import (
+    _mr_bracket_numerator,
     adapted_context,
     is_orthogonally_adapted,
+    kappa_quotients,
     lightcone_decompose,
     mr_generators,
     orthogonal_decompose,
@@ -14,7 +20,7 @@ from kdeform.bases import (
 )
 from kdeform.errors import BasisError, InvalidVectorError
 from kdeform.hopf import DeformationContext
-from kdeform.algebra import series_exp
+from kdeform.algebra import divide_h, series_exp, series_log_one_plus
 
 
 class TestOrthogonalDecompose:
@@ -109,11 +115,9 @@ class TestMRGenerators:
 
     def test_exponential_recovers_pi(self, eta4):
         ctx = DeformationContext(eta4, [1, 0, 0, 0], 3)
-        lifted = ctx.lift(2)
-        from kdeform.bases import _mr_in_context
-
-        mr = _mr_in_context(lifted)
-        lhs = series_exp(mr.p_tilde_tau * lifted.algebra.h())
+        lifted = ctx.lift()
+        p_tilde_tau, _ = kappa_quotients(lifted, _mr_bracket_numerator)
+        lhs = series_exp(p_tilde_tau * lifted.algebra.h())
         assert (lhs - lifted.pi).project_to(ctx.algebra).is_zero
 
     def test_p_tilde_i_definition(self, eta4):
@@ -138,6 +142,56 @@ class TestVerifyMR:
     def test_null_tau_skipped(self, eta4):
         rep = verify_mr(DeformationContext(eta4, [1, 0, 0, 1], 3))
         assert rep.skipped
+
+    @pytest.mark.parametrize(
+        "gen,must_fail",
+        [
+            ("P_1", {"reduced-coproduct-p-i", "coproduct-p-tilde-i"}),
+            ("M_01", {"coproduct-m-tau-j-bicrossproduct"}),
+        ],
+    )
+    def test_corrupted_coproduct_table_fails(self, eta3, gen, must_fail):
+        # the suite checks the caller's own coproduct tables: an h^1 bump on
+        # one generator coproduct must fail the checks that read it
+        ctx = DeformationContext(eta3, [1, 0, 0], 2)
+        alg = ctx.algebra
+        code = alg.momentum_code(1) if gen == "P_1" else alg.rotation_code(0, 1)[0]
+        ctx._coproducts[code] = ctx.coproduct(code) + TensorElement.unit(alg, 2) * alg.h(1)
+        rep = verify_mr(ctx)
+        assert not rep.all_passed
+        assert must_fail <= {c.name for c in rep.failures()}
+
+
+class TestKappaQuotients:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from((2, 3)),
+        order=st.sampled_from((2, 3)),
+    )
+    def test_one_order_lift_matches_two(self, seed, dim, order):
+        rng = random.Random(seed)
+        metric = random_metric(rng, dim)
+        tau = random_tau(rng, metric)
+        assume(tau.tau_sq)
+        _, ctx = adapted_context(metric, tau, order)
+        p_tilde_tau, kappa_term = kappa_quotients(ctx, _mr_bracket_numerator)
+
+        # reference: both quotients at N+2, written out from their definitions
+        up = ctx.lift(2)
+        alg, one, ginv = up.algebra, up.algebra.one(), up.metric.inverse
+        ptil = {k: alg.P(k) * up.pi_inv for k in range(1, dim)}
+        pp = alg.zero()
+        for k in range(1, dim):
+            for l in range(1, dim):
+                pp = pp + ptil[k] * ptil[l] * GaussRational(ginv[k][l])
+        t2h2 = HSeries.h_power(alg.order, 2, GaussRational(up.tau.tau_sq))
+        inner = one - up.pi_inv * up.pi_inv - pp * t2h2
+        assert p_tilde_tau == divide_h(series_log_one_plus(up.pi - one)).project_to(ctx.algebra)
+        assert kappa_term == divide_h(inner).project_to(ctx.algebra)
+
+        rep = verify_mr(DeformationContext(metric, tau, order))
+        assert rep.all_passed, [f"{c.name} {c.generator}" for c in rep.failures()[:4]]
 
 
 class TestAdaptedContext:

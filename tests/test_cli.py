@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from kdeform import cli, jsonio
 from kdeform.cli import EXAMPLES, main
-from kdeform import jsonio
+from kdeform.errors import ContextMismatchError, InternalConsistencyError, OrderMismatchError
 
 
 def run(capsys, *argv):
@@ -43,9 +44,13 @@ class TestClassify:
 
     def test_bad_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"metric": [[1.5, 0], [0, 1]], "tau": [1, 0]}))
-        code, _, err = run(capsys, "classify", "--config", str(cfg))
-        assert code == 2 and "error" in err
+        for bad in (
+            {"metric": [[1.5, 0], [0, 1]], "tau": [1, 0]},
+            {"metric": [[-1, 0], [0, 1]], "tau": [1, 0], "truncation_order": True},
+        ):
+            cfg.write_text(json.dumps(bad))
+            code, _, err = run(capsys, "classify", "--config", str(cfg))
+            assert code == 2 and "error" in err, bad
 
     def test_missing_source_exits_2(self, capsys):
         code, _, err = run(capsys, "classify")
@@ -140,6 +145,20 @@ class TestVerify:
         )
         assert code == 1
         assert "FAILED" in out
+
+    @pytest.mark.parametrize(
+        "exc", [InternalConsistencyError, OrderMismatchError, ContextMismatchError]
+    )
+    def test_internal_defect_exits_3(self, capsys, monkeypatch, exc):
+        def broken(ctx):
+            raise exc("routes disagree")
+
+        monkeypatch.setattr(cli, "verify_mr", broken)
+        code, _, err = run(
+            capsys, "verify", "--suite", "mr", "--example", "time-like", "--order", "1"
+        )
+        assert code == 3
+        assert err.startswith("internal error: routes disagree")
 
     def test_json_report(self, capsys, tmp_path):
         cfg = tmp_path / "d2.json"
