@@ -44,12 +44,6 @@ class Metric:
         self.signature = exactla.signature(rows)
         self._key = (d, rows)
 
-    def entry(self, mu, nu) -> Fraction:
-        return self.rows[mu][nu]
-
-    def inv_entry(self, mu, nu) -> Fraction:
-        return self.inverse[mu][nu]
-
     def apply(self, u, v) -> Fraction:
         """The bilinear form g(u, v) on rational component vectors."""
         return sum(
@@ -154,9 +148,6 @@ class PoincareAlgebra:
         rots = [mu * d + nu for mu in range(d) for nu in range(mu + 1, d)]
         return rots + [self._mom0 + mu for mu in range(d)]
 
-    def is_momentum(self, code: int) -> bool:
-        return code >= self._mom0
-
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> "AlgebraElement":
@@ -212,9 +203,9 @@ class PoincareAlgebra:
             rho = b - mom0
             out = {}
             if g[nu][rho]:
-                _acc_code(out, mom0 + mu, GaussRational(0, g[nu][rho]))
+                accumulate(out, mom0 + mu, GaussRational(0, g[nu][rho]))
             if g[mu][rho]:
-                _acc_code(out, mom0 + nu, GaussRational(0, -g[mu][rho]))
+                accumulate(out, mom0 + nu, GaussRational(0, -g[mu][rho]))
             return out
         if a >= mom0 and b < mom0:
             return {c: -v for c, v in self.bracket_codes(b, a).items()}
@@ -233,7 +224,7 @@ class PoincareAlgebra:
                 continue
             code, sign = self.rotation_code(p, q)
             if sign:
-                _acc_code(out, code, GaussRational(0, f * sign))
+                accumulate(out, code, GaussRational(0, f * sign))
         return {c: v for c, v in out.items() if v}
 
     # -- PBW normal ordering ---------------------------------------------------
@@ -278,24 +269,38 @@ class PoincareAlgebra:
         head, tail = word[:i], word[i + 2:]
         acc = {}
         for m, c in self.normal_order(head + (b, a) + tail).items():
-            _acc_code(acc, m, c)
+            accumulate(acc, m, c)
         for gen, cb in self.bracket_codes(a, b).items():
             for m, c in self.normal_order(head + (gen,) + tail).items():
-                _acc_code(acc, m, c * cb)
+                accumulate(acc, m, c * cb)
         return {m: c for m, c in acc.items() if c}
 
     # -- products of term maps ---------------------------------------------------
 
-    def mul_terms(self, ta: dict, tb: dict, acc: dict | None = None, sign: int = 1) -> dict:
+    def mul_terms(
+        self, ta: dict, tb: dict, acc: dict | None = None, sign: int = 1, key_product=None
+    ) -> dict:
         """Accumulate the product of two term maps into mutable coefficient rows.
 
-        acc maps monomial -> list of N+1 GaussRational; pass the same acc to
+        This is the one product kernel: PBW elements, tensors of any leg count
+        and kappa-Minkowski coordinates differ only in key_product(k1, k2),
+        which yields the (key, coefficient) pairs of the product of two keys.
+        A coefficient is a GaussRational (GR_ONE itself takes a fast path) or
+        an HSeries for an h-weighted key product.  The default rule is the
+        PBW product of monomials.
+
+        acc maps key -> list of N+1 GaussRational; pass the same acc to
         several calls to fuse sums of products (finalize with finalize_rows)."""
         N = self.order
         if acc is None:
             acc = {}
+        if key_product is None:
+            mono_product = self.mono_product
+
+            def key_product(m1, m2):
+                return mono_product(m1, m2).items()
+
         items_b = [(m, h.valuation, h.nz) for m, h in tb.items() if h.valuation <= N]
-        mono_product = self.mono_product
         negate = sign < 0
         for m1, h1 in ta.items():
             v1 = h1.valuation
@@ -308,12 +313,15 @@ class PoincareAlgebra:
                 pairs = convolve_nz(nz1, nz2, N, negate)
                 if not pairs:
                     continue
-                for m, c in mono_product(m1, m2).items():
+                for m, c in key_product(m1, m2):
                     row = acc.get(m)
                     if row is None:
                         row = acc[m] = [GR_ZERO] * (N + 1)
                     if c is GR_ONE:
                         for k, hc in pairs:
+                            row[k] = row[k] + hc
+                    elif type(c) is HSeries:
+                        for k, hc in convolve_nz(pairs, c.nz, N):
                             row[k] = row[k] + hc
                     else:
                         for k, hc in pairs:
@@ -321,7 +329,7 @@ class PoincareAlgebra:
         return acc
 
     def finalize_rows(self, acc: dict) -> dict:
-        """Turn mutable coefficient rows back into {monomial: HSeries}."""
+        """Turn mutable coefficient rows back into {key: HSeries}."""
         N = self.order
         out = {}
         for m, row in acc.items():
@@ -376,7 +384,7 @@ class PoincareAlgebra:
                     continue
                 code, sign = self.rotation_code(alpha, lam)
                 if sign:
-                    _acc_code(acc, code, GaussRational(c * sign))
+                    accumulate(acc, code, GaussRational(c * sign))
             m_tau.append(self.from_codes(acc))
         return p_tau, m_tau
 
@@ -395,27 +403,58 @@ class PoincareAlgebra:
         return f"PoincareAlgebra(iso({p},{q}), D={self.dim}, order={self.order})"
 
 
-def _acc_code(acc: dict, key, val):
+def accumulate(acc: dict, key, val):
+    """acc[key] += val, for sparse maps whose zero sums are filtered later."""
     cur = acc.get(key)
     acc[key] = val if cur is None else cur + val
 
 
-class AlgebraElement:
-    """A sparse element of U(iso(g))[[h]]: {PBW monomial: HSeries}.
+def dict_sub(a: dict, b: dict) -> dict:
+    """a - b on sparse coefficient maps; cancelled keys are dropped."""
+    out = dict(a)
+    for k, v in b.items():
+        cur = out.get(k)
+        s = -v if cur is None else cur - v
+        if s:
+            out[k] = s
+        elif cur is not None:
+            del out[k]
+    return out
 
-    Monomials are nondecreasing tuples of generator codes; zero coefficients
+
+_SCALARS = (int, Fraction, GaussRational, HSeries)
+
+
+class TermElement:
+    """The linear structure shared by every sparse element {key: HSeries}:
+    PBW elements, tensors and kappa-Minkowski coordinates.  Zero coefficients
     are never stored, so equality is structural.
+
+    A subclass says what its keys are: _with builds an element of the same
+    kind, _compatible says which elements combine, _scalar embeds a scalar
+    (where scalars have a place), and products go through
+    PoincareAlgebra.mul_terms with the subclass's key-product rule.
     """
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: PoincareAlgebra, terms: dict):
-        self.algebra = algebra
-        self.terms = terms
+    def _with(self, terms: dict, algebra: PoincareAlgebra | None = None):
+        raise NotImplementedError
 
-    def _check(self, other: "AlgebraElement"):
-        if not self.algebra.compatible(other.algebra):
-            raise ContextMismatchError("elements belong to incompatible contexts")
+    def _compatible(self, other) -> bool:
+        return self.algebra.compatible(other.algebra)
+
+    def _scalar(self, value):
+        return NotImplemented
+
+    def _coerce(self, other):
+        if type(other) is type(self):
+            return other
+        return self._scalar(other) if isinstance(other, _SCALARS) else NotImplemented
+
+    def _check(self, other):
+        if not self._compatible(other):
+            raise ContextMismatchError(f"{type(self).__name__}s from incompatible contexts")
 
     @property
     def is_zero(self) -> bool:
@@ -425,69 +464,114 @@ class AlgebraElement:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, AlgebraElement):
-            return self.algebra.compatible(other.algebra) and self.terms == other.terms
-        if isinstance(other, (int, Fraction, GaussRational)):
-            return self == self.algebra.scalar(other)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._compatible(other) and self.terms == other.terms
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational, HSeries)):
-            other = self.algebra.scalar(other)
-        if not isinstance(other, AlgebraElement):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
-        for m, hs in other.terms.items():
-            cur = out.get(m)
+        for k, hs in other.terms.items():
+            cur = out.get(k)
             s = hs if cur is None else cur + hs
             if s:
-                out[m] = s
+                out[k] = s
             elif cur is not None:
-                del out[m]
-        return AlgebraElement(self.algebra, out)
+                del out[k]
+        return self._with(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, {m: -hs for m, hs in self.terms.items()})
+        return self._with({k: -hs for k, hs in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational, HSeries)):
-            other = self.algebra.scalar(other)
-        if not isinstance(other, AlgebraElement):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        return self._with(dict_sub(self.terms, other.terms))
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def __mul__(self, other):
+        """Multiplication by a scalar; subclasses handle their own products."""
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        if isinstance(other, HSeries) and other.order != self.algebra.order:
+            raise ContextMismatchError("series has the wrong truncation order")
+        out = {}
+        for k, hs in self.terms.items():
+            p = hs * other
+            if p:
+                out[k] = p
+        return self._with(out)
+
+    def __rmul__(self, other):
+        # scalar coefficients commute with everything
+        if isinstance(other, _SCALARS):
+            return self.__mul__(other)
+        return NotImplemented
+
+    def _star_by(self, reorder):
+        """The antilinear map conjugating coefficients and sending each key to
+        reorder(key), an iterable of (key, coefficient)."""
+        acc = {}
+        for key, hs in self.terms.items():
+            conj = hs.conjugate()
+            for k, c in reorder(key):
+                accumulate(acc, k, conj * c)
+        return self._with({k: v for k, v in acc.items() if v})
+
+    def h_coefficient(self, k: int) -> dict:
+        """{key: GaussRational} at a fixed power of h."""
+        return {key: hs.coeffs[k] for key, hs in self.terms.items() if hs.coeffs[k]}
+
+    def project_to(self, algebra: PoincareAlgebra):
+        """Truncate to a lower-order context over the same metric."""
+        if algebra.metric != self.algebra.metric or algebra.order > self.algebra.order:
+            raise ContextMismatchError("projection target must be a truncation of this context")
+        out = {}
+        for key, hs in self.terms.items():
+            t = hs.truncate(algebra.order)
+            if t:
+                out[key] = t
+        return self._with(out, algebra)
+
+    def rescale_h(self, s):
+        """Substitute h -> h/s in every coefficient."""
+        return self._with({key: hs.rescale_h(s) for key, hs in self.terms.items()})
+
+
+class AlgebraElement(TermElement):
+    """A sparse element of U(iso(g))[[h]]: {PBW monomial: HSeries}.
+
+    Monomials are nondecreasing tuples of generator codes.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, algebra: PoincareAlgebra, terms: dict):
+        self.algebra = algebra
+        self.terms = terms
+
+    def _with(self, terms: dict, algebra: PoincareAlgebra | None = None) -> "AlgebraElement":
+        return AlgebraElement(algebra or self.algebra, terms)
+
+    def _scalar(self, value) -> "AlgebraElement":
+        return self.algebra.scalar(value)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
             alg = self.algebra
             return AlgebraElement(alg, alg.finalize_rows(alg.mul_terms(self.terms, other.terms)))
-        if isinstance(other, (int, Fraction, GaussRational, HSeries)):
-            if isinstance(other, HSeries):
-                if other.order != self.algebra.order:
-                    raise ContextMismatchError("series has the wrong truncation order")
-                if not other:
-                    return self.algebra.zero()
-            elif not other:
-                return self.algebra.zero()
-            out = {}
-            for m, hs in self.terms.items():
-                p = hs * other
-                if p:
-                    out[m] = p
-            return AlgebraElement(self.algebra, out)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        # scalar coefficients commute with everything
-        if isinstance(other, (int, Fraction, GaussRational, HSeries)):
-            return self.__mul__(other)
-        return NotImplemented
+        return TermElement.__mul__(self, other)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -506,36 +590,8 @@ class AlgebraElement:
     def star(self) -> "AlgebraElement":
         """Antilinear anti-involution: fixes generators, conjugates coefficients,
         reverses monomials (then re-normal-orders)."""
-        alg = self.algebra
-        acc = {}
-        for mono, hs in self.terms.items():
-            conj = hs.conjugate()
-            for m, c in alg.normal_order(tuple(reversed(mono))).items():
-                cur = acc.get(m)
-                add = conj * c
-                acc[m] = add if cur is None else cur + add
-        return AlgebraElement(alg, {m: hs for m, hs in acc.items() if hs})
-
-    def h_coefficient(self, k: int) -> dict:
-        """{monomial: GaussRational} at a fixed power of h."""
-        return {m: hs.coeffs[k] for m, hs in self.terms.items() if hs.coeffs[k]}
-
-    def project_to(self, algebra: PoincareAlgebra) -> "AlgebraElement":
-        """Truncate to a lower-order context over the same metric."""
-        if algebra.metric != self.algebra.metric or algebra.order > self.algebra.order:
-            raise ContextMismatchError("projection target must be a truncation of this context")
-        out = {}
-        for m, hs in self.terms.items():
-            t = hs.truncate(algebra.order)
-            if t:
-                out[m] = t
-        return AlgebraElement(algebra, out)
-
-    def rescale_h(self, s) -> "AlgebraElement":
-        """Substitute h -> h/s in every coefficient."""
-        return AlgebraElement(
-            self.algebra, {m: hs.rescale_h(s) for m, hs in self.terms.items()}
-        )
+        normal_order = self.algebra.normal_order
+        return self._star_by(lambda mono: normal_order(tuple(reversed(mono))).items())
 
     def max_degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)

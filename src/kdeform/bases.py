@@ -21,6 +21,8 @@ from .algebra import (
     Metric,
     PoincareAlgebra,
     VectorTau,
+    accumulate,
+    dict_sub,
     divide_h,
     series_exp,
     series_log_one_plus,
@@ -65,7 +67,7 @@ class BasisChange:
             rho = idx
             for mu in range(d):
                 if b[mu][rho]:
-                    _merge(acc, target.momentum_code(mu), GaussRational(b[mu][rho]))
+                    accumulate(acc, target.momentum_code(mu), GaussRational(b[mu][rho]))
         else:
             rho, sig = idx
             for mu in range(d):
@@ -76,7 +78,7 @@ class BasisChange:
                         continue
                     c, sign = target.rotation_code(mu, nu)
                     if sign:
-                        _merge(acc, c, GaussRational(b[mu][rho] * b[nu][sig] * sign))
+                        accumulate(acc, c, GaussRational(b[mu][rho] * b[nu][sig] * sign))
         img = target.from_codes(acc)
         self._gen_images[code] = img
         return img
@@ -90,11 +92,6 @@ class BasisChange:
                 word = word * self.generator_image(code, target)
             out = out + word * hs
         return out
-
-
-def _merge(acc: dict, key, val):
-    cur = acc.get(key)
-    acc[key] = val if cur is None else cur + val
 
 
 def orthogonal_decompose(metric: Metric, tau: VectorTau) -> BasisChange:
@@ -259,8 +256,11 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
 
     Every residual is computed at the order N of the adapted context: ctx
     itself when it is orthogonally adapted, so its coproduct tables and
-    caches are the ones checked.  Only p_tilde_tau and the kappa term divide
-    by h; mr_generators lifts those two by one order and projects them back."""
+    caches are the ones checked.  Otherwise (e.g. space-like tau, the CLI's
+    tachyonic example) the suite checks the tables of a freshly built
+    adapted context, not the caller's: a table edited in ctx goes unread.
+    Only p_tilde_tau and the kappa term divide by h; mr_generators lifts
+    those two by one order and projects them back."""
     t0 = time.monotonic()
     rep = VerificationReport("majid-ruegg")
     if ctx.tau.is_zero or not ctx.tau.tau_sq:
@@ -285,12 +285,12 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
     # classical limits at h = 0
     rep.record(
         "p-tilde-tau-classical-limit",
-        _dict_sub(pt.h_coefficient(0), ctx.p_tau.h_coefficient(0)),
+        dict_sub(pt.h_coefficient(0), ctx.p_tau.h_coefficient(0)),
     )
     for i in range(1, d):
         rep.record(
             "p-tilde-classical-limit",
-            _dict_sub(ptil[i - 1].h_coefficient(0), alg.P(i).h_coefficient(0)),
+            dict_sub(ptil[i - 1].h_coefficient(0), alg.P(i).h_coefficient(0)),
             generator=f"P~_{i}",
         )
 
@@ -437,15 +437,3 @@ def pushforward_consistency_report(
                 generator=f"codes ({x},{y})",
             )
     return rep
-
-
-def _dict_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        s = -v if cur is None else cur - v
-        if s:
-            out[k] = s
-        elif cur is not None:
-            del out[k]
-    return out

@@ -39,6 +39,7 @@ from .algebra import (
     Metric,
     PoincareAlgebra,
     VectorTau,
+    dict_sub,
     series_invert,
 )
 from .errors import InternalConsistencyError
@@ -78,6 +79,9 @@ class DeformationContext:
         self._mono_coproduct = {(): TensorElement.unit(alg, 2)}
         self._mono_primitive = {(): TensorElement.unit(alg, 2)}
         self._mono_antipode = {(): alg.one()}
+        # kappa-Minkowski: coordinate normal forms and generator actions on words
+        self._mink_no_cache = {}
+        self._act_cache = {}
         # shared tails of the coproduct formulas, independent of the free index
         self._pap = None
         self._cp = None
@@ -176,15 +180,12 @@ class DeformationContext:
                 for a in range(alg.dim):
                     w = alg.M(a, mu) * GaussRational(cov[nu]) - alg.M(a, nu) * GaussRational(cov[mu])
                     if w:
-                        second = second + self._leg2(self._p_raised[a] * self.pi_inv, w)
+                        second = second + TensorElement.of(self._p_raised[a] * self.pi_inv, w)
                 out = out + second * h1
                 w2 = self.m_tau[nu] * GaussRational(cov[mu]) - self.m_tau[mu] * GaussRational(cov[nu])
                 if w2:
-                    out = out - self._leg2(self.c_tau * self.pi_inv, w2) * h2_half
+                    out = out - TensorElement.of(self.c_tau * self.pi_inv, w2) * h2_half
         return out
-
-    def _leg2(self, left: AlgebraElement, right: AlgebraElement) -> TensorElement:
-        return TensorElement.of(left, right)
 
     def antipode(self, code: int) -> AlgebraElement:
         a = self._antipodes.get(code)
@@ -217,9 +218,6 @@ class DeformationContext:
         if w2:
             out = out + self.c_tau * w2 * h2_half
         return out
-
-    def counit(self, a: AlgebraElement) -> HSeries:
-        return a.counit()
 
     # -- multiplicative extensions -----------------------------------------------
 
@@ -264,9 +262,6 @@ class DeformationContext:
             a = self.antipode(mono[-1]) * self._mono_antipode_of(mono[:-1])
             self._mono_antipode[mono] = a
         return a
-
-    def star(self, a: AlgebraElement) -> AlgebraElement:
-        return a.star()
 
     # -- convenience -------------------------------------------------------------
 
@@ -451,7 +446,7 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
                 rhs = (d0 * r_t - r_t * d0).h_coefficient(0)
                 rep.record(
                     "classical-limit-cobracket",
-                    _dict_sub(lhs, rhs),
+                    dict_sub(lhs, rhs),
                     generator=ctx.gen_name(x),
                 )
 
@@ -490,18 +485,6 @@ def _select(checks):
             out.add(HOPF_CHECKS[c - 1])
         else:
             out.add(c)
-    return out
-
-
-def _dict_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        s = -v if cur is None else cur - v
-        if s:
-            out[k] = s
-        elif cur is not None:
-            del out[k]
     return out
 
 

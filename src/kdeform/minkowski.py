@@ -17,105 +17,49 @@ every momentum word longer than d annihilates it.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, TermElement, accumulate
 from .errors import ContextMismatchError
 from .hopf import DeformationContext
 from .reports import VerificationReport
-from .scalars import GR_MINUS_I, GR_ZERO, GaussRational, HSeries, convolve_nz
-from .tensors import _finalize_rows
+from .scalars import GR_MINUS_I, GR_ONE, GaussRational, HSeries
 
 
-class MinkowskiElement:
+class MinkowskiElement(TermElement):
     """Sparse element of the coordinate algebra: {nondecreasing index tuple: HSeries}."""
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("context",)
 
     def __init__(self, context: DeformationContext, terms: dict):
         self.context = context
+        self.algebra = context.algebra
         self.terms = terms
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _with(self, terms: dict, algebra=None) -> "MinkowskiElement":
+        # coordinates live in their deformation context; a projection can
+        # only target the context's own algebra
+        if algebra is not None and not algebra.compatible(self.algebra):
+            raise ContextMismatchError("coordinate elements cannot change their context")
+        return MinkowskiElement(self.context, terms)
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _compatible(self, other: "MinkowskiElement") -> bool:
+        return self.algebra.compatible(other.algebra) and (
+            self.context.tau.components == other.context.tau.components
+        )
 
-    def _check(self, other: "MinkowskiElement"):
-        if not self.context.algebra.compatible(other.context.algebra) or (
-            self.context.tau.components != other.context.tau.components
-        ):
-            raise ContextMismatchError("coordinate elements from different deformations")
-
-    def __eq__(self, other):
-        if isinstance(other, MinkowskiElement):
-            return self.terms == other.terms and (
-                self.context.tau.components == other.context.tau.components
-            )
-        if isinstance(other, (int, Fraction, GaussRational)):
-            return self == scalar_mink(self.context, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational, HSeries)):
-            other = scalar_mink(self.context, other)
-        if not isinstance(other, MinkowskiElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for m, hs in other.terms.items():
-            cur = out.get(m)
-            s = hs if cur is None else cur + hs
-            if s:
-                out[m] = s
-            elif cur is not None:
-                del out[m]
-        return MinkowskiElement(self.context, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MinkowskiElement(self.context, {m: -hs for m, hs in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational, HSeries)):
-            other = scalar_mink(self.context, other)
-        if not isinstance(other, MinkowskiElement):
-            return NotImplemented
-        return self + (-other)
+    def _scalar(self, value) -> "MinkowskiElement":
+        return scalar_mink(self.context, value)
 
     def __mul__(self, other):
         if isinstance(other, MinkowskiElement):
             self._check(other)
             return mink_multiply(self, other)
-        if isinstance(other, (int, Fraction, GaussRational, HSeries)):
-            out = {}
-            for m, hs in self.terms.items():
-                p = hs * other
-                if p:
-                    out[m] = p
-            return MinkowskiElement(self.context, out)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational, HSeries)):
-            return self.__mul__(other)
-        return NotImplemented
+        return TermElement.__mul__(self, other)
 
     def star(self) -> "MinkowskiElement":
         """Antilinear anti-involution fixing the coordinates (tau real)."""
         ctx = self.context
-        acc = {}
-        for mono, hs in self.terms.items():
-            conj = hs.conjugate()
-            for m, c in _coord_normal_order(ctx, tuple(reversed(mono))).items():
-                p = conj * c
-                cur = acc.get(m)
-                s = p if cur is None else cur + p
-                acc[m] = s
-        return MinkowskiElement(ctx, {m: v for m, v in acc.items() if v})
+        return self._star_by(lambda mono: _coord_normal_order(ctx, tuple(reversed(mono))).items())
 
     def degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
@@ -148,7 +92,7 @@ def _coord_normal_order(ctx: DeformationContext, word: tuple) -> dict:
     """Normal order a coordinate word: {word: HSeries}.  Each swap of an
     out-of-order adjacent pair (mu > nu) emits the h-weighted linear correction
     i h (tau^mu x^nu - tau^nu x^mu)."""
-    cache = _mink_cache(ctx)
+    cache = ctx._mink_no_cache
     out = cache.get(word)
     if out is not None:
         return out
@@ -164,7 +108,7 @@ def _coord_normal_order(ctx: DeformationContext, word: tuple) -> dict:
     head, tail = word[:i], word[i + 2 :]
     acc = {}
     for m, hs in _coord_normal_order(ctx, head + (nu, mu) + tail).items():
-        _acc(acc, m, hs)
+        accumulate(acc, m, hs)
     tau = ctx.tau.components
     i_h = HSeries.h_power(N, 1, GaussRational(0, 1))
     for comp, keep in ((tau[mu], nu), (tau[nu], mu)):
@@ -174,60 +118,29 @@ def _coord_normal_order(ctx: DeformationContext, word: tuple) -> dict:
         for m, hs in _coord_normal_order(ctx, head + (keep,) + tail).items():
             p = hs * w
             if p:
-                _acc(acc, m, p)
+                accumulate(acc, m, p)
     out = {m: hs for m, hs in acc.items() if hs}
     cache[word] = out
     return out
 
 
-def _acc(acc, key, hs):
-    cur = acc.get(key)
-    s = hs if cur is None else cur + hs
-    acc[key] = s
+def _coord_product(ctx: DeformationContext):
+    """Key-product rule of the coordinate algebra: concatenate two ordered
+    words and normal order, which weights the corrections by powers of h."""
 
+    def product(m1, m2):
+        word = m1 + m2
+        if m1 and m2 and m1[-1] > m2[0]:
+            return _coord_normal_order(ctx, word).items()
+        return ((word, GR_ONE),)
 
-def _mink_cache(ctx: DeformationContext) -> dict:
-    cache = getattr(ctx, "_mink_no_cache", None)
-    if cache is None:
-        cache = {}
-        ctx._mink_no_cache = cache
-    return cache
+    return product
 
 
 def mink_multiply(a: MinkowskiElement, b: MinkowskiElement) -> MinkowskiElement:
-    ctx = a.context
-    N = ctx.algebra.order
-    acc = {}
-    items_b = [(m, h.valuation, h.nz) for m, h in b.terms.items() if h.valuation <= N]
-    for m1, h1 in a.terms.items():
-        v1 = h1.valuation
-        if v1 > N:
-            continue
-        nz1 = h1.nz
-        for m2, v2, nz2 in items_b:
-            if v1 + v2 > N:
-                continue
-            pairs = convolve_nz(nz1, nz2, N)
-            if not pairs:
-                continue
-            word = m1 + m2
-            if not m1 or not m2 or m1[-1] <= m2[0]:
-                prods = {word: None}  # None marks unit coefficient
-            else:
-                prods = _coord_normal_order(ctx, word)
-            for m, w in prods.items():
-                row = acc.get(m)
-                if row is None:
-                    row = acc[m] = [GR_ZERO] * (N + 1)
-                if w is None:
-                    for k, c in pairs:
-                        row[k] = row[k] + c
-                else:
-                    for k, c in pairs:
-                        for l, wc in w.nz:
-                            if k + l <= N:
-                                row[k + l] = row[k + l] + c * wc
-    return MinkowskiElement(ctx, _finalize_rows(N, acc))
+    alg = a.algebra
+    acc = alg.mul_terms(a.terms, b.terms, key_product=_coord_product(a.context))
+    return MinkowskiElement(a.context, alg.finalize_rows(acc))
 
 
 # -- the Hopf action ---------------------------------------------------------------
@@ -262,10 +175,7 @@ def _act_gen(ctx: DeformationContext, code: int, a: MinkowskiElement) -> Minkows
 def _act_gen_mono(ctx: DeformationContext, code: int, cmono: tuple) -> MinkowskiElement:
     """A single generator on a single coordinate word, via the Leibniz rule
     through the deformed coproduct; cached per context."""
-    cache = getattr(ctx, "_act_cache", None)
-    if cache is None:
-        cache = {}
-        ctx._act_cache = cache
+    cache = ctx._act_cache
     key = (code, cmono)
     out = cache.get(key)
     if out is not None:

@@ -256,17 +256,3 @@ def mink_text(elem) -> str:
         else:
             parts.append(f"{pre}{'*' if pre else ''}{body}")
     return " + ".join(parts)
-
-
-def mink_latex(elem) -> str:
-    if not elem.terms:
-        return "0"
-    parts = []
-    for mono in _sorted_keys(elem.terms):
-        pre = _coeff_prefix(elem.terms[mono], text=False)
-        body = mink_mono_latex(mono)
-        if not mono:
-            parts.append(pre if pre else "1")
-        else:
-            parts.append(f"{pre}\\, {body}" if pre else body)
-    return " + ".join(parts).replace("+ -", "- ")

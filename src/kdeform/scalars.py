@@ -39,10 +39,6 @@ class GaussRational:
         self.re = re if type(re) is Fraction else as_fraction(re)
         self.im = im if type(im) is Fraction else as_fraction(im)
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     def conjugate(self) -> "GaussRational":
         return GaussRational(self.re, -self.im) if self.im else self
 
@@ -331,9 +327,6 @@ class HSeries:
         for _ in range(n):
             out = out * self
         return out
-
-    def scale(self, c) -> "HSeries":
-        return self * c
 
     def shift(self, k: int) -> "HSeries":
         """Multiply by h^k, dropping coefficients pushed past the order."""

@@ -8,7 +8,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactla
-from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau, _acc_code
+from .algebra import (
+    AlgebraElement,
+    Metric,
+    PoincareAlgebra,
+    TermElement,
+    VectorTau,
+    accumulate,
+)
 from .errors import ContextMismatchError, InvalidVectorError, NonInvertibleError
 from .scalars import (
     GR_I,
@@ -23,16 +30,22 @@ from .scalars import (
 _F0 = Fraction(0)
 
 
-class TensorElement:
+class TensorElement(TermElement):
     """A k-legged tensor: {(monomial, ..., monomial): HSeries}, each leg a PBW
     monomial.  The product acts leg-wise: (a (x) b)(c (x) d) = ac (x) bd."""
 
-    __slots__ = ("algebra", "legs", "terms")
+    __slots__ = ("legs",)
 
     def __init__(self, algebra: PoincareAlgebra, legs: int, terms: dict):
         self.algebra = algebra
         self.legs = legs
         self.terms = terms
+
+    def _with(self, terms: dict, algebra: PoincareAlgebra | None = None) -> "TensorElement":
+        return TensorElement(algebra or self.algebra, self.legs, terms)
+
+    def _compatible(self, other: "TensorElement") -> bool:
+        return self.legs == other.legs and self.algebra.compatible(other.algebra)
 
     # -- constructors --------------------------------------------------------
 
@@ -48,92 +61,22 @@ class TensorElement:
         for f in factors:
             if not alg.compatible(f.algebra):
                 raise ContextMismatchError("tensor factors from incompatible contexts")
-            nxt = {}
-            for key, hs in terms.items():
-                for m, hs2 in f.terms.items():
-                    p = hs * hs2
-                    if p:
-                        _acc_hs(nxt, key + (m,), p)
-            terms = nxt
-        return cls(alg, len(factors), {k: v for k, v in terms.items() if v})
-
-    # -- basic structure -------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _check(self, other: "TensorElement"):
-        if not self.algebra.compatible(other.algebra):
-            raise ContextMismatchError("tensors from incompatible contexts")
-        if self.legs != other.legs:
-            raise ContextMismatchError(
-                f"leg-count mismatch: {self.legs} vs {other.legs}"
-            )
-
-    def __eq__(self, other):
-        if isinstance(other, TensorElement):
-            return (
-                self.algebra.compatible(other.algebra)
-                and self.legs == other.legs
-                and self.terms == other.terms
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for k, hs in other.terms.items():
-            cur = out.get(k)
-            s = hs if cur is None else cur + hs
-            if s:
-                out[k] = s
-            elif cur is not None:
-                del out[k]
-        return TensorElement(self.algebra, self.legs, out)
-
-    def __neg__(self):
-        return TensorElement(self.algebra, self.legs, {k: -hs for k, hs in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
+            terms = alg.finalize_rows(alg.mul_terms(terms, f.terms, key_product=_append_leg))
+        return cls(alg, len(factors), terms)
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
             self._check(other)
             alg = self.algebra
-            acc = _tensor_mul_rows(self, other)
-            return TensorElement(alg, self.legs, _finalize_rows(alg.order, acc))
-        if isinstance(other, (int, Fraction, GaussRational, HSeries)):
-            out = {}
-            for k, hs in self.terms.items():
-                p = hs * other
-                if p:
-                    out[k] = p
-            return TensorElement(self.algebra, self.legs, out)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational, HSeries)):
-            return self.__mul__(other)
-        return NotImplemented
+            acc = alg.mul_terms(self.terms, other.terms, key_product=_leg_product(alg, self.legs))
+            return self._with(alg.finalize_rows(acc))
+        return TermElement.__mul__(self, other)
 
     # -- leg surgery ------------------------------------------------------------
 
     def transpose(self, perm) -> "TensorElement":
         """Permute legs: new leg i carries what old leg perm[i] carried."""
-        return TensorElement(
-            self.algebra,
-            self.legs,
-            {tuple(k[p] for p in perm): hs for k, hs in self.terms.items()},
-        )
+        return self._with({tuple(k[p] for p in perm): hs for k, hs in self.terms.items()})
 
     def flip(self) -> "TensorElement":
         if self.legs != 2:
@@ -187,7 +130,7 @@ class TensorElement:
                     row[k] = row[k] + c
         if out_legs is None:
             out_legs = self.legs  # zero tensor: leg count is moot
-        return TensorElement(alg, out_legs, _finalize_rows(N, acc))
+        return TensorElement(alg, out_legs, alg.finalize_rows(acc))
 
     def contract_counit(self, i: int):
         """Apply the counit to leg i (keep only unit monomials there)."""
@@ -195,76 +138,39 @@ class TensorElement:
         for key, hs in self.terms.items():
             if key[i]:
                 continue
-            _acc_hs(acc, key[:i] + key[i + 1 :], hs)
+            accumulate(acc, key[:i] + key[i + 1 :], hs)
         terms = {k: v for k, v in acc.items() if v}
         if self.legs == 2:
             return AlgebraElement(self.algebra, {k[0]: v for k, v in terms.items()})
         return TensorElement(self.algebra, self.legs - 1, terms)
 
     def merge_legs(self) -> AlgebraElement:
-        """Multiply all legs together left-to-right in U(iso(g))."""
+        """Multiply all legs together left-to-right in U(iso(g)).
+
+        The tensor is paired with the unit in mul_terms, whose rule maps a
+        key to the PBW product of its legs."""
         alg = self.algebra
-        N = alg.order
-        acc = {}
-        for key, hs in self.terms.items():
-            if hs.valuation > N:
-                continue
+        mono_product = alg.mono_product
+
+        def merged(key, _unit):
             word = {key[0]: GR_ONE}
             for mono in key[1:]:
                 nxt = {}
                 for m, c in word.items():
-                    for m2, c2 in alg.mono_product(m, mono).items():
-                        _acc_code(nxt, m2, c * c2)
+                    for m2, c2 in mono_product(m, mono).items():
+                        accumulate(nxt, m2, c * c2)
                 word = nxt
-            nz = hs.nz
-            for m, c in word.items():
-                if not c:
-                    continue
-                row = acc.get(m)
-                if row is None:
-                    row = acc[m] = [GR_ZERO] * (N + 1)
-                if c is GR_ONE:
-                    for k, hc in nz:
-                        row[k] = row[k] + hc
-                else:
-                    for k, hc in nz:
-                        row[k] = row[k] + hc * c
-        return AlgebraElement(alg, _finalize_rows(N, acc))
+            return [(m, c) for m, c in word.items() if c]
 
-    # -- coefficient-level views ---------------------------------------------------
-
-    def h_coefficient(self, k: int) -> dict:
-        return {key: hs.coeffs[k] for key, hs in self.terms.items() if hs.coeffs[k]}
+        acc = alg.mul_terms(self.terms, alg.one().terms, key_product=merged)
+        return AlgebraElement(alg, alg.finalize_rows(acc))
 
     def star_legs(self) -> "TensorElement":
         """(a (x) b)* = a* (x) b*: star each leg, no flip."""
-        alg = self.algebra
-        acc = {}
-        for key, hs in self.terms.items():
-            combos = [((), hs.conjugate())]
-            for mono in key:
-                starred = alg.normal_order(tuple(reversed(mono)))
-                combos = [
-                    (ms + (m,), c * cm)
-                    for ms, c in combos
-                    for m, cm in starred.items()
-                ]
-            for k2, c in combos:
-                _acc_hs(acc, k2, c)
-        return TensorElement(alg, self.legs, {k: v for k, v in acc.items() if v})
-
-    def rescale_h(self, s) -> "TensorElement":
-        return TensorElement(
-            self.algebra, self.legs, {k: hs.rescale_h(s) for k, hs in self.terms.items()}
+        normal_order = self.algebra.normal_order
+        return self._star_by(
+            lambda key: _leg_combos(normal_order(tuple(reversed(m))) for m in key)
         )
-
-    def project_to(self, algebra: PoincareAlgebra) -> "TensorElement":
-        out = {}
-        for k, hs in self.terms.items():
-            t = hs.truncate(algebra.order)
-            if t:
-                out[k] = t
-        return TensorElement(algebra, self.legs, out)
 
     def __repr__(self):
         from .render import tensor_text
@@ -272,89 +178,43 @@ class TensorElement:
         return tensor_text(self)
 
 
-def _acc_hs(acc: dict, key, hs):
-    cur = acc.get(key)
-    acc[key] = hs if cur is None else cur + hs
+def _append_leg(key: tuple, mono: tuple):
+    """Key-product rule of the tensor product: the monomial becomes a new leg."""
+    return ((key + (mono,), GR_ONE),)
 
 
-def _tensor_mul_rows(a: TensorElement, b: TensorElement, acc=None, sign=1) -> dict:
-    """Leg-wise product accumulated into mutable coefficient rows
-    (key -> list of N+1 GaussRational); fuse several products via acc."""
-    alg = a.algebra
-    N = alg.order
-    if acc is None:
-        acc = {}
-    legs = a.legs
+def _leg_combos(leg_maps) -> list:
+    """[(key, coefficient)] of the outer product of per-leg {monomial: coefficient}."""
+    combos = [((), GR_ONE)]
+    for prods in leg_maps:
+        combos = [(ms + (m,), c * cm) for ms, c in combos for m, cm in prods.items()]
+    return combos
+
+
+def _leg_product(alg: PoincareAlgebra, legs: int):
+    """Key-product rule of legs-legged tensors: leg-wise PBW products.  Two
+    legs, the common case, read the two mono_product tables directly."""
     mono_product = alg.mono_product
-    items_b = [(k, h.valuation, h.nz) for k, h in b.terms.items() if h.valuation <= N]
-    negate = sign < 0
-    two = legs == 2
-    for k1, h1 in a.terms.items():
-        v1 = h1.valuation
-        if v1 > N:
-            continue
-        nz1 = h1.nz
-        for k2, v2, nz2 in items_b:
-            if v1 + v2 > N:
-                continue
-            pairs = convolve_nz(nz1, nz2, N, negate)
-            if not pairs:
-                continue
-            if two:
-                pa = mono_product(k1[0], k2[0])
-                pb = mono_product(k1[1], k2[1])
-                for ma, ca in pa.items():
-                    for mb, cb in pb.items():
-                        key = (ma, mb)
-                        row = acc.get(key)
-                        if row is None:
-                            row = acc[key] = [GR_ZERO] * (N + 1)
-                        if ca is GR_ONE and cb is GR_ONE:
-                            for k, c in pairs:
-                                row[k] = row[k] + c
-                        else:
-                            cc = ca * cb
-                            if cc:
-                                for k, c in pairs:
-                                    row[k] = row[k] + c * cc
-            else:
-                combos = [((), GR_ONE)]
-                for leg in range(legs):
-                    prods = mono_product(k1[leg], k2[leg])
-                    combos = [
-                        (ms + (m,), c * cm)
-                        for ms, c in combos
-                        for m, cm in prods.items()
-                    ]
-                for key, cc in combos:
-                    if not cc:
-                        continue
-                    row = acc.get(key)
-                    if row is None:
-                        row = acc[key] = [GR_ZERO] * (N + 1)
-                    if cc is GR_ONE:
-                        for k, c in pairs:
-                            row[k] = row[k] + c
-                    else:
-                        for k, c in pairs:
-                            row[k] = row[k] + c * cc
-    return acc
+    if legs != 2:
+        return lambda k1, k2: _leg_combos(map(mono_product, k1, k2))
 
+    def product(k1, k2):
+        pb = mono_product(k1[1], k2[1])
+        for ma, ca in mono_product(k1[0], k2[0]).items():
+            for mb, cb in pb.items():
+                yield (ma, mb), (cb if ca is GR_ONE else ca if cb is GR_ONE else ca * cb)
 
-def _finalize_rows(order: int, acc: dict) -> dict:
-    out = {}
-    for key, row in acc.items():
-        if any(row):
-            out[key] = HSeries(order, row)
-    return out
+    return product
 
 
 def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
     """a*b - b*a with a single fused accumulation pass."""
     a._check(b)
-    acc = _tensor_mul_rows(a, b)
-    _tensor_mul_rows(b, a, acc=acc, sign=-1)
-    return TensorElement(a.algebra, a.legs, _finalize_rows(a.algebra.order, acc))
+    alg = a.algebra
+    rule = _leg_product(alg, a.legs)
+    acc = alg.mul_terms(a.terms, b.terms, key_product=rule)
+    alg.mul_terms(b.terms, a.terms, acc=acc, sign=-1, key_product=rule)
+    return a._with(alg.finalize_rows(acc))
 
 
 def tensor_invert(t: TensorElement) -> TensorElement:
@@ -483,8 +343,8 @@ class WedgeElement:
         one = HSeries.one(alg.order)
         acc = {}
         for (x, y), c in self.terms.items():
-            _acc_hs(acc, ((x,), (y,)), one * (c * GR_MINUS_I))
-            _acc_hs(acc, ((y,), (x,)), one * (c * GR_I))
+            accumulate(acc, ((x,), (y,)), one * (c * GR_MINUS_I))
+            accumulate(acc, ((y,), (x,)), one * (c * GR_I))
         return TensorElement(alg, 2, {k: v for k, v in acc.items() if v})
 
     def __repr__(self):
@@ -575,11 +435,11 @@ def schouten_square(r: WedgeElement) -> WedgeElement:
         for a2, b2, c2 in terms:
             c12 = c1 * c2
             for g, cb in alg.bracket_codes(a1, a2).items():
-                _acc_code(t3, (g, b1, b2), c12 * cb)
+                accumulate(t3, (g, b1, b2), c12 * cb)
             for g, cb in alg.bracket_codes(b1, a2).items():
-                _acc_code(t3, (a1, g, b2), c12 * cb)
+                accumulate(t3, (a1, g, b2), c12 * cb)
             for g, cb in alg.bracket_codes(b1, b2).items():
-                _acc_code(t3, (a1, a2, g), c12 * cb)
+                accumulate(t3, (a1, a2, g), c12 * cb)
     sixth = Fraction(1, 6)
     acc = {}
     for key, c in t3.items():
@@ -587,7 +447,7 @@ def schouten_square(r: WedgeElement) -> WedgeElement:
             continue
         sign, skey = _sort_parity(key)
         if sign:
-            _acc_code(acc, skey, c * (sign * sixth))
+            accumulate(acc, skey, c * (sign * sixth))
     out = WedgeElement(alg, 3)
     two_i = GaussRational(0, 2)
     for key, c in acc.items():

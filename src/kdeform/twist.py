@@ -28,14 +28,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    AlgebraElement,
-    Metric,
-    PoincareAlgebra,
-    VectorTau,
-    series_exp,
-    series_log_one_plus,
-)
+from .algebra import Metric, VectorTau, series_exp, series_log_one_plus
 from .errors import BasisError, InternalConsistencyError, InvalidVectorError
 from .hopf import DeformationContext
 from .reports import VerificationReport
@@ -95,7 +88,7 @@ def build_twist(ctx: DeformationContext) -> TwistData:
     x_ext = TensorElement(alg, 2, {})
     x_ext_bare = TensorElement(alg, 2, {})
     for a in range(1, minus):
-        p_up = _raised_transverse(alg, a)
+        p_up = alg.momentum_raised(a)
         x_ext = x_ext + TensorElement.of(alg.M(0, a), p_up * ctx.pi_inv)
         x_ext_bare = x_ext_bare + TensorElement.of(alg.M(0, a), p_up)
     minus_ih = h1 * GR_MINUS_I
@@ -111,16 +104,6 @@ def build_twist(ctx: DeformationContext) -> TwistData:
     r = f.flip() * f_inv
     r_inv = f * f_inv.flip()
     return TwistData(ctx, f, f_inv, r, r_inv, f_jordanian_first, f_transverse_first)
-
-
-def _raised_transverse(alg: PoincareAlgebra, a: int) -> AlgebraElement:
-    """P^a = g^{ab} P_b; for the light-cone metric the raise stays transverse."""
-    ginv = alg.metric.inverse
-    out = alg.zero()
-    for b in range(alg.dim):
-        if ginv[a][b]:
-            out = out + alg.P(b) * GaussRational(ginv[a][b])
-    return out
 
 
 def verify_twist(ctx: DeformationContext) -> VerificationReport:
@@ -187,7 +170,7 @@ def verify_twist(ctx: DeformationContext) -> VerificationReport:
     p_minus = alg.P(minus)
     papa = alg.zero()
     for a in range(1, minus):
-        papa = papa + _raised_transverse(alg, a) * alg.P(a)
+        papa = papa + alg.momentum_raised(a) * alg.P(a)
     rep.record(
         "p-minus-casimir-identity",
         (p_minus + ctx.casimir * half_h) - (p_minus * ctx.pi + papa * half_h),
@@ -248,14 +231,14 @@ def _reduced_lightcone_report(rep: VerificationReport, ctx: DeformationContext):
         - TensorElement.of(dressed, p_plus) * h1
     )
     for a in range(1, minus):
-        rhs = rhs - TensorElement.of(_raised_transverse(alg, a) * pi_inv, alg.P(a)) * h1
+        rhs = rhs - TensorElement.of(alg.momentum_raised(a) * pi_inv, alg.P(a)) * h1
     rep.record("reduced-coproduct-p-minus", lhs - rhs, generator="P_-")
 
     m_pm = alg.M(0, minus)
     lhs = ctx.coproduct(alg.rotation_code(0, minus)[0])
     rhs = TensorElement.of(m_pm, one) + TensorElement.of(pi_inv, m_pm)
     for a in range(1, minus):
-        rhs = rhs - TensorElement.of(_raised_transverse(alg, a) * pi_inv, alg.M(0, a)) * h1
+        rhs = rhs - TensorElement.of(alg.momentum_raised(a) * pi_inv, alg.M(0, a)) * h1
     rep.record("reduced-coproduct-m-plus-minus", lhs - rhs, generator="M_+-")
 
     for a in range(1, minus):
@@ -267,7 +250,7 @@ def _reduced_lightcone_report(rep: VerificationReport, ctx: DeformationContext):
             - TensorElement.of(dressed, alg.M(0, a)) * h1
         )
         for b in range(1, minus):
-            rhs = rhs - TensorElement.of(_raised_transverse(alg, b) * pi_inv, alg.M(b, a)) * h1
+            rhs = rhs - TensorElement.of(alg.momentum_raised(b) * pi_inv, alg.M(b, a)) * h1
         rep.record("reduced-coproduct-m-minus-a", lhs - rhs, generator=f"M_-{a}")
 
 
@@ -411,7 +394,7 @@ def lc_structure_check(metric: Metric, tau: VectorTau, order: int = 1) -> Verifi
                     generator=f"[M_+{a}, M_{b}{c}]",
                 )
     # Abelian building blocks of the twist
-    gamma_plus = [m_pm] + [_raised_transverse(alg, a) for a in range(1, minus)]
+    gamma_plus = [m_pm] + [alg.momentum_raised(a) for a in range(1, minus)]
     gamma_minus = [p_plus] + [alg.M(0, a) for a in range(1, minus)]
     for name, gens in (("gamma-plus-abelian", gamma_plus), ("gamma-minus-abelian", gamma_minus)):
         for i, x in enumerate(gens):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdeform import (
     GaussRational,
@@ -14,8 +16,12 @@ from kdeform import (
     omega,
     r_matrix,
     schouten_square,
+    tensor_exp,
+    tensor_invert,
 )
 from kdeform.errors import ContextMismatchError, InvalidVectorError
+from kdeform.hopf import DeformationContext
+from kdeform.minkowski import coordinate_monomial
 from kdeform.tensors import tensor_commutator
 
 from conftest import random_metric, random_tau
@@ -53,6 +59,73 @@ class TestTensorProduct:
         a = TensorElement.of(alg.M(0, 1), alg.P(0))
         b = TensorElement.of(alg.P(0), alg.P(1) + alg.M(1, 2) * I)
         assert tensor_commutator(a, b) == a * b - b * a
+
+
+def _random_element(rng, ctx, min_h=0):
+    """A few products of generators, P_tau, Pi and Pi^-1 with random
+    Gaussian-rational coefficients, each at a random power h^k, k >= min_h."""
+    alg = ctx.algebra
+    pool = [alg.one(), ctx.p_tau, ctx.pi, ctx.pi_inv]
+    pool += [ctx.gen_element(c) for c in alg.generator_codes()]
+    out = alg.zero()
+    for _ in range(2):
+        c = GaussRational(rng.randint(-2, 2), rng.randint(-2, 2))
+        out = out + rng.choice(pool) * rng.choice(pool) * alg.h(rng.randint(min_h, 2)) * c
+    return out
+
+
+def _random_context(seed, dim):
+    rng = random.Random(seed)
+    metric = random_metric(rng, dim)
+    return rng, DeformationContext(metric, random_tau(rng, metric), 2)
+
+
+class TestSharedKernel:
+    """Tensors of two and three legs, merge_legs, the tensor series and the
+    kappa-Minkowski product all run through PoincareAlgebra.mul_terms."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)))
+    def test_tensor_identities(self, seed, dim):
+        rng, ctx = _random_context(seed, dim)
+        alg = ctx.algebra
+        a, b, c, d, e, f = (_random_element(rng, ctx) for _ in range(6))
+
+        assert TensorElement.of(a, b) * TensorElement.of(c, d) == TensorElement.of(a * c, b * d)
+        assert TensorElement.of(a, b, c) * TensorElement.of(d, e, f) == TensorElement.of(
+            a * d, b * e, c * f
+        )
+        assert TensorElement.of(a, b).merge_legs() == a * b
+        assert TensorElement.of(a, b, c).merge_legs() == a * b * c
+        s = TensorElement.of(a, b) + TensorElement.of(c, d)
+        t = TensorElement.of(e, f) - TensorElement.of(b, a)
+        assert tensor_commutator(s, t) == s * t - t * s
+        s3, t3 = TensorElement.of(a, b, c), TensorElement.of(f, e, d)
+        assert tensor_commutator(s3, t3) == s3 * t3 - t3 * s3
+
+        x = TensorElement.of(_random_element(rng, ctx, 1), b) + TensorElement.of(
+            c, _random_element(rng, ctx, 1)
+        )
+        unit = TensorElement.unit(alg, 2)
+        assert tensor_invert(unit + x) * (unit + x) == unit
+        assert tensor_exp(x) * tensor_exp(-x) == unit
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)))
+    def test_coordinate_product(self, seed, dim):
+        rng, ctx = _random_context(seed, dim)
+
+        def element():
+            out = coordinate_monomial(ctx, ())
+            for _ in range(2):
+                word = [rng.randrange(dim) for _ in range(rng.randint(1, 3))]
+                c = GaussRational(rng.randint(-2, 2), rng.randint(-2, 2))
+                out = out + coordinate_monomial(ctx, word) * c
+            return out
+
+        a, b, c = element(), element(), element()
+        assert (a * b) * c == a * (b * c)
+        assert (a * b).star() == b.star() * a.star()
 
 
 class TestEmbed:
