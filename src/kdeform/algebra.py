@@ -289,8 +289,9 @@ class PoincareAlgebra:
         an HSeries for an h-weighted key product.  The default rule is the
         PBW product of monomials.
 
-        acc maps key -> list of N+1 GaussRational; pass the same acc to
-        several calls to fuse sums of products (finalize with finalize_rows)."""
+        acc maps key -> sparse row {power of h: GaussRational}, holding only
+        the powers some product reached; pass the same acc to several calls
+        to fuse sums of products (finalize with finalize_rows)."""
         N = self.order
         if acc is None:
             acc = {}
@@ -314,27 +315,36 @@ class PoincareAlgebra:
                 if not pairs:
                     continue
                 for m, c in key_product(m1, m2):
+                    if c is GR_ONE:
+                        terms = pairs
+                    elif type(c) is HSeries:
+                        terms = convolve_nz(pairs, c.nz, N)
+                    else:
+                        terms = [(k, hc * c) for k, hc in pairs]
                     row = acc.get(m)
                     if row is None:
-                        row = acc[m] = [GR_ZERO] * (N + 1)
-                    if c is GR_ONE:
-                        for k, hc in pairs:
-                            row[k] = row[k] + hc
-                    elif type(c) is HSeries:
-                        for k, hc in convolve_nz(pairs, c.nz, N):
-                            row[k] = row[k] + hc
-                    else:
-                        for k, hc in pairs:
-                            row[k] = row[k] + hc * c
+                        acc[m] = dict(terms)
+                        continue
+                    for k, hc in terms:
+                        cur = row.get(k)
+                        row[k] = hc if cur is None else cur + hc
         return acc
 
+    def add_scaled(self, acc: dict, terms: dict, hs: HSeries) -> dict:
+        """Accumulate terms * hs, for a scalar series hs, into the rows of acc.
+        A sum of n scaled pieces then costs one finalize_rows, not n copies
+        of a growing term map."""
+        return self.mul_terms(terms, {(): hs}, acc=acc, key_product=_left_key)
+
     def finalize_rows(self, acc: dict) -> dict:
-        """Turn mutable coefficient rows back into {key: HSeries}."""
+        """Turn sparse coefficient rows back into {key: HSeries}, dropping the
+        keys whose coefficients all cancelled."""
         N = self.order
         out = {}
         for m, row in acc.items():
-            if any(row):
-                out[m] = HSeries(N, row)
+            hs = HSeries.from_row(N, row)
+            if hs:
+                out[m] = hs
         return out
 
     # -- derived elements ---------------------------------------------------------
@@ -401,6 +411,11 @@ class PoincareAlgebra:
     def __repr__(self):
         p, q = self.metric.signature
         return f"PoincareAlgebra(iso({p},{q}), D={self.dim}, order={self.order})"
+
+
+def _left_key(key, _unit):
+    """Key-product rule of a product with a scalar: the key is kept."""
+    return ((key, GR_ONE),)
 
 
 def accumulate(acc: dict, key, val):
@@ -530,7 +545,7 @@ class TermElement:
 
     def h_coefficient(self, k: int) -> dict:
         """{key: GaussRational} at a fixed power of h."""
-        return {key: hs.coeffs[k] for key, hs in self.terms.items() if hs.coeffs[k]}
+        return {key: c for key, hs in self.terms.items() if (c := hs.coeff(k))}
 
     def project_to(self, algebra: PoincareAlgebra):
         """Truncate to a lower-order context over the same metric."""
@@ -670,10 +685,7 @@ def divide_h(a: AlgebraElement, k: int = 1) -> AlgebraElement:
             raise NonInvertibleError(
                 f"division by h^{k} of a series with valuation {hs.valuation}"
             )
-        cs = list(hs.coeffs[k:]) + [GR_ZERO] * k
-        t = HSeries(N, cs)
-        if t:
-            out[m] = t
+        out[m] = HSeries.from_nz(N, tuple((j - k, c) for j, c in hs.nz))
     return AlgebraElement(alg, out)
 
 

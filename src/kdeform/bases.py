@@ -46,6 +46,7 @@ class BasisChange:
         self.inverse = exactla.invert(self.columns)
         self.new_metric = old_metric.congruence(self.columns)
         self._gen_images = {}
+        self._mono_images = {}
 
     def transform_vector(self, v):
         """Components of an old-basis vector in the new basis."""
@@ -56,7 +57,7 @@ class BasisChange:
 
     def generator_image(self, code: int, target: PoincareAlgebra) -> AlgebraElement:
         """An old-basis generator as a linear combination of new-basis ones."""
-        img = self._gen_images.get(code)
+        img = self._gen_images.get((target._key, code))
         if img is not None:
             return img
         b = self.inverse
@@ -80,18 +81,35 @@ class BasisChange:
                     if sign:
                         accumulate(acc, c, GaussRational(b[mu][rho] * b[nu][sig] * sign))
         img = target.from_codes(acc)
-        self._gen_images[code] = img
+        self._gen_images[(target._key, code)] = img
         return img
 
     def push(self, elem: AlgebraElement, target: PoincareAlgebra) -> AlgebraElement:
         """Multiplicative-linear extension of the generator map to U(iso(g))."""
-        out = target.zero()
+        acc = {}
         for mono, hs in elem.terms.items():
-            word = target.one()
-            for code in mono:
-                word = word * self.generator_image(code, target)
-            out = out + word * hs
-        return out
+            target.add_scaled(acc, self._mono_image(mono, target).terms, hs)
+        return AlgebraElement(target, target.finalize_rows(acc))
+
+    def push_tensor(self, t: TensorElement, target: PoincareAlgebra) -> TensorElement:
+        """(push (x) ... (x) push)(t): push applied to every leg."""
+        acc = {}
+        for key, hs in t.terms.items():
+            image = TensorElement.of(*(self._mono_image(m, target) for m in key))
+            target.add_scaled(acc, image.terms, hs)
+        return TensorElement(target, t.legs, target.finalize_rows(acc))
+
+    def _mono_image(self, mono: tuple, target: PoincareAlgebra) -> AlgebraElement:
+        """The image of a PBW monomial, cached per target context."""
+        key = (target._key, mono)
+        img = self._mono_images.get(key)
+        if img is None:
+            if not mono:
+                img = target.one()
+            else:
+                img = self._mono_image(mono[:-1], target) * self.generator_image(mono[-1], target)
+            self._mono_images[key] = img
+        return img
 
 
 def orthogonal_decompose(metric: Metric, tau: VectorTau) -> BasisChange:
@@ -257,17 +275,21 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
     Every residual is computed at the order N of the adapted context: ctx
     itself when it is orthogonally adapted, so its coproduct tables and
     caches are the ones checked.  Otherwise (e.g. space-like tau, the CLI's
-    tachyonic example) the suite checks the tables of a freshly built
-    adapted context, not the caller's: a table edited in ctx goes unread.
-    Only p_tilde_tau and the kappa term divide by h; mr_generators lifts
-    those two by one order and projects them back."""
+    tachyonic example) the suite runs in a freshly built adapted context,
+    and the check caller-coproduct-in-adapted-basis ties the caller's
+    tables to it: (push (x) push)(Delta_ctx(x)) = Delta_adapted(push(x))
+    for every generator x, push being the basis change.  Only p_tilde_tau
+    and the kappa term divide by h; mr_generators lifts those two by one
+    order and projects them back."""
     t0 = time.monotonic()
     rep = VerificationReport("majid-ruegg")
     if ctx.tau.is_zero or not ctx.tau.tau_sq:
         rep.skipped = "Majid-Ruegg basis requires tau^2 != 0"
         return rep
+    caller = None
     if not is_orthogonally_adapted(ctx):
-        _, ctx = adapted_context(ctx.metric, ctx.tau, ctx.order)
+        caller = ctx
+        change, ctx = adapted_context(ctx.metric, ctx.tau, ctx.order)
         note = "verified in the orthogonally adapted basis"
     else:
         note = None
@@ -378,8 +400,21 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
                 generator=f"[M_0{i}, P~_{j}]",
             )
 
+    if caller is not None:
+        _caller_coproducts_report(rep, caller, change, ctx)
+
     rep.seconds = time.monotonic() - t0
     return rep
+
+
+def _caller_coproducts_report(rep, caller, change, adapted):
+    """The caller's coproduct tables, carried through the basis change, are
+    the adapted context's: (push (x) push)(Delta(x)) = Delta'(push(x))."""
+    target = adapted.algebra
+    for code in caller.generator_codes():
+        lhs = change.push_tensor(caller.coproduct(code), target)
+        rhs = adapted.coproduct_of(change.generator_image(code, target))
+        rep.record("caller-coproduct-in-adapted-basis", lhs - rhs, generator=caller.gen_name(code))
 
 
 def _reduced_coproducts_report(rep, ctx):

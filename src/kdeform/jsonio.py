@@ -46,9 +46,7 @@ def gauss_from_json(d: dict) -> GaussRational:
 
 
 def hseries_to_json(hs: HSeries) -> list:
-    return [
-        {"h_power": k, **gauss_to_json(c)} for k, c in enumerate(hs.coeffs) if c
-    ]
+    return [{"h_power": k, **gauss_to_json(c)} for k, c in hs.nz]
 
 
 def hseries_from_json(data: list, order: int) -> HSeries:

@@ -152,10 +152,10 @@ def act(ctx: DeformationContext, op, a: MinkowskiElement) -> MinkowskiElement:
     op may be an AlgebraElement or a generator code; products of generators act
     by successive action, scalars through the counit."""
     if isinstance(op, AlgebraElement):
-        out = scalar_mink(ctx, 0)
+        acc = {}
         for mono, hs in op.terms.items():
-            out = out + _act_word(ctx, mono, a) * hs
-        return out
+            ctx.algebra.add_scaled(acc, _act_word(ctx, mono, a).terms, hs)
+        return MinkowskiElement(ctx, ctx.algebra.finalize_rows(acc))
     return _act_word(ctx, (op,), a)
 
 
@@ -166,10 +166,10 @@ def _act_word(ctx: DeformationContext, word: tuple, a: MinkowskiElement) -> Mink
 
 
 def _act_gen(ctx: DeformationContext, code: int, a: MinkowskiElement) -> MinkowskiElement:
-    out = scalar_mink(ctx, 0)
+    acc = {}
     for mono, hs in a.terms.items():
-        out = out + _act_gen_mono(ctx, code, mono) * hs
-    return out
+        ctx.algebra.add_scaled(acc, _act_gen_mono(ctx, code, mono).terms, hs)
+    return MinkowskiElement(ctx, ctx.algebra.finalize_rows(acc))
 
 
 def _act_gen_mono(ctx: DeformationContext, code: int, cmono: tuple) -> MinkowskiElement:
@@ -186,17 +186,9 @@ def _act_gen_mono(ctx: DeformationContext, code: int, cmono: tuple) -> Minkowski
         out = _act_gen_coordinate(ctx, code, cmono[0])
     else:
         head, tail = cmono[:1], cmono[1:]
-        out = scalar_mink(ctx, 0)
         head_elem = MinkowskiElement(ctx, {head: HSeries.one(ctx.algebra.order)})
         tail_elem = MinkowskiElement(ctx, {tail: HSeries.one(ctx.algebra.order)})
-        for (m1, m2), hs in ctx.coproduct(code).terms.items():
-            left = _act_word(ctx, m1, head_elem)
-            if left.is_zero:
-                continue
-            right = _act_word(ctx, m2, tail_elem)
-            if right.is_zero:
-                continue
-            out = out + (left * right) * hs
+        out = _leibniz(ctx, ctx.coproduct(code), head_elem, tail_elem)
     cache[key] = out
     return out
 
@@ -210,16 +202,18 @@ def _act_gen_coordinate(ctx: DeformationContext, code: int, mu: int) -> Minkowsk
         )
     rho, sig = idx
     g = ctx.metric.rows
-    out = scalar_mink(ctx, 0)
-    if sig == mu:  # -i x_rho
-        for nu in range(alg.dim):
-            if g[rho][nu]:
-                out = out + coordinate(ctx, nu) * GaussRational(0, -g[rho][nu])
-    if rho == mu:  # +i x_sig
-        for nu in range(alg.dim):
-            if g[sig][nu]:
-                out = out + coordinate(ctx, nu) * GaussRational(0, g[sig][nu])
-    return out
+    # -i x_rho when sig == mu, +i x_sig when rho == mu (rho < sig: not both)
+    if sig == mu:
+        lowered, sign = g[rho], -1
+    elif rho == mu:
+        lowered, sign = g[sig], 1
+    else:
+        return scalar_mink(ctx, 0)
+    N = alg.order
+    return MinkowskiElement(
+        ctx,
+        {(nu,): HSeries.constant(N, GaussRational(0, sign * c)) for nu, c in enumerate(lowered) if c},
+    )
 
 
 def act_on_product(
@@ -228,16 +222,22 @@ def act_on_product(
     """The top-level Leibniz expansion L |> (a . b) = sum (L_(1) |> a)(L_(2) |> b),
     computed without multiplying a and b first (this is what makes the
     covariance check non-vacuous)."""
-    out = scalar_mink(ctx, 0)
-    for (m1, m2), hs in ctx.coproduct_of(op).terms.items():
+    return _leibniz(ctx, ctx.coproduct_of(op), a, b)
+
+
+def _leibniz(ctx: DeformationContext, coproduct, a: MinkowskiElement, b: MinkowskiElement):
+    """sum (L_(1) |> a)(L_(2) |> b) over the terms of a coproduct of L,
+    accumulated into one set of rows."""
+    acc = {}
+    for (m1, m2), hs in coproduct.terms.items():
         left = _act_word(ctx, m1, a)
         if left.is_zero:
             continue
         right = _act_word(ctx, m2, b)
         if right.is_zero:
             continue
-        out = out + (left * right) * hs
-    return out
+        ctx.algebra.add_scaled(acc, (left * right).terms, hs)
+    return MinkowskiElement(ctx, ctx.algebra.finalize_rows(acc))
 
 
 def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> VerificationReport:

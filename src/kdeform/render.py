@@ -60,9 +60,7 @@ def hseries_latex(hs: HSeries) -> str:
     if hs.is_zero:
         return "0"
     parts = []
-    for k, c in enumerate(hs.coeffs):
-        if not c:
-            continue
+    for k, c in hs.nz:
         if k == 0:
             parts.append(gauss_latex(c))
             continue
@@ -75,11 +73,11 @@ def hseries_latex(hs: HSeries) -> str:
 def _coeff_prefix(hs: HSeries, text: bool) -> str:
     """Coefficient rendered for juxtaposition with a monomial."""
     render = hseries_text if text else hseries_latex
-    nonzero = [(k, c) for k, c in enumerate(hs.coeffs) if c]
-    if len(nonzero) == 1 and nonzero[0][0] == 0 and nonzero[0][1] == 1:
+    nz = hs.nz
+    if len(nz) == 1 and nz[0][0] == 0 and nz[0][1] == 1:
         return ""
     s = render(hs)
-    if len(nonzero) > 1:
+    if len(nz) > 1:
         return f"({s})" if text else f"\\left({s}\\right)"
     return s
 

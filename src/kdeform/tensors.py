@@ -21,7 +21,6 @@ from .scalars import (
     GR_I,
     GR_MINUS_I,
     GR_ONE,
-    GR_ZERO,
     GaussRational,
     HSeries,
     convolve_nz,
@@ -125,9 +124,11 @@ class TensorElement(TermElement):
                 fkey = head + mid + tail
                 row = acc.get(fkey)
                 if row is None:
-                    row = acc[fkey] = [GR_ZERO] * (N + 1)
+                    acc[fkey] = dict(pairs)
+                    continue
                 for k, c in pairs:
-                    row[k] = row[k] + c
+                    cur = row.get(k)
+                    row[k] = c if cur is None else cur + c
         if out_legs is None:
             out_legs = self.legs  # zero tensor: leg count is moot
         return TensorElement(alg, out_legs, alg.finalize_rows(acc))

@@ -161,6 +161,21 @@ class TestVerifyMR:
         assert not rep.all_passed
         assert must_fail <= {c.name for c in rep.failures()}
 
+    @pytest.mark.parametrize("gen", ["P_1", "M_01"])
+    def test_corrupted_table_fails_in_auto_adapted_basis(self, eta3, gen):
+        # space-like tau: the suite runs in a freshly adapted context, and the
+        # caller's own tables must still be read through the basis change
+        ctx = DeformationContext(eta3, [0, 0, 1], 2)
+        alg = ctx.algebra
+        code = alg.momentum_code(1) if gen == "P_1" else alg.rotation_code(0, 1)[0]
+        assert verify_mr(ctx).all_passed
+        ctx._coproducts[code] = ctx.coproduct(code) + TensorElement.unit(alg, 2) * alg.h(1)
+        rep = verify_mr(ctx)
+        assert not rep.all_passed
+        assert {(c.name, c.generator) for c in rep.failures()} == {
+            ("caller-coproduct-in-adapted-basis", gen)
+        }
+
 
 class TestKappaQuotients:
     @settings(max_examples=12, deadline=None)

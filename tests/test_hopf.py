@@ -191,6 +191,10 @@ class TestPiIdentities:
         ctx = DeformationContext(eta4, tau, 4)
         assert pi_identities_report(ctx).all_passed
 
+    def test_reports_its_time(self, eta3):
+        rep = pi_identities_report(DeformationContext(eta3, [1, 0, 0], 2))
+        assert rep.seconds > 0
+
 
 class TestVerifyHopfSmall:
     """Full ten-check suite on cheap contexts; the heavy D=4 N=4 sweeps live in
