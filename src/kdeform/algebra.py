@@ -275,70 +275,86 @@ class PoincareAlgebra:
                 accumulate(acc, m, c * cb)
         return {m: c for m, c in acc.items() if c}
 
-    # -- products of term maps ---------------------------------------------------
+    # -- products and linear extensions of term maps ----------------------------
 
-    def mul_terms(
-        self, ta: dict, tb: dict, acc: dict | None = None, sign: int = 1, key_product=None
-    ) -> dict:
-        """Accumulate the product of two term maps into mutable coefficient rows.
+    def mul_terms(self, ta: dict, tb: dict, key_product=None, commutator: bool = False) -> dict:
+        """The product of two term maps, as a finished term map.
 
         This is the one product kernel: PBW elements, tensors of any leg count
         and kappa-Minkowski coordinates differ only in key_product(k1, k2),
         which yields the (key, coefficient) pairs of the product of two keys.
         A coefficient is a GaussRational (GR_ONE itself takes a fast path) or
         an HSeries for an h-weighted key product.  The default rule is the
-        PBW product of monomials.
-
-        acc maps key -> sparse row {power of h: GaussRational}, holding only
-        the powers some product reached; pass the same acc to several calls
-        to fuse sums of products (finalize with finalize_rows)."""
+        PBW product of monomials.  With commutator=True the result is
+        ta*tb - tb*ta, both products accumulated into one set of rows."""
         N = self.order
-        if acc is None:
-            acc = {}
         if key_product is None:
             mono_product = self.mono_product
 
             def key_product(m1, m2):
                 return mono_product(m1, m2).items()
 
-        items_b = [(m, h.valuation, h.nz) for m, h in tb.items() if h.valuation <= N]
-        negate = sign < 0
-        for m1, h1 in ta.items():
-            v1 = h1.valuation
+        acc = {}
+        passes = ((ta, tb, False), (tb, ta, True)) if commutator else ((ta, tb, False),)
+        for left, right, negate in passes:
+            items_b = [(m, h.valuation, h.nz) for m, h in right.items() if h.valuation <= N]
+            for m1, h1 in left.items():
+                v1 = h1.valuation
+                if v1 > N:
+                    continue
+                nz1 = h1.nz
+                for m2, v2, nz2 in items_b:
+                    if v1 + v2 > N:
+                        continue
+                    pairs = convolve_nz(nz1, nz2, N, negate)
+                    if not pairs:
+                        continue
+                    for m, c in key_product(m1, m2):
+                        if c is GR_ONE:
+                            terms = pairs
+                        elif type(c) is HSeries:
+                            terms = convolve_nz(pairs, c.nz, N)
+                        else:
+                            terms = [(k, hc * c) for k, hc in pairs]
+                        row = acc.get(m)
+                        if row is None:
+                            acc[m] = dict(terms)
+                            continue
+                        for k, hc in terms:
+                            cur = row.get(k)
+                            row[k] = hc if cur is None else cur + hc
+        return self._finish(acc)
+
+    def extend(self, terms: dict, image) -> dict:
+        """The linear extension sum_key terms[key] * image(key), as a finished
+        term map; image(key) yields the (key, HSeries) pairs of the image.
+        Every structure map reaches elements this way: coproducts, antipodes,
+        basis changes, leg maps and the kappa-Minkowski action."""
+        N = self.order
+        acc = {}
+        for key, hs in terms.items():
+            v1 = hs.valuation
             if v1 > N:
                 continue
-            nz1 = h1.nz
-            for m2, v2, nz2 in items_b:
-                if v1 + v2 > N:
+            nz1 = hs.nz
+            for k2, hs2 in image(key):
+                if v1 + hs2.valuation > N:
                     continue
-                pairs = convolve_nz(nz1, nz2, N, negate)
+                pairs = convolve_nz(nz1, hs2.nz, N)
                 if not pairs:
                     continue
-                for m, c in key_product(m1, m2):
-                    if c is GR_ONE:
-                        terms = pairs
-                    elif type(c) is HSeries:
-                        terms = convolve_nz(pairs, c.nz, N)
-                    else:
-                        terms = [(k, hc * c) for k, hc in pairs]
-                    row = acc.get(m)
-                    if row is None:
-                        acc[m] = dict(terms)
-                        continue
-                    for k, hc in terms:
-                        cur = row.get(k)
-                        row[k] = hc if cur is None else cur + hc
-        return acc
+                row = acc.get(k2)
+                if row is None:
+                    acc[k2] = dict(pairs)
+                    continue
+                for k, c in pairs:
+                    cur = row.get(k)
+                    row[k] = c if cur is None else cur + c
+        return self._finish(acc)
 
-    def add_scaled(self, acc: dict, terms: dict, hs: HSeries) -> dict:
-        """Accumulate terms * hs, for a scalar series hs, into the rows of acc.
-        A sum of n scaled pieces then costs one finalize_rows, not n copies
-        of a growing term map."""
-        return self.mul_terms(terms, {(): hs}, acc=acc, key_product=_left_key)
-
-    def finalize_rows(self, acc: dict) -> dict:
-        """Turn sparse coefficient rows back into {key: HSeries}, dropping the
-        keys whose coefficients all cancelled."""
+    def _finish(self, acc: dict) -> dict:
+        """Turn sparse coefficient rows {key: {power of h: GaussRational}}
+        into {key: HSeries}, dropping the keys whose coefficients all cancelled."""
         N = self.order
         out = {}
         for m, row in acc.items():
@@ -399,9 +415,7 @@ class PoincareAlgebra:
         return p_tau, m_tau
 
     def bracket(self, x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
-        acc = self.mul_terms(x.terms, y.terms)
-        self.mul_terms(y.terms, x.terms, acc=acc, sign=-1)
-        return AlgebraElement(self, self.finalize_rows(acc))
+        return AlgebraElement(self, self.mul_terms(x.terms, y.terms, commutator=True))
 
     # -- compatibility -------------------------------------------------------------
 
@@ -411,11 +425,6 @@ class PoincareAlgebra:
     def __repr__(self):
         p, q = self.metric.signature
         return f"PoincareAlgebra(iso({p},{q}), D={self.dim}, order={self.order})"
-
-
-def _left_key(key, _unit):
-    """Key-product rule of a product with a scalar: the key is kept."""
-    return ((key, GR_ONE),)
 
 
 def accumulate(acc: dict, key, val):
@@ -585,7 +594,7 @@ class AlgebraElement(TermElement):
         if isinstance(other, AlgebraElement):
             self._check(other)
             alg = self.algebra
-            return AlgebraElement(alg, alg.finalize_rows(alg.mul_terms(self.terms, other.terms)))
+            return AlgebraElement(alg, alg.mul_terms(self.terms, other.terms))
         return TermElement.__mul__(self, other)
 
     def __pow__(self, n: int):
@@ -617,25 +626,80 @@ class AlgebraElement(TermElement):
         return element_text(self)
 
 
-# -- series calculus on elements with commuting/valuation structure --------------
+class MonomialMap:
+    """The multiplicative extension of a generator map to PBW monomials,
+    memoised: the image of a monomial is the image of its prefix times the
+    image of its last generator (the other way round when anti is set, for
+    the antipode).  one is the image of the empty monomial."""
+
+    __slots__ = ("_images", "_gen_image", "_anti")
+
+    def __init__(self, one: TermElement, gen_image, anti: bool = False):
+        self._images = {(): one}
+        self._gen_image = gen_image
+        self._anti = anti
+
+    def __call__(self, mono: tuple) -> TermElement:
+        img = self._images.get(mono)
+        if img is None:
+            head, last = self(mono[:-1]), self._gen_image(mono[-1])
+            img = last * head if self._anti else head * last
+            self._images[mono] = img
+        return img
+
+    def pairs(self, mono: tuple):
+        """The (key, HSeries) pairs of the image: the image rule of extend."""
+        return self(mono).terms.items()
 
 
-def series_invert(a: AlgebraElement) -> AlgebraElement:
-    """(1 + X)^-1 = sum (-X)^k for a = c + X with invertible constant part c."""
-    alg = a.algebra
-    c = a.terms.get((), None)
+# -- series calculus, once for every element kind ----------------------------------
+#
+# unit is the unit element of the kind (the algebra's one, the k-legged tensor
+# unit); every series terminates at the truncation order because its argument
+# is O(h).
+
+
+def invert_in(unit: TermElement, a: TermElement) -> TermElement:
+    """a^-1 = c^-1 sum_k (-X)^k for a = c (1 + X), c the coefficient of the
+    unit's key with invertible constant term and X of positive h-valuation."""
+    ((key, _),) = unit.terms.items()
+    c = a.terms.get(key)
     if c is None or not c.constant_term():
         raise NonInvertibleError("element has no invertible scalar part")
     c_inv = c.invert()
-    x = (a - alg.scalar(c)) * c_inv  # strictly positive h-valuation not guaranteed; degree > 0 or h > 0
-    out = alg.one()
-    term = alg.one()
-    for _ in range(_nilpotency_bound(x)):
+    x = (a - unit * c) * c_inv
+    _require_h_positive(x, "series inversion")
+    out = term = unit
+    for _ in range(unit.algebra.order):
         term = term * (-x)
         if term.is_zero:
             break
         out = out + term
     return out * c_inv
+
+
+def exp_in(unit: TermElement, x: TermElement) -> TermElement:
+    """exp(x) for x of positive h-valuation."""
+    _require_h_positive(x, "exponential")
+    out = term = unit
+    fact = 1
+    for k in range(1, unit.algebra.order + 1):
+        term = term * x
+        if term.is_zero:
+            break
+        fact *= k
+        out = out + term * Fraction(1, fact)
+    return out
+
+
+def series_invert(a: AlgebraElement) -> AlgebraElement:
+    """(c + X)^-1 for an element with invertible constant part c."""
+    return invert_in(a.algebra.one(), a)
+
+
+def series_exp(x: AlgebraElement) -> AlgebraElement:
+    """exp(x) for x of positive h-valuation; the sum terminates at the order."""
+    return exp_in(x.algebra.one(), x)
 
 
 def series_log_one_plus(x: AlgebraElement) -> AlgebraElement:
@@ -649,22 +713,6 @@ def series_log_one_plus(x: AlgebraElement) -> AlgebraElement:
         if term.is_zero:
             break
         out = out + term * Fraction((-1) ** (k + 1), k)
-    return out
-
-
-def series_exp(x: AlgebraElement) -> AlgebraElement:
-    """exp(x) for x of positive h-valuation; the sum terminates at the order."""
-    _require_h_positive(x, "exponential")
-    alg = x.algebra
-    out = alg.one()
-    term = alg.one()
-    fact = 1
-    for k in range(1, alg.order + 1):
-        term = term * x
-        if term.is_zero:
-            break
-        fact *= k
-        out = out + term * Fraction(1, fact)
     return out
 
 
@@ -689,14 +737,6 @@ def divide_h(a: AlgebraElement, k: int = 1) -> AlgebraElement:
     return AlgebraElement(alg, out)
 
 
-def _require_h_positive(x: AlgebraElement, what: str):
+def _require_h_positive(x: TermElement, what: str):
     if any(hs.valuation == 0 for hs in x.terms.values()):
         raise NonInvertibleError(f"{what} requires an argument of positive h-valuation")
-
-
-def _nilpotency_bound(x: AlgebraElement) -> int:
-    # X with positive h-valuation dies after order steps; a nonzero h^0 part
-    # cannot occur here for the inverses we build (pi, twists), but guard anyway
-    if any(hs.valuation == 0 for hs in x.terms.values()):
-        raise NonInvertibleError("series inversion requires the non-scalar part to be O(h)")
-    return x.algebra.order

@@ -19,6 +19,7 @@ from . import exactla
 from .algebra import (
     AlgebraElement,
     Metric,
+    MonomialMap,
     PoincareAlgebra,
     VectorTau,
     accumulate,
@@ -46,7 +47,7 @@ class BasisChange:
         self.inverse = exactla.invert(self.columns)
         self.new_metric = old_metric.congruence(self.columns)
         self._gen_images = {}
-        self._mono_images = {}
+        self._mono_maps = {}
 
     def transform_vector(self, v):
         """Components of an old-basis vector in the new basis."""
@@ -86,30 +87,24 @@ class BasisChange:
 
     def push(self, elem: AlgebraElement, target: PoincareAlgebra) -> AlgebraElement:
         """Multiplicative-linear extension of the generator map to U(iso(g))."""
-        acc = {}
-        for mono, hs in elem.terms.items():
-            target.add_scaled(acc, self._mono_image(mono, target).terms, hs)
-        return AlgebraElement(target, target.finalize_rows(acc))
+        return AlgebraElement(target, target.extend(elem.terms, self._monomials(target).pairs))
 
     def push_tensor(self, t: TensorElement, target: PoincareAlgebra) -> TensorElement:
         """(push (x) ... (x) push)(t): push applied to every leg."""
-        acc = {}
-        for key, hs in t.terms.items():
-            image = TensorElement.of(*(self._mono_image(m, target) for m in key))
-            target.add_scaled(acc, image.terms, hs)
-        return TensorElement(target, t.legs, target.finalize_rows(acc))
+        image = self._monomials(target)
 
-    def _mono_image(self, mono: tuple, target: PoincareAlgebra) -> AlgebraElement:
-        """The image of a PBW monomial, cached per target context."""
-        key = (target._key, mono)
-        img = self._mono_images.get(key)
-        if img is None:
-            if not mono:
-                img = target.one()
-            else:
-                img = self._mono_image(mono[:-1], target) * self.generator_image(mono[-1], target)
-            self._mono_images[key] = img
-        return img
+        def legwise(key):
+            return TensorElement.of(*map(image, key)).terms.items()
+
+        return TensorElement(target, t.legs, target.extend(t.terms, legwise))
+
+    def _monomials(self, target: PoincareAlgebra) -> MonomialMap:
+        """The images of PBW monomials, memoised per target context."""
+        images = self._mono_maps.get(target._key)
+        if images is None:
+            images = MonomialMap(target.one(), lambda code: self.generator_image(code, target))
+            self._mono_maps[target._key] = images
+        return images
 
 
 def orthogonal_decompose(metric: Metric, tau: VectorTau) -> BasisChange:
@@ -188,6 +183,31 @@ def adapted_context(metric: Metric, tau: VectorTau, order: int):
     lc = lightcone_decompose(metric, tau)
     ctx = DeformationContext(lc.new_metric, lc.change.transform_tau(tau), order)
     return lc, ctx
+
+
+def in_adapted_basis(ctx: DeformationContext, is_adapted) -> tuple:
+    """(adapted, tie) for a suite that runs in the basis adapted to tau.
+
+    When is_adapted(ctx), adapted is ctx itself, so the suite reads the
+    caller's own tables, and tie is None.  Otherwise adapted is a fresh
+    context in the adapted basis, and tie(rep) records the check
+    caller-coproduct-in-adapted-basis: the caller's coproduct tables, carried
+    through the basis change, are the adapted context's,
+    (push (x) push)(Delta(x)) = Delta'(push(x)) for every generator x."""
+    if is_adapted(ctx):
+        return ctx, None
+    change, adapted = adapted_context(ctx.metric, ctx.tau, ctx.order)
+    if isinstance(change, LightconeBasis):
+        change = change.change
+    target = adapted.algebra
+
+    def tie(rep: VerificationReport):
+        for code in ctx.generator_codes():
+            lhs = change.push_tensor(ctx.coproduct(code), target)
+            rhs = adapted.coproduct_of(change.generator_image(code, target))
+            rep.record("caller-coproduct-in-adapted-basis", lhs - rhs, generator=ctx.gen_name(code))
+
+    return adapted, tie
 
 
 def is_orthogonally_adapted(ctx: DeformationContext) -> bool:
@@ -272,27 +292,18 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
     commutators including the exp(-2 p_tilde_tau / kappa) term, the reduced
     1+(D-1) coproducts against the universal ones, and the classical limits.
 
-    Every residual is computed at the order N of the adapted context: ctx
-    itself when it is orthogonally adapted, so its coproduct tables and
-    caches are the ones checked.  Otherwise (e.g. space-like tau, the CLI's
-    tachyonic example) the suite runs in a freshly built adapted context,
-    and the check caller-coproduct-in-adapted-basis ties the caller's
-    tables to it: (push (x) push)(Delta_ctx(x)) = Delta_adapted(push(x))
-    for every generator x, push being the basis change.  Only p_tilde_tau
-    and the kappa term divide by h; mr_generators lifts those two by one
-    order and projects them back."""
+    Every residual is computed at the order N of the adapted context (see
+    in_adapted_basis): ctx itself when it is orthogonally adapted, otherwise
+    (e.g. space-like tau, the CLI's tachyonic example) a freshly built one
+    tied to the caller's tables.  Only p_tilde_tau and the kappa term divide
+    by h; mr_generators lifts those two by one order and projects them back."""
     t0 = time.monotonic()
     rep = VerificationReport("majid-ruegg")
     if ctx.tau.is_zero or not ctx.tau.tau_sq:
         rep.skipped = "Majid-Ruegg basis requires tau^2 != 0"
         return rep
-    caller = None
-    if not is_orthogonally_adapted(ctx):
-        caller = ctx
-        change, ctx = adapted_context(ctx.metric, ctx.tau, ctx.order)
-        note = "verified in the orthogonally adapted basis"
-    else:
-        note = None
+    ctx, tie = in_adapted_basis(ctx, is_orthogonally_adapted)
+    note = None if tie is None else "verified in the orthogonally adapted basis"
 
     alg = ctx.algebra
     d = alg.dim
@@ -400,21 +411,11 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
                 generator=f"[M_0{i}, P~_{j}]",
             )
 
-    if caller is not None:
-        _caller_coproducts_report(rep, caller, change, ctx)
+    if tie is not None:
+        tie(rep)
 
     rep.seconds = time.monotonic() - t0
     return rep
-
-
-def _caller_coproducts_report(rep, caller, change, adapted):
-    """The caller's coproduct tables, carried through the basis change, are
-    the adapted context's: (push (x) push)(Delta(x)) = Delta'(push(x))."""
-    target = adapted.algebra
-    for code in caller.generator_codes():
-        lhs = change.push_tensor(caller.coproduct(code), target)
-        rhs = adapted.coproduct_of(change.generator_image(code, target))
-        rep.record("caller-coproduct-in-adapted-basis", lhs - rhs, generator=caller.gen_name(code))
 
 
 def _reduced_coproducts_report(rep, ctx):

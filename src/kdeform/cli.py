@@ -267,6 +267,15 @@ def _schouten_report(cfg: jsonio.RunConfig, order: int) -> VerificationReport:
     return rep
 
 
+# The reports of each suite on its deformation context, in output order.
+_SUITE_REPORTS = {
+    "hopf": lambda ctx: [verify_hopf(ctx), pi_identities_report(ctx)],
+    "mr": lambda ctx: [verify_mr(ctx)],
+    "twist": lambda ctx: [verify_twist(ctx)],
+    "minkowski": lambda ctx: [verify_covariance(ctx)],
+}
+
+
 def cmd_verify(cfg: jsonio.RunConfig, suite: str, corrupt: bool = False) -> int:
     reports = []
     wanted = SUITES[:-1] if suite == "all" else (suite,)
@@ -275,24 +284,12 @@ def cmd_verify(cfg: jsonio.RunConfig, suite: str, corrupt: bool = False) -> int:
         reports.append(_schouten_report(cfg, cfg.order_for("hopf")))
 
     for name in wanted:
-        if name == "hopf":
-            ctx = DeformationContext(cfg.metric, cfg.tau, cfg.order_for("hopf"))
-            if corrupt:
-                code = ctx.generator_codes()[0]
-                ctx._coproducts[code] = ctx.coproduct(code) + TensorElement.unit(
-                    ctx.algebra, 2
-                )
-            reports.append(verify_hopf(ctx))
-            reports.append(pi_identities_report(ctx))
-        elif name == "mr":
-            ctx = DeformationContext(cfg.metric, cfg.tau, cfg.order_for("mr"))
-            reports.append(verify_mr(ctx))
-        elif name == "twist":
-            ctx = DeformationContext(cfg.metric, cfg.tau, cfg.order_for("twist"))
-            reports.append(verify_twist(ctx))
-        elif name == "minkowski":
-            ctx = DeformationContext(cfg.metric, cfg.tau, cfg.order_for("minkowski"))
-            reports.append(verify_covariance(ctx))
+        ctx = DeformationContext(cfg.metric, cfg.tau, cfg.order_for(name))
+        if corrupt:
+            # negative control: a unit bump on the first generator's coproduct
+            code = ctx.generator_codes()[0]
+            ctx._coproducts[code] = ctx.coproduct(code) + TensorElement.unit(ctx.algebra, 2)
+        reports.extend(_SUITE_REPORTS[name](ctx))
 
     if cfg.output_format == "json":
         print(json.dumps([r.to_json() for r in reports], indent=2))

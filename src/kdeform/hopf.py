@@ -37,6 +37,7 @@ from fractions import Fraction
 from .algebra import (
     AlgebraElement,
     Metric,
+    MonomialMap,
     PoincareAlgebra,
     VectorTau,
     dict_sub,
@@ -45,7 +46,7 @@ from .algebra import (
 from .errors import InternalConsistencyError
 from .reports import VerificationReport
 from .scalars import GaussRational, HSeries, binom_half
-from .tensors import TensorElement, classify_orbit, r_matrix, tensor_commutator
+from .tensors import TensorElement, r_matrix, tensor_commutator
 from .render import gen_text
 
 _HALF = Fraction(1, 2)
@@ -53,8 +54,9 @@ _HALF = Fraction(1, 2)
 
 class DeformationContext:
     """Everything derived from (g, tau, N): the algebra, the deformation series
-    Pi_tau / Pi_tau^-1 / C_tau, coproduct and antipode tables, and the orbit
-    classification.  Immutable after construction; caches are fill-once."""
+    Pi_tau / Pi_tau^-1 / C_tau, and the coproduct and antipode tables with
+    their memoised monomial images.  Immutable after construction; caches are
+    fill-once."""
 
     def __init__(self, metric: Metric, tau, order: int, algebra: PoincareAlgebra | None = None):
         if algebra is not None and (algebra.metric != metric or algebra.order != order):
@@ -67,7 +69,6 @@ class DeformationContext:
 
         self.p_tau, self.m_tau = alg.contract_tau(self.tau)
         self.casimir = alg.casimir()
-        self.orbit = None if self.tau.is_zero else classify_orbit(metric, self.tau)
 
         self._p_raised = [alg.momentum_raised(a) for a in range(alg.dim)]
         self.pi = self._build_pi()
@@ -76,9 +77,10 @@ class DeformationContext:
 
         self._coproducts = {}
         self._antipodes = {}
-        self._mono_coproduct = {(): TensorElement.unit(alg, 2)}
-        self._mono_primitive = {(): TensorElement.unit(alg, 2)}
-        self._mono_antipode = {(): alg.one()}
+        # the coproduct, undeformed coproduct and antipode of PBW monomials
+        self.mono_coproduct = MonomialMap(TensorElement.unit(alg, 2), self.coproduct)
+        self.mono_primitive = MonomialMap(TensorElement.unit(alg, 2), self._primitive_gen)
+        self.mono_antipode = MonomialMap(alg.one(), self.antipode, anti=True)
         # kappa-Minkowski: coordinate normal forms and generator actions on words
         self._mink_no_cache = {}
         self._act_cache = {}
@@ -162,7 +164,7 @@ class DeformationContext:
         h1 = alg.h(1)
         h2_half = HSeries.h_power(alg.order, 2, GaussRational(_HALF))
         kind, idx = alg.decode(code)
-        gen = AlgebraElement(alg, {(code,): HSeries.one(alg.order)})
+        gen = self.gen_element(code)
         out = TensorElement.of(gen, self.pi if kind == "P" else alg.one())
         out = out + TensorElement.of(alg.one(), gen)
         cov = self.tau.covariant
@@ -200,7 +202,7 @@ class DeformationContext:
         h2_half = HSeries.h_power(alg.order, 2, GaussRational(_HALF))
         kind, idx = alg.decode(code)
         cov = self.tau.covariant
-        gen = AlgebraElement(alg, {(code,): HSeries.one(alg.order)})
+        gen = self.gen_element(code)
         if kind == "P":
             mu = idx
             inner = gen
@@ -221,47 +223,24 @@ class DeformationContext:
 
     # -- multiplicative extensions -----------------------------------------------
 
-    def _extend_tensor(self, a: AlgebraElement, cache: dict, gen_map) -> TensorElement:
-        alg = self.algebra
-        acc = {}
-        for mono, hs in a.terms.items():
-            alg.add_scaled(acc, self._mono_tensor(mono, cache, gen_map).terms, hs)
-        return TensorElement(alg, 2, alg.finalize_rows(acc))
-
-    def _mono_tensor(self, mono: tuple, cache: dict, gen_map) -> TensorElement:
-        t = cache.get(mono)
-        if t is None:
-            t = self._mono_tensor(mono[:-1], cache, gen_map) * gen_map(mono[-1])
-            cache[mono] = t
-        return t
-
     def coproduct_of(self, a: AlgebraElement) -> TensorElement:
         """Linear-multiplicative extension of the deformed coproduct."""
-        return self._extend_tensor(a, self._mono_coproduct, self.coproduct)
+        alg = self.algebra
+        return TensorElement(alg, 2, alg.extend(a.terms, self.mono_coproduct.pairs))
 
     def primitive_of(self, a: AlgebraElement) -> TensorElement:
         """Extension of the undeformed coproduct D0(x) = x (x) 1 + 1 (x) x."""
-        return self._extend_tensor(a, self._mono_primitive, self._primitive_gen)
+        alg = self.algebra
+        return TensorElement(alg, 2, alg.extend(a.terms, self.mono_primitive.pairs))
 
     def _primitive_gen(self, code: int) -> TensorElement:
-        alg = self.algebra
-        gen = AlgebraElement(alg, {(code,): HSeries.one(alg.order)})
-        return TensorElement.of(gen, alg.one()) + TensorElement.of(alg.one(), gen)
+        gen, one = self.gen_element(code), self.algebra.one()
+        return TensorElement.of(gen, one) + TensorElement.of(one, gen)
 
     def antipode_of(self, a: AlgebraElement) -> AlgebraElement:
         """Anti-multiplicative extension of the antipode."""
         alg = self.algebra
-        acc = {}
-        for mono, hs in a.terms.items():
-            alg.add_scaled(acc, self._mono_antipode_of(mono).terms, hs)
-        return AlgebraElement(alg, alg.finalize_rows(acc))
-
-    def _mono_antipode_of(self, mono: tuple) -> AlgebraElement:
-        a = self._mono_antipode.get(mono)
-        if a is None:
-            a = self.antipode(mono[-1]) * self._mono_antipode_of(mono[:-1])
-            self._mono_antipode[mono] = a
-        return a
+        return AlgebraElement(alg, alg.extend(a.terms, self.mono_antipode.pairs))
 
     # -- convenience -------------------------------------------------------------
 
@@ -363,8 +342,8 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
     if "coassociativity" in selected:
         for x in codes:
             d = ctx.coproduct(x)
-            left = d.map_leg(0, lambda m: mono_coproduct(ctx, m))
-            right = d.map_leg(1, lambda m: mono_coproduct(ctx, m))
+            left = d.map_leg(0, ctx.mono_coproduct)
+            right = d.map_leg(1, ctx.mono_coproduct)
             rep.record("coassociativity", left - right, generator=ctx.gen_name(x))
 
     if "counit-axioms" in selected:
@@ -388,12 +367,12 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
             # both sides must equal eps(x) 1 = 0 for a generator
             rep.record(
                 "antipode-axiom",
-                d.map_leg(0, lambda m: ctx._mono_antipode_of(m)).merge_legs(),
+                d.map_leg(0, ctx.mono_antipode).merge_legs(),
                 generator=f"m(S (x) id)Delta {ctx.gen_name(x)}",
             )
             rep.record(
                 "antipode-axiom",
-                d.map_leg(1, lambda m: ctx._mono_antipode_of(m)).merge_legs(),
+                d.map_leg(1, ctx.mono_antipode).merge_legs(),
                 generator=f"m(id (x) S)Delta {ctx.gen_name(x)}",
             )
 
@@ -471,11 +450,6 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
 
     rep.seconds = time.monotonic() - t0
     return rep
-
-
-def mono_coproduct(ctx: DeformationContext, mono: tuple) -> TensorElement:
-    """The deformed coproduct of a single PBW monomial, through the cache."""
-    return ctx._mono_tensor(mono, ctx._mono_coproduct, ctx.coproduct)
 
 
 def _select(checks):

@@ -8,10 +8,11 @@ the deformed symmetry through the generalized Leibniz rule
     L |> (a . b) = (L_(1) |> a) . (L_(2) |> b)
 
 with the deformed coproduct supplying the legs.  Generators act classically on
-single coordinates: P_mu |> x^nu = -i delta, M_mn |> x^rho = -i(x_m delta_n^rho
-- x_n delta_m^rho) with the coordinate index lowered by the metric; constants
-are hit with the counit.  A series leg acting on a degree-d word is finite:
-every momentum word longer than d annihilates it.
+single coordinates as P_mu = -i d_mu and M_mn = i(x_m d_n - x_n d_m), which
+represent the brackets: P_mu |> x^nu = -i delta, M_mn |> x^rho = i(x_m
+delta_n^rho - x_n delta_m^rho) with the coordinate index lowered by the
+metric; constants are hit with the counit.  A series leg acting on a degree-d
+word is finite: every momentum word longer than d annihilates it.
 """
 
 from __future__ import annotations
@@ -138,9 +139,8 @@ def _coord_product(ctx: DeformationContext):
 
 
 def mink_multiply(a: MinkowskiElement, b: MinkowskiElement) -> MinkowskiElement:
-    alg = a.algebra
-    acc = alg.mul_terms(a.terms, b.terms, key_product=_coord_product(a.context))
-    return MinkowskiElement(a.context, alg.finalize_rows(acc))
+    terms = a.algebra.mul_terms(a.terms, b.terms, key_product=_coord_product(a.context))
+    return MinkowskiElement(a.context, terms)
 
 
 # -- the Hopf action ---------------------------------------------------------------
@@ -152,10 +152,8 @@ def act(ctx: DeformationContext, op, a: MinkowskiElement) -> MinkowskiElement:
     op may be an AlgebraElement or a generator code; products of generators act
     by successive action, scalars through the counit."""
     if isinstance(op, AlgebraElement):
-        acc = {}
-        for mono, hs in op.terms.items():
-            ctx.algebra.add_scaled(acc, _act_word(ctx, mono, a).terms, hs)
-        return MinkowskiElement(ctx, ctx.algebra.finalize_rows(acc))
+        terms = ctx.algebra.extend(op.terms, lambda mono: _act_word(ctx, mono, a).terms.items())
+        return MinkowskiElement(ctx, terms)
     return _act_word(ctx, (op,), a)
 
 
@@ -166,10 +164,8 @@ def _act_word(ctx: DeformationContext, word: tuple, a: MinkowskiElement) -> Mink
 
 
 def _act_gen(ctx: DeformationContext, code: int, a: MinkowskiElement) -> MinkowskiElement:
-    acc = {}
-    for mono, hs in a.terms.items():
-        ctx.algebra.add_scaled(acc, _act_gen_mono(ctx, code, mono).terms, hs)
-    return MinkowskiElement(ctx, ctx.algebra.finalize_rows(acc))
+    terms = ctx.algebra.extend(a.terms, lambda mono: _act_gen_mono(ctx, code, mono).terms.items())
+    return MinkowskiElement(ctx, terms)
 
 
 def _act_gen_mono(ctx: DeformationContext, code: int, cmono: tuple) -> MinkowskiElement:
@@ -202,11 +198,11 @@ def _act_gen_coordinate(ctx: DeformationContext, code: int, mu: int) -> Minkowsk
         )
     rho, sig = idx
     g = ctx.metric.rows
-    # -i x_rho when sig == mu, +i x_sig when rho == mu (rho < sig: not both)
+    # +i x_rho when sig == mu, -i x_sig when rho == mu (rho < sig: not both)
     if sig == mu:
-        lowered, sign = g[rho], -1
+        lowered, sign = g[rho], 1
     elif rho == mu:
-        lowered, sign = g[sig], 1
+        lowered, sign = g[sig], -1
     else:
         return scalar_mink(ctx, 0)
     N = alg.order
@@ -226,18 +222,16 @@ def act_on_product(
 
 
 def _leibniz(ctx: DeformationContext, coproduct, a: MinkowskiElement, b: MinkowskiElement):
-    """sum (L_(1) |> a)(L_(2) |> b) over the terms of a coproduct of L,
-    accumulated into one set of rows."""
-    acc = {}
-    for (m1, m2), hs in coproduct.terms.items():
-        left = _act_word(ctx, m1, a)
+    """sum (L_(1) |> a)(L_(2) |> b) over the terms of a coproduct of L."""
+
+    def image(key):
+        left = _act_word(ctx, key[0], a)
         if left.is_zero:
-            continue
-        right = _act_word(ctx, m2, b)
-        if right.is_zero:
-            continue
-        ctx.algebra.add_scaled(acc, (left * right).terms, hs)
-    return MinkowskiElement(ctx, ctx.algebra.finalize_rows(acc))
+            return ()
+        right = _act_word(ctx, key[1], b)
+        return (left * right).terms.items() if right else ()
+
+    return MinkowskiElement(ctx, ctx.algebra.extend(coproduct.terms, image))
 
 
 def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> VerificationReport:
@@ -276,7 +270,7 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
 
     for i, c1 in enumerate(codes):
         e1 = ctx.gen_element(c1)
-        for c2 in codes[i:]:
+        for c2 in codes[:i]:  # out of PBW order, so e1 * e2 is rewritten
             e2 = ctx.gen_element(c2)
             prod = e1 * e2
             for mono in monomials:

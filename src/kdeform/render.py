@@ -236,12 +236,6 @@ def mink_mono_text(mono: tuple) -> str:
     return " ".join(f"x{mu}" for mu in mono)
 
 
-def mink_mono_latex(mono: tuple) -> str:
-    if not mono:
-        return "1"
-    return " ".join(f"\\hat x^{{{mu}}}" for mu in mono)
-
-
 def mink_text(elem) -> str:
     if not elem.terms:
         return "0"

@@ -15,16 +15,11 @@ from .algebra import (
     TermElement,
     VectorTau,
     accumulate,
+    exp_in,
+    invert_in,
 )
-from .errors import ContextMismatchError, InvalidVectorError, NonInvertibleError
-from .scalars import (
-    GR_I,
-    GR_MINUS_I,
-    GR_ONE,
-    GaussRational,
-    HSeries,
-    convolve_nz,
-)
+from .errors import ContextMismatchError, InvalidVectorError
+from .scalars import GR_I, GR_MINUS_I, GR_ONE, GaussRational, HSeries
 
 _F0 = Fraction(0)
 
@@ -60,15 +55,15 @@ class TensorElement(TermElement):
         for f in factors:
             if not alg.compatible(f.algebra):
                 raise ContextMismatchError("tensor factors from incompatible contexts")
-            terms = alg.finalize_rows(alg.mul_terms(terms, f.terms, key_product=_append_leg))
+            terms = alg.mul_terms(terms, f.terms, key_product=_append_leg)
         return cls(alg, len(factors), terms)
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
             self._check(other)
             alg = self.algebra
-            acc = alg.mul_terms(self.terms, other.terms, key_product=_leg_product(alg, self.legs))
-            return self._with(alg.finalize_rows(acc))
+            rule = _leg_product(alg, self.legs)
+            return self._with(alg.mul_terms(self.terms, other.terms, key_product=rule))
         return TermElement.__mul__(self, other)
 
     # -- leg surgery ------------------------------------------------------------
@@ -82,56 +77,30 @@ class TensorElement(TermElement):
             raise ContextMismatchError("flip is defined for 2-legged tensors")
         return self.transpose((1, 0))
 
-    def embed(self, placement: str, total: int = 3) -> "TensorElement":
+    def embed(self, placement: str) -> "TensorElement":
         """Insert a unit leg: a 2-tensor placed at legs '12', '13' or '23' of 3."""
-        if self.legs != 2 or total != 3:
+        if self.legs != 2:
             raise ContextMismatchError("embed supports 2-legged tensors into 3 legs")
-        slots = {"12": (0, 1), "13": (0, 2), "23": (1, 2)}.get(placement)
-        if slots is None:
+        perm = {"12": (0, 1, 2), "13": (0, 2, 1), "23": (2, 0, 1)}.get(placement)
+        if perm is None:
             raise ValueError(f"invalid placement {placement!r}; expected 12, 13 or 23")
-        out = {}
-        for (m1, m2), hs in self.terms.items():
-            key = [(), (), ()]
-            key[slots[0]] = m1
-            key[slots[1]] = m2
-            out[tuple(key)] = hs
-        return TensorElement(self.algebra, 3, out)
+        terms = {(m1, m2, ()): hs for (m1, m2), hs in self.terms.items()}
+        return TensorElement(self.algebra, 3, terms).transpose(perm)
 
     def map_leg(self, i: int, fn) -> "TensorElement":
         """Replace leg i by its image under fn: monomial -> AlgebraElement or
         TensorElement; other legs are carried along, coefficients multiply."""
-        alg = self.algebra
-        N = alg.order
-        acc = {}
-        out_legs = None
-        for key, hs in self.terms.items():
-            v1 = hs.valuation
-            if v1 > N:
-                continue
-            nz1 = hs.nz
+
+        def spliced(key):
             img = fn(key[i])
-            is_tensor = isinstance(img, TensorElement)
-            if out_legs is None:
-                out_legs = self.legs - 1 + (img.legs if is_tensor else 1)
             head, tail = key[:i], key[i + 1 :]
-            for ikey, ihs in img.terms.items():
-                if v1 + ihs.valuation > N:
-                    continue
-                pairs = convolve_nz(nz1, ihs.nz, N)
-                if not pairs:
-                    continue
-                mid = ikey if is_tensor else (ikey,)
-                fkey = head + mid + tail
-                row = acc.get(fkey)
-                if row is None:
-                    acc[fkey] = dict(pairs)
-                    continue
-                for k, c in pairs:
-                    cur = row.get(k)
-                    row[k] = c if cur is None else cur + c
-        if out_legs is None:
-            out_legs = self.legs  # zero tensor: leg count is moot
-        return TensorElement(alg, out_legs, alg.finalize_rows(acc))
+            if isinstance(img, TensorElement):
+                return [(head + k + tail, hs) for k, hs in img.terms.items()]
+            return [(head + (k,) + tail, hs) for k, hs in img.terms.items()]
+
+        terms = self.algebra.extend(self.terms, spliced)
+        legs = len(next(iter(terms))) if terms else self.legs  # zero: the count is moot
+        return TensorElement(self.algebra, legs, terms)
 
     def contract_counit(self, i: int):
         """Apply the counit to leg i (keep only unit monomials there)."""
@@ -163,8 +132,7 @@ class TensorElement(TermElement):
                 word = nxt
             return [(m, c) for m, c in word.items() if c]
 
-        acc = alg.mul_terms(self.terms, alg.one().terms, key_product=merged)
-        return AlgebraElement(alg, alg.finalize_rows(acc))
+        return AlgebraElement(alg, alg.mul_terms(self.terms, alg.one().terms, key_product=merged))
 
     def star_legs(self) -> "TensorElement":
         """(a (x) b)* = a* (x) b*: star each leg, no flip."""
@@ -213,43 +181,18 @@ def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
     a._check(b)
     alg = a.algebra
     rule = _leg_product(alg, a.legs)
-    acc = alg.mul_terms(a.terms, b.terms, key_product=rule)
-    alg.mul_terms(b.terms, a.terms, acc=acc, sign=-1, key_product=rule)
-    return a._with(alg.finalize_rows(acc))
+    return a._with(alg.mul_terms(a.terms, b.terms, key_product=rule, commutator=True))
 
 
 def tensor_invert(t: TensorElement) -> TensorElement:
-    """(1 + X)^-1 for a tensor with unit leading term and X of positive h-valuation."""
-    alg = t.algebra
-    unit = TensorElement.unit(alg, t.legs)
-    x = t - unit
-    if any(hs.valuation == 0 for hs in x.terms.values()):
-        raise NonInvertibleError("tensor inversion requires 1 + O(h)")
-    out = unit
-    term = unit
-    for _ in range(alg.order):
-        term = term * (-x)
-        if term.is_zero:
-            break
-        out = out + term
-    return out
+    """t^-1 for a tensor whose unit coefficient has an invertible constant term
+    and whose other terms are O(h)."""
+    return invert_in(TensorElement.unit(t.algebra, t.legs), t)
 
 
 def tensor_exp(t: TensorElement) -> TensorElement:
     """exp of a tensor of positive h-valuation; terminates at the truncation order."""
-    if any(hs.valuation == 0 for hs in t.terms.values()):
-        raise NonInvertibleError("tensor exponential requires an O(h) argument")
-    alg = t.algebra
-    out = TensorElement.unit(alg, t.legs)
-    term = out
-    fact = 1
-    for k in range(1, alg.order + 1):
-        term = term * t
-        if term.is_zero:
-            break
-        fact *= k
-        out = out + term * Fraction(1, fact)
-    return out
+    return exp_in(TensorElement.unit(t.algebra, t.legs), t)
 
 
 # -- wedges ---------------------------------------------------------------------

@@ -256,8 +256,8 @@ def _hopf_subset_fails(ctx, focus_codes):
         xe = ctx.gen_element(x)
         if (d.contract_counit(0) - xe) or (d.contract_counit(1) - xe):
             return True
-        left = d.map_leg(0, lambda m: ctx._mono_tensor(m, ctx._mono_coproduct, ctx.coproduct))
-        right = d.map_leg(1, lambda m: ctx._mono_tensor(m, ctx._mono_coproduct, ctx.coproduct))
+        left = d.map_leg(0, ctx.mono_coproduct)
+        right = d.map_leg(1, ctx.mono_coproduct)
         if left - right:
             return True
     for x in focus_codes:

@@ -147,6 +147,18 @@ class TestVerify:
         assert "FAILED" in out
 
     @pytest.mark.parametrize(
+        "example,suite", [("light-like", "twist"), ("tachyonic", "mr"), ("time-like", "hopf")]
+    )
+    def test_corrupt_fails_every_suite(self, capsys, example, suite):
+        # every suite bumps its context the same way; light-like and tachyonic
+        # are checked in a freshly adapted basis, tied to the bumped tables
+        argv = ("verify", "--example", example, "--suite", suite, "--order", "2")
+        assert run(capsys, *argv)[0] == 0
+        code, out, _ = run(capsys, *argv, "--corrupt")
+        assert code == 1
+        assert "FAILED" in out
+
+    @pytest.mark.parametrize(
         "exc", [InternalConsistencyError, OrderMismatchError, ContextMismatchError]
     )
     def test_internal_defect_exits_3(self, capsys, monkeypatch, exc):

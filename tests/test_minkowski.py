@@ -52,15 +52,25 @@ class TestAction:
 
     def test_rotation_on_coordinate(self, ctx_t):
         alg = ctx_t.algebra
-        # M_12 |> x^2 = -i x_1 = -i x^1 (spatial index lowers trivially)
+        # M_12 |> x^2 = i x_1 = i x^1 (spatial index lowers trivially)
         code = alg.rotation_code(1, 2)[0]
-        assert act(ctx_t, code, coordinate(ctx_t, 2)) == coordinate(ctx_t, 1) * (-I)
+        assert act(ctx_t, code, coordinate(ctx_t, 2)) == coordinate(ctx_t, 1) * I
 
     def test_boost_lowers_with_metric(self, ctx_t):
         alg = ctx_t.algebra
-        # M_01 |> x^1 = -i x_0 = +i x^0 with g_00 = -1
+        # M_01 |> x^1 = i x_0 = -i x^0 with g_00 = -1
         code = alg.rotation_code(0, 1)[0]
-        assert act(ctx_t, code, coordinate(ctx_t, 1)) == coordinate(ctx_t, 0) * I
+        assert act(ctx_t, code, coordinate(ctx_t, 1)) == coordinate(ctx_t, 0) * (-I)
+
+    def test_action_represents_brackets(self, ctx_t):
+        # P_1 M_01 is out of PBW order: its normal form M_01 P_1 - i P_0 acts
+        # on x^0 as -1, and so must M_01 then P_1 (M_01 |> x^0 = -i x^1)
+        alg = ctx_t.algebra
+        p1 = ctx_t.gen_element(alg.momentum_code(1))
+        m01 = ctx_t.gen_element(alg.rotation_code(0, 1)[0])
+        x0 = coordinate(ctx_t, 0)
+        assert act(ctx_t, p1 * m01, x0) == scalar_mink(ctx_t, -1)
+        assert act(ctx_t, p1, act(ctx_t, m01, x0)) == scalar_mink(ctx_t, -1)
 
     def test_leibniz_through_deformed_coproduct(self, ctx_t):
         alg = ctx_t.algebra

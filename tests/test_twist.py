@@ -77,6 +77,21 @@ class TestVerifyTwist:
         rep = verify_twist(DeformationContext(eta4, [1, 0, 0, 0], 2))
         assert rep.skipped
 
+    @pytest.mark.parametrize("tau", [[1, 1, 0], [1, 0, 1]])
+    @pytest.mark.parametrize("gen", ["P_1", "M_01"])
+    def test_corrupted_table_fails_in_auto_adapted_basis(self, eta3, tau, gen):
+        # a null tau off the light-cone basis: the suite runs in a freshly
+        # adapted context, and the caller's own tables must still be read
+        ctx = DeformationContext(eta3, tau, 2)
+        alg = ctx.algebra
+        code = alg.momentum_code(1) if gen == "P_1" else alg.rotation_code(0, 1)[0]
+        assert verify_twist(ctx).all_passed
+        ctx._coproducts[code] = ctx.coproduct(code) + TensorElement.unit(alg, 2) * alg.h(1)
+        rep = verify_twist(ctx)
+        assert {(c.name, c.generator) for c in rep.failures()} == {
+            ("caller-coproduct-in-adapted-basis", gen)
+        }
+
 
 class TestLCStructure:
     def test_lorentzian(self, eta4):
