@@ -1,5 +1,8 @@
 """The enveloping algebra of iso(g) over truncated h-series coefficients.
 
+Every element stores its terms flat: {(key, k): GaussRational}, one entry per
+key and power k of h with 0 <= k <= N, and never a zero coefficient.
+
 Generators are encoded as small integers so that monomials are plain int
 tuples: a rotation M_{mu nu} (mu < nu) gets code mu*D + nu, a momentum P_mu
 gets code D*D + mu.  The PBW order "rotations lexicographically, then momenta
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from . import exactla
 from .errors import ContextMismatchError, InvalidVectorError, NonInvertibleError
-from .scalars import GR_ONE, GR_ZERO, GaussRational, HSeries, as_fraction, convolve_nz
+from .scalars import GR_ONE, GR_ZERO, GaussRational, HSeries, as_fraction
 
 _F0 = Fraction(0)
 
@@ -154,32 +157,26 @@ class PoincareAlgebra:
         return AlgebraElement(self, {})
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {(): HSeries.one(self.order)})
+        return AlgebraElement(self, {((), 0): GR_ONE})
 
     def scalar(self, value) -> "AlgebraElement":
-        hs = value if isinstance(value, HSeries) else HSeries.constant(self.order, value)
-        if hs.order != self.order:
-            raise ContextMismatchError("scalar series has the wrong truncation order")
-        return AlgebraElement(self, {(): hs} if hs else {})
+        return self.one() * value
 
     def h(self, k: int = 1) -> HSeries:
         return HSeries.h_power(self.order, k)
 
     def P(self, mu: int) -> "AlgebraElement":
-        return AlgebraElement(self, {(self.momentum_code(mu),): HSeries.one(self.order)})
+        return AlgebraElement(self, {((self.momentum_code(mu),), 0): GR_ONE})
 
     def M(self, mu: int, nu: int) -> "AlgebraElement":
         code, sign = self.rotation_code(mu, nu)
         if sign == 0:
             return self.zero()
-        return AlgebraElement(self, {(code,): HSeries.constant(self.order, sign)})
+        return AlgebraElement(self, {((code,), 0): GaussRational(sign)})
 
     def from_codes(self, coeff_map) -> "AlgebraElement":
         """Element from {generator code: GaussRational}; degree-one terms only."""
-        one = HSeries.one(self.order)
-        return AlgebraElement(
-            self, {(c,): one * v for c, v in coeff_map.items() if v}
-        )
+        return AlgebraElement(self, {((c,), 0): v for c, v in coeff_map.items() if v})
 
     # -- structure constants --------------------------------------------------
 
@@ -278,15 +275,14 @@ class PoincareAlgebra:
     # -- products and linear extensions of term maps ----------------------------
 
     def mul_terms(self, ta: dict, tb: dict, key_product=None, commutator: bool = False) -> dict:
-        """The product of two term maps, as a finished term map.
+        """The product of two flat term maps, as a flat term map.
 
-        This is the one product kernel: PBW elements, tensors of any leg count
-        and kappa-Minkowski coordinates differ only in key_product(k1, k2),
-        which yields the (key, coefficient) pairs of the product of two keys.
-        A coefficient is a GaussRational (GR_ONE itself takes a fast path) or
-        an HSeries for an h-weighted key product.  The default rule is the
-        PBW product of monomials.  With commutator=True the result is
-        ta*tb - tb*ta, both products accumulated into one set of rows."""
+        This is the one product kernel: PBW elements and tensors of any leg
+        count differ only in key_product(k1, k2), which yields the
+        (key, GaussRational) pairs of the product of two keys (GR_ONE itself
+        takes a fast path).  The default rule is the PBW product of
+        monomials.  With commutator=True the result is ta*tb - tb*ta, both
+        products accumulated into one map."""
         N = self.order
         if key_product is None:
             mono_product = self.mono_product
@@ -297,71 +293,41 @@ class PoincareAlgebra:
         acc = {}
         passes = ((ta, tb, False), (tb, ta, True)) if commutator else ((ta, tb, False),)
         for left, right, negate in passes:
-            items_b = [(m, h.valuation, h.nz) for m, h in right.items() if h.valuation <= N]
-            for m1, h1 in left.items():
-                v1 = h1.valuation
-                if v1 > N:
-                    continue
-                nz1 = h1.nz
-                for m2, v2, nz2 in items_b:
-                    if v1 + v2 > N:
+            items_b = [(m, k, c) for (m, k), c in right.items()]
+            for (m1, k1), c1 in left.items():
+                if negate:
+                    c1 = -c1
+                budget = N - k1
+                for m2, k2, c2 in items_b:
+                    if k2 > budget:
                         continue
-                    pairs = convolve_nz(nz1, nz2, N, negate)
-                    if not pairs:
-                        continue
-                    for m, c in key_product(m1, m2):
-                        if c is GR_ONE:
-                            terms = pairs
-                        elif type(c) is HSeries:
-                            terms = convolve_nz(pairs, c.nz, N)
-                        else:
-                            terms = [(k, hc * c) for k, hc in pairs]
-                        row = acc.get(m)
-                        if row is None:
-                            acc[m] = dict(terms)
-                            continue
-                        for k, hc in terms:
-                            cur = row.get(k)
-                            row[k] = hc if cur is None else cur + hc
-        return self._finish(acc)
+                    k = k1 + k2
+                    c = c1 * c2
+                    for m, cm in key_product(m1, m2):
+                        t = (m, k)
+                        p = c if cm is GR_ONE else c * cm
+                        cur = acc.get(t)
+                        acc[t] = p if cur is None else cur + p
+        return {t: c for t, c in acc.items() if c}
 
     def extend(self, terms: dict, image) -> dict:
-        """The linear extension sum_key terms[key] * image(key), as a finished
-        term map; image(key) yields the (key, HSeries) pairs of the image.
-        Every structure map reaches elements this way: coproducts, antipodes,
-        basis changes, leg maps and the kappa-Minkowski action."""
+        """The linear extension sum_key terms[key] * image(key), as a flat term
+        map; image(key) yields the flat ((key, power of h), GaussRational)
+        pairs of the image.  Every structure map reaches elements this way:
+        coproducts, antipodes, basis changes, leg maps, the kappa-Minkowski
+        product and action, and the star maps."""
         N = self.order
         acc = {}
-        for key, hs in terms.items():
-            v1 = hs.valuation
-            if v1 > N:
-                continue
-            nz1 = hs.nz
-            for k2, hs2 in image(key):
-                if v1 + hs2.valuation > N:
+        for (key, k1), c1 in terms.items():
+            budget = N - k1
+            for (k2, j), c2 in image(key):
+                if j > budget:
                     continue
-                pairs = convolve_nz(nz1, hs2.nz, N)
-                if not pairs:
-                    continue
-                row = acc.get(k2)
-                if row is None:
-                    acc[k2] = dict(pairs)
-                    continue
-                for k, c in pairs:
-                    cur = row.get(k)
-                    row[k] = c if cur is None else cur + c
-        return self._finish(acc)
-
-    def _finish(self, acc: dict) -> dict:
-        """Turn sparse coefficient rows {key: {power of h: GaussRational}}
-        into {key: HSeries}, dropping the keys whose coefficients all cancelled."""
-        N = self.order
-        out = {}
-        for m, row in acc.items():
-            hs = HSeries.from_row(N, row)
-            if hs:
-                out[m] = hs
-        return out
+                t = (k2, k1 + j)
+                p = c1 * c2
+                cur = acc.get(t)
+                acc[t] = p if cur is None else cur + p
+        return {t: c for t, c in acc.items() if c}
 
     # -- derived elements ---------------------------------------------------------
 
@@ -378,10 +344,7 @@ class PoincareAlgebra:
                         continue
                     key = (mom0 + mu, mom0 + nu) if mu <= nu else (mom0 + nu, mom0 + mu)
                     acc[key] = acc.get(key, GR_ZERO) + f
-            one = HSeries.one(self.order)
-            self._casimir = AlgebraElement(
-                self, {k: one * v for k, v in acc.items() if v}
-            )
+            self._casimir = AlgebraElement(self, {(k, 0): v for k, v in acc.items() if v})
         return self._casimir
 
     def momentum_raised(self, alpha: int) -> "AlgebraElement":
@@ -450,9 +413,10 @@ _SCALARS = (int, Fraction, GaussRational, HSeries)
 
 
 class TermElement:
-    """The linear structure shared by every sparse element {key: HSeries}:
-    PBW elements, tensors and kappa-Minkowski coordinates.  Zero coefficients
-    are never stored, so equality is structural.
+    """The linear structure shared by every sparse element, stored flat as
+    {(key, power of h): GaussRational}: PBW elements, tensors and
+    kappa-Minkowski coordinates.  Powers run from 0 to the truncation order
+    and zero coefficients are never stored, so equality is structural.
 
     A subclass says what its keys are: _with builds an element of the same
     kind, _compatible says which elements combine, _scalar embeds a scalar
@@ -499,19 +463,19 @@ class TermElement:
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
-        for k, hs in other.terms.items():
-            cur = out.get(k)
-            s = hs if cur is None else cur + hs
+        for t, c in other.terms.items():
+            cur = out.get(t)
+            s = c if cur is None else cur + c
             if s:
-                out[k] = s
+                out[t] = s
             elif cur is not None:
-                del out[k]
+                del out[t]
         return self._with(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._with({k: -hs for k, hs in self.terms.items()})
+        return self._with({t: -c for t, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -525,16 +489,21 @@ class TermElement:
 
     def __mul__(self, other):
         """Multiplication by a scalar; subclasses handle their own products."""
+        if isinstance(other, HSeries):
+            if other.order != self.algebra.order:
+                raise ContextMismatchError("series has the wrong truncation order")
+            nz = other.nz
+
+            def shifted(key):
+                return [((key, j), c) for j, c in nz]
+
+            return self._with(self.algebra.extend(self.terms, shifted))
         if not isinstance(other, _SCALARS):
             return NotImplemented
-        if isinstance(other, HSeries) and other.order != self.algebra.order:
-            raise ContextMismatchError("series has the wrong truncation order")
-        out = {}
-        for k, hs in self.terms.items():
-            p = hs * other
-            if p:
-                out[k] = p
-        return self._with(out)
+        if not other:
+            return self._with({})
+        # Q(i) has no zero divisors: no product of nonzero values vanishes
+        return self._with({t: c * other for t, c in self.terms.items()})
 
     def __rmul__(self, other):
         # scalar coefficients commute with everything
@@ -542,38 +511,42 @@ class TermElement:
             return self.__mul__(other)
         return NotImplemented
 
-    def _star_by(self, reorder):
+    def _star_by(self, image):
         """The antilinear map conjugating coefficients and sending each key to
-        reorder(key), an iterable of (key, coefficient)."""
-        acc = {}
-        for key, hs in self.terms.items():
-            conj = hs.conjugate()
-            for k, c in reorder(key):
-                accumulate(acc, k, conj * c)
-        return self._with({k: v for k, v in acc.items() if v})
+        image(key), flat ((key, power of h), coefficient) pairs."""
+        conj = {t: c.conjugate() for t, c in self.terms.items()}
+        return self._with(self.algebra.extend(conj, image))
+
+    def series(self) -> dict:
+        """{key: HSeries}, each key's powers of h gathered into one series:
+        the form output is written in."""
+        rows = {}
+        for (key, k), c in self.terms.items():
+            rows.setdefault(key, []).append((k, c))
+        N = self.algebra.order
+        return {key: HSeries.from_nz(N, tuple(sorted(row))) for key, row in rows.items()}
 
     def h_coefficient(self, k: int) -> dict:
         """{key: GaussRational} at a fixed power of h."""
-        return {key: c for key, hs in self.terms.items() if (c := hs.coeff(k))}
+        return {key: c for (key, j), c in self.terms.items() if j == k}
 
     def project_to(self, algebra: PoincareAlgebra):
         """Truncate to a lower-order context over the same metric."""
         if algebra.metric != self.algebra.metric or algebra.order > self.algebra.order:
             raise ContextMismatchError("projection target must be a truncation of this context")
-        out = {}
-        for key, hs in self.terms.items():
-            t = hs.truncate(algebra.order)
-            if t:
-                out[key] = t
-        return self._with(out, algebra)
+        N = algebra.order
+        return self._with({t: c for t, c in self.terms.items() if t[1] <= N}, algebra)
 
     def rescale_h(self, s):
         """Substitute h -> h/s in every coefficient."""
-        return self._with({key: hs.rescale_h(s) for key, hs in self.terms.items()})
+        s = as_fraction(s)
+        if not s:
+            raise ZeroDivisionError("rescaling parameter must be nonzero")
+        return self._with({(key, k): c / s**k if k else c for (key, k), c in self.terms.items()})
 
 
 class AlgebraElement(TermElement):
-    """A sparse element of U(iso(g))[[h]]: {PBW monomial: HSeries}.
+    """A sparse element of U(iso(g))[[h]]: {(PBW monomial, power of h): GaussRational}.
 
     Monomials are nondecreasing tuples of generator codes.
     """
@@ -608,17 +581,21 @@ class AlgebraElement(TermElement):
     # -- structure maps ------------------------------------------------------
 
     def counit(self) -> HSeries:
-        """Coefficient of the empty monomial."""
-        return self.terms.get((), HSeries(self.algebra.order))
+        """The series coefficient of the empty monomial."""
+        N = self.algebra.order
+        get = self.terms.get
+        return HSeries.from_nz(N, tuple((k, c) for k in range(N + 1) if (c := get(((), k)))))
 
     def star(self) -> "AlgebraElement":
         """Antilinear anti-involution: fixes generators, conjugates coefficients,
         reverses monomials (then re-normal-orders)."""
         normal_order = self.algebra.normal_order
-        return self._star_by(lambda mono: normal_order(tuple(reversed(mono))).items())
+        return self._star_by(
+            lambda mono: [((m, 0), c) for m, c in normal_order(tuple(reversed(mono))).items()]
+        )
 
     def max_degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
+        return max((len(m) for m, _ in self.terms), default=0)
 
     def __repr__(self):
         from .render import element_text
@@ -648,7 +625,7 @@ class MonomialMap:
         return img
 
     def pairs(self, mono: tuple):
-        """The (key, HSeries) pairs of the image: the image rule of extend."""
+        """The flat term pairs of the image: the image rule of extend."""
         return self(mono).terms.items()
 
 
@@ -660,14 +637,14 @@ class MonomialMap:
 
 
 def invert_in(unit: TermElement, a: TermElement) -> TermElement:
-    """a^-1 = c^-1 sum_k (-X)^k for a = c (1 + X), c the coefficient of the
-    unit's key with invertible constant term and X of positive h-valuation."""
-    ((key, _),) = unit.terms.items()
-    c = a.terms.get(key)
-    if c is None or not c.constant_term():
+    """a^-1 = c^-1 sum_k (-X)^k for a = c (1 + X), c the h^0 coefficient of
+    the unit's key and X of positive h-valuation."""
+    ((t, _),) = unit.terms.items()
+    c = a.terms.get(t)
+    if c is None:
         raise NonInvertibleError("element has no invertible scalar part")
-    c_inv = c.invert()
-    x = (a - unit * c) * c_inv
+    c_inv = GR_ONE / c
+    x = a * c_inv - unit
     _require_h_positive(x, "series inversion")
     out = term = unit
     for _ in range(unit.algebra.order):
@@ -725,18 +702,12 @@ def divide_h(a: AlgebraElement, k: int = 1) -> AlgebraElement:
     back, which drops the unknown slots; bases.kappa_quotients does this with
     k = 1 for kappa ln Pi_tau and the kappa terms of the Majid-Ruegg brackets.
     """
-    alg = a.algebra
-    N = alg.order
-    out = {}
-    for m, hs in a.terms.items():
-        if hs.valuation < k:
-            raise NonInvertibleError(
-                f"division by h^{k} of a series with valuation {hs.valuation}"
-            )
-        out[m] = HSeries.from_nz(N, tuple((j - k, c) for j, c in hs.nz))
-    return AlgebraElement(alg, out)
+    low = min((j for _, j in a.terms), default=k)
+    if low < k:
+        raise NonInvertibleError(f"division by h^{k} of a series with valuation {low}")
+    return AlgebraElement(a.algebra, {(m, j - k): c for (m, j), c in a.terms.items()})
 
 
 def _require_h_positive(x: TermElement, what: str):
-    if any(hs.valuation == 0 for hs in x.terms.values()):
+    if any(k == 0 for _, k in x.terms):
         raise NonInvertibleError(f"{what} requires an argument of positive h-valuation")

@@ -31,7 +31,7 @@ from .algebra import (
 from .errors import BasisError, InvalidVectorError
 from .hopf import DeformationContext
 from .reports import VerificationReport
-from .scalars import GaussRational, HSeries
+from .scalars import GR_ONE, GaussRational, HSeries
 from .tensors import TensorElement, hyperbolic_pair_complement, tau_orthogonal_complement
 
 _F0 = Fraction(0)
@@ -463,8 +463,8 @@ def pushforward_consistency_report(
     codes = source.generator_codes()
     for i, x in enumerate(codes):
         for y in codes[i + 1 :]:
-            xe = AlgebraElement(source, {(x,): HSeries.one(source.order)})
-            ye = AlgebraElement(source, {(y,): HSeries.one(source.order)})
+            xe = source.from_codes({x: GR_ONE})
+            ye = source.from_codes({y: GR_ONE})
             lhs = change.push(source.bracket(xe, ye), target)
             rhs = target.bracket(change.push(xe, target), change.push(ye, target))
             rep.record(

@@ -149,16 +149,20 @@ def cmd_classify(cfg: jsonio.RunConfig) -> int:
     return 0
 
 
-def _context_for_emit(cfg: jsonio.RunConfig, order: int) -> DeformationContext:
-    basis = cfg.basis
-    if basis == "identity" or (basis == "auto"):
-        return DeformationContext(cfg.metric, cfg.tau, order)
-    _, ctx = adapted_context(cfg.metric, cfg.tau, order)
-    if basis == "orthogonal" and cfg.tau.tau_sq == 0:
+def _check_basis(cfg: jsonio.RunConfig):
+    if cfg.basis == "orthogonal" and cfg.tau.tau_sq == 0:
         raise BasisError("orthogonal basis requires tau^2 != 0")
-    if basis == "lightcone" and cfg.tau.tau_sq != 0:
+    if cfg.basis == "lightcone" and cfg.tau.tau_sq != 0:
         raise BasisError("light-cone basis requires tau^2 = 0")
-    return ctx
+
+
+def _context(cfg: jsonio.RunConfig, order: int) -> DeformationContext:
+    """The deformation context in the configured basis, which is checked
+    against tau before anything is built."""
+    _check_basis(cfg)
+    if cfg.basis in ("identity", "auto"):
+        return DeformationContext(cfg.metric, cfg.tau, order)
+    return adapted_context(cfg.metric, cfg.tau, order)[1]
 
 
 def cmd_emit(cfg: jsonio.RunConfig, obj: str, generator: str | None) -> int:
@@ -204,7 +208,7 @@ def cmd_emit(cfg: jsonio.RunConfig, obj: str, generator: str | None) -> int:
             print("R =", render.tensor_text(data.r_quantum))
         return 0
 
-    ctx = _context_for_emit(cfg, order)
+    ctx = _context(cfg, order)
     if obj == "pi":
         _print_one(fmt, ctx.pi, jsonio.element_to_json, render.element_text, render.element_latex,
                    label="Pi_tau", latex_label="\\Pi_\\tau")
@@ -277,6 +281,7 @@ _SUITE_REPORTS = {
 
 
 def cmd_verify(cfg: jsonio.RunConfig, suite: str, corrupt: bool = False) -> int:
+    _check_basis(cfg)
     reports = []
     wanted = SUITES[:-1] if suite == "all" else (suite,)
 
@@ -284,7 +289,7 @@ def cmd_verify(cfg: jsonio.RunConfig, suite: str, corrupt: bool = False) -> int:
         reports.append(_schouten_report(cfg, cfg.order_for("hopf")))
 
     for name in wanted:
-        ctx = DeformationContext(cfg.metric, cfg.tau, cfg.order_for(name))
+        ctx = _context(cfg, cfg.order_for(name))
         if corrupt:
             # negative control: a unit bump on the first generator's coproduct
             code = ctx.generator_codes()[0]

@@ -45,7 +45,7 @@ from .algebra import (
 )
 from .errors import InternalConsistencyError
 from .reports import VerificationReport
-from .scalars import GaussRational, HSeries, binom_half
+from .scalars import GR_ONE, GaussRational, HSeries, binom_half
 from .tensors import TensorElement, r_matrix, tensor_commutator
 from .render import gen_text
 
@@ -248,7 +248,7 @@ class DeformationContext:
         return self.algebra.generator_codes()
 
     def gen_element(self, code: int) -> AlgebraElement:
-        return AlgebraElement(self.algebra, {(code,): HSeries.one(self.algebra.order)})
+        return self.algebra.from_codes({code: GR_ONE})
 
     def gen_name(self, code: int) -> str:
         return gen_text(code, self.algebra.dim)

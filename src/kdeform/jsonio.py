@@ -2,7 +2,8 @@
 
 Rationals travel as exact "num/den" strings (plain integers are accepted);
 floats are rejected outright.  Series are arrays of
-{h_power, re_num, re_den, im_num, im_den} with zero coefficients omitted.
+{h_power, re_num, re_den, im_num, im_den} with zero coefficients omitted;
+h_power is a plain integer >= 0.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau
 from .minkowski import MinkowskiElement
-from .scalars import GR_ZERO, GaussRational, HSeries
+from .scalars import GaussRational, HSeries
 from .tensors import OrbitClassification, TensorElement, WedgeElement
 
 
@@ -49,13 +50,31 @@ def hseries_to_json(hs: HSeries) -> list:
     return [{"h_power": k, **gauss_to_json(c)} for k, c in hs.nz]
 
 
-def hseries_from_json(data: list, order: int) -> HSeries:
-    cs = [GR_ZERO] * (order + 1)
+def _coeffs_from_json(data: list, order: int) -> dict:
+    """{power of h: nonzero GaussRational} of a JSON series, truncated at the
+    order; a later entry for the same power replaces an earlier one."""
+    out = {}
     for item in data:
         k = item["h_power"]
+        if type(k) is not int or k < 0:
+            raise ValueError(f"h_power must be an integer >= 0, got {k!r}")
         if k <= order:
-            cs[k] = gauss_from_json(item)
-    return HSeries(order, cs)
+            out[k] = gauss_from_json(item)
+    return {k: c for k, c in out.items() if c}
+
+
+def hseries_from_json(data: list, order: int) -> HSeries:
+    return HSeries.from_nz(order, tuple(sorted(_coeffs_from_json(data, order).items())))
+
+
+def _terms_from_json(data: dict, order: int, key_of) -> dict:
+    """Flat terms {(key, power of h): GaussRational} of a JSON term list."""
+    terms = {}
+    for item in data["terms"]:
+        key = key_of(item)
+        for k, c in _coeffs_from_json(item["coeff"], order).items():
+            terms[(key, k)] = c
+    return terms
 
 
 def _gen_descriptor(code: int, dim: int) -> dict:
@@ -83,19 +102,16 @@ def element_to_json(elem: AlgebraElement) -> dict:
                 "monomial": [_gen_descriptor(c, dim) for c in mono],
                 "coeff": hseries_to_json(hs),
             }
-            for mono, hs in sorted(elem.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+            for mono, hs in sorted(elem.series().items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
     }
 
 
 def element_from_json(data: dict, alg: PoincareAlgebra) -> AlgebraElement:
-    terms = {}
-    for item in data["terms"]:
-        mono = tuple(_gen_from_descriptor(d, alg) for d in item["monomial"])
-        hs = hseries_from_json(item["coeff"], alg.order)
-        if hs:
-            terms[mono] = hs
-    return AlgebraElement(alg, terms)
+    def monomial(item):
+        return tuple(_gen_from_descriptor(d, alg) for d in item["monomial"])
+
+    return AlgebraElement(alg, _terms_from_json(data, alg.order, monomial))
 
 
 def tensor_to_json(t: TensorElement) -> dict:
@@ -108,22 +124,19 @@ def tensor_to_json(t: TensorElement) -> dict:
                 "coeff": hseries_to_json(hs),
             }
             for key, hs in sorted(
-                t.terms.items(), key=lambda kv: (sum(len(m) for m in kv[0]), kv[0])
+                t.series().items(), key=lambda kv: (sum(len(m) for m in kv[0]), kv[0])
             )
         ],
     }
 
 
 def tensor_from_json(data: dict, alg: PoincareAlgebra) -> TensorElement:
-    terms = {}
-    for item in data["terms"]:
-        key = tuple(
+    def legs(item):
+        return tuple(
             tuple(_gen_from_descriptor(d, alg) for d in mono) for mono in item["monomials"]
         )
-        hs = hseries_from_json(item["coeff"], alg.order)
-        if hs:
-            terms[key] = hs
-    return TensorElement(alg, data["legs"], terms)
+
+    return TensorElement(alg, data["legs"], _terms_from_json(data, alg.order, legs))
 
 
 def wedge_to_json(w: WedgeElement) -> dict:
@@ -155,19 +168,16 @@ def mink_to_json(elem: MinkowskiElement) -> dict:
                 "monomial": [{"x": mu} for mu in mono],
                 "coeff": hseries_to_json(hs),
             }
-            for mono, hs in sorted(elem.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+            for mono, hs in sorted(elem.series().items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
     }
 
 
 def mink_from_json(data: dict, ctx) -> MinkowskiElement:
-    terms = {}
-    for item in data["terms"]:
-        mono = tuple(d["x"] for d in item["monomial"])
-        hs = hseries_from_json(item["coeff"], ctx.algebra.order)
-        if hs:
-            terms[mono] = hs
-    return MinkowskiElement(ctx, terms)
+    def word(item):
+        return tuple(d["x"] for d in item["monomial"])
+
+    return MinkowskiElement(ctx, _terms_from_json(data, ctx.algebra.order, word))
 
 
 def orbit_to_json(o: OrbitClassification) -> dict:

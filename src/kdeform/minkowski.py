@@ -23,11 +23,12 @@ from .algebra import AlgebraElement, TermElement, accumulate
 from .errors import ContextMismatchError
 from .hopf import DeformationContext
 from .reports import VerificationReport
-from .scalars import GR_MINUS_I, GR_ONE, GaussRational, HSeries
+from .scalars import GR_I, GR_MINUS_I, GR_ONE, GaussRational, HSeries
 
 
 class MinkowskiElement(TermElement):
-    """Sparse element of the coordinate algebra: {nondecreasing index tuple: HSeries}."""
+    """Sparse element of the coordinate algebra:
+    {(nondecreasing index tuple, power of h): GaussRational}."""
 
     __slots__ = ("context",)
 
@@ -63,7 +64,7 @@ class MinkowskiElement(TermElement):
         return self._star_by(lambda mono: _coord_normal_order(ctx, tuple(reversed(mono))).items())
 
     def degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
+        return max((len(m) for m, _ in self.terms), default=0)
 
     def __repr__(self):
         from .render import mink_text
@@ -72,14 +73,13 @@ class MinkowskiElement(TermElement):
 
 
 def scalar_mink(ctx: DeformationContext, value) -> MinkowskiElement:
-    hs = value if isinstance(value, HSeries) else HSeries.constant(ctx.algebra.order, value)
-    return MinkowskiElement(ctx, {(): hs} if hs else {})
+    return MinkowskiElement(ctx, {((), 0): GR_ONE}) * value
 
 
 def coordinate(ctx: DeformationContext, mu: int) -> MinkowskiElement:
     if not 0 <= mu < ctx.algebra.dim:
         raise IndexError(f"coordinate index {mu} out of range")
-    return MinkowskiElement(ctx, {(mu,): HSeries.one(ctx.algebra.order)})
+    return MinkowskiElement(ctx, {((mu,), 0): GR_ONE})
 
 
 def coordinate_monomial(ctx: DeformationContext, indices) -> MinkowskiElement:
@@ -90,57 +90,49 @@ def coordinate_monomial(ctx: DeformationContext, indices) -> MinkowskiElement:
 
 
 def _coord_normal_order(ctx: DeformationContext, word: tuple) -> dict:
-    """Normal order a coordinate word: {word: HSeries}.  Each swap of an
-    out-of-order adjacent pair (mu > nu) emits the h-weighted linear correction
-    i h (tau^mu x^nu - tau^nu x^mu)."""
+    """Normal order a coordinate word, as flat terms {(word, power of h):
+    GaussRational}.  Each swap of an out-of-order adjacent pair (mu > nu)
+    emits the linear correction i h (tau^mu x^nu - tau^nu x^mu), one power of
+    h up: the only key product that shifts h."""
     cache = ctx._mink_no_cache
     out = cache.get(word)
     if out is not None:
         return out
-    N = ctx.algebra.order
     for i in range(len(word) - 1):
         if word[i] > word[i + 1]:
             break
     else:
-        out = {word: HSeries.one(N)}
+        out = {(word, 0): GR_ONE}
         cache[word] = out
         return out
+    N = ctx.algebra.order
     mu, nu = word[i], word[i + 1]
     head, tail = word[:i], word[i + 2 :]
-    acc = {}
-    for m, hs in _coord_normal_order(ctx, head + (nu, mu) + tail).items():
-        accumulate(acc, m, hs)
+    acc = dict(_coord_normal_order(ctx, head + (nu, mu) + tail))
     tau = ctx.tau.components
-    i_h = HSeries.h_power(N, 1, GaussRational(0, 1))
-    for comp, keep in ((tau[mu], nu), (tau[nu], mu)):
+    for comp, keep in ((tau[mu], nu), (-tau[nu], mu)):
         if not comp:
             continue
-        w = i_h * comp if keep == nu else i_h * (-comp)
-        for m, hs in _coord_normal_order(ctx, head + (keep,) + tail).items():
-            p = hs * w
-            if p:
-                accumulate(acc, m, p)
-    out = {m: hs for m, hs in acc.items() if hs}
+        w = GR_I * comp
+        for (m, j), c in _coord_normal_order(ctx, head + (keep,) + tail).items():
+            if j < N:
+                accumulate(acc, (m, j + 1), c * w)
+    out = {t: c for t, c in acc.items() if c}
     cache[word] = out
     return out
 
 
-def _coord_product(ctx: DeformationContext):
-    """Key-product rule of the coordinate algebra: concatenate two ordered
-    words and normal order, which weights the corrections by powers of h."""
-
-    def product(m1, m2):
-        word = m1 + m2
-        if m1 and m2 and m1[-1] > m2[0]:
-            return _coord_normal_order(ctx, word).items()
-        return ((word, GR_ONE),)
-
-    return product
-
-
 def mink_multiply(a: MinkowskiElement, b: MinkowskiElement) -> MinkowskiElement:
-    terms = a.algebra.mul_terms(a.terms, b.terms, key_product=_coord_product(a.context))
-    return MinkowskiElement(a.context, terms)
+    """a . b: every pair of words is concatenated and normal ordered, which
+    weights the corrections by powers of h.  The product is bilinear, so it
+    is the linear extension over a of each word's product with b."""
+    ctx = a.context
+    extend = a.algebra.extend
+
+    def times_b(w1):
+        return extend(b.terms, lambda w2: _coord_normal_order(ctx, w1 + w2).items()).items()
+
+    return MinkowskiElement(ctx, extend(a.terms, times_b))
 
 
 # -- the Hopf action ---------------------------------------------------------------
@@ -182,8 +174,8 @@ def _act_gen_mono(ctx: DeformationContext, code: int, cmono: tuple) -> Minkowski
         out = _act_gen_coordinate(ctx, code, cmono[0])
     else:
         head, tail = cmono[:1], cmono[1:]
-        head_elem = MinkowskiElement(ctx, {head: HSeries.one(ctx.algebra.order)})
-        tail_elem = MinkowskiElement(ctx, {tail: HSeries.one(ctx.algebra.order)})
+        head_elem = MinkowskiElement(ctx, {(head, 0): GR_ONE})
+        tail_elem = MinkowskiElement(ctx, {(tail, 0): GR_ONE})
         out = _leibniz(ctx, ctx.coproduct(code), head_elem, tail_elem)
     cache[key] = out
     return out
@@ -205,10 +197,8 @@ def _act_gen_coordinate(ctx: DeformationContext, code: int, mu: int) -> Minkowsk
         lowered, sign = g[sig], -1
     else:
         return scalar_mink(ctx, 0)
-    N = alg.order
     return MinkowskiElement(
-        ctx,
-        {(nu,): HSeries.constant(N, GaussRational(0, sign * c)) for nu, c in enumerate(lowered) if c},
+        ctx, {((nu,), 0): GaussRational(0, sign * c) for nu, c in enumerate(lowered) if c}
     )
 
 

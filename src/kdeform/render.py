@@ -90,9 +90,10 @@ def element_text(elem) -> str:
     if not elem.terms:
         return "0"
     dim = elem.algebra.dim
+    terms = elem.series()
     parts = []
-    for mono in _sorted_keys(elem.terms):
-        pre = _coeff_prefix(elem.terms[mono], text=True)
+    for mono in _sorted_keys(terms):
+        pre = _coeff_prefix(terms[mono], text=True)
         body = mono_text(mono, dim)
         if not mono:
             parts.append(pre if pre else "1")
@@ -105,9 +106,10 @@ def element_latex(elem) -> str:
     if not elem.terms:
         return "0"
     dim = elem.algebra.dim
+    terms = elem.series()
     parts = []
-    for mono in _sorted_keys(elem.terms):
-        pre = _coeff_prefix(elem.terms[mono], text=False)
+    for mono in _sorted_keys(terms):
+        pre = _coeff_prefix(terms[mono], text=False)
         body = mono_latex(mono, dim)
         if not mono:
             parts.append(pre if pre else "1")
@@ -120,9 +122,10 @@ def tensor_text(t) -> str:
     if not t.terms:
         return "0"
     dim = t.algebra.dim
+    terms = t.series()
     parts = []
-    for key in sorted(t.terms, key=lambda k: (sum(len(m) for m in k), k)):
-        pre = _coeff_prefix(t.terms[key], text=True)
+    for key in sorted(terms, key=lambda k: (sum(len(m) for m in k), k)):
+        pre = _coeff_prefix(terms[key], text=True)
         body = " (x) ".join(mono_text(m, dim) for m in key)
         parts.append(f"{pre}{'*' if pre else ''}[{body}]")
     return " + ".join(parts)
@@ -132,9 +135,10 @@ def tensor_latex(t) -> str:
     if not t.terms:
         return "0"
     dim = t.algebra.dim
+    terms = t.series()
     parts = []
-    for key in sorted(t.terms, key=lambda k: (sum(len(m) for m in k), k)):
-        pre = _coeff_prefix(t.terms[key], text=False)
+    for key in sorted(terms, key=lambda k: (sum(len(m) for m in k), k)):
+        pre = _coeff_prefix(terms[key], text=False)
         body = " \\otimes ".join(mono_latex(m, dim) for m in key)
         parts.append(f"{pre}\\, {body}" if pre else body)
     return " + ".join(parts).replace("+ -", "- ")
@@ -239,9 +243,10 @@ def mink_mono_text(mono: tuple) -> str:
 def mink_text(elem) -> str:
     if not elem.terms:
         return "0"
+    terms = elem.series()
     parts = []
-    for mono in _sorted_keys(elem.terms):
-        pre = _coeff_prefix(elem.terms[mono], text=True)
+    for mono in _sorted_keys(terms):
+        pre = _coeff_prefix(terms[mono], text=True)
         body = mink_mono_text(mono)
         if not mono:
             parts.append(pre if pre else "1")

@@ -1,4 +1,5 @@
-"""Exact coefficient arithmetic: Gaussian rationals and truncated series in h = 1/kappa.
+"""Exact coefficient arithmetic: Gaussian rationals, and truncated series in
+h = 1/kappa as scalar values.
 
 Everything downstream computes modulo h^(N+1) for a fixed truncation order N,
 with coefficients in Q(i).  No floating point enters anywhere.
@@ -8,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonInvertibleError, OrderMismatchError
+from .errors import OrderMismatchError
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -188,31 +189,6 @@ GR_I = GaussRational(0, 1)
 GR_MINUS_I = GaussRational(0, -1)
 
 
-def convolve_nz(nz1, nz2, N: int, negate: bool = False):
-    """Convolution of two sparse coefficient lists ((power, coeff), ...) modulo
-    h^(N+1); the workhorse of every product loop."""
-    if len(nz1) == 1 and len(nz2) == 1:
-        k1, c1 = nz1[0]
-        k2, c2 = nz2[0]
-        k = k1 + k2
-        if k > N:
-            return ()
-        c = c1 * c2
-        return ((k, -c if negate else c),)
-    acc = {}
-    for k1, c1 in nz1:
-        for k2, c2 in nz2:
-            k = k1 + k2
-            if k > N:
-                continue
-            p = c1 * c2
-            cur = acc.get(k)
-            acc[k] = p if cur is None else cur + p
-    if negate:
-        return tuple((k, -c) for k, c in acc.items() if c)
-    return tuple((k, c) for k, c in acc.items() if c)
-
-
 def binom_half(n: int) -> Fraction:
     """Binomial coefficient (1/2 choose n), exactly."""
     num = _F1
@@ -225,19 +201,19 @@ def binom_half(n: int) -> Fraction:
 
 
 class HSeries:
-    """A polynomial sum_k c_k h^k truncated at k = order, c_k Gaussian rational.
+    """A polynomial sum_k c_k h^k truncated at k = order, c_k Gaussian rational:
+    a scalar value.  Elements store their coefficients flat, one
+    GaussRational per (key, power of h); a series is what multiplies them
+    (h^k and its multiples), what the counit returns, and what output
+    groups each key's powers into.
 
     Only the nonzero coefficients are stored: nz = ((power, coefficient), ...)
     with increasing powers and no zero coefficient, so equality is structural.
-    Every series the engine builds is homogeneous (one nonzero power), so nz
-    is almost always one pair or empty.  coeffs is the dense view
-    (c_0, ..., c_order), built on demand for output and tests.
-
-    Addition and multiplication are performed modulo h^(order+1); combining two
-    series of different orders is an error rather than a silent coercion.
+    Addition is performed modulo h^(order+1); combining two series of
+    different orders is an error rather than a silent coercion.
     """
 
-    __slots__ = ("order", "nz", "valuation")
+    __slots__ = ("order", "nz")
 
     def __init__(self, order: int, coeffs=None):
         if order < 0:
@@ -251,7 +227,6 @@ class HSeries:
             nz = tuple((k, c) for k, c in enumerate(gs) if c)
         self.order = order
         self.nz = nz
-        self.valuation = nz[0][0] if nz else order + 1  # order + 1: the zero series
 
     @classmethod
     def from_nz(cls, order: int, nz: tuple) -> "HSeries":
@@ -260,16 +235,7 @@ class HSeries:
         out = _new(cls)
         out.order = order
         out.nz = nz
-        out.valuation = nz[0][0] if nz else order + 1
         return out
-
-    @classmethod
-    def from_row(cls, order: int, row: dict) -> "HSeries":
-        """The series of a sparse row {power: coefficient}; zeros are dropped."""
-        if len(row) == 1:
-            ((k, c),) = row.items()
-            return cls.from_nz(order, ((k, c),) if c else ())
-        return cls.from_nz(order, tuple(sorted(((k, c) for k, c in row.items() if c), key=_power)))
 
     # -- constructors ------------------------------------------------------
 
@@ -292,27 +258,8 @@ class HSeries:
     # -- queries -----------------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple:
-        """The dense coefficients (c_0, ..., c_order)."""
-        cs = [GR_ZERO] * (self.order + 1)
-        for k, c in self.nz:
-            cs[k] = c
-        return tuple(cs)
-
-    def coeff(self, k: int) -> GaussRational:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"h^{k} is outside a series truncated at h^{self.order}")
-        for j, c in self.nz:
-            if j == k:
-                return c
-        return GR_ZERO
-
-    @property
     def is_zero(self) -> bool:
         return not self.nz
-
-    def constant_term(self) -> GaussRational:
-        return self.nz[0][1] if self.valuation == 0 else GR_ZERO
 
     def __bool__(self):
         return bool(self.nz)
@@ -336,7 +283,7 @@ class HSeries:
                 parts.append(hk if c == 1 else f"{c!r}*{hk}")
         return " + ".join(parts)
 
-    # -- ring operations ---------------------------------------------------
+    # -- linear operations ---------------------------------------------------
 
     def _check(self, other: "HSeries"):
         if self.order != other.order:
@@ -370,15 +317,7 @@ class HSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, HSeries):
-            self._check(other)
-            N = self.order
-            if self.valuation + other.valuation > N:
-                return HSeries.from_nz(N, ())
-            pairs = convolve_nz(self.nz, other.nz, N)
-            if len(pairs) > 1:
-                pairs = tuple(sorted(pairs, key=_power))
-            return HSeries.from_nz(N, pairs)
+        """Multiplication by a scalar coefficient."""
         if isinstance(other, (int, Fraction, GaussRational)):
             if not other:
                 return HSeries.from_nz(self.order, ())
@@ -388,74 +327,9 @@ class HSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.invert() ** (-n)
-        out = HSeries.one(self.order)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def shift(self, k: int) -> "HSeries":
-        """Multiply by h^k (k >= 0), dropping coefficients pushed past the order."""
-        if k < 0:
-            raise ValueError("shift takes a non-negative power of h")
-        if k == 0:
-            return self
-        N = self.order
-        return HSeries.from_nz(N, tuple((j + k, c) for j, c in self.nz if j + k <= N))
-
-    def invert(self) -> "HSeries":
-        """Multiplicative inverse modulo h^(order+1), by geometric recursion."""
-        if self.valuation:
-            raise NonInvertibleError("series with zero constant term has no inverse")
-        N = self.order
-        inv0 = GR_ONE / self.nz[0][1]
-        tail = self.nz[1:]
-        out = [inv0] + [GR_ZERO] * N
-        for n in range(1, N + 1):
-            s = GR_ZERO
-            for k, c in tail:
-                if k > n:
-                    break
-                if out[n - k]:
-                    s = s + out[n - k] * c
-            out[n] = -inv0 * s
-        return HSeries(N, out)
-
-    def conjugate(self) -> "HSeries":
-        return HSeries.from_nz(self.order, tuple((k, c.conjugate()) for k, c in self.nz))
-
-    def truncate(self, order: int) -> "HSeries":
-        """Project onto a lower truncation order."""
-        if order > self.order:
-            raise OrderMismatchError("cannot extend a truncated series")
-        if order < 0:
-            raise ValueError("truncation order must be non-negative")
-        return HSeries.from_nz(order, tuple(p for p in self.nz if p[0] <= order))
-
-    def rescale_h(self, s) -> "HSeries":
-        """Substitute h -> h/s for a nonzero rational s (coefficient c_k -> c_k / s^k)."""
-        s = as_fraction(s)
-        if not s:
-            raise ZeroDivisionError("rescaling parameter must be nonzero")
-        return HSeries.from_nz(self.order, tuple((k, c / s**k if k else c) for k, c in self.nz))
-
-
-def _power(pair):
-    return pair[0]
-
 
 def _merge_nz(nz1, nz2, subtract: bool) -> tuple:
     """nz1 + nz2 (or nz1 - nz2) on sorted nonzero-coefficient tuples."""
-    if not nz2:
-        return nz1
-    if not nz1:
-        return tuple((k, -c) for k, c in nz2) if subtract else nz2
-    if len(nz1) == 1 and len(nz2) == 1 and nz1[0][0] == nz2[0][0]:
-        k, c = nz1[0]
-        s = c - nz2[0][1] if subtract else c + nz2[0][1]
-        return ((k, s),) if s else ()
     row = dict(nz1)
     for k, c in nz2:
         cur = row.get(k)
@@ -463,4 +337,4 @@ def _merge_nz(nz1, nz2, subtract: bool) -> tuple:
             row[k] = -c if subtract else c
         else:
             row[k] = cur - c if subtract else cur + c
-    return tuple(sorted(((k, c) for k, c in row.items() if c), key=_power))
+    return tuple(sorted((k, c) for k, c in row.items() if c))

@@ -19,14 +19,15 @@ from .algebra import (
     invert_in,
 )
 from .errors import ContextMismatchError, InvalidVectorError
-from .scalars import GR_I, GR_MINUS_I, GR_ONE, GaussRational, HSeries
+from .scalars import GR_I, GR_MINUS_I, GR_ONE, GaussRational
 
 _F0 = Fraction(0)
 
 
 class TensorElement(TermElement):
-    """A k-legged tensor: {(monomial, ..., monomial): HSeries}, each leg a PBW
-    monomial.  The product acts leg-wise: (a (x) b)(c (x) d) = ac (x) bd."""
+    """A k-legged tensor: {((monomial, ..., monomial), power of h): GaussRational},
+    each leg a PBW monomial.  The product acts leg-wise:
+    (a (x) b)(c (x) d) = ac (x) bd."""
 
     __slots__ = ("legs",)
 
@@ -45,13 +46,13 @@ class TensorElement(TermElement):
 
     @classmethod
     def unit(cls, algebra: PoincareAlgebra, legs: int) -> "TensorElement":
-        return cls(algebra, legs, {((),) * legs: HSeries.one(algebra.order)})
+        return cls(algebra, legs, {(((),) * legs, 0): GR_ONE})
 
     @classmethod
     def of(cls, *factors: AlgebraElement) -> "TensorElement":
         """The tensor product a1 (x) a2 (x) ... of algebra elements."""
         alg = factors[0].algebra
-        terms = {(): HSeries.one(alg.order)}
+        terms = {((), 0): GR_ONE}
         for f in factors:
             if not alg.compatible(f.algebra):
                 raise ContextMismatchError("tensor factors from incompatible contexts")
@@ -70,7 +71,9 @@ class TensorElement(TermElement):
 
     def transpose(self, perm) -> "TensorElement":
         """Permute legs: new leg i carries what old leg perm[i] carried."""
-        return self._with({tuple(k[p] for p in perm): hs for k, hs in self.terms.items()})
+        return self._with(
+            {(tuple(key[p] for p in perm), k): c for (key, k), c in self.terms.items()}
+        )
 
     def flip(self) -> "TensorElement":
         if self.legs != 2:
@@ -84,7 +87,7 @@ class TensorElement(TermElement):
         perm = {"12": (0, 1, 2), "13": (0, 2, 1), "23": (2, 0, 1)}.get(placement)
         if perm is None:
             raise ValueError(f"invalid placement {placement!r}; expected 12, 13 or 23")
-        terms = {(m1, m2, ()): hs for (m1, m2), hs in self.terms.items()}
+        terms = {((m1, m2, ()), k): c for ((m1, m2), k), c in self.terms.items()}
         return TensorElement(self.algebra, 3, terms).transpose(perm)
 
     def map_leg(self, i: int, fn) -> "TensorElement":
@@ -95,23 +98,22 @@ class TensorElement(TermElement):
             img = fn(key[i])
             head, tail = key[:i], key[i + 1 :]
             if isinstance(img, TensorElement):
-                return [(head + k + tail, hs) for k, hs in img.terms.items()]
-            return [(head + (k,) + tail, hs) for k, hs in img.terms.items()]
+                return [((head + m + tail, j), c) for (m, j), c in img.terms.items()]
+            return [((head + (m,) + tail, j), c) for (m, j), c in img.terms.items()]
 
         terms = self.algebra.extend(self.terms, spliced)
-        legs = len(next(iter(terms))) if terms else self.legs  # zero: the count is moot
+        legs = len(next(iter(terms))[0]) if terms else self.legs  # zero: the count is moot
         return TensorElement(self.algebra, legs, terms)
 
     def contract_counit(self, i: int):
         """Apply the counit to leg i (keep only unit monomials there)."""
         acc = {}
-        for key, hs in self.terms.items():
-            if key[i]:
-                continue
-            accumulate(acc, key[:i] + key[i + 1 :], hs)
-        terms = {k: v for k, v in acc.items() if v}
+        for (key, k), c in self.terms.items():
+            if not key[i]:
+                accumulate(acc, (key[:i] + key[i + 1 :], k), c)
+        terms = {t: c for t, c in acc.items() if c}
         if self.legs == 2:
-            return AlgebraElement(self.algebra, {k[0]: v for k, v in terms.items()})
+            return AlgebraElement(self.algebra, {(key[0], k): c for (key, k), c in terms.items()})
         return TensorElement(self.algebra, self.legs - 1, terms)
 
     def merge_legs(self) -> AlgebraElement:
@@ -138,7 +140,9 @@ class TensorElement(TermElement):
         """(a (x) b)* = a* (x) b*: star each leg, no flip."""
         normal_order = self.algebra.normal_order
         return self._star_by(
-            lambda key: _leg_combos(normal_order(tuple(reversed(m))) for m in key)
+            lambda key: [
+                ((ms, 0), c) for ms, c in _leg_combos(normal_order(tuple(reversed(m))) for m in key)
+            ]
         )
 
     def __repr__(self):
@@ -283,13 +287,11 @@ class WedgeElement:
         """
         if self.degree != 2:
             raise ValueError("tensor realization implemented for degree 2")
-        alg = self.algebra
-        one = HSeries.one(alg.order)
         acc = {}
         for (x, y), c in self.terms.items():
-            accumulate(acc, ((x,), (y,)), one * (c * GR_MINUS_I))
-            accumulate(acc, ((y,), (x,)), one * (c * GR_I))
-        return TensorElement(alg, 2, {k: v for k, v in acc.items() if v})
+            accumulate(acc, (((x,), (y,)), 0), c * GR_MINUS_I)
+            accumulate(acc, (((y,), (x,)), 0), c * GR_I)
+        return TensorElement(self.algebra, 2, {t: c for t, c in acc.items() if c})
 
     def __repr__(self):
         from .render import wedge_text

@@ -54,12 +54,30 @@ def random_metric(rng: random.Random, dim: int) -> Metric:
             continue
 
 
-def random_tau(rng: random.Random, metric: Metric, null=False) -> VectorTau:
+def random_tau(rng: random.Random, metric: Metric) -> VectorTau:
     while True:
         comps = [Fraction(rng.randint(-3, 3)) for _ in range(metric.dim)]
-        if not any(comps):
+        if any(comps):
+            return VectorTau(metric, comps)
+
+
+def random_null_pair(rng: random.Random, dim: int):
+    """(metric, tau) with tau null: a random_metric whose g_00 is solved for
+    g(tau, tau) = 0 with a random integer tau, tau^0 != 0."""
+    while True:
+        rows = [list(r) for r in random_metric(rng, dim).rows]
+        comps = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
+        if not comps[0]:
             continue
-        tau = VectorTau(metric, comps)
-        if null and tau.tau_sq:
+        rest = sum(
+            rows[i][j] * comps[i] * comps[j]
+            for i in range(dim)
+            for j in range(dim)
+            if i or j
+        )
+        rows[0][0] = -rest / (comps[0] * comps[0])
+        try:
+            metric = Metric(rows)
+        except Exception:
             continue
-        return tau
+        return metric, VectorTau(metric, comps)

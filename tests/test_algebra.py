@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kdeform import GaussRational, HSeries, Metric, PoincareAlgebra, VectorTau
-from kdeform.errors import ContextMismatchError, DegenerateMetricError
+from kdeform import GaussRational, HSeries, Metric, PoincareAlgebra, VectorTau, divide_h
+from kdeform.algebra import AlgebraElement
+from kdeform.errors import ContextMismatchError, DegenerateMetricError, NonInvertibleError
 
 from conftest import random_metric
 
@@ -89,7 +92,7 @@ class TestMultiply:
     def test_momenta_merge(self, eta4):
         alg = PoincareAlgebra(eta4, 2)
         m = (alg.P(1) * alg.P(0)).terms
-        assert list(m) == [(alg.momentum_code(0), alg.momentum_code(1))]
+        assert [key for key, _ in m] == [(alg.momentum_code(0), alg.momentum_code(1))]
 
     def test_single_rewrite_step(self, eta4):
         # P_0 M_01 = M_01 P_0 - [M_01, P_0] = M_01 P_0 - i P_1
@@ -114,7 +117,7 @@ class TestMultiply:
         alg = PoincareAlgebra(eta4, 2)
         a = alg.M(0, 1) * alg.M(1, 3) * alg.P(0) * alg.P(2)
         terms = dict(a.terms)
-        redone = alg.mul_terms(terms, {(): HSeries.one(2)})
+        redone = alg.mul_terms(terms, alg.one().terms)
         assert redone == terms
 
     def test_context_mismatch(self, eta4, eta3):
@@ -190,3 +193,99 @@ class TestStar:
         alg = PoincareAlgebra(eta4, 3)
         a = alg.M(0, 1) * alg.P(0) * I + alg.P(2) * HSeries.h_power(3, 1) + alg.one()
         assert a.star().star() == a
+
+
+# -- the flat linear layer against per-key dense series ---------------------------
+#
+# A reference element is {monomial: [c_0, ..., c_N]}, the dense series of each
+# key, and every operation below is written on those lists here.  The
+# coefficients are drawn from a small set, zero-heavy and closed under
+# negation, so sums cancel often.
+
+ETA2 = Metric([[-1, 0], [0, 1]])
+REF_KEYS = ((), (1,), (4,), (5,), (1, 4), (4, 5))  # 1, M_01, P_0, P_1, M_01 P_0, P_0 P_1
+ref_coeff = st.sampled_from(
+    [GaussRational(0)] * 3
+    + [GaussRational(1), GaussRational(-1), I, -I]
+    + [GaussRational(Fraction(1, 2)), GaussRational(2, 1)]
+)
+ref_scalar = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from([Fraction(-1, 2), Fraction(3, 2)]),
+    ref_coeff,
+)
+
+
+@st.composite
+def ref_elements(draw, order):
+    keys = draw(st.lists(st.sampled_from(REF_KEYS), unique=True, max_size=4))
+    return {k: draw(st.lists(ref_coeff, min_size=order + 1, max_size=order + 1)) for k in keys}
+
+
+@st.composite
+def ref_cases(draw):
+    """(order, x, y): y negates x on some keys, so x + y cancels there."""
+    order = draw(st.integers(1, 3))
+    x, y = draw(ref_elements(order)), draw(ref_elements(order))
+    for key in draw(st.lists(st.sampled_from(sorted(x)), unique=True)) if x else ():
+        y[key] = [-c for c in x[key]]
+    return order, x, y
+
+
+def flat(ref) -> dict:
+    return {(key, k): c for key, cs in ref.items() for k, c in enumerate(cs) if c}
+
+
+def zip_ref(x, y, op, order):
+    zero = [GaussRational(0)] * (order + 1)
+    return {k: [op(a, b) for a, b in zip(x.get(k, zero), y.get(k, zero))] for k in {*x, *y}}
+
+
+def map_ref(x, op):
+    return {key: [op(k, c) for k, c in enumerate(cs)] for key, cs in x.items()}
+
+
+class TestFlatLinearLayer:
+    @settings(max_examples=150, deadline=None)
+    @given(ref_cases(), ref_scalar, st.lists(ref_coeff, min_size=4, max_size=4))
+    def test_against_dense_series(self, case, s, dense):
+        order, x, y = case
+        alg = PoincareAlgebra(ETA2, order)
+        a, b = AlgebraElement(alg, flat(x)), AlgebraElement(alg, flat(y))
+        assert (a + b).terms == flat(zip_ref(x, y, lambda p, q: p + q, order))
+        assert (a - b).terms == flat(zip_ref(x, y, lambda p, q: p - q, order))
+        assert (-a).terms == flat(map_ref(x, lambda k, c: -c))
+        assert (a - a).terms == {} and (a + (-a)).terms == {}
+        assert ((a + b) - b).terms == a.terms
+
+        for scalar in (s,) if isinstance(s, GaussRational) else (s, GaussRational(s)):
+            assert (a * scalar).terms == flat(map_ref(x, lambda k, c: c * scalar))
+        series = HSeries(order, dense[: order + 1])
+        conv = {
+            key: [
+                sum((cs[i] * dense[k - i] for i in range(k + 1)), GaussRational(0))
+                for k in range(order + 1)
+            ]
+            for key, cs in x.items()
+        }
+        assert (a * series).terms == flat(conv)
+        assert (series * a).terms == flat(conv)
+
+        for k in range(order + 1):
+            assert a.h_coefficient(k) == {key: cs[k] for key, cs in x.items() if cs[k]}
+        for m in range(1, order + 1):
+            low = PoincareAlgebra(ETA2, m)
+            assert a.project_to(low).terms == flat({key: cs[: m + 1] for key, cs in x.items()})
+        for r in (Fraction(2), Fraction(-1, 3)):
+            assert a.rescale_h(r).terms == flat(map_ref(x, lambda k, c: c * (1 / r) ** k))
+
+        counit = x.get((), [GaussRational(0)] * (order + 1))
+        assert a.counit() == HSeries(order, counit)
+
+        for j in range(1, order + 1):
+            if any(cs[k] for cs in x.values() for k in range(j)):
+                with pytest.raises(NonInvertibleError):
+                    divide_h(a, j)
+            else:
+                want = {key: cs[j:] + [GaussRational(0)] * j for key, cs in x.items()}
+                assert divide_h(a, j).terms == flat(want)

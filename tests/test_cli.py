@@ -135,6 +135,34 @@ class TestVerify:
         assert code == 0
         assert "skipped" in out  # the MR suite does not apply to null tau
 
+    @staticmethod
+    def _null_eta3(tmp_path, basis):
+        cfg = tmp_path / f"{basis}.json"
+        data = {"metric": [[-1, 0, 0], [0, 1, 0], [0, 0, 1]], "tau": [1, 0, 1]}
+        cfg.write_text(json.dumps({**data, "truncation_order": 2, "basis": basis}))
+        return str(cfg)
+
+    def test_verify_runs_in_the_configured_basis(self, capsys, tmp_path):
+        # the twist suite ties a caller's context that is not light-cone
+        # adapted to a fresh adapted one; in the light-cone basis it needs no tie
+        tie = "caller-coproduct-in-adapted-basis"
+        for basis, tied in (("auto", True), ("lightcone", False)):
+            cfg = self._null_eta3(tmp_path, basis)
+            code, out, _ = run(capsys, "verify", "--config", cfg, "--suite", "twist")
+            assert code == 0
+            assert (tie in out) is tied, basis
+
+    def test_verify_rejects_a_basis_tau_does_not_admit(self, capsys, tmp_path, monkeypatch):
+        def build(*args):
+            raise AssertionError("a context was built before the basis was checked")
+
+        monkeypatch.setattr(cli, "DeformationContext", build)
+        monkeypatch.setattr(cli, "adapted_context", build)
+        monkeypatch.setattr(cli, "_schouten_report", build)
+        code, _, err = run(capsys, "verify", "--config", self._null_eta3(tmp_path, "orthogonal"))
+        assert code == 2
+        assert "orthogonal basis requires tau^2 != 0" in err
+
     def test_corrupted_coproduct_fails(self, capsys, tmp_path):
         cfg = tmp_path / "d2.json"
         cfg.write_text(

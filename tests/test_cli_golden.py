@@ -1,9 +1,13 @@
-"""Byte-for-byte snapshot of the CLI's classify and emit output.
+"""Byte-for-byte snapshot of the CLI's classify, emit and verify output.
 
 The snapshot in tests/data/cli_golden.json covers `classify` for every
 built-in example and `emit` of every object that applies to it at --order 2,
-each in text, latex and json.  Regenerate it (only when an output change is
-intended) with
+each in text, latex and json.  tests/data/cli_golden_verify.json pins the
+verdicts: `verify --suite all --order 2` in text for every built-in example,
+and the three `--corrupt` negative controls, with the per-suite timings
+masked.  That fixes every check name, count and verdict, and the first-term
+residual text of each failure.  Regenerate both (only when an output change
+is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -11,6 +15,7 @@ intended) with
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -20,6 +25,8 @@ from kdeform.cli import EMIT_OBJECTS, EXAMPLES, main
 from kdeform.jsonio import FORMAT_CHOICES, config_from_json
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+GOLDEN_VERIFY = Path(__file__).parent / "data" / "cli_golden_verify.json"
+_TIMING = re.compile(r" \(\d+\.\d\ds\)$", re.M)
 
 
 def _generators(dim: int):
@@ -47,31 +54,63 @@ def cases():
     return out
 
 
+def verify_cases():
+    """Every verify (argv) the verdict snapshot pins: each example's full run,
+    then the negative controls of the CI."""
+    out = [["verify", "--example", name, "--suite", "all", "--order", "2"] for name in sorted(EXAMPLES)]
+    for name, suite in (("time-like", "hopf"), ("light-like", "twist"), ("tachyonic", "mr")):
+        out.append(["verify", "--example", name, "--suite", suite, "--order", "2", "--corrupt"])
+    return out
+
+
 def run_cli(argv) -> dict:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(list(argv))
-    return {"argv": " ".join(argv), "exit": code, "stdout": buf.getvalue()}
+    stdout = buf.getvalue()
+    if argv[0] == "verify":
+        stdout = _TIMING.sub(" (x.xxs)", stdout)
+    return {"argv": " ".join(argv), "exit": code, "stdout": stdout}
+
+
+def _load(path):
+    return {entry["argv"]: entry for entry in json.loads(path.read_text())}
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return {entry["argv"]: entry for entry in json.loads(GOLDEN.read_text())}
+    return _load(GOLDEN)
 
 
-def test_snapshot_covers_every_case(golden):
+@pytest.fixture(scope="module")
+def golden_verify():
+    return _load(GOLDEN_VERIFY)
+
+
+def test_snapshot_covers_every_case(golden, golden_verify):
     assert sorted(golden) == sorted(" ".join(argv) for argv in cases())
+    assert sorted(golden_verify) == sorted(" ".join(argv) for argv in verify_cases())
 
 
-@pytest.mark.parametrize("argv", cases(), ids=" ".join)
-def test_output_matches_snapshot(golden, argv):
+def _assert_matches(snapshot, argv):
     got = run_cli(argv)
-    want = golden[got["argv"]]
+    want = snapshot[got["argv"]]
     assert got["exit"] == want["exit"]
     assert got["stdout"] == want["stdout"]
 
 
+@pytest.mark.parametrize("argv", cases(), ids=" ".join)
+def test_output_matches_snapshot(golden, argv):
+    _assert_matches(golden, argv)
+
+
+@pytest.mark.parametrize("argv", verify_cases(), ids=" ".join)
+def test_verdicts_match_snapshot(golden_verify, argv):
+    _assert_matches(golden_verify, argv)
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps([run_cli(argv) for argv in cases()], indent=1) + "\n")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    for path, argvs in ((GOLDEN, cases()), (GOLDEN_VERIFY, verify_cases())):
+        path.write_text(json.dumps([run_cli(argv) for argv in argvs], indent=1) + "\n")
+        print(f"wrote {path}", file=sys.stderr)

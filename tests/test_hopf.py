@@ -1,14 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_metric, random_null_pair, random_tau
 from kdeform import GaussRational, HSeries, Metric, TensorElement
+from kdeform.bases import verify_mr
 from kdeform.hopf import (
     DeformationContext,
     pi_identities_report,
     primitivity_report,
     verify_hopf,
 )
+from kdeform.minkowski import coordinate
+from kdeform.twist import build_twist, verify_twist
 
 I = GaussRational(0, 1)
 
@@ -178,7 +185,7 @@ class TestMomentumSubalgebra:
             ctx = DeformationContext(metric, tau, 3)
             series = [ctx.pi, ctx.pi_inv, ctx.c_tau, ctx.p_tau, ctx.casimir]
             for a in series:
-                assert all(code >= ctx.algebra._mom0 for m in a.terms for code in m)
+                assert all(code >= ctx.algebra._mom0 for m, _ in a.terms for code in m)
                 for b in series:
                     assert a * b == b * a
 
@@ -223,3 +230,47 @@ class TestVerifyHopfSmall:
         assert names == {"coassociativity", "counit-axioms"}
         data = rep.to_json()
         assert data["passed"] is True and data["suite"] == "hopf"
+
+
+class TestRandomizedSuites:
+    """The Hopf suite and the suite of the orbit, Majid-Ruegg for tau^2 != 0
+    and the twist for tau^2 = 0, on random non-diagonal rational metrics."""
+
+    @staticmethod
+    def _suites_pass(metric, tau):
+        ctx = DeformationContext(metric, tau, 2)
+        assert verify_hopf(ctx).all_passed
+        orbit_suite = verify_mr if tau.tau_sq else verify_twist
+        rep = orbit_suite(ctx)
+        assert rep.skipped is None and rep.all_passed, rep.failures()
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)))
+    def test_random_tau(self, seed, dim):
+        rng = random.Random(seed)
+        metric = random_metric(rng, dim)
+        self._suites_pass(metric, random_tau(rng, metric))
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)))
+    def test_random_null_tau(self, seed, dim):
+        self._suites_pass(*random_null_pair(random.Random(seed), dim))
+
+
+class TestFlatTerms:
+    def test_every_element_stores_flat_nonzero_coefficients(self):
+        # lightcone-adapted eta_4 (g_03 = 1, tau = e_0), so the twist builds
+        metric = Metric([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]])
+        ctx = DeformationContext(metric, [1, 0, 0, 0], 3)
+        alg = ctx.algebra
+        twist = build_twist(ctx)
+        elements = [ctx.pi, ctx.pi_inv, ctx.c_tau, twist.twist, twist.r_quantum]
+        for code in ctx.generator_codes():
+            elements += [ctx.coproduct(code), ctx.antipode(code)]
+        x0, x1 = coordinate(ctx, 0), coordinate(ctx, 1)
+        elements += [x1 * x0 * x1, (x1 * x0).star()]
+        for elem in elements:
+            assert elem.terms
+            for (key, k), c in elem.terms.items():
+                assert type(key) is tuple and type(k) is int and 0 <= k <= alg.order
+                assert type(c) is GaussRational and c

@@ -26,6 +26,15 @@ class TestScalarRoundTrip:
         assert len(data) == 3  # zero coefficient omitted
         assert jsonio.hseries_from_json(json.loads(json.dumps(data)), 3) == hs
 
+    @pytest.mark.parametrize("power", [-1, True, 1.0, "1"])
+    def test_h_power_must_be_a_plain_int(self, eta2, power):
+        data = [{"h_power": power, "re_num": 5, "re_den": 1, "im_num": 0, "im_den": 1}]
+        with pytest.raises(ValueError, match="h_power"):
+            jsonio.hseries_from_json(data, 3)
+        term = {"monomial": [], "coeff": data}
+        with pytest.raises(ValueError, match="h_power"):
+            jsonio.element_from_json({"terms": [term]}, PoincareAlgebra(eta2, 3))
+
     def test_rational_strings(self):
         from fractions import Fraction
 

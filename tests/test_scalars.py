@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdeform import GaussRational, HSeries, binom_half
-from kdeform.errors import NonInvertibleError, OrderMismatchError
+from kdeform.errors import OrderMismatchError
 
 
 def hs(order, *coeffs):
@@ -50,83 +50,15 @@ class TestHSeriesExamples:
         # h^2 + h^3 at N=2: the h^3 term does not exist at this order
         assert hs(2, 0, 0, 1) + HSeries.h_power(2, 3) == hs(2, 0, 0, 1)
 
-    def test_mul_telescopes(self):
-        assert hs(2, 1, 1) * hs(2, 1, -1) == hs(2, 1, 0, -1)
-
-    def test_mul_truncation(self):
-        assert HSeries.h_power(1, 1) * HSeries.h_power(1, 1) == HSeries(1)
-
-    def test_invert_geometric(self):
-        assert hs(2, 1, 1).invert() == hs(2, 1, -1, 1)
-
-    def test_invert_constant(self):
-        assert HSeries.constant(3, 2).invert() == HSeries.constant(3, Fraction(1, 2))
-
-    def test_invert_no_constant_term(self):
-        with pytest.raises(NonInvertibleError):
-            HSeries.h_power(2, 1).invert()
-
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatchError):
             hs(2, 1) + hs(3, 1)
-        with pytest.raises(OrderMismatchError):
-            hs(2, 1) * hs(3, 1)
-
-    def test_rescale_h(self):
-        a = hs(2, 1, 2, 4)
-        assert a.rescale_h(2) == hs(2, 1, 1, 1)
-
-    def test_shift(self):
-        assert hs(2, 1, 1).shift(1) == hs(2, 0, 1, 1)
 
     def test_binom_half(self):
         assert binom_half(0) == 1
         assert binom_half(1) == Fraction(1, 2)
         assert binom_half(2) == Fraction(-1, 8)
         assert binom_half(3) == Fraction(1, 16)
-
-
-gauss = st.builds(
-    GaussRational,
-    st.fractions(max_denominator=20, min_value=-10, max_value=10),
-    st.fractions(max_denominator=20, min_value=-10, max_value=10),
-)
-
-
-def series(order):
-    return st.lists(gauss, min_size=order + 1, max_size=order + 1).map(
-        lambda cs: HSeries(order, cs)
-    )
-
-
-class TestHSeriesProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(series(3), series(3), series(3))
-    def test_ring_axioms(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-
-    @settings(max_examples=40, deadline=None)
-    @given(series(4))
-    def test_two_sided_inverse(self, a):
-        if not a.constant_term():
-            with pytest.raises(NonInvertibleError):
-                a.invert()
-            return
-        inv = a.invert()
-        one = HSeries.one(4)
-        assert a * inv == one
-        assert inv * a == one
-
-    @settings(max_examples=40, deadline=None)
-    @given(series(4), series(4))
-    def test_truncation_is_ring_homomorphism(self, a, b):
-        for m in (1, 2, 3):
-            assert (a * b).truncate(m) == a.truncate(m) * b.truncate(m)
-            assert (a + b).truncate(m) == a.truncate(m) + b.truncate(m)
 
 
 # -- reference arithmetic ---------------------------------------------------------
@@ -197,27 +129,6 @@ def build(ref):
     return HSeries(len(ref) - 1, [GaussRational(*p) for p in ref])
 
 
-def d_mul(x, y):
-    n = len(x) - 1
-    out = [ZERO] * (n + 1)
-    for i, a in enumerate(x):
-        for j, b in enumerate(y[: n + 1 - i]):
-            out[i + j] = p_add(out[i + j], p_mul(a, b))
-    return out
-
-
-def d_invert(x):
-    n = len(x) - 1
-    inv0 = p_div((Fraction(1), Fraction(0)), x[0])
-    out = [inv0]
-    for k in range(1, n + 1):
-        s = ZERO
-        for j in range(k):
-            s = p_add(s, p_mul(out[j], x[k - j]))
-        out.append(p_neg(p_mul(inv0, s)))
-    return out
-
-
 def assert_matches(hs, ref):
     """hs holds exactly the dense reference: sorted zero-free nz, and every
     derived view agrees."""
@@ -226,10 +137,6 @@ def assert_matches(hs, ref):
     assert hs.order == order
     assert tuple((k, pair(c)) for k, c in hs.nz) == expect_nz
     assert all(type(c) is GaussRational for _, c in hs.nz)
-    assert [pair(c) for c in hs.coeffs] == ref
-    assert hs.valuation == (expect_nz[0][0] if expect_nz else order + 1)
-    assert [pair(hs.coeff(k)) for k in range(order + 1)] == ref
-    assert pair(hs.constant_term()) == ref[0]
     assert hs.is_zero is (not expect_nz)
     assert bool(hs) is bool(expect_nz)
     assert hs == build(ref)
@@ -278,8 +185,6 @@ class TestHSeriesReference:
         assert_matches(a + b, [p_add(p, q) for p, q in zip(x, y)])
         assert_matches(a - b, [p_sub(p, q) for p, q in zip(x, y)])
         assert_matches(-a, [p_neg(p) for p in x])
-        assert_matches(a * b, d_mul(x, y))
-        assert_matches(a.conjugate(), [p_conj(p) for p in x])
         assert (a == b) is (x == y)
 
     @settings(max_examples=120, deadline=None)
@@ -299,42 +204,11 @@ class TestHSeriesReference:
             assert_matches(HSeries.constant(len(x) - 1, s), const)
 
     @settings(max_examples=120, deadline=None)
-    @given(series_pairs(count=1), st.integers(0, 5), st.integers(0, 4))
-    def test_shift_truncate_h_power(self, drawn, k, m):
-        order, (x,) = drawn
-        a = build(x)
-        assert_matches(a.shift(k), ([ZERO] * k + x)[: order + 1])
-        if m <= order:
-            assert_matches(a.truncate(m), x[: m + 1])
+    @given(series_pairs(count=1), st.integers(0, 5))
+    def test_h_power(self, drawn, k):
+        order, _ = drawn
         for g in (GaussRational(1), GaussRational(0, -2), GaussRational(0)):
             want = [ZERO] * (order + 1)
             if k <= order:
                 want[k] = pair(g)
             assert_matches(HSeries.h_power(order, k, g), want)
-
-    @settings(max_examples=120, deadline=None)
-    @given(series_pairs(count=1), st.sampled_from([2, -3, Fraction(1, 2), Fraction(-2, 5)]))
-    def test_rescale_h(self, drawn, s):
-        _, (x,) = drawn
-        s = Fraction(s)
-        assert_matches(build(x).rescale_h(s), [(p[0] / s**k, p[1] / s**k) for k, p in enumerate(x)])
-
-    @settings(max_examples=120, deadline=None)
-    @given(series_pairs(count=1), st.integers(0, 3))
-    def test_invert_and_powers(self, drawn, n):
-        _, (x,) = drawn
-        a = build(x)
-        want = [(Fraction(1), Fraction(0))] + [ZERO] * (len(x) - 1)
-        for _ in range(n):
-            want = d_mul(want, x)
-        assert_matches(a**n, want)
-        if x[0] == ZERO:
-            with pytest.raises(NonInvertibleError):
-                a.invert()
-            return
-        inv = d_invert(x)
-        assert_matches(a.invert(), inv)
-        want = [(Fraction(1), Fraction(0))] + [ZERO] * (len(x) - 1)
-        for _ in range(n):
-            want = d_mul(want, inv)
-        assert_matches(a ** (-n), want)
