@@ -274,22 +274,25 @@ class PoincareAlgebra:
 
     # -- products and linear extensions of term maps ----------------------------
 
-    def mul_terms(self, ta: dict, tb: dict, key_product=None, commutator: bool = False) -> dict:
+    def pbw_product(self, m1: tuple, m2: tuple):
+        """Key-product rule of PBW elements: the product of two monomials."""
+        return self.mono_product(m1, m2).items()
+
+    def mul_terms(
+        self, ta: dict, tb: dict, key_product=None, commutator: bool = False, cap: int | None = None
+    ) -> dict:
         """The product of two flat term maps, as a flat term map.
 
         This is the one product kernel: PBW elements and tensors of any leg
         count differ only in key_product(k1, k2), which yields the
         (key, GaussRational) pairs of the product of two keys (GR_ONE itself
-        takes a fast path).  The default rule is the PBW product of
-        monomials.  With commutator=True the result is ta*tb - tb*ta, both
-        products accumulated into one map."""
-        N = self.order
+        takes a fast path).  The default rule is pbw_product.  With
+        commutator=True the result is ta*tb - tb*ta, both products accumulated
+        into one map.  Powers of h above cap (default: the order) are never
+        formed."""
+        N = self.order if cap is None else cap
         if key_product is None:
-            mono_product = self.mono_product
-
-            def key_product(m1, m2):
-                return mono_product(m1, m2).items()
-
+            key_product = self.pbw_product
         acc = {}
         passes = ((ta, tb, False), (tb, ta, True)) if commutator else ((ta, tb, False),)
         for left, right, negate in passes:
@@ -312,15 +315,18 @@ class PoincareAlgebra:
 
     def extend(self, terms: dict, image) -> dict:
         """The linear extension sum_key terms[key] * image(key), as a flat term
-        map; image(key) yields the flat ((key, power of h), GaussRational)
-        pairs of the image.  Every structure map reaches elements this way:
+        map.  A term c h^k key can only contribute the image's powers of h up
+        to N - k, so image(key, budget) is called with that budget and yields
+        the flat ((key, power of h), GaussRational) pairs of the image; a rule
+        need build nothing past the budget, and whatever it yields past it is
+        dropped here.  Every structure map reaches elements this way:
         coproducts, antipodes, basis changes, leg maps, the kappa-Minkowski
         product and action, and the star maps."""
         N = self.order
         acc = {}
         for (key, k1), c1 in terms.items():
             budget = N - k1
-            for (k2, j), c2 in image(key):
+            for (k2, j), c2 in image(key, budget):
                 if j > budget:
                     continue
                 t = (k2, k1 + j)
@@ -420,8 +426,9 @@ class TermElement:
 
     A subclass says what its keys are: _with builds an element of the same
     kind, _compatible says which elements combine, _scalar embeds a scalar
-    (where scalars have a place), and products go through
-    PoincareAlgebra.mul_terms with the subclass's key-product rule.
+    (where scalars have a place), and _key_product gives the rule by which
+    PoincareAlgebra.mul_terms multiplies two of its keys (where the kind has
+    such a product).
     """
 
     __slots__ = ("algebra", "terms")
@@ -434,6 +441,9 @@ class TermElement:
 
     def _scalar(self, value):
         return NotImplemented
+
+    def _key_product(self):
+        raise NotImplementedError
 
     def _coerce(self, other):
         if type(other) is type(self):
@@ -494,7 +504,7 @@ class TermElement:
                 raise ContextMismatchError("series has the wrong truncation order")
             nz = other.nz
 
-            def shifted(key):
+            def shifted(key, _budget):
                 return [((key, j), c) for j, c in nz]
 
             return self._with(self.algebra.extend(self.terms, shifted))
@@ -513,7 +523,7 @@ class TermElement:
 
     def _star_by(self, image):
         """The antilinear map conjugating coefficients and sending each key to
-        image(key), flat ((key, power of h), coefficient) pairs."""
+        image(key, budget), an extend rule."""
         conj = {t: c.conjugate() for t, c in self.terms.items()}
         return self._with(self.algebra.extend(conj, image))
 
@@ -563,6 +573,9 @@ class AlgebraElement(TermElement):
     def _scalar(self, value) -> "AlgebraElement":
         return self.algebra.scalar(value)
 
+    def _key_product(self):
+        return self.algebra.pbw_product
+
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
@@ -591,7 +604,7 @@ class AlgebraElement(TermElement):
         reverses monomials (then re-normal-orders)."""
         normal_order = self.algebra.normal_order
         return self._star_by(
-            lambda mono: [((m, 0), c) for m, c in normal_order(tuple(reversed(mono))).items()]
+            lambda mono, _: [((m, 0), c) for m, c in normal_order(tuple(reversed(mono))).items()]
         )
 
     def max_degree(self) -> int:
@@ -605,28 +618,40 @@ class AlgebraElement(TermElement):
 
 class MonomialMap:
     """The multiplicative extension of a generator map to PBW monomials,
-    memoised: the image of a monomial is the image of its prefix times the
-    image of its last generator (the other way round when anti is set, for
-    the antipode).  one is the image of the empty monomial."""
+    memoised per (monomial, cap): the image modulo h^(cap+1).  The image of a
+    generator at cap c is its full image with the powers of h above c removed;
+    the image of a longer monomial is the cap-c image of its prefix times that
+    of its last generator (the other way round when anti is set, for the
+    antipode), a product that never forms a power of h above c.  one is the
+    image of the empty monomial; its kind supplies the key-product rule."""
 
-    __slots__ = ("_images", "_gen_image", "_anti")
+    __slots__ = ("_images", "_one", "_gen_image", "_anti", "_rule")
 
     def __init__(self, one: TermElement, gen_image, anti: bool = False):
-        self._images = {(): one}
+        self._images = {}
+        self._one = one
         self._gen_image = gen_image
         self._anti = anti
+        self._rule = one._key_product()
 
-    def __call__(self, mono: tuple) -> TermElement:
-        img = self._images.get(mono)
+    def image(self, mono: tuple, cap: int) -> TermElement:
+        """The image of a monomial with every power of h above cap removed."""
+        img = self._images.get((mono, cap))
         if img is None:
-            head, last = self(mono[:-1]), self._gen_image(mono[-1])
-            img = last * head if self._anti else head * last
-            self._images[mono] = img
+            if len(mono) > 1:
+                head, last = self.image(mono[:-1], cap), self.image(mono[-1:], cap)
+                left, right = (last, head) if self._anti else (head, last)
+                terms = head.algebra.mul_terms(left.terms, right.terms, self._rule, cap=cap)
+                img = head._with(terms)
+            else:
+                full = self._gen_image(mono[0]) if mono else self._one
+                img = full._with({t: c for t, c in full.terms.items() if t[1] <= cap})
+            self._images[(mono, cap)] = img
         return img
 
-    def pairs(self, mono: tuple):
-        """The flat term pairs of the image: the image rule of extend."""
-        return self(mono).terms.items()
+    def pairs(self, mono: tuple, budget: int):
+        """The flat term pairs of the image to the budget: the extend rule."""
+        return self.image(mono, budget).terms.items()
 
 
 # -- series calculus, once for every element kind ----------------------------------

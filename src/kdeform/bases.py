@@ -91,10 +91,10 @@ class BasisChange:
 
     def push_tensor(self, t: TensorElement, target: PoincareAlgebra) -> TensorElement:
         """(push (x) ... (x) push)(t): push applied to every leg."""
-        image = self._monomials(target)
+        images = self._monomials(target)
 
-        def legwise(key):
-            return TensorElement.of(*map(image, key)).terms.items()
+        def legwise(key, budget):
+            return TensorElement.of(*(images.image(m, budget) for m in key)).terms.items()
 
         return TensorElement(target, t.legs, target.extend(t.terms, legwise))
 

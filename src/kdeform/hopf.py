@@ -384,7 +384,7 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
                 sx, sy = ctx.antipode(x), ctx.antipode(y)
                 rep.record(
                     "antipode-antihomomorphism",
-                    lhs - (sy * sx - sx * sy),
+                    lhs - alg.bracket(sy, sx),
                     generator=f"[{ctx.gen_name(x)},{ctx.gen_name(y)}]",
                 )
 

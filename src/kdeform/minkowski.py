@@ -61,7 +61,9 @@ class MinkowskiElement(TermElement):
     def star(self) -> "MinkowskiElement":
         """Antilinear anti-involution fixing the coordinates (tau real)."""
         ctx = self.context
-        return self._star_by(lambda mono: _coord_normal_order(ctx, tuple(reversed(mono))).items())
+        return self._star_by(
+            lambda mono, _: _coord_normal_order(ctx, tuple(reversed(mono))).items()
+        )
 
     def degree(self) -> int:
         return max((len(m) for m, _ in self.terms), default=0)
@@ -129,8 +131,8 @@ def mink_multiply(a: MinkowskiElement, b: MinkowskiElement) -> MinkowskiElement:
     ctx = a.context
     extend = a.algebra.extend
 
-    def times_b(w1):
-        return extend(b.terms, lambda w2: _coord_normal_order(ctx, w1 + w2).items()).items()
+    def times_b(w1, _budget):
+        return extend(b.terms, lambda w2, _: _coord_normal_order(ctx, w1 + w2).items()).items()
 
     return MinkowskiElement(ctx, extend(a.terms, times_b))
 
@@ -144,7 +146,7 @@ def act(ctx: DeformationContext, op, a: MinkowskiElement) -> MinkowskiElement:
     op may be an AlgebraElement or a generator code; products of generators act
     by successive action, scalars through the counit."""
     if isinstance(op, AlgebraElement):
-        terms = ctx.algebra.extend(op.terms, lambda mono: _act_word(ctx, mono, a).terms.items())
+        terms = ctx.algebra.extend(op.terms, lambda mono, _: _act_word(ctx, mono, a).terms.items())
         return MinkowskiElement(ctx, terms)
     return _act_word(ctx, (op,), a)
 
@@ -156,7 +158,9 @@ def _act_word(ctx: DeformationContext, word: tuple, a: MinkowskiElement) -> Mink
 
 
 def _act_gen(ctx: DeformationContext, code: int, a: MinkowskiElement) -> MinkowskiElement:
-    terms = ctx.algebra.extend(a.terms, lambda mono: _act_gen_mono(ctx, code, mono).terms.items())
+    terms = ctx.algebra.extend(
+        a.terms, lambda mono, _: _act_gen_mono(ctx, code, mono).terms.items()
+    )
     return MinkowskiElement(ctx, terms)
 
 
@@ -214,7 +218,7 @@ def act_on_product(
 def _leibniz(ctx: DeformationContext, coproduct, a: MinkowskiElement, b: MinkowskiElement):
     """sum (L_(1) |> a)(L_(2) |> b) over the terms of a coproduct of L."""
 
-    def image(key):
+    def image(key, _budget):
         left = _act_word(ctx, key[0], a)
         if left.is_zero:
             return ()

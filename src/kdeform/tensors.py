@@ -11,6 +11,7 @@ from . import exactla
 from .algebra import (
     AlgebraElement,
     Metric,
+    MonomialMap,
     PoincareAlgebra,
     TermElement,
     VectorTau,
@@ -42,6 +43,9 @@ class TensorElement(TermElement):
     def _compatible(self, other: "TensorElement") -> bool:
         return self.legs == other.legs and self.algebra.compatible(other.algebra)
 
+    def _key_product(self):
+        return _leg_product(self.algebra, self.legs)
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -63,8 +67,7 @@ class TensorElement(TermElement):
         if isinstance(other, TensorElement):
             self._check(other)
             alg = self.algebra
-            rule = _leg_product(alg, self.legs)
-            return self._with(alg.mul_terms(self.terms, other.terms, key_product=rule))
+            return self._with(alg.mul_terms(self.terms, other.terms, self._key_product()))
         return TermElement.__mul__(self, other)
 
     # -- leg surgery ------------------------------------------------------------
@@ -92,14 +95,18 @@ class TensorElement(TermElement):
 
     def map_leg(self, i: int, fn) -> "TensorElement":
         """Replace leg i by its image under fn: monomial -> AlgebraElement or
-        TensorElement; other legs are carried along, coefficients multiply."""
+        TensorElement; other legs are carried along, coefficients multiply.
+        A MonomialMap builds each image only to the power of h that survives;
+        a plain callable's image is cut there before any key is spliced."""
+        image = fn.image if isinstance(fn, MonomialMap) else (lambda mono, _: fn(mono))
 
-        def spliced(key):
-            img = fn(key[i])
+        def spliced(key, budget):
+            img = image(key[i], budget)
             head, tail = key[:i], key[i + 1 :]
+            pairs = [(m, j, c) for (m, j), c in img.terms.items() if j <= budget]
             if isinstance(img, TensorElement):
-                return [((head + m + tail, j), c) for (m, j), c in img.terms.items()]
-            return [((head + (m,) + tail, j), c) for (m, j), c in img.terms.items()]
+                return [((head + m + tail, j), c) for m, j, c in pairs]
+            return [((head + (m,) + tail, j), c) for m, j, c in pairs]
 
         terms = self.algebra.extend(self.terms, spliced)
         legs = len(next(iter(terms))[0]) if terms else self.legs  # zero: the count is moot
@@ -140,7 +147,7 @@ class TensorElement(TermElement):
         """(a (x) b)* = a* (x) b*: star each leg, no flip."""
         normal_order = self.algebra.normal_order
         return self._star_by(
-            lambda key: [
+            lambda key, _: [
                 ((ms, 0), c) for ms, c in _leg_combos(normal_order(tuple(reversed(m))) for m in key)
             ]
         )
@@ -183,9 +190,7 @@ def _leg_product(alg: PoincareAlgebra, legs: int):
 def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
     """a*b - b*a with a single fused accumulation pass."""
     a._check(b)
-    alg = a.algebra
-    rule = _leg_product(alg, a.legs)
-    return a._with(alg.mul_terms(a.terms, b.terms, key_product=rule, commutator=True))
+    return a._with(a.algebra.mul_terms(a.terms, b.terms, a._key_product(), commutator=True))
 
 
 def tensor_invert(t: TensorElement) -> TensorElement:
