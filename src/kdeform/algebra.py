@@ -1,10 +1,21 @@
 """The enveloping algebra of iso(g) over truncated h-series coefficients.
 
-Every element stores its terms flat: {(key, k): GaussRational}, one entry per
+Every element stores its terms flat: {(key, k): coefficient}, one entry per
 key and power k of h with 0 <= k <= N, and never a zero coefficient.
 
+The rotations are the anti-Hermitian X_{mu nu} = -i M_{mu nu}, in which every
+structure constant is rational:
+
+    [X_{mu nu}, P_rho]      = g_{nu rho} P_mu - g_{mu rho} P_nu
+    [X_{mu nu}, X_{rho lam}] = g_{mu lam} X_{nu rho} - g_{nu lam} X_{mu rho}
+                              + g_{nu rho} X_{mu lam} - g_{mu rho} X_{nu lam}
+
+so every coefficient the engine computes is real: an int when it is
+integral, else a Fraction.  The paper's M = iX comes back only in output (see
+TermElement.series) and in the boundary constructor PoincareAlgebra.M.
+
 Generators are encoded as small integers so that monomials are plain int
-tuples: a rotation M_{mu nu} (mu < nu) gets code mu*D + nu, a momentum P_mu
+tuples: a rotation X_{mu nu} (mu < nu) gets code mu*D + nu, a momentum P_mu
 gets code D*D + mu.  The PBW order "rotations lexicographically, then momenta
 by index" is then just increasing code order, and a monomial is in normal form
 iff its code tuple is nondecreasing.  Products are reduced by rewriting the
@@ -15,12 +26,15 @@ leftmost out-of-order adjacent pair via x y = y x + [x, y]; each step lowers a
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import exactla
 from .errors import ContextMismatchError, InvalidVectorError, NonInvertibleError
-from .scalars import GR_ONE, GR_ZERO, GaussRational, HSeries, as_fraction
+from .scalars import I_POWERS, GaussRational, HSeries, as_fraction, exact, rational, times_i
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
+_ONE = 1  # a key product by 1 takes the kernels' fast path: the cached int 1
 
 
 class Metric:
@@ -106,9 +120,13 @@ class PoincareAlgebra:
     Owns the structure-constant table and the normal-ordering cache; elements
     hold a reference back here.  All values are immutable once built, so a
     context can be shared freely.
+
+    shift perturbs the structure constants, for negative controls:
+    {(a, b): {c: value}} adds value * c to [a, b] (and its negative to
+    [b, a]), stated in the paper's generators M and P.
     """
 
-    def __init__(self, metric: Metric, order: int):
+    def __init__(self, metric: Metric, order: int, shift=None):
         if order < 1:
             raise ValueError("truncation order must be >= 1")
         self.metric = metric
@@ -120,6 +138,14 @@ class PoincareAlgebra:
         self._prod_cache = {}
         self._casimir = None
         self._key = (metric._key, order)
+        # [M_a, M_b] = i^(#a + #b) [X_a, X_b], and a term v M_c is v i^#c X_c
+        self._shift = {}
+        for (a, b), row in (shift or {}).items():
+            for pair, sign in (((a, b), 1), ((b, a), -1)):
+                out = self._shift.setdefault(pair, {})
+                for c, v in row.items():
+                    n = self.i_count((c,)) - self.i_count((a, b))
+                    accumulate(out, c, times_i(exact(v) * sign, n))
 
     # -- generator codes ----------------------------------------------------
 
@@ -140,10 +166,17 @@ class PoincareAlgebra:
         return (nu * d + mu, -1)
 
     def decode(self, code: int):
-        """Return ('P', mu) or ('M', (mu, nu)) for a generator code."""
+        """Return ('P', mu) or ('M', (mu, nu)) for a generator code; a rotation
+        code names X_{mu nu} = -i M_{mu nu}."""
         if code >= self._mom0:
             return ("P", code - self._mom0)
         return ("M", divmod(code, self.dim))
+
+    def i_count(self, mono: tuple) -> int:
+        """The number of rotations in a word: the power of i between its
+        product of X's and the same product of the paper's M = iX."""
+        mom0 = self._mom0
+        return sum(1 for c in mono if c < mom0)
 
     def generator_codes(self):
         """All basis generator codes in PBW order (rotations, then momenta)."""
@@ -157,7 +190,7 @@ class PoincareAlgebra:
         return AlgebraElement(self, {})
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {((), 0): GR_ONE})
+        return AlgebraElement(self, {((), 0): _ONE})
 
     def scalar(self, value) -> "AlgebraElement":
         return self.one() * value
@@ -166,25 +199,32 @@ class PoincareAlgebra:
         return HSeries.h_power(self.order, k)
 
     def P(self, mu: int) -> "AlgebraElement":
-        return AlgebraElement(self, {((self.momentum_code(mu),), 0): GR_ONE})
+        return AlgebraElement(self, {((self.momentum_code(mu),), 0): _ONE})
+
+    def X(self, mu: int, nu: int) -> "AlgebraElement":
+        """The rotation X_{mu nu} = -i M_{mu nu} the engine computes with."""
+        code, sign = self.rotation_code(mu, nu)
+        return self.from_codes({code: sign} if sign else {})
 
     def M(self, mu: int, nu: int) -> "AlgebraElement":
-        code, sign = self.rotation_code(mu, nu)
-        if sign == 0:
-            return self.zero()
-        return AlgebraElement(self, {((code,), 0): GaussRational(sign)})
+        """The paper's rotation M_{mu nu} = i X_{mu nu}: a boundary value with
+        an imaginary coefficient."""
+        return self.X(mu, nu) * I_POWERS[1]
 
     def from_codes(self, coeff_map) -> "AlgebraElement":
-        """Element from {generator code: GaussRational}; degree-one terms only."""
-        return AlgebraElement(self, {((c,), 0): v for c, v in coeff_map.items() if v})
+        """Element from {generator code: coefficient}; degree-one terms only."""
+        return AlgebraElement(self, {((c,), 0): rational(v) for c, v in coeff_map.items() if v})
 
     # -- structure constants --------------------------------------------------
 
     def bracket_codes(self, a: int, b: int) -> dict:
-        """[a, b] for basis generators, as {generator code: GaussRational}."""
+        """[a, b] for basis generators, as {generator code: coefficient}."""
         out = self._brackets.get((a, b))
         if out is None:
             out = self._bracket_uncached(a, b)
+            for c, v in self._shift.get((a, b), {}).items():
+                accumulate(out, c, v)
+            out = {c: rational(v) for c, v in out.items() if v}
             self._brackets[(a, b)] = out
         return out
 
@@ -195,19 +235,14 @@ class PoincareAlgebra:
         if a >= mom0 and b >= mom0:
             return {}
         if a < mom0 and b >= mom0:
-            # [M_{mu nu}, P_rho] = i (g_{nu rho} P_mu - g_{mu rho} P_nu)
+            # [X_{mu nu}, P_rho] = g_{nu rho} P_mu - g_{mu rho} P_nu, mu != nu
             mu, nu = divmod(a, d)
             rho = b - mom0
-            out = {}
-            if g[nu][rho]:
-                accumulate(out, mom0 + mu, GaussRational(0, g[nu][rho]))
-            if g[mu][rho]:
-                accumulate(out, mom0 + nu, GaussRational(0, -g[mu][rho]))
-            return out
+            return {mom0 + mu: g[nu][rho], mom0 + nu: -g[mu][rho]}
         if a >= mom0 and b < mom0:
-            return {c: -v for c, v in self.bracket_codes(b, a).items()}
-        # [M_{mu nu}, M_{rho lam}] = i (g_{mu lam} M_{nu rho} - g_{nu lam} M_{mu rho}
-        #                               + g_{nu rho} M_{mu lam} - g_{mu rho} M_{nu lam})
+            return {c: -v for c, v in self._bracket_uncached(b, a).items()}
+        # [X_{mu nu}, X_{rho lam}] = g_{mu lam} X_{nu rho} - g_{nu lam} X_{mu rho}
+        #                           + g_{nu rho} X_{mu lam} - g_{mu rho} X_{nu lam}
         mu, nu = divmod(a, d)
         rho, lam = divmod(b, d)
         out = {}
@@ -221,13 +256,13 @@ class PoincareAlgebra:
                 continue
             code, sign = self.rotation_code(p, q)
             if sign:
-                accumulate(out, code, GaussRational(0, f * sign))
-        return {c: v for c, v in out.items() if v}
+                accumulate(out, code, f * sign)
+        return out
 
     # -- PBW normal ordering ---------------------------------------------------
 
     def mono_product(self, m1: tuple, m2: tuple) -> dict:
-        """Product of two normal-ordered monomials as {monomial: GaussRational}.
+        """Product of two normal-ordered monomials as {monomial: coefficient}.
 
         Results are cached: the same monomial pairs recur across every tensor
         product in the verification suites."""
@@ -236,14 +271,14 @@ class PoincareAlgebra:
         if out is not None:
             return out
         if not m1:
-            out = {m2: GR_ONE}
+            out = {m2: _ONE}
         elif not m2:
-            out = {m1: GR_ONE}
+            out = {m1: _ONE}
         elif m1[-1] <= m2[0]:
-            out = {m1 + m2: GR_ONE}
+            out = {m1 + m2: _ONE}
         elif m1[0] >= self._mom0 and m2[0] >= self._mom0:
             # both words pure momentum: sorted merge, momenta commute
-            out = {tuple(sorted(m1 + m2)): GR_ONE}
+            out = {tuple(sorted(m1 + m2)): _ONE}
         else:
             out = self.normal_order(m1 + m2)
         self._prod_cache[key] = out
@@ -261,7 +296,7 @@ class PoincareAlgebra:
             if word[i] > word[i + 1]:
                 break
         else:
-            return {word: GR_ONE}
+            return {word: _ONE}
         a, b = word[i], word[i + 1]
         head, tail = word[:i], word[i + 2:]
         acc = {}
@@ -270,7 +305,7 @@ class PoincareAlgebra:
         for gen, cb in self.bracket_codes(a, b).items():
             for m, c in self.normal_order(head + (gen,) + tail).items():
                 accumulate(acc, m, c * cb)
-        return {m: c for m, c in acc.items() if c}
+        return {m: rational(c) for m, c in acc.items() if c}
 
     # -- products and linear extensions of term maps ----------------------------
 
@@ -285,14 +320,22 @@ class PoincareAlgebra:
 
         This is the one product kernel: PBW elements and tensors of any leg
         count differ only in key_product(k1, k2), which yields the
-        (key, GaussRational) pairs of the product of two keys (GR_ONE itself
-        takes a fast path).  The default rule is pbw_product.  With
-        commutator=True the result is ta*tb - tb*ta, both products accumulated
-        into one map.  Powers of h above cap (default: the order) are never
-        formed."""
+        (key, coefficient) pairs of the product of two keys (the int 1 takes
+        a fast path: a third of all key products are by 1).  The default rule
+        is pbw_product.  With commutator=True the result is ta*tb - tb*ta,
+        both products accumulated into one map.  Powers of h above cap
+        (default: the order) are never formed.
+
+        Rational operands are scaled to ints by the least common denominator
+        of their coefficients, so that the loop runs on Python ints, and each
+        sum is divided by the product of the two once."""
         N = self.order if cap is None else cap
         if key_product is None:
             key_product = self.pbw_product
+        da, db = _denominator(ta), _denominator(tb)
+        d = da * db if da and db else 1
+        if d > 1:
+            ta, tb = _scaled(ta, da), _scaled(tb, db)
         acc = {}
         passes = ((ta, tb, False), (tb, ta, True)) if commutator else ((ta, tb, False),)
         for left, right, negate in passes:
@@ -305,19 +348,22 @@ class PoincareAlgebra:
                     if k2 > budget:
                         continue
                     k = k1 + k2
-                    c = c1 * c2
+                    c = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
                     for m, cm in key_product(m1, m2):
                         t = (m, k)
-                        p = c if cm is GR_ONE else c * cm
+                        p = c if cm is _ONE else c * cm
                         cur = acc.get(t)
                         acc[t] = p if cur is None else cur + p
-        return {t: c for t, c in acc.items() if c}
+        if d > 1:
+            inv = Fraction(1, d)  # never int / int, which would be a float
+            return {t: rational(c * inv) for t, c in acc.items() if c}
+        return {t: rational(c) for t, c in acc.items() if c}
 
     def extend(self, terms: dict, image) -> dict:
         """The linear extension sum_key terms[key] * image(key), as a flat term
         map.  A term c h^k key can only contribute the image's powers of h up
         to N - k, so image(key, budget) is called with that budget and yields
-        the flat ((key, power of h), GaussRational) pairs of the image; a rule
+        the flat ((key, power of h), coefficient) pairs of the image; a rule
         need build nothing past the budget, and whatever it yields past it is
         dropped here.  Every structure map reaches elements this way:
         coproducts, antipodes, basis changes, leg maps, the kappa-Minkowski
@@ -330,10 +376,10 @@ class PoincareAlgebra:
                 if j > budget:
                     continue
                 t = (k2, k1 + j)
-                p = c1 * c2
+                p = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
                 cur = acc.get(t)
                 acc[t] = p if cur is None else cur + p
-        return {t: c for t, c in acc.items() if c}
+        return {t: rational(c) for t, c in acc.items() if c}
 
     # -- derived elements ---------------------------------------------------------
 
@@ -349,29 +395,21 @@ class PoincareAlgebra:
                     if not f:
                         continue
                     key = (mom0 + mu, mom0 + nu) if mu <= nu else (mom0 + nu, mom0 + mu)
-                    acc[key] = acc.get(key, GR_ZERO) + f
-            self._casimir = AlgebraElement(self, {(k, 0): v for k, v in acc.items() if v})
+                    acc[key] = acc.get(key, 0) + f
+            self._casimir = AlgebraElement(self, {(k, 0): rational(v) for k, v in acc.items() if v})
         return self._casimir
 
     def momentum_raised(self, alpha: int) -> "AlgebraElement":
         """P^alpha = g^{alpha beta} P_beta."""
         ginv = self.metric.inverse
-        return self.from_codes(
-            {
-                self._mom0 + beta: GaussRational(ginv[alpha][beta])
-                for beta in range(self.dim)
-                if ginv[alpha][beta]
-            }
-        )
+        return self.from_codes({self._mom0 + beta: ginv[alpha][beta] for beta in range(self.dim)})
 
     def contract_tau(self, tau: VectorTau):
-        """(P_tau, [M_{tau lam} for lam in 0..D-1]) for a vector tau."""
+        """(P_tau, [X_{tau lam} for lam in 0..D-1]) for a vector tau."""
         if tau.metric is not self.metric and tau.metric != self.metric:
             raise ContextMismatchError("vector belongs to a different metric")
-        p_tau = self.from_codes(
-            {self._mom0 + mu: GaussRational(c) for mu, c in enumerate(tau.components) if c}
-        )
-        m_tau = []
+        p_tau = self.from_codes({self._mom0 + mu: c for mu, c in enumerate(tau.components)})
+        x_tau = []
         for lam in range(self.dim):
             acc = {}
             for alpha, c in enumerate(tau.components):
@@ -379,9 +417,9 @@ class PoincareAlgebra:
                     continue
                 code, sign = self.rotation_code(alpha, lam)
                 if sign:
-                    accumulate(acc, code, GaussRational(c * sign))
-            m_tau.append(self.from_codes(acc))
-        return p_tau, m_tau
+                    accumulate(acc, code, c * sign)
+            x_tau.append(self.from_codes(acc))
+        return p_tau, x_tau
 
     def bracket(self, x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(self, self.mul_terms(x.terms, y.terms, commutator=True))
@@ -402,6 +440,29 @@ def accumulate(acc: dict, key, val):
     acc[key] = val if cur is None else cur + val
 
 
+def _denominator(terms: dict) -> int:
+    """The least common denominator of the coefficients, or 0 when one of
+    them is not rational."""
+    d = 1
+    for c in terms.values():
+        t = type(c)
+        if t is Fraction:
+            d = lcm(d, c.denominator)
+        elif t is not int:
+            return 0
+    return d
+
+
+def _scaled(terms: dict, d: int) -> dict:
+    """The coefficients times d, a multiple of every denominator: ints."""
+    if d == 1:
+        return terms
+    return {
+        t: c * d if type(c) is int else c.numerator * (d // c.denominator)
+        for t, c in terms.items()
+    }
+
+
 def dict_sub(a: dict, b: dict) -> dict:
     """a - b on sparse coefficient maps; cancelled keys are dropped."""
     out = dict(a)
@@ -409,7 +470,7 @@ def dict_sub(a: dict, b: dict) -> dict:
         cur = out.get(k)
         s = -v if cur is None else cur - v
         if s:
-            out[k] = s
+            out[k] = rational(s)
         elif cur is not None:
             del out[k]
     return out
@@ -420,15 +481,16 @@ _SCALARS = (int, Fraction, GaussRational, HSeries)
 
 class TermElement:
     """The linear structure shared by every sparse element, stored flat as
-    {(key, power of h): GaussRational}: PBW elements, tensors and
+    {(key, power of h): coefficient}: PBW elements, tensors and
     kappa-Minkowski coordinates.  Powers run from 0 to the truncation order
     and zero coefficients are never stored, so equality is structural.
 
     A subclass says what its keys are: _with builds an element of the same
     kind, _compatible says which elements combine, _scalar embeds a scalar
-    (where scalars have a place), and _key_product gives the rule by which
+    (where scalars have a place), _key_product gives the rule by which
     PoincareAlgebra.mul_terms multiplies two of its keys (where the kind has
-    such a product).
+    such a product), and _i_count(key) is the power of i between the key's
+    symbols and the paper's (M = iX, x = iy).
     """
 
     __slots__ = ("algebra", "terms")
@@ -443,6 +505,9 @@ class TermElement:
         return NotImplemented
 
     def _key_product(self):
+        raise NotImplementedError
+
+    def _i_count(self, key) -> int:
         raise NotImplementedError
 
     def _coerce(self, other):
@@ -477,7 +542,7 @@ class TermElement:
             cur = out.get(t)
             s = c if cur is None else cur + c
             if s:
-                out[t] = s
+                out[t] = rational(s)
             elif cur is not None:
                 del out[t]
         return self._with(out)
@@ -510,10 +575,11 @@ class TermElement:
             return self._with(self.algebra.extend(self.terms, shifted))
         if not isinstance(other, _SCALARS):
             return NotImplemented
+        other = exact(other)
         if not other:
             return self._with({})
         # Q(i) has no zero divisors: no product of nonzero values vanishes
-        return self._with({t: c * other for t, c in self.terms.items()})
+        return self._with({t: rational(c * other) for t, c in self.terms.items()})
 
     def __rmul__(self, other):
         # scalar coefficients commute with everything
@@ -527,17 +593,24 @@ class TermElement:
         conj = {t: c.conjugate() for t, c in self.terms.items()}
         return self._with(self.algebra.extend(conj, image))
 
+    def in_symbols(self, s: int):
+        """Each coefficient times i^(s n), n = _i_count(key): s = -1 gives the
+        coefficients of the paper's symbols M = iX and x = iy (a boundary
+        value), and s = 1 takes them back to the engine's."""
+        count = self._i_count
+        return self._with({t: times_i(c, s * count(t[0])) for t, c in self.terms.items()})
+
     def series(self) -> dict:
-        """{key: HSeries}, each key's powers of h gathered into one series:
-        the form output is written in."""
+        """{key: HSeries} in the paper's symbols (see in_symbols), each key's
+        powers of h gathered into one series: the form output is written in."""
         rows = {}
-        for (key, k), c in self.terms.items():
+        for (key, k), c in self.in_symbols(-1).terms.items():
             rows.setdefault(key, []).append((k, c))
         N = self.algebra.order
         return {key: HSeries.from_nz(N, tuple(sorted(row))) for key, row in rows.items()}
 
     def h_coefficient(self, k: int) -> dict:
-        """{key: GaussRational} at a fixed power of h."""
+        """{key: coefficient} at a fixed power of h."""
         return {key: c for (key, j), c in self.terms.items() if j == k}
 
     def project_to(self, algebra: PoincareAlgebra):
@@ -552,11 +625,11 @@ class TermElement:
         s = as_fraction(s)
         if not s:
             raise ZeroDivisionError("rescaling parameter must be nonzero")
-        return self._with({(key, k): c / s**k if k else c for (key, k), c in self.terms.items()})
+        return self._with({(key, k): exact(c / s**k) for (key, k), c in self.terms.items()})
 
 
 class AlgebraElement(TermElement):
-    """A sparse element of U(iso(g))[[h]]: {(PBW monomial, power of h): GaussRational}.
+    """A sparse element of U(iso(g))[[h]]: {(PBW monomial, power of h): coefficient}.
 
     Monomials are nondecreasing tuples of generator codes.
     """
@@ -575,6 +648,9 @@ class AlgebraElement(TermElement):
 
     def _key_product(self):
         return self.algebra.pbw_product
+
+    def _i_count(self, key) -> int:
+        return self.algebra.i_count(key)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -600,11 +676,14 @@ class AlgebraElement(TermElement):
         return HSeries.from_nz(N, tuple((k, c) for k in range(N + 1) if (c := get(((), k)))))
 
     def star(self) -> "AlgebraElement":
-        """Antilinear anti-involution: fixes generators, conjugates coefficients,
-        reverses monomials (then re-normal-orders)."""
-        normal_order = self.algebra.normal_order
+        """Antilinear anti-involution: fixes P and M, so X* = -X; conjugates
+        coefficients, reverses monomials (then re-normal-orders)."""
+        alg = self.algebra
         return self._star_by(
-            lambda mono, _: [((m, 0), c) for m, c in normal_order(tuple(reversed(mono))).items()]
+            lambda mono, _: [
+                ((m, 0), c * (-1) ** alg.i_count(mono))
+                for m, c in alg.normal_order(tuple(reversed(mono))).items()
+            ]
         )
 
     def max_degree(self) -> int:
@@ -668,7 +747,7 @@ def invert_in(unit: TermElement, a: TermElement) -> TermElement:
     c = a.terms.get(t)
     if c is None:
         raise NonInvertibleError("element has no invertible scalar part")
-    c_inv = GR_ONE / c
+    c_inv = exact(_F1 / c)  # never int / int, which would be a float
     x = a * c_inv - unit
     _require_h_positive(x, "series inversion")
     out = term = unit

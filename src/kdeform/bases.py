@@ -31,7 +31,7 @@ from .algebra import (
 from .errors import BasisError, InvalidVectorError
 from .hopf import DeformationContext
 from .reports import VerificationReport
-from .scalars import GR_ONE, GaussRational, HSeries
+from .scalars import HSeries
 from .tensors import TensorElement, hyperbolic_pair_complement, tau_orthogonal_complement
 
 _F0 = Fraction(0)
@@ -69,7 +69,7 @@ class BasisChange:
             rho = idx
             for mu in range(d):
                 if b[mu][rho]:
-                    accumulate(acc, target.momentum_code(mu), GaussRational(b[mu][rho]))
+                    accumulate(acc, target.momentum_code(mu), b[mu][rho])
         else:
             rho, sig = idx
             for mu in range(d):
@@ -80,7 +80,7 @@ class BasisChange:
                         continue
                     c, sign = target.rotation_code(mu, nu)
                     if sign:
-                        accumulate(acc, c, GaussRational(b[mu][rho] * b[nu][sig] * sign))
+                        accumulate(acc, c, b[mu][rho] * b[nu][sig] * sign)
         img = target.from_codes(acc)
         self._gen_images[(target._key, code)] = img
         return img
@@ -173,15 +173,16 @@ def lightcone_decompose(metric: Metric, tau: VectorTau) -> LightconeBasis:
     return lc
 
 
-def adapted_context(metric: Metric, tau: VectorTau, order: int):
+def adapted_context(metric: Metric, tau: VectorTau, order: int, shift=None):
     """(BasisChange-or-LightconeBasis, DeformationContext) in the basis adapted
-    to tau: orthogonal for tau^2 != 0, light-cone for tau^2 = 0."""
+    to tau: orthogonal for tau^2 != 0, light-cone for tau^2 = 0.  shift goes
+    to the context (see DeformationContext)."""
     if tau.tau_sq:
         change = orthogonal_decompose(metric, tau)
-        ctx = DeformationContext(change.new_metric, change.transform_tau(tau), order)
+        ctx = DeformationContext(change.new_metric, change.transform_tau(tau), order, shift=shift)
         return change, ctx
     lc = lightcone_decompose(metric, tau)
-    ctx = DeformationContext(lc.new_metric, lc.change.transform_tau(tau), order)
+    ctx = DeformationContext(lc.new_metric, lc.change.transform_tau(tau), order, shift=shift)
     return lc, ctx
 
 
@@ -205,7 +206,8 @@ def in_adapted_basis(ctx: DeformationContext, is_adapted) -> tuple:
         for code in ctx.generator_codes():
             lhs = change.push_tensor(ctx.coproduct(code), target)
             rhs = adapted.coproduct_of(change.generator_image(code, target))
-            rep.record("caller-coproduct-in-adapted-basis", lhs - rhs, generator=ctx.gen_name(code))
+            n = ctx.algebra.i_count((code,))
+            rep.record("caller-coproduct-in-adapted-basis", lhs - rhs, ctx.gen_name(code), phase=n)
 
     return adapted, tie
 
@@ -226,7 +228,7 @@ class MRGenerators:
     p_tilde_tau = kappa ln Pi_tau (primitive), p_tilde[i] = P_i Pi^-1, and the
     series kappa_term = kappa (1 - Pi^-2 - tau^2/kappa^2 P~_k P~^k) of the
     deformed bracket [M_{tau i}, P~_j].  Elements live in the context they were
-    built from; the rotations are the unchanged M_{0i} (= M_{tau i}) and M_{ij}."""
+    built from; the rotations are the unchanged X_{0i} (= X_{tau i}) and X_{ij}."""
 
     context: DeformationContext
     p_tilde_tau: AlgebraElement
@@ -241,7 +243,7 @@ def _raised(ctx: DeformationContext, lowered: list, k: int) -> AlgebraElement:
     out = alg.zero()
     for l in range(1, alg.dim):
         if ginv[k][l]:
-            out = out + lowered[l - 1] * GaussRational(ginv[k][l])
+            out = out + lowered[l - 1] * ginv[k][l]
     return out
 
 
@@ -268,7 +270,7 @@ def _mr_bracket_numerator(ctx: DeformationContext) -> AlgebraElement:
     pp = alg.zero()
     for k in range(1, alg.dim):
         pp = pp + ptil[k - 1] * _raised(ctx, ptil, k)
-    t2h2 = HSeries.h_power(alg.order, 2, GaussRational(ctx.tau.tau_sq))
+    t2h2 = HSeries.h_power(alg.order, 2, ctx.tau.tau_sq)
     return alg.one() - ctx.pi_inv * ctx.pi_inv - pp * t2h2
 
 
@@ -336,11 +338,8 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
             if i >= j:
                 continue
             code, _ = alg.rotation_code(i, j)
-            rep.record(
-                "coproduct-m-ij-primitive",
-                ctx.coproduct(code) - ctx._primitive_gen(code),
-                generator=f"M_{i}{j}",
-            )
+            residual = ctx.coproduct(code) - ctx._primitive_gen(code)
+            rep.record("coproduct-m-ij-primitive", residual, f"M_{i}{j}", phase=1)
 
     for i in range(1, d):
         lhs = ctx.coproduct_of(ptil[i - 1])
@@ -350,33 +349,25 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
     for j in range(1, d):
         code, _ = alg.rotation_code(0, j)
         lhs = ctx.coproduct(code)
-        m0j = alg.M(0, j)
-        rhs = TensorElement.of(m0j, one) + TensorElement.of(pi_inv, m0j)
+        x0j = alg.X(0, j)
+        rhs = TensorElement.of(x0j, one) + TensorElement.of(pi_inv, x0j)
         for k in range(1, d):
             ptk = _raised(ctx, ptil, k)
             if ptk:
-                rhs = rhs - TensorElement.of(ptk, alg.M(k, j)) * HSeries.h_power(
-                    alg.order, 1, GaussRational(t2)
-                )
-        rep.record("coproduct-m-tau-j-bicrossproduct", lhs - rhs, generator=f"M_0{j}")
+                rhs = rhs - TensorElement.of(ptk, alg.X(k, j)) * HSeries.h_power(alg.order, 1, t2)
+        rep.record("coproduct-m-tau-j-bicrossproduct", lhs - rhs, generator=f"M_0{j}", phase=1)
 
     # -- reduced 1+(D-1) coproducts against the universal ones ----------------
     _reduced_coproducts_report(rep, ctx)
 
-    # -- commutators -----------------------------------------------------------
+    # -- commutators: each linear in one rotation, so X-form with phase 1 -------
     for i in range(1, d):
-        m0i = alg.M(0, i)
-        rep.record(
-            "bracket-m-tau-i-with-p-tilde-tau",
-            alg.bracket(m0i, pt) + ptil[i - 1] * GaussRational(0, t2),
-            generator=f"[M_0{i}, P~_tau]",
-        )
+        x0i = alg.X(0, i)
+        residual = alg.bracket(x0i, pt) + ptil[i - 1] * t2
+        rep.record("bracket-m-tau-i-with-p-tilde-tau", residual, f"[M_0{i}, P~_tau]", phase=1)
         for j in range(i + 1, d):
-            rep.record(
-                "bracket-m-ij-with-p-tilde-tau-vanishes",
-                alg.bracket(alg.M(i, j), pt),
-                generator=f"[M_{i}{j}, P~_tau]",
-            )
+            residual, label = alg.bracket(alg.X(i, j), pt), f"[M_{i}{j}, P~_tau]"
+            rep.record("bracket-m-ij-with-p-tilde-tau-vanishes", residual, label, phase=1)
 
     g = ctx.metric.rows
     for i in range(1, d):
@@ -384,32 +375,22 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
             if i >= j:
                 continue
             for k in range(1, d):
-                lhs = alg.bracket(alg.M(i, j), ptil[k - 1])
-                rhs = (
-                    ptil[i - 1] * GaussRational(0, g[j][k])
-                    - ptil[j - 1] * GaussRational(0, g[i][k])
-                )
-                rep.record(
-                    "bracket-m-ij-with-p-tilde-k-classical",
-                    lhs - rhs,
-                    generator=f"[M_{i}{j}, P~_{k}]",
-                )
+                lhs = alg.bracket(alg.X(i, j), ptil[k - 1])
+                rhs = ptil[i - 1] * g[j][k] - ptil[j - 1] * g[i][k]
+                label = f"[M_{i}{j}, P~_{k}]"
+                rep.record("bracket-m-ij-with-p-tilde-k-classical", lhs - rhs, label, phase=1)
 
     # [M_{tau i}, P~_j] = i/2 kappa g_ij (1 - exp(-2 P~_tau/kappa) - tau^2/kappa^2 P~_k P~^k)
     #                     + i tau^2/kappa P~_j P~_i
-    half_kappa_part = mr.kappa_term * GaussRational(0, Fraction(1, 2))
+    half_kappa_part = mr.kappa_term * Fraction(1, 2)
+    h1_t2 = HSeries.h_power(alg.order, 1, t2)
     for i in range(1, d):
-        m0i = alg.M(0, i)
+        x0i = alg.X(0, i)
         for j in range(1, d):
-            lhs = alg.bracket(m0i, ptil[j - 1])
-            rhs = half_kappa_part * GaussRational(g[i][j]) + ptil[j - 1] * ptil[
-                i - 1
-            ] * HSeries.h_power(alg.order, 1, GaussRational(0, t2))
-            rep.record(
-                "bracket-m-tau-i-with-p-tilde-j-deformed",
-                lhs - rhs,
-                generator=f"[M_0{i}, P~_{j}]",
-            )
+            lhs = alg.bracket(x0i, ptil[j - 1])
+            rhs = half_kappa_part * g[i][j] + ptil[j - 1] * ptil[i - 1] * h1_t2
+            label = f"[M_0{i}, P~_{j}]"
+            rep.record("bracket-m-tau-i-with-p-tilde-j-deformed", lhs - rhs, label, phase=1)
 
     if tie is not None:
         tie(rep)
@@ -434,7 +415,7 @@ def _reduced_coproducts_report(rep, ctx):
     lhs = ctx.coproduct_of(ctx.p_tau)
     rhs = TensorElement.of(ctx.p_tau, pi) + TensorElement.of(pi_inv, ctx.p_tau)
     for j in range(1, d):
-        rhs = rhs - TensorElement.of(p_up[j] * pi_inv, alg.P(j)) * (h1 * GaussRational(t2))
+        rhs = rhs - TensorElement.of(p_up[j] * pi_inv, alg.P(j)) * (h1 * t2)
     rep.record("reduced-coproduct-p-tau", lhs - rhs, generator="P_tau")
 
     for i in range(1, d):
@@ -445,13 +426,11 @@ def _reduced_coproducts_report(rep, ctx):
     for i in range(1, d):
         code, _ = alg.rotation_code(0, i)
         lhs = ctx.coproduct(code)
-        m0i = alg.M(0, i)
-        rhs = TensorElement.of(m0i, one) + TensorElement.of(pi_inv, m0i)
+        x0i = alg.X(0, i)
+        rhs = TensorElement.of(x0i, one) + TensorElement.of(pi_inv, x0i)
         for j in range(1, d):
-            rhs = rhs + TensorElement.of(p_up[j] * pi_inv, alg.M(i, j)) * (
-                h1 * GaussRational(t2)
-            )
-        rep.record("reduced-coproduct-m-tau-i", lhs - rhs, generator=f"M_0{i}")
+            rhs = rhs + TensorElement.of(p_up[j] * pi_inv, alg.X(i, j)) * (h1 * t2)
+        rep.record("reduced-coproduct-m-tau-i", lhs - rhs, generator=f"M_0{i}", phase=1)
 
 
 def pushforward_consistency_report(
@@ -463,13 +442,10 @@ def pushforward_consistency_report(
     codes = source.generator_codes()
     for i, x in enumerate(codes):
         for y in codes[i + 1 :]:
-            xe = source.from_codes({x: GR_ONE})
-            ye = source.from_codes({y: GR_ONE})
+            xe = source.from_codes({x: 1})
+            ye = source.from_codes({y: 1})
             lhs = change.push(source.bracket(xe, ye), target)
             rhs = target.bracket(change.push(xe, target), change.push(ye, target))
-            rep.record(
-                "bracket-commutes-with-basis-change",
-                lhs - rhs,
-                generator=f"codes ({x},{y})",
-            )
+            n = source.i_count((x, y))
+            rep.record("bracket-commutes-with-basis-change", lhs - rhs, f"codes ({x},{y})", phase=n)
     return rep

@@ -18,7 +18,8 @@ from .errors import InternalConsistencyError, OrderMismatchError
 from .hopf import DeformationContext, pi_identities_report, verify_hopf
 from .minkowski import verify_covariance
 from .reports import VerificationReport
-from .tensors import TensorElement, classify_orbit, omega, r_matrix, schouten_square
+from .scalars import I_POWERS
+from .tensors import classify_orbit, omega, r_matrix, schouten_square
 from .twist import build_twist, verify_twist
 
 EXAMPLES = {
@@ -156,13 +157,13 @@ def _check_basis(cfg: jsonio.RunConfig):
         raise BasisError("light-cone basis requires tau^2 = 0")
 
 
-def _context(cfg: jsonio.RunConfig, order: int) -> DeformationContext:
+def _context(cfg: jsonio.RunConfig, order: int, shift=None) -> DeformationContext:
     """The deformation context in the configured basis, which is checked
     against tau before anything is built."""
     _check_basis(cfg)
     if cfg.basis in ("identity", "auto"):
-        return DeformationContext(cfg.metric, cfg.tau, order)
-    return adapted_context(cfg.metric, cfg.tau, order)[1]
+        return DeformationContext(cfg.metric, cfg.tau, order, shift=shift)
+    return adapted_context(cfg.metric, cfg.tau, order, shift=shift)[1]
 
 
 def cmd_emit(cfg: jsonio.RunConfig, obj: str, generator: str | None) -> int:
@@ -176,6 +177,7 @@ def cmd_emit(cfg: jsonio.RunConfig, obj: str, generator: str | None) -> int:
         w = r_matrix(alg, cfg.tau)
         if obj == "schouten":
             w = schouten_square(w)
+        w = w * I_POWERS[1]  # the paper's r and [[r, r]] are i times their X-forms
         _print_one(fmt, w, jsonio.wedge_to_json, render.wedge_text, render.wedge_latex)
         return 0
 
@@ -222,6 +224,7 @@ def cmd_emit(cfg: jsonio.RunConfig, obj: str, generator: str | None) -> int:
         print(f"error: emit {obj} needs --generator", file=sys.stderr)
         return 2
     code = _parse_generator(generator, ctx.algebra)
+    to_m = I_POWERS[ctx.algebra.i_count((code,))]  # D(M) = i D(X), S(M) = i S(X)
     if obj == "coproduct":
         if fmt == "latex":
             # conventional symbols: Pi_tau, C_tau unexpanded
@@ -230,7 +233,7 @@ def cmd_emit(cfg: jsonio.RunConfig, obj: str, generator: str | None) -> int:
                 + render.coproduct_latex_symbolic(ctx, code)
             )
             return 0
-        t = ctx.coproduct(code)
+        t = ctx.coproduct(code) * to_m
         _print_one(fmt, t, jsonio.tensor_to_json, render.tensor_text, render.tensor_latex,
                    label=f"Delta({ctx.gen_name(code)})")
     else:
@@ -240,7 +243,7 @@ def cmd_emit(cfg: jsonio.RunConfig, obj: str, generator: str | None) -> int:
                 + render.antipode_latex_symbolic(ctx, code)
             )
             return 0
-        s = ctx.antipode(code)
+        s = ctx.antipode(code) * to_m
         _print_one(fmt, s, jsonio.element_to_json, render.element_text, render.element_latex,
                    label=f"S({ctx.gen_name(code)})")
     return 0
@@ -259,14 +262,14 @@ def _print_one(fmt, value, to_json, to_text, to_latex, label=None, latex_label=N
 
 def _schouten_report(cfg: jsonio.RunConfig, order: int) -> VerificationReport:
     from .algebra import PoincareAlgebra
-    from .scalars import GaussRational
 
     rep = VerificationReport("schouten")
     alg = PoincareAlgebra(cfg.metric, order)
     w = r_matrix(alg, cfg.tau)
     rep.record(
         "schouten-square-is-minus-tau-squared-omega",
-        schouten_square(w) - omega(alg) * GaussRational(-cfg.tau.tau_sq),
+        schouten_square(w) - omega(alg) * -cfg.tau.tau_sq,
+        phase=1,
     )
     return rep
 
@@ -288,12 +291,11 @@ def cmd_verify(cfg: jsonio.RunConfig, suite: str, corrupt: bool = False) -> int:
     if suite == "all":
         reports.append(_schouten_report(cfg, cfg.order_for("hopf")))
 
+    # negative control: a unit bump 1 (x) 1 on the coproduct of M_01, the
+    # first generator
+    shift = {1: {(((), ()), 0): 1}} if corrupt else None
     for name in wanted:
-        ctx = _context(cfg, cfg.order_for(name))
-        if corrupt:
-            # negative control: a unit bump on the first generator's coproduct
-            code = ctx.generator_codes()[0]
-            ctx._coproducts[code] = ctx.coproduct(code) + TensorElement.unit(ctx.algebra, 2)
+        ctx = _context(cfg, cfg.order_for(name), shift)
         reports.extend(_SUITE_REPORTS[name](ctx))
 
     if cfg.output_format == "json":

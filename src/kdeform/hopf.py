@@ -15,18 +15,23 @@ The generator coproducts are
     D(P_mu) = P_mu (x) Pi + 1 (x) P_mu
               - h tau_mu (P^a Pi^-1) (x) P_a
               - h^2/2 tau_mu (C_tau Pi^-1) (x) P_tau
-    D(M_mn) = M_mn (x) 1 + 1 (x) M_mn
-              + h (P^a Pi^-1) (x) (tau_n M_{a mu} - tau_mu M_{a nu})
-              - h^2/2 (C_tau Pi^-1) (x) (tau_mu M_{tau nu} - tau_nu M_{tau mu})
+    D(X_mn) = X_mn (x) 1 + 1 (x) X_mn
+              + h (P^a Pi^-1) (x) (tau_n X_{a mu} - tau_mu X_{a nu})
+              - h^2/2 (C_tau Pi^-1) (x) (tau_mu X_{tau nu} - tau_nu X_{tau mu})
 
 and the antipodes
 
     S(P_mu) = -(P_mu + h tau_mu (C + h/2 P_tau C_tau)) Pi^-1
-    S(M_mn) = -M_mn + h P^a (tau_n M_{a mu} - tau_mu M_{a nu})
-              + h^2/2 C_tau (tau_n M_{tau mu} - tau_mu M_{tau nu})
+    S(X_mn) = -X_mn + h P^a (tau_n X_{a mu} - tau_mu X_{a nu})
+              + h^2/2 C_tau (tau_n X_{tau mu} - tau_mu X_{tau nu})
 
-all with summation over the raised index a.  tau = 0 is accepted and yields
-the undeformed Hopf algebra.
+all with summation over the raised index a, and all rational.  Both rotation
+formulas are linear in the rotations, so the paper's D(M_mn) and S(M_mn) are
+i times them.  tau = 0 is accepted and yields the undeformed Hopf algebra.
+
+A check about the paper's generators records the residual of its X-form
+together with the power of i that turns it back into the residual of the
+M-form identity: the number of rotations among the generators it is about.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .algebra import (
 )
 from .errors import InternalConsistencyError
 from .reports import VerificationReport
-from .scalars import GR_ONE, GaussRational, HSeries, binom_half
+from .scalars import I_POWERS, HSeries, binom_half, times_i
 from .tensors import TensorElement, r_matrix, tensor_commutator
 from .render import gen_text
 
@@ -56,9 +61,15 @@ class DeformationContext:
     """Everything derived from (g, tau, N): the algebra, the deformation series
     Pi_tau / Pi_tau^-1 / C_tau, and the coproduct and antipode tables with
     their memoised monomial images.  Immutable after construction; caches are
-    fill-once."""
+    fill-once.
 
-    def __init__(self, metric: Metric, tau, order: int, algebra: PoincareAlgebra | None = None):
+    shift perturbs the coproduct tables, for negative controls: {code:
+    {(key, power of h): value}} adds those terms to the coproduct of the
+    paper's generator with that code (M or P), stated in M and P."""
+
+    def __init__(
+        self, metric: Metric, tau, order: int, algebra: PoincareAlgebra | None = None, shift=None
+    ):
         if algebra is not None and (algebra.metric != metric or algebra.order != order):
             raise ValueError("supplied algebra does not match the metric/order")
         self.algebra = algebra if algebra is not None else PoincareAlgebra(metric, order)
@@ -67,7 +78,7 @@ class DeformationContext:
         self.tau = tau if isinstance(tau, VectorTau) else VectorTau(metric, tau)
         alg = self.algebra
 
-        self.p_tau, self.m_tau = alg.contract_tau(self.tau)
+        self.p_tau, self.x_tau = alg.contract_tau(self.tau)
         self.casimir = alg.casimir()
 
         self._p_raised = [alg.momentum_raised(a) for a in range(alg.dim)]
@@ -77,6 +88,11 @@ class DeformationContext:
 
         self._coproducts = {}
         self._antipodes = {}
+        # D(X) = -i D(M), in the engine's symbols
+        self._shift = {
+            code: TensorElement(alg, 2, terms).in_symbols(1) * I_POWERS[-alg.i_count((code,)) % 4]
+            for code, terms in (shift or {}).items()
+        }
         # the coproduct, undeformed coproduct and antipode of PBW monomials
         self.mono_coproduct = MonomialMap(TensorElement.unit(alg, 2), self.coproduct)
         self.mono_primitive = MonomialMap(TensorElement.unit(alg, 2), self._primitive_gen)
@@ -100,7 +116,7 @@ class DeformationContext:
         cpow = alg.one()
         for n in range(1, alg.order // 2 + 1):
             cpow = cpow * self.casimir
-            coeff = HSeries.h_power(alg.order, 2 * n, GaussRational(binom_half(n) * t2**n))
+            coeff = HSeries.h_power(alg.order, 2 * n, binom_half(n) * t2**n)
             out = out + cpow * coeff
         return out
 
@@ -131,7 +147,7 @@ class DeformationContext:
         for n in range(1, alg.order // 2 + 2):
             cpow = cpow * self.casimir
             c = 2 * binom_half(n) * t2 ** (n - 1)
-            out = out + cpow * HSeries.h_power(alg.order, 2 * n - 2, GaussRational(c))
+            out = out + cpow * HSeries.h_power(alg.order, 2 * n - 2, c)
         return out
 
     def lift(self, extra: int = 1) -> "DeformationContext":
@@ -156,13 +172,15 @@ class DeformationContext:
         t = self._coproducts.get(code)
         if t is None:
             t = self._coproduct_uncached(code)
+            if code in self._shift:
+                t = t + self._shift[code]
             self._coproducts[code] = t
         return t
 
     def _coproduct_uncached(self, code: int) -> TensorElement:
         alg = self.algebra
         h1 = alg.h(1)
-        h2_half = HSeries.h_power(alg.order, 2, GaussRational(_HALF))
+        h2_half = HSeries.h_power(alg.order, 2, _HALF)
         kind, idx = alg.decode(code)
         gen = self.gen_element(code)
         out = TensorElement.of(gen, self.pi if kind == "P" else alg.one())
@@ -172,19 +190,19 @@ class DeformationContext:
             mu = idx
             if cov[mu]:
                 pap, cp = self._shared_tails()
-                out = out - pap * (h1 * GaussRational(cov[mu]))
-                out = out - cp * (h2_half * GaussRational(cov[mu]))
+                out = out - pap * (h1 * cov[mu])
+                out = out - cp * (h2_half * cov[mu])
         else:
             mu, nu = idx
             if cov[mu] or cov[nu]:
                 pap, cp = self._shared_tails()
                 second = TensorElement(alg, 2, {})
                 for a in range(alg.dim):
-                    w = alg.M(a, mu) * GaussRational(cov[nu]) - alg.M(a, nu) * GaussRational(cov[mu])
+                    w = alg.X(a, mu) * cov[nu] - alg.X(a, nu) * cov[mu]
                     if w:
                         second = second + TensorElement.of(self._p_raised[a] * self.pi_inv, w)
                 out = out + second * h1
-                w2 = self.m_tau[nu] * GaussRational(cov[mu]) - self.m_tau[mu] * GaussRational(cov[nu])
+                w2 = self.x_tau[nu] * cov[mu] - self.x_tau[mu] * cov[nu]
                 if w2:
                     out = out - TensorElement.of(self.c_tau * self.pi_inv, w2) * h2_half
         return out
@@ -199,7 +217,7 @@ class DeformationContext:
     def _antipode_uncached(self, code: int) -> AlgebraElement:
         alg = self.algebra
         h1 = alg.h(1)
-        h2_half = HSeries.h_power(alg.order, 2, GaussRational(_HALF))
+        h2_half = HSeries.h_power(alg.order, 2, _HALF)
         kind, idx = alg.decode(code)
         cov = self.tau.covariant
         gen = self.gen_element(code)
@@ -207,16 +225,16 @@ class DeformationContext:
             mu = idx
             inner = gen
             if cov[mu]:
-                extra = self.casimir + self.p_tau * self.c_tau * (h1 * GaussRational(_HALF))
-                inner = inner + extra * (h1 * GaussRational(cov[mu]))
+                extra = self.casimir + self.p_tau * self.c_tau * (h1 * _HALF)
+                inner = inner + extra * (h1 * cov[mu])
             return -(inner * self.pi_inv)
         mu, nu = idx
         out = -gen
         for a in range(alg.dim):
-            w = alg.M(a, mu) * GaussRational(cov[nu]) - alg.M(a, nu) * GaussRational(cov[mu])
+            w = alg.X(a, mu) * cov[nu] - alg.X(a, nu) * cov[mu]
             if w:
                 out = out + self._p_raised[a] * w * h1
-        w2 = self.m_tau[mu] * GaussRational(cov[nu]) - self.m_tau[nu] * GaussRational(cov[mu])
+        w2 = self.x_tau[mu] * cov[nu] - self.x_tau[nu] * cov[mu]
         if w2:
             out = out + self.c_tau * w2 * h2_half
         return out
@@ -248,7 +266,7 @@ class DeformationContext:
         return self.algebra.generator_codes()
 
     def gen_element(self, code: int) -> AlgebraElement:
-        return self.algebra.from_codes({code: GR_ONE})
+        return self.algebra.from_codes({code: 1})
 
     def gen_name(self, code: int) -> str:
         return gen_text(code, self.algebra.dim)
@@ -274,18 +292,18 @@ def pi_identities_report(ctx: DeformationContext) -> VerificationReport:
     one = alg.one()
     t2 = ctx.tau.tau_sq
     rep.record("pi-times-pi-inverse-is-one", ctx.pi * ctx.pi_inv - one)
-    quarter = HSeries.h_power(alg.order, 2, GaussRational(Fraction(t2, 4)))
+    quarter = HSeries.h_power(alg.order, 2, Fraction(t2, 4))
     rep.record(
         "casimir-recovered-from-deformed-casimir",
         ctx.c_tau * (one + ctx.c_tau * quarter) - ctx.casimir,
     )
-    half_t2 = HSeries.h_power(alg.order, 2, GaussRational(Fraction(t2, 2)))
+    half_t2 = HSeries.h_power(alg.order, 2, Fraction(t2, 2))
     rep.record(
         "pi-inverse-decomposition-identity",
         one - ctx.c_tau * ctx.pi_inv * half_t2 - ctx.p_tau * ctx.pi_inv * alg.h()
         - ctx.pi_inv,
     )
-    lhs = ctx.c_tau * HSeries.h_power(alg.order, 2, GaussRational(t2))
+    lhs = ctx.c_tau * HSeries.h_power(alg.order, 2, t2)
     rhs = (
         ctx.pi
         + ctx.pi_inv
@@ -326,6 +344,7 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
     selected = _select(checks)
     alg = ctx.algebra
     codes = ctx.generator_codes()
+    ph = alg.i_count
 
     if "coproduct-respects-commutators" in selected:
         for i, x in enumerate(codes):
@@ -337,6 +356,7 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
                     "coproduct-respects-commutators",
                     lhs - rhs,
                     generator=f"[{ctx.gen_name(x)},{ctx.gen_name(y)}]",
+                    phase=ph((x, y)),
                 )
 
     if "coassociativity" in selected:
@@ -344,37 +364,23 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
             d = ctx.coproduct(x)
             left = d.map_leg(0, ctx.mono_coproduct)
             right = d.map_leg(1, ctx.mono_coproduct)
-            rep.record("coassociativity", left - right, generator=ctx.gen_name(x))
+            rep.record("coassociativity", left - right, generator=ctx.gen_name(x), phase=ph((x,)))
 
     if "counit-axioms" in selected:
         for x in codes:
-            d = ctx.coproduct(x)
-            xe = ctx.gen_element(x)
-            rep.record(
-                "counit-axioms",
-                d.contract_counit(0) - xe,
-                generator=f"(eps (x) id) {ctx.gen_name(x)}",
-            )
-            rep.record(
-                "counit-axioms",
-                d.contract_counit(1) - xe,
-                generator=f"(id (x) eps) {ctx.gen_name(x)}",
-            )
+            d, xe = ctx.coproduct(x), ctx.gen_element(x)
+            for leg, side in ((0, "eps (x) id"), (1, "id (x) eps")):
+                label = f"({side}) {ctx.gen_name(x)}"
+                rep.record("counit-axioms", d.contract_counit(leg) - xe, label, phase=ph((x,)))
 
     if "antipode-axiom" in selected:
         for x in codes:
             d = ctx.coproduct(x)
             # both sides must equal eps(x) 1 = 0 for a generator
-            rep.record(
-                "antipode-axiom",
-                d.map_leg(0, ctx.mono_antipode).merge_legs(),
-                generator=f"m(S (x) id)Delta {ctx.gen_name(x)}",
-            )
-            rep.record(
-                "antipode-axiom",
-                d.map_leg(1, ctx.mono_antipode).merge_legs(),
-                generator=f"m(id (x) S)Delta {ctx.gen_name(x)}",
-            )
+            for leg, side in ((0, "S (x) id"), (1, "id (x) S")):
+                residual = d.map_leg(leg, ctx.mono_antipode).merge_legs()
+                label = f"m({side})Delta {ctx.gen_name(x)}"
+                rep.record("antipode-axiom", residual, label, phase=ph((x,)))
 
     if "antipode-antihomomorphism" in selected:
         for i, x in enumerate(codes):
@@ -386,6 +392,7 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
                     "antipode-antihomomorphism",
                     lhs - alg.bracket(sy, sx),
                     generator=f"[{ctx.gen_name(x)},{ctx.gen_name(y)}]",
+                    phase=ph((x, y)),
                 )
 
     if "antipode-squared-similarity" in selected:
@@ -399,19 +406,12 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
                 "antipode-squared-similarity",
                 lhs - pi_pow * xe * pi_inv_pow,
                 generator=ctx.gen_name(x),
+                phase=ph((x,)),
             )
 
     if "group-likeness" in selected:
-        rep.record(
-            "group-likeness",
-            ctx.coproduct_of(ctx.pi) - TensorElement.of(ctx.pi, ctx.pi),
-            generator="Pi",
-        )
-        rep.record(
-            "group-likeness",
-            ctx.coproduct_of(ctx.pi_inv) - TensorElement.of(ctx.pi_inv, ctx.pi_inv),
-            generator="Pi^-1",
-        )
+        for name, g in (("Pi", ctx.pi), ("Pi^-1", ctx.pi_inv)):
+            rep.record("group-likeness", ctx.coproduct_of(g) - TensorElement.of(g, g), name)
 
     if "classical-limit-cobracket" in selected:
         if ctx.tau.is_zero:
@@ -425,17 +425,22 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
                 lhs = (d - d.flip()).h_coefficient(1)
                 d0 = ctx.primitive_of(ctx.gen_element(x))
                 rhs = (d0 * r_t - r_t * d0).h_coefficient(0)
-                rep.record(
-                    "classical-limit-cobracket",
-                    dict_sub(lhs, rhs),
-                    generator=ctx.gen_name(x),
-                )
+                # the residual of the paper's generator, in its symbols
+                res = dict_sub(lhs, rhs)
+                n = ph((x,))
+                res = {k: times_i(c, n - sum(map(ph, k))) for k, c in res.items()}
+                rep.record("classical-limit-cobracket", res, generator=ctx.gen_name(x))
 
     if "star-compatibility" in selected:
+        # X* = -X: the M-form residual D(M)* - D(M) is -i (D(X)* + D(X))
         for x in codes:
             d = ctx.coproduct(x)
+            n = ph((x,))
             rep.record(
-                "star-compatibility", d.star_legs() - d, generator=ctx.gen_name(x)
+                "star-compatibility",
+                d.star_legs() - d * (-1) ** n,
+                generator=ctx.gen_name(x),
+                phase=-n,
             )
 
     if "rescaling-invariance" in selected:
@@ -446,6 +451,7 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
                     "rescaling-invariance",
                     scaled.coproduct(x).rescale_h(s) - ctx.coproduct(x),
                     generator=f"{ctx.gen_name(x)} (s={s})",
+                    phase=ph((x,)),
                 )
 
     rep.seconds = time.monotonic() - t0

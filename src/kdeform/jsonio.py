@@ -3,7 +3,9 @@
 Rationals travel as exact "num/den" strings (plain integers are accepted);
 floats are rejected outright.  Series are arrays of
 {h_power, re_num, re_den, im_num, im_den} with zero coefficients omitted;
-h_power is a plain integer >= 0.
+h_power is a plain integer >= 0.  Expressions are written in the paper's
+symbols M = iX and x = iy (see TermElement.in_symbols) and read back into the
+engine's.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau
 from .minkowski import MinkowskiElement
-from .scalars import GaussRational, HSeries
+from .scalars import HSeries, gauss
 from .tensors import OrbitClassification, TensorElement, WedgeElement
 
 
@@ -27,21 +29,32 @@ def parse_rational(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise ValueError(f"cannot parse rational from {x!r}")
 
 
-def gauss_to_json(c: GaussRational) -> dict:
+def _rational_list(x, what: str, parse=parse_rational) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list, got {x!r}")
+    return [parse(v) for v in x]
+
+
+def gauss_to_json(c) -> dict:
+    """A rational or GaussRational coefficient; both carry .real and .imag."""
+    re, im = c.real, c.imag
     return {
-        "re_num": c.re.numerator,
-        "re_den": c.re.denominator,
-        "im_num": c.im.numerator,
-        "im_den": c.im.denominator,
+        "re_num": re.numerator,
+        "re_den": re.denominator,
+        "im_num": im.numerator,
+        "im_den": im.denominator,
     }
 
 
-def gauss_from_json(d: dict) -> GaussRational:
-    return GaussRational(
+def gauss_from_json(d: dict):
+    return gauss(
         Fraction(d["re_num"], d["re_den"]), Fraction(d.get("im_num", 0), d.get("im_den", 1))
     )
 
@@ -51,7 +64,7 @@ def hseries_to_json(hs: HSeries) -> list:
 
 
 def _coeffs_from_json(data: list, order: int) -> dict:
-    """{power of h: nonzero GaussRational} of a JSON series, truncated at the
+    """{power of h: nonzero coefficient} of a JSON series, truncated at the
     order; a later entry for the same power replaces an earlier one."""
     out = {}
     for item in data:
@@ -68,7 +81,8 @@ def hseries_from_json(data: list, order: int) -> HSeries:
 
 
 def _terms_from_json(data: dict, order: int, key_of) -> dict:
-    """Flat terms {(key, power of h): GaussRational} of a JSON term list."""
+    """Flat terms {(key, power of h): coefficient} of a JSON term list, in the
+    paper's symbols."""
     terms = {}
     for item in data["terms"]:
         key = key_of(item)
@@ -111,7 +125,7 @@ def element_from_json(data: dict, alg: PoincareAlgebra) -> AlgebraElement:
     def monomial(item):
         return tuple(_gen_from_descriptor(d, alg) for d in item["monomial"])
 
-    return AlgebraElement(alg, _terms_from_json(data, alg.order, monomial))
+    return AlgebraElement(alg, _terms_from_json(data, alg.order, monomial)).in_symbols(1)
 
 
 def tensor_to_json(t: TensorElement) -> dict:
@@ -136,7 +150,7 @@ def tensor_from_json(data: dict, alg: PoincareAlgebra) -> TensorElement:
             tuple(_gen_from_descriptor(d, alg) for d in mono) for mono in item["monomials"]
         )
 
-    return TensorElement(alg, data["legs"], _terms_from_json(data, alg.order, legs))
+    return TensorElement(alg, data["legs"], _terms_from_json(data, alg.order, legs)).in_symbols(1)
 
 
 def wedge_to_json(w: WedgeElement) -> dict:
@@ -148,7 +162,7 @@ def wedge_to_json(w: WedgeElement) -> dict:
                 "generators": [_gen_descriptor(c, dim) for c in key],
                 "coeff": gauss_to_json(c),
             }
-            for key, c in sorted(w.terms.items())
+            for key, c in sorted(w.in_symbols(-1).terms.items())
         ],
     }
 
@@ -158,7 +172,7 @@ def wedge_from_json(data: dict, alg: PoincareAlgebra) -> WedgeElement:
     for item in data["terms"]:
         key = tuple(_gen_from_descriptor(d, alg) for d in item["generators"])
         w.add(key, gauss_from_json(item["coeff"]))
-    return w
+    return w.in_symbols(1)
 
 
 def mink_to_json(elem: MinkowskiElement) -> dict:
@@ -177,7 +191,7 @@ def mink_from_json(data: dict, ctx) -> MinkowskiElement:
     def word(item):
         return tuple(d["x"] for d in item["monomial"])
 
-    return MinkowskiElement(ctx, _terms_from_json(data, ctx.algebra.order, word))
+    return MinkowskiElement(ctx, _terms_from_json(data, ctx.algebra.order, word)).in_symbols(1)
 
 
 def orbit_to_json(o: OrbitClassification) -> dict:
@@ -230,7 +244,7 @@ def residual_to_json(residual):
     if isinstance(residual, MinkowskiElement):
         return mink_to_json(residual)
     if isinstance(residual, dict):
-        return {repr(k): repr(v) for k, v in residual.items()}
+        return {repr(k): str(v) for k, v in residual.items()}
     return None
 
 
@@ -268,8 +282,8 @@ def config_from_json(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ValueError("configuration must be a JSON object")
     try:
-        rows = [[parse_rational(x) for x in row] for row in data["metric"]]
-        tau_comps = [parse_rational(x) for x in data["tau"]]
+        rows = _rational_list(data["metric"], "metric", lambda r: _rational_list(r, "a metric row"))
+        tau_comps = _rational_list(data["tau"], "tau")
     except KeyError as e:
         raise ValueError(f"configuration is missing the {e.args[0]!r} field") from None
     dim = data.get("dimension", len(rows))

@@ -1,6 +1,10 @@
 """The kappa-Minkowski module algebra: noncommutative coordinates with
 
-    [x^mu, x^nu] = i h (tau^mu x^nu - tau^nu x^mu)
+    [x^mu, x^nu] = i h (tau^mu x^nu - tau^nu x^mu),
+
+computed in the real coordinates y = -i x, where
+
+    [y^mu, y^nu] = h (tau^mu y^nu - tau^nu y^mu),
 
 normal-ordered on nondecreasing index words, and the covariant Hopf action of
 the deformed symmetry through the generalized Leibniz rule
@@ -9,10 +13,12 @@ the deformed symmetry through the generalized Leibniz rule
 
 with the deformed coproduct supplying the legs.  Generators act classically on
 single coordinates as P_mu = -i d_mu and M_mn = i(x_m d_n - x_n d_m), which
-represent the brackets: P_mu |> x^nu = -i delta, M_mn |> x^rho = i(x_m
-delta_n^rho - x_n delta_m^rho) with the coordinate index lowered by the
-metric; constants are hit with the counit.  A series leg acting on a degree-d
-word is finite: every momentum word longer than d annihilates it.
+represent the brackets; in X = -iM and y that is P_mu |> y^nu = -delta and
+X_mn |> y^rho = y_m delta_n^rho - y_n delta_m^rho, with the coordinate index
+lowered by the metric; constants are hit with the counit.  A series leg acting
+on a degree-d word is finite: every momentum word longer than d annihilates
+it.  A check on degree-d words of the paper's x records its y-form residual
+with the phase d (plus one per rotation): x = iy.
 """
 
 from __future__ import annotations
@@ -20,15 +26,15 @@ from __future__ import annotations
 import time
 
 from .algebra import AlgebraElement, TermElement, accumulate
+from .scalars import rational
 from .errors import ContextMismatchError
 from .hopf import DeformationContext
 from .reports import VerificationReport
-from .scalars import GR_I, GR_MINUS_I, GR_ONE, GaussRational, HSeries
 
 
 class MinkowskiElement(TermElement):
-    """Sparse element of the coordinate algebra:
-    {(nondecreasing index tuple, power of h): GaussRational}."""
+    """Sparse element of the coordinate algebra in y = -i x:
+    {(nondecreasing index tuple, power of h): coefficient}."""
 
     __slots__ = ("context",)
 
@@ -52,6 +58,9 @@ class MinkowskiElement(TermElement):
     def _scalar(self, value) -> "MinkowskiElement":
         return scalar_mink(self.context, value)
 
+    def _i_count(self, key) -> int:
+        return len(key)
+
     def __mul__(self, other):
         if isinstance(other, MinkowskiElement):
             self._check(other)
@@ -59,10 +68,14 @@ class MinkowskiElement(TermElement):
         return TermElement.__mul__(self, other)
 
     def star(self) -> "MinkowskiElement":
-        """Antilinear anti-involution fixing the coordinates (tau real)."""
+        """Antilinear anti-involution fixing the coordinates x (tau real), so
+        y* = -y."""
         ctx = self.context
         return self._star_by(
-            lambda mono, _: _coord_normal_order(ctx, tuple(reversed(mono))).items()
+            lambda mono, _: [
+                (t, c * (-1) ** len(mono))
+                for t, c in _coord_normal_order(ctx, tuple(reversed(mono))).items()
+            ]
         )
 
     def degree(self) -> int:
@@ -75,13 +88,14 @@ class MinkowskiElement(TermElement):
 
 
 def scalar_mink(ctx: DeformationContext, value) -> MinkowskiElement:
-    return MinkowskiElement(ctx, {((), 0): GR_ONE}) * value
+    return MinkowskiElement(ctx, {((), 0): 1}) * value
 
 
 def coordinate(ctx: DeformationContext, mu: int) -> MinkowskiElement:
+    """The real coordinate y^mu = -i x^mu."""
     if not 0 <= mu < ctx.algebra.dim:
         raise IndexError(f"coordinate index {mu} out of range")
-    return MinkowskiElement(ctx, {((mu,), 0): GR_ONE})
+    return MinkowskiElement(ctx, {((mu,), 0): 1})
 
 
 def coordinate_monomial(ctx: DeformationContext, indices) -> MinkowskiElement:
@@ -93,8 +107,8 @@ def coordinate_monomial(ctx: DeformationContext, indices) -> MinkowskiElement:
 
 def _coord_normal_order(ctx: DeformationContext, word: tuple) -> dict:
     """Normal order a coordinate word, as flat terms {(word, power of h):
-    GaussRational}.  Each swap of an out-of-order adjacent pair (mu > nu)
-    emits the linear correction i h (tau^mu x^nu - tau^nu x^mu), one power of
+    coefficient}.  Each swap of an out-of-order adjacent pair (mu > nu)
+    emits the linear correction h (tau^mu y^nu - tau^nu y^mu), one power of
     h up: the only key product that shifts h."""
     cache = ctx._mink_no_cache
     out = cache.get(word)
@@ -104,7 +118,7 @@ def _coord_normal_order(ctx: DeformationContext, word: tuple) -> dict:
         if word[i] > word[i + 1]:
             break
     else:
-        out = {(word, 0): GR_ONE}
+        out = {(word, 0): 1}
         cache[word] = out
         return out
     N = ctx.algebra.order
@@ -115,11 +129,10 @@ def _coord_normal_order(ctx: DeformationContext, word: tuple) -> dict:
     for comp, keep in ((tau[mu], nu), (-tau[nu], mu)):
         if not comp:
             continue
-        w = GR_I * comp
         for (m, j), c in _coord_normal_order(ctx, head + (keep,) + tail).items():
             if j < N:
-                accumulate(acc, (m, j + 1), c * w)
-    out = {t: c for t, c in acc.items() if c}
+                accumulate(acc, (m, j + 1), c * comp)
+    out = {t: rational(c) for t, c in acc.items() if c}
     cache[word] = out
     return out
 
@@ -178,8 +191,8 @@ def _act_gen_mono(ctx: DeformationContext, code: int, cmono: tuple) -> Minkowski
         out = _act_gen_coordinate(ctx, code, cmono[0])
     else:
         head, tail = cmono[:1], cmono[1:]
-        head_elem = MinkowskiElement(ctx, {(head, 0): GR_ONE})
-        tail_elem = MinkowskiElement(ctx, {(tail, 0): GR_ONE})
+        head_elem = MinkowskiElement(ctx, {(head, 0): 1})
+        tail_elem = MinkowskiElement(ctx, {(tail, 0): 1})
         out = _leibniz(ctx, ctx.coproduct(code), head_elem, tail_elem)
     cache[key] = out
     return out
@@ -189,12 +202,10 @@ def _act_gen_coordinate(ctx: DeformationContext, code: int, mu: int) -> Minkowsk
     alg = ctx.algebra
     kind, idx = alg.decode(code)
     if kind == "P":
-        return (
-            scalar_mink(ctx, GR_MINUS_I) if idx == mu else scalar_mink(ctx, 0)
-        )
+        return scalar_mink(ctx, -1 if idx == mu else 0)
     rho, sig = idx
     g = ctx.metric.rows
-    # +i x_rho when sig == mu, -i x_sig when rho == mu (rho < sig: not both)
+    # y_rho when sig == mu, -y_sig when rho == mu (rho < sig: not both)
     if sig == mu:
         lowered, sign = g[rho], 1
     elif rho == mu:
@@ -202,7 +213,7 @@ def _act_gen_coordinate(ctx: DeformationContext, code: int, mu: int) -> Minkowsk
     else:
         return scalar_mink(ctx, 0)
     return MinkowskiElement(
-        ctx, {((nu,), 0): GaussRational(0, sign * c) for nu, c in enumerate(lowered) if c}
+        ctx, {((nu,), 0): rational(sign * c) for nu, c in enumerate(lowered) if c}
     )
 
 
@@ -242,7 +253,8 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
     d = alg.dim
     codes = ctx.generator_codes()
     tau = ctx.tau.components
-    i_h = HSeries.h_power(alg.order, 1, GaussRational(0, 1))
+    h1 = alg.h(1)
+    ph = alg.i_count
 
     for code in codes:
         name = ctx.gen_name(code)
@@ -253,12 +265,9 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
                 lhs = act_on_product(ctx, gen_elem, xmu, xnu) - act_on_product(
                     ctx, gen_elem, xnu, xmu
                 )
-                rhs = (act(ctx, code, xnu) * tau[mu] - act(ctx, code, xmu) * tau[nu]) * i_h
-                rep.record(
-                    "relation-preserved-under-action",
-                    lhs - rhs,
-                    generator=f"{name} on [x{mu},x{nu}]",
-                )
+                rhs = (act(ctx, code, xnu) * tau[mu] - act(ctx, code, xmu) * tau[nu]) * h1
+                label, n = f"{name} on [x{mu},x{nu}]", ph((code,)) + 2
+                rep.record("relation-preserved-under-action", lhs - rhs, label, phase=n)
 
     monomials = _monomials_up_to(d, max_degree)
 
@@ -273,11 +282,9 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
                 rhs = act(ctx, c1, act(ctx, c2, a))
                 residual = lhs - rhs
                 if not residual.is_zero:
-                    rep.record(
-                        "successive-action-representation",
-                        residual,
-                        generator=f"{ctx.gen_name(c1)} {ctx.gen_name(c2)} on x{list(mono)}",
-                    )
+                    label = f"{ctx.gen_name(c1)} {ctx.gen_name(c2)} on x{list(mono)}"
+                    n = ph((c1, c2)) + len(mono)
+                    rep.record("successive-action-representation", residual, label, phase=n)
     rep.record_bool("successive-action-representation", True, note="all pairs, all monomials")
 
     for code in codes:
@@ -290,23 +297,18 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
                 rhs = act_on_product(ctx, gen_elem, a, b)
                 residual = lhs - rhs
                 if not residual.is_zero:
-                    rep.record(
-                        "leibniz-compatibility",
-                        residual,
-                        generator=f"{ctx.gen_name(code)} on x{list(mono)} split {cut}",
-                    )
+                    label = f"{ctx.gen_name(code)} on x{list(mono)} split {cut}"
+                    n = ph((code,)) + len(mono)
+                    rep.record("leibniz-compatibility", residual, label, phase=n)
     rep.record_bool("leibniz-compatibility", True, note="all generators, all splits")
 
     some = [m for m in monomials if len(m) <= 2]
     for mono in some:
         a = coordinate_monomial(ctx, mono)
-        rep.record("unit-acts-as-identity", act(ctx, alg.one(), a) - a)
+        rep.record("unit-acts-as-identity", act(ctx, alg.one(), a) - a, phase=len(mono))
     for code in codes:
-        rep.record(
-            "action-on-unit-is-counit",
-            act(ctx, code, scalar_mink(ctx, 1)),
-            generator=ctx.gen_name(code),
-        )
+        residual = act(ctx, code, scalar_mink(ctx, 1))
+        rep.record("action-on-unit-is-counit", residual, ctx.gen_name(code), phase=ph((code,)))
 
     cas = ctx.casimir
     for code in codes:
@@ -316,11 +318,8 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
             rhs = act(ctx, code, act(ctx, cas, a))
             residual = lhs - rhs
             if not residual.is_zero:
-                rep.record(
-                    "casimir-action-commutes",
-                    residual,
-                    generator=f"{ctx.gen_name(code)} on x{list(mono)}",
-                )
+                label, n = f"{ctx.gen_name(code)} on x{list(mono)}", ph((code,)) + len(mono)
+                rep.record("casimir-action-commutes", residual, label, phase=n)
     rep.record_bool("casimir-action-commutes", True, note="degree <= 2")
 
     for mono in monomials:
@@ -329,11 +328,8 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
             b = coordinate_monomial(ctx, mono[cut:])
             residual = (a * b).star() - b.star() * a.star()
             if not residual.is_zero:
-                rep.record(
-                    "star-anti-involution",
-                    residual,
-                    generator=f"x{list(mono)} split {cut}",
-                )
+                label = f"x{list(mono)} split {cut}"
+                rep.record("star-anti-involution", residual, label, phase=-len(mono))
     rep.record_bool("star-anti-involution", True, note="reality of the relations")
 
     rep.seconds = time.monotonic() - t0

@@ -1,8 +1,10 @@
-"""Text and LaTeX rendering of series, elements, tensors and wedges."""
+"""Text and LaTeX rendering of series, elements, tensors and wedges, in the
+paper's symbols: elements come in through TermElement.series and wedges
+through WedgeElement.in_symbols, which restore M = iX and x = iy."""
 
 from __future__ import annotations
 
-from .scalars import GaussRational, HSeries
+from .scalars import HSeries
 
 
 def gen_text(code: int, dim: int) -> str:
@@ -31,29 +33,24 @@ def mono_latex(mono: tuple, dim: int) -> str:
     return " ".join(gen_latex(c, dim) for c in mono)
 
 
-def gauss_text(c: GaussRational) -> str:
-    return repr(c)
+def gauss_latex(c) -> str:
+    """A rational or GaussRational coefficient; both carry .real and .imag."""
 
-
-def gauss_latex(c: GaussRational) -> str:
     def frac(f):
         if f.denominator == 1:
             return str(f.numerator)
         return f"\\tfrac{{{f.numerator}}}{{{f.denominator}}}"
 
-    if not c.im:
-        return frac(c.re)
-    if not c.re:
-        mag = frac(abs(c.im))
-        s = "-" if c.im < 0 else ""
+    re, im = c.real, c.imag
+    if not im:
+        return frac(re)
+    if not re:
+        mag = frac(abs(im))
+        s = "-" if im < 0 else ""
         return f"{s}{'' if mag == '1' else mag}i"
-    s = "+" if c.im > 0 else "-"
-    mag = frac(abs(c.im))
-    return f"\\left({frac(c.re)} {s} {'' if mag == '1' else mag}i\\right)"
-
-
-def hseries_text(hs: HSeries) -> str:
-    return repr(hs)
+    s = "+" if im > 0 else "-"
+    mag = frac(abs(im))
+    return f"\\left({frac(re)} {s} {'' if mag == '1' else mag}i\\right)"
 
 
 def hseries_latex(hs: HSeries) -> str:
@@ -72,7 +69,7 @@ def hseries_latex(hs: HSeries) -> str:
 
 def _coeff_prefix(hs: HSeries, text: bool) -> str:
     """Coefficient rendered for juxtaposition with a monomial."""
-    render = hseries_text if text else hseries_latex
+    render = repr if text else hseries_latex
     nz = hs.nz
     if len(nz) == 1 and nz[0][0] == 0 and nz[0][1] == 1:
         return ""
@@ -82,90 +79,72 @@ def _coeff_prefix(hs: HSeries, text: bool) -> str:
     return s
 
 
-def _sorted_keys(terms):
-    return sorted(terms, key=lambda k: (len(k) if isinstance(k, tuple) else 0, k))
+def _sum(terms: dict, body, text: bool, size=len) -> str:
+    """{key: HSeries} as 'coefficient*body' terms joined by ' + ', ordered by
+    (size(key), key); the empty key is the unit."""
+    if not terms:
+        return "0"
+    parts = []
+    for key in sorted(terms, key=lambda k: (size(k), k)):
+        pre = _coeff_prefix(terms[key], text)
+        if not key:
+            parts.append(pre or "1")
+        elif not pre:
+            parts.append(body(key))
+        else:
+            parts.append(f"{pre}*{body(key)}" if text else f"{pre}\\, {body(key)}")
+    out = " + ".join(parts)
+    return out if text else out.replace("+ -", "- ")
+
+
+def _legs(key) -> int:
+    return sum(len(m) for m in key)
 
 
 def element_text(elem) -> str:
-    if not elem.terms:
-        return "0"
     dim = elem.algebra.dim
-    terms = elem.series()
-    parts = []
-    for mono in _sorted_keys(terms):
-        pre = _coeff_prefix(terms[mono], text=True)
-        body = mono_text(mono, dim)
-        if not mono:
-            parts.append(pre if pre else "1")
-        else:
-            parts.append(f"{pre}{'*' if pre else ''}{body}")
-    return " + ".join(parts)
+    return _sum(elem.series(), lambda m: mono_text(m, dim), True)
 
 
 def element_latex(elem) -> str:
-    if not elem.terms:
-        return "0"
     dim = elem.algebra.dim
-    terms = elem.series()
-    parts = []
-    for mono in _sorted_keys(terms):
-        pre = _coeff_prefix(terms[mono], text=False)
-        body = mono_latex(mono, dim)
-        if not mono:
-            parts.append(pre if pre else "1")
-        else:
-            parts.append(f"{pre}\\, {body}" if pre else body)
-    return " + ".join(parts).replace("+ -", "- ")
+    return _sum(elem.series(), lambda m: mono_latex(m, dim), False)
 
 
 def tensor_text(t) -> str:
-    if not t.terms:
-        return "0"
     dim = t.algebra.dim
-    terms = t.series()
-    parts = []
-    for key in sorted(terms, key=lambda k: (sum(len(m) for m in k), k)):
-        pre = _coeff_prefix(terms[key], text=True)
-        body = " (x) ".join(mono_text(m, dim) for m in key)
-        parts.append(f"{pre}{'*' if pre else ''}[{body}]")
-    return " + ".join(parts)
+
+    def body(key):
+        return "[" + " (x) ".join(mono_text(m, dim) for m in key) + "]"
+
+    return _sum(t.series(), body, True, _legs)
 
 
 def tensor_latex(t) -> str:
-    if not t.terms:
-        return "0"
     dim = t.algebra.dim
-    terms = t.series()
-    parts = []
-    for key in sorted(terms, key=lambda k: (sum(len(m) for m in k), k)):
-        pre = _coeff_prefix(terms[key], text=False)
-        body = " \\otimes ".join(mono_latex(m, dim) for m in key)
-        parts.append(f"{pre}\\, {body}" if pre else body)
-    return " + ".join(parts).replace("+ -", "- ")
+
+    def body(key):
+        return " \\otimes ".join(mono_latex(m, dim) for m in key)
+
+    return _sum(t.series(), body, False, _legs)
+
+
+def _wedge_series(w) -> dict:
+    return {key: HSeries.constant(0, c) for key, c in w.in_symbols(-1).terms.items()}
 
 
 def wedge_text(w) -> str:
-    if not w.terms:
-        return "0"
     dim = w.algebra.dim
-    parts = []
-    for key in sorted(w.terms):
-        c = w.terms[key]
-        pre = "" if c == 1 else f"{gauss_text(c)}*"
-        parts.append(pre + " ^ ".join(gen_text(g, dim) for g in key))
-    return " + ".join(parts)
+    return _sum(_wedge_series(w), lambda key: " ^ ".join(gen_text(g, dim) for g in key), True)
 
 
 def wedge_latex(w) -> str:
-    if not w.terms:
-        return "0"
     dim = w.algebra.dim
-    parts = []
-    for key in sorted(w.terms):
-        c = w.terms[key]
-        pre = "" if c == 1 else f"{gauss_latex(c)}\\, "
-        parts.append(pre + " \\wedge ".join(gen_latex(g, dim) for g in key))
-    return " + ".join(parts).replace("+ -", "- ")
+
+    def body(key):
+        return " \\wedge ".join(gen_latex(g, dim) for g in key)
+
+    return _sum(_wedge_series(w), body, False)
 
 
 def _kappa_term(coeff, kappa_power: int, body: str) -> str | None:
@@ -235,21 +214,8 @@ def antipode_latex_symbolic(ctx, code: int) -> str:
 
 
 def mink_mono_text(mono: tuple) -> str:
-    if not mono:
-        return "1"
-    return " ".join(f"x{mu}" for mu in mono)
+    return " ".join(f"x{mu}" for mu in mono) if mono else "1"
 
 
 def mink_text(elem) -> str:
-    if not elem.terms:
-        return "0"
-    terms = elem.series()
-    parts = []
-    for mono in _sorted_keys(terms):
-        pre = _coeff_prefix(terms[mono], text=True)
-        body = mink_mono_text(mono)
-        if not mono:
-            parts.append(pre if pre else "1")
-        else:
-            parts.append(f"{pre}{'*' if pre else ''}{body}")
-    return " + ".join(parts)
+    return _sum(elem.series(), mink_mono_text, True)

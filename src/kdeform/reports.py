@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .scalars import I_POWERS
+
 
 @dataclass
 class CheckResult:
@@ -38,14 +40,19 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def record(self, name: str, residual, generator: str | None = None, note: str | None = None):
+    def record(self, name: str, residual, generator: str | None = None, note: str | None = None,
+               phase: int = 0):
         """Record one identity check; residual is zero-testable and reprs to the
-        first offending term when nonzero."""
+        first offending term when nonzero.  A failed residual is reported as
+        i^phase times itself: phase is the power of i that turns the residual
+        of an identity in X = -iM back into that of the paper's M-form."""
         passed = _is_zero(residual)
         residual_json = None
         if not passed:
             from .jsonio import residual_to_json
 
+            if phase % 4:
+                residual = residual * I_POWERS[phase % 4]
             residual_json = residual_to_json(residual)
         self.checks.append(
             CheckResult(
@@ -109,6 +116,6 @@ def _first_term(residual) -> str:
         return "mismatch"
     if isinstance(residual, dict):
         key = next(iter(sorted(residual, key=repr)))
-        return f"{residual[key]!r} * {key!r}"
+        return f"{residual[key]} * {key!r}"
     text = repr(residual)
     return text if len(text) < 400 else text[:400] + " ..."

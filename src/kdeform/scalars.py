@@ -1,8 +1,14 @@
-"""Exact coefficient arithmetic: Gaussian rationals, and truncated series in
-h = 1/kappa as scalar values.
+"""Exact coefficients, and truncated series in h = 1/kappa as scalar values.
 
-Everything downstream computes modulo h^(N+1) for a fixed truncation order N,
-with coefficients in Q(i).  No floating point enters anywhere.
+The engine works in the anti-Hermitian rotations X = -iM, where every
+structure constant, coproduct, antipode and twist exponent is rational, so
+every coefficient it computes is real: a plain int when it is integral, else a
+Fraction (see rational).  GaussRational is the boundary type for the values
+that really are non-real: the paper's rotations M = iX, JSON input with
+imaginary parts, and perturbations stated in the paper's generators.
+
+Everything downstream computes modulo h^(N+1) for a fixed truncation order N.
+No floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from fractions import Fraction
 
 from .errors import OrderMismatchError
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 _new = object.__new__
 
@@ -27,166 +32,129 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def rational(x):
+    """A rational as an int when it is integral, else the Fraction itself:
+    the engine's coefficient form, in which integral arithmetic stays on
+    Python ints.  Any other value is returned unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def exact(x):
+    """x as a coefficient: rational(x) for an int, Fraction or 'num/den'
+    string, and a GaussRational only when its imaginary part is nonzero."""
+    t = type(x)
+    if t is int:
+        return x
+    if t is GaussRational:
+        return gauss(x.real, x.imag)
+    return rational(as_fraction(x))
+
+
+def gauss(real, imag=0):
+    """real + imag*i: a GaussRational, or a plain rational when imag is 0."""
+    return GaussRational(real, imag) if imag else rational(real)
+
+
 class GaussRational:
-    """A Gaussian rational re + im*i with exact rational parts.
+    """A Gaussian rational real + imag*i with exact rational parts.
 
-    Values are immutable by convention; all operators return fresh objects
-    (or an operand itself, when the other one is zero).  Fractions keep
-    themselves in lowest terms with positive denominator, so structural
-    equality is equality of canonical forms.
-
-    The engine's coefficients are almost all single-part: pure real or pure
-    imaginary.  + - * and negation take a fast path when both operands are
-    single-part, doing one Fraction operation and skipping zero parts (and
-    none at all for a product with 1 or a sum with 0); fully complex values
-    take the general path.
+    Values are immutable.  Every operator returns a plain rational when the
+    imaginary part cancels (see gauss), so a real value computed here is never
+    a GaussRational and equality stays structural.  int and Fraction carry
+    .real and .imag as well, so the parts of any exact operand read alike.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else as_fraction(re)
-        self.im = im if type(im) is Fraction else as_fraction(im)
+    def __init__(self, real=0, imag=0):
+        self.real = exact(real)
+        self.imag = exact(imag)
 
-    def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im) if self.im else self
+    def conjugate(self):
+        return gauss(self.real, -self.imag)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.imag) or bool(self.real)
 
     def __eq__(self, other):
-        if isinstance(other, GaussRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
-        return NotImplemented
+        if not isinstance(other, _EXACT):
+            return NotImplemented
+        return self.real == other.real and self.imag == other.imag
 
     def __hash__(self):
-        # real values hash like their Fraction so x == n implies hash(x) == hash(n)
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # real values hash like their rational so x == n implies hash(x) == hash(n)
+        return hash((self.real, self.imag)) if self.imag else hash(self.real)
 
     def __neg__(self):
-        a, b = self.re, self.im
-        if not b:
-            return GaussRational(-a, _F0) if a else self
-        if not a:
-            return GaussRational(_F0, -b)
-        return GaussRational(-a, -b)
+        return gauss(-self.real, -self.imag)
 
     def __add__(self, other):
-        if isinstance(other, GaussRational):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            if not d:
-                if not c:
-                    return self
-                if not b:
-                    return GaussRational(a + c, _F0) if a else other
-                return GaussRational(a + c, b)
-            if not c:
-                if not a:
-                    return GaussRational(_F0, b + d) if b else other
-                return GaussRational(a, b + d)
-            return GaussRational(a + c, b + d)
-        if isinstance(other, (int, Fraction)):
-            return GaussRational(self.re + other, self.im)
-        return NotImplemented
+        if not isinstance(other, _EXACT):
+            return NotImplemented
+        return gauss(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, GaussRational):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            if not d:
-                if not c:
-                    return self
-                if not b:
-                    return GaussRational(a - c if a else -c, _F0)
-                return GaussRational(a - c, b)
-            if not c:
-                if not a:
-                    return GaussRational(_F0, b - d if b else -d)
-                return GaussRational(a, b - d)
-            return GaussRational(a - c, b - d)
-        if isinstance(other, (int, Fraction)):
-            return GaussRational(self.re - other, self.im)
-        return NotImplemented
+        return self + -other if isinstance(other, _EXACT) else NotImplemented
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        if not isinstance(other, _EXACT):
+            return NotImplemented
+        return gauss(other.real - self.real, other.imag - self.imag)
 
     def __mul__(self, other):
-        if isinstance(other, GaussRational):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            if not b:
-                if a == 1:
-                    return other
-                if not d:
-                    if c == 1:
-                        return self
-                    return GaussRational(a * c, _F0)
-                if not c:
-                    return GaussRational(_F0, a * d)
-                return GaussRational(a * c, a * d)
-            if not a:
-                if not d:
-                    return GaussRational(_F0, b * c)
-                if not c:
-                    return GaussRational(-(b * d), _F0)
-                return GaussRational(-(b * d), b * c)
-            if not d:
-                return GaussRational(a * c, b * c)
-            if not c:
-                return GaussRational(-(b * d), a * d)
-            return GaussRational(a * c - b * d, a * d + b * c)
-        if isinstance(other, (int, Fraction)):
-            a, b = self.re, self.im
-            if not b:
-                return GaussRational(a * other, _F0)
-            if not a:
-                return GaussRational(_F0, b * other)
-            return GaussRational(a * other, b * other)
-        return NotImplemented
+        if not isinstance(other, _EXACT):
+            return NotImplemented
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return gauss(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division by zero")
-            return GaussRational(self.re / other, self.im / other)
-        if isinstance(other, GaussRational):
-            n = other.re * other.re + other.im * other.im
-            if not n:
-                raise ZeroDivisionError("division by zero")
-            return (self * other.conjugate()) / n
-        return NotImplemented
+        return self * _inverse(other) if isinstance(other, _EXACT) else NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussRational(other).__truediv__(self)
-        return NotImplemented
+        return _inverse(self) * other if isinstance(other, _EXACT) else NotImplemented
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
+        if not self.imag:
+            return str(self.real)
+        if not self.real:
+            if self.imag == 1:
                 return "i"
-            if self.im == -1:
+            if self.imag == -1:
                 return "-i"
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{self.imag}i"
+        sign = "+" if self.imag > 0 else "-"
+        mag = abs(self.imag)
         istr = "i" if mag == 1 else f"{mag}i"
-        return f"({self.re}{sign}{istr})"
+        return f"({self.real}{sign}{istr})"
+
+    __str__ = __repr__
 
 
-GR_ZERO = GaussRational(0)
-GR_ONE = GaussRational(1)
-GR_I = GaussRational(0, 1)
-GR_MINUS_I = GaussRational(0, -1)
+_EXACT = (int, Fraction, GaussRational)
+
+
+def _inverse(x):
+    c, d = x.real, x.imag
+    n = Fraction(c * c + d * d)
+    if not n:
+        raise ZeroDivisionError("division by zero")
+    return gauss(c / n, -d / n)
+
+
+# i^k for k mod 4: the phases that carry a value between X and M = iX
+I_POWERS = (1, GaussRational(0, 1), -1, GaussRational(0, -1))
+
+
+def times_i(c, k: int):
+    """c i^k, a plain rational whenever it is real."""
+    k %= 4
+    return c if not k else -c if k == 2 else c * I_POWERS[k]
 
 
 def binom_half(n: int) -> Fraction:
@@ -201,16 +169,16 @@ def binom_half(n: int) -> Fraction:
 
 
 class HSeries:
-    """A polynomial sum_k c_k h^k truncated at k = order, c_k Gaussian rational:
-    a scalar value.  Elements store their coefficients flat, one
-    GaussRational per (key, power of h); a series is what multiplies them
-    (h^k and its multiples), what the counit returns, and what output
-    groups each key's powers into.
+    """A polynomial sum_k c_k h^k truncated at k = order: a scalar value.
+    Elements store their coefficients flat, one per (key, power of h); a
+    series is what multiplies them (h^k and its multiples), what the counit
+    returns, and what output groups each key's powers into.
 
-    Only the nonzero coefficients are stored: nz = ((power, coefficient), ...)
-    with increasing powers and no zero coefficient, so equality is structural.
-    Addition is performed modulo h^(order+1); combining two series of
-    different orders is an error rather than a silent coercion.
+    Only the nonzero coefficients are stored, each in the form exact() gives:
+    nz = ((power, coefficient), ...) with increasing powers and no zero
+    coefficient, so equality is structural.  Addition is performed modulo
+    h^(order+1); combining two series of different orders is an error rather
+    than a silent coercion.
     """
 
     __slots__ = ("order", "nz")
@@ -223,8 +191,7 @@ class HSeries:
             cs = list(coeffs)
             if len(cs) != order + 1:
                 raise ValueError("coefficient list length must be order + 1")
-            gs = (c if isinstance(c, GaussRational) else GaussRational(c) for c in cs)
-            nz = tuple((k, c) for k, c in enumerate(gs) if c)
+            nz = tuple((k, c) for k, c in enumerate(map(exact, cs)) if c)
         self.order = order
         self.nz = nz
 
@@ -248,11 +215,11 @@ class HSeries:
         return cls.h_power(order, 0)
 
     @classmethod
-    def h_power(cls, order: int, k: int, value=GR_ONE) -> "HSeries":
+    def h_power(cls, order: int, k: int, value=1) -> "HSeries":
         """value * h^k, or zero when k exceeds the truncation order."""
         if order < 0 or k < 0:
             raise ValueError("truncation order and power of h must be non-negative")
-        c = value if isinstance(value, GaussRational) else GaussRational(value)
+        c = exact(value)
         return cls.from_nz(order, ((k, c),) if c and k <= order else ())
 
     # -- queries -----------------------------------------------------------
@@ -267,7 +234,7 @@ class HSeries:
     def __eq__(self, other):
         if isinstance(other, HSeries):
             return self.order == other.order and self.nz == other.nz
-        if isinstance(other, (int, Fraction, GaussRational)):
+        if isinstance(other, _EXACT):
             return self == HSeries.constant(self.order, other)
         return NotImplemented
 
@@ -277,10 +244,10 @@ class HSeries:
         parts = []
         for k, c in self.nz:
             if k == 0:
-                parts.append(repr(c))
+                parts.append(str(c))
             else:
                 hk = "h" if k == 1 else f"h^{k}"
-                parts.append(hk if c == 1 else f"{c!r}*{hk}")
+                parts.append(hk if c == 1 else f"{c}*{hk}")
         return " + ".join(parts)
 
     # -- linear operations ---------------------------------------------------
@@ -293,12 +260,16 @@ class HSeries:
             )
 
     def __add__(self, other):
-        if isinstance(other, HSeries):
-            self._check(other)
-            return HSeries.from_nz(self.order, _merge_nz(self.nz, other.nz, False))
-        if isinstance(other, (int, Fraction, GaussRational)):
-            return self + HSeries.constant(self.order, other)
-        return NotImplemented
+        if isinstance(other, _EXACT):
+            other = HSeries.constant(self.order, other)
+        if not isinstance(other, HSeries):
+            return NotImplemented
+        self._check(other)
+        row = dict(self.nz)
+        for k, c in other.nz:
+            row[k] = row[k] + c if k in row else c
+        nz = tuple(sorted((k, rational(c)) for k, c in row.items() if c))
+        return HSeries.from_nz(self.order, nz)
 
     __radd__ = __add__
 
@@ -306,35 +277,20 @@ class HSeries:
         return HSeries.from_nz(self.order, tuple((k, -c) for k, c in self.nz))
 
     def __sub__(self, other):
-        if isinstance(other, HSeries):
-            self._check(other)
-            return HSeries.from_nz(self.order, _merge_nz(self.nz, other.nz, True))
-        if isinstance(other, (int, Fraction, GaussRational)):
-            return self - HSeries.constant(self.order, other)
-        return NotImplemented
+        return self + -other if isinstance(other, (HSeries, *_EXACT)) else NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other
 
     def __mul__(self, other):
         """Multiplication by a scalar coefficient."""
-        if isinstance(other, (int, Fraction, GaussRational)):
+        if isinstance(other, _EXACT):
+            other = exact(other)
             if not other:
                 return HSeries.from_nz(self.order, ())
             # Q(i) has no zero divisors: no product of nonzero values vanishes
-            return HSeries.from_nz(self.order, tuple((k, c * other) for k, c in self.nz))
+            return HSeries.from_nz(self.order, tuple((k, rational(c * other)) for k, c in self.nz))
         return NotImplemented
 
     __rmul__ = __mul__
 
-
-def _merge_nz(nz1, nz2, subtract: bool) -> tuple:
-    """nz1 + nz2 (or nz1 - nz2) on sorted nonzero-coefficient tuples."""
-    row = dict(nz1)
-    for k, c in nz2:
-        cur = row.get(k)
-        if cur is None:
-            row[k] = -c if subtract else c
-        else:
-            row[k] = cur - c if subtract else cur + c
-    return tuple(sorted((k, c) for k, c in row.items() if c))

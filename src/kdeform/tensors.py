@@ -20,13 +20,14 @@ from .algebra import (
     invert_in,
 )
 from .errors import ContextMismatchError, InvalidVectorError
-from .scalars import GR_I, GR_MINUS_I, GR_ONE, GaussRational
+from .scalars import GaussRational, exact, rational, times_i
 
 _F0 = Fraction(0)
+_ONE = 1  # the kernels' fast path for a product by 1 (see PoincareAlgebra.mul_terms)
 
 
 class TensorElement(TermElement):
-    """A k-legged tensor: {((monomial, ..., monomial), power of h): GaussRational},
+    """A k-legged tensor: {((monomial, ..., monomial), power of h): coefficient},
     each leg a PBW monomial.  The product acts leg-wise:
     (a (x) b)(c (x) d) = ac (x) bd."""
 
@@ -46,17 +47,20 @@ class TensorElement(TermElement):
     def _key_product(self):
         return _leg_product(self.algebra, self.legs)
 
+    def _i_count(self, key) -> int:
+        return sum(map(self.algebra.i_count, key))
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def unit(cls, algebra: PoincareAlgebra, legs: int) -> "TensorElement":
-        return cls(algebra, legs, {(((),) * legs, 0): GR_ONE})
+        return cls(algebra, legs, {(((),) * legs, 0): 1})
 
     @classmethod
     def of(cls, *factors: AlgebraElement) -> "TensorElement":
         """The tensor product a1 (x) a2 (x) ... of algebra elements."""
         alg = factors[0].algebra
-        terms = {((), 0): GR_ONE}
+        terms = {((), 0): 1}
         for f in factors:
             if not alg.compatible(f.algebra):
                 raise ContextMismatchError("tensor factors from incompatible contexts")
@@ -132,7 +136,7 @@ class TensorElement(TermElement):
         mono_product = alg.mono_product
 
         def merged(key, _unit):
-            word = {key[0]: GR_ONE}
+            word = {key[0]: 1}
             for mono in key[1:]:
                 nxt = {}
                 for m, c in word.items():
@@ -144,11 +148,12 @@ class TensorElement(TermElement):
         return AlgebraElement(alg, alg.mul_terms(self.terms, alg.one().terms, key_product=merged))
 
     def star_legs(self) -> "TensorElement":
-        """(a (x) b)* = a* (x) b*: star each leg, no flip."""
+        """(a (x) b)* = a* (x) b*: star each leg, no flip (X* = -X)."""
         normal_order = self.algebra.normal_order
         return self._star_by(
             lambda key, _: [
-                ((ms, 0), c) for ms, c in _leg_combos(normal_order(tuple(reversed(m))) for m in key)
+                ((ms, 0), c * (-1) ** self._i_count(key))
+                for ms, c in _leg_combos(normal_order(tuple(reversed(m))) for m in key)
             ]
         )
 
@@ -160,12 +165,12 @@ class TensorElement(TermElement):
 
 def _append_leg(key: tuple, mono: tuple):
     """Key-product rule of the tensor product: the monomial becomes a new leg."""
-    return ((key + (mono,), GR_ONE),)
+    return ((key + (mono,), 1),)
 
 
 def _leg_combos(leg_maps) -> list:
     """[(key, coefficient)] of the outer product of per-leg {monomial: coefficient}."""
-    combos = [((), GR_ONE)]
+    combos = [((), 1)]
     for prods in leg_maps:
         combos = [(ms + (m,), c * cm) for ms, c in combos for m, cm in prods.items()]
     return combos
@@ -182,7 +187,7 @@ def _leg_product(alg: PoincareAlgebra, legs: int):
         pb = mono_product(k1[1], k2[1])
         for ma, ca in mono_product(k1[0], k2[0]).items():
             for mb, cb in pb.items():
-                yield (ma, mb), (cb if ca is GR_ONE else ca if cb is GR_ONE else ca * cb)
+                yield (ma, mb), (cb if ca is _ONE else ca if cb is _ONE else ca * cb)
 
     return product
 
@@ -209,9 +214,9 @@ def tensor_exp(t: TensorElement) -> TensorElement:
 
 class WedgeElement:
     """A fully antisymmetric degree-2 or -3 tensor over the Lie algebra, stored
-    on strictly increasing code tuples with Gaussian-rational coefficients.
-    Wedge coefficients carry no h-dependence: r-matrices and Omega are
-    classical objects."""
+    on strictly increasing code tuples (rotations X) with rational
+    coefficients.  Wedge coefficients carry no h-dependence: r-matrices and
+    Omega are classical objects."""
 
     __slots__ = ("algebra", "degree", "terms")
 
@@ -222,7 +227,7 @@ class WedgeElement:
         self.degree = degree
         self.terms = dict(terms) if terms else {}
 
-    def add(self, gens: tuple, coeff: GaussRational):
+    def add(self, gens: tuple, coeff):
         """Accumulate coeff * (g1 ^ g2 [^ g3]), canonicalizing with sign."""
         if not coeff:
             return
@@ -232,17 +237,14 @@ class WedgeElement:
         cur = self.terms.get(key)
         s = coeff * sign if cur is None else cur + coeff * sign
         if s:
-            self.terms[key] = s
+            self.terms[key] = rational(s)
         elif cur is not None:
             del self.terms[key]
 
-    def coefficient(self, gens: tuple) -> GaussRational:
+    def coefficient(self, gens: tuple):
         """Signed coefficient of an arbitrary (possibly unsorted) key."""
         sign, key = _sort_parity(gens)
-        if sign == 0:
-            return GaussRational(0)
-        c = self.terms.get(key)
-        return GaussRational(0) if c is None else c * sign
+        return self.terms.get(key, 0) * sign
 
     @property
     def is_zero(self) -> bool:
@@ -266,36 +268,45 @@ class WedgeElement:
         return out
 
     def __neg__(self):
-        return self * GaussRational(-1)
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction, GaussRational)):
+            scalar = exact(scalar)
             if not scalar:
                 return WedgeElement(self.algebra, self.degree)
             return WedgeElement(
-                self.algebra, self.degree, {k: c * scalar for k, c in self.terms.items()}
+                self.algebra, self.degree, {k: rational(c * scalar) for k, c in self.terms.items()}
             )
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def to_tensor(self) -> TensorElement:
-        """Tensor realization of a degree-2 wedge: x ^ y -> -i (x (x) y - y (x) x).
+    def in_symbols(self, s: int) -> "WedgeElement":
+        """Each coefficient times i^(s n), n the rotations of its key (see
+        TermElement.in_symbols)."""
+        count = self.algebra.i_count
+        return WedgeElement(
+            self.algebra, self.degree, {k: times_i(c, s * count(k)) for k, c in self.terms.items()}
+        )
 
-        The -i normalization is the one under which the classical-limit formula
+    def to_tensor(self) -> TensorElement:
+        """Tensor realization of a degree-2 wedge: x ^ y -> x (x) y - y (x) x.
+
+        This is the normalization under which the classical-limit formula
         h-part of (coproduct - opposite) = [primitive coproduct, r] holds with
-        the i-laden structure constants used here; it is pinned by the
+        the real structure constants of X = -iM; it is pinned by the
         acceptance tests.
         """
         if self.degree != 2:
             raise ValueError("tensor realization implemented for degree 2")
         acc = {}
         for (x, y), c in self.terms.items():
-            accumulate(acc, (((x,), (y,)), 0), c * GR_MINUS_I)
-            accumulate(acc, (((y,), (x,)), 0), c * GR_I)
+            accumulate(acc, (((x,), (y,)), 0), c)
+            accumulate(acc, (((y,), (x,)), 0), -c)
         return TensorElement(self.algebra, 2, {t: c for t, c in acc.items() if c})
 
     def __repr__(self):
@@ -321,7 +332,8 @@ def _sort_parity(gens: tuple):
 
 
 def r_matrix(algebra: PoincareAlgebra, tau: VectorTau) -> WedgeElement:
-    """r_tau = tau^alpha M_{alpha mu} ^ P^mu, indices raised with the exact inverse metric."""
+    """tau^alpha X_{alpha mu} ^ P^mu, indices raised with the exact inverse
+    metric: the paper's r_tau = tau^alpha M_{alpha mu} ^ P^mu is i times it."""
     if tau.is_zero:
         raise InvalidVectorError("the r-matrix requires a nonzero deforming vector")
     d = algebra.dim
@@ -337,12 +349,13 @@ def r_matrix(algebra: PoincareAlgebra, tau: VectorTau) -> WedgeElement:
             for nu in range(d):
                 f = ginv[mu][nu]
                 if f:
-                    w.add((code, algebra.momentum_code(nu)), GaussRational(t * f * sign))
+                    w.add((code, algebra.momentum_code(nu)), t * f * sign)
     return w
 
 
 def omega(algebra: PoincareAlgebra) -> WedgeElement:
-    """Omega = M_{mu nu} ^ P^mu ^ P^nu, the invariant 3-wedge."""
+    """X_{mu nu} ^ P^mu ^ P^nu, the invariant 3-wedge: the paper's
+    Omega = M_{mu nu} ^ P^mu ^ P^nu is i times it."""
     d = algebra.dim
     ginv = algebra.metric.inverse
     w = WedgeElement(algebra, 3)
@@ -360,7 +373,7 @@ def omega(algebra: PoincareAlgebra) -> WedgeElement:
                     if f2:
                         w.add(
                             (code, algebra.momentum_code(al), algebra.momentum_code(be)),
-                            GaussRational(f1 * f2 * sign),
+                            f1 * f2 * sign,
                         )
     return w
 
@@ -371,16 +384,17 @@ def schouten_square(r: WedgeElement) -> WedgeElement:
     Expands [r12, r13] + [r12, r23] + [r13, r23] on the tensor realization of r
     and antisymmetrizes back onto wedge coordinates.  The overall normalization
     is anchored so that the time-like r over the Lorentzian metric squares to
-    exactly +Omega, matching -g(tau, tau) * Omega across the family.
+    exactly +Omega, matching -g(tau, tau) * Omega across the family; both
+    sides are in X = -iM, where the paper's identity is i times this one.
     """
     if r.degree != 2:
         raise ValueError("the Schouten square takes a degree-2 wedge")
     alg = r.algebra
-    # tensor terms (a, b, coeff) of the realization -i * (x (x) y - y (x) x)
+    # tensor terms (a, b, coeff) of the realization x (x) y - y (x) x
     terms = []
     for (x, y), c in r.terms.items():
-        terms.append((x, y, c * GR_MINUS_I))
-        terms.append((y, x, c * GR_I))
+        terms.append((x, y, c))
+        terms.append((y, x, -c))
     t3 = {}
     for a1, b1, c1 in terms:
         for a2, b2, c2 in terms:
@@ -391,18 +405,11 @@ def schouten_square(r: WedgeElement) -> WedgeElement:
                 accumulate(t3, (a1, g, b2), c12 * cb)
             for g, cb in alg.bracket_codes(b1, b2).items():
                 accumulate(t3, (a1, a2, g), c12 * cb)
-    sixth = Fraction(1, 6)
-    acc = {}
-    for key, c in t3.items():
-        if not c:
-            continue
-        sign, skey = _sort_parity(key)
-        if sign:
-            accumulate(acc, skey, c * (sign * sixth))
+    # antisymmetrize (1/6) and normalize (2); add sorts each key with its sign
+    third = Fraction(1, 3)
     out = WedgeElement(alg, 3)
-    two_i = GaussRational(0, 2)
-    for key, c in acc.items():
-        out.add(key, c * two_i)
+    for key, c in t3.items():
+        out.add(key, c * third)
     return out
 
 

@@ -2,13 +2,15 @@
 triangular R-matrix, and the verification that twisted and universal
 coproducts describe the same Hopf algebra.
 
-With Pi_+ = 1 + h P_+ the twist is
+With Pi_+ = 1 + h P_+ and X = -iM the twist is
 
     F = exp(-i M_{+-} (x) ln Pi_+) exp(-i h M_{+a} (x) P^a Pi_+^-1)
-      = exp(-i h M_{+a} (x) P^a) exp(-i M_{+-} (x) ln Pi_+)
+      = exp(X_{+-} (x) ln Pi_+) exp(h X_{+a} (x) P^a Pi_+^-1)
+      = exp(h X_{+a} (x) P^a) exp(X_{+-} (x) ln Pi_+)
 
 (both factorization orders are computed and must agree exactly).  Every
-exponent is O(h) leg-wise, so all series terminate at the truncation order.
+exponent is real and O(h) leg-wise, so all series terminate at the
+truncation order.
 
 The partial Majid-Ruegg relations checked here are the ones forced by the
 definitions P~_+ = kappa ln Pi_+ and P~_a = P_a Pi_+^-1 together with the
@@ -19,7 +21,8 @@ light-cone brackets:
     [M_{+-}, P~_a] = -i P~_a (1 - exp(-P~_+/kappa))
     [M_{-a}, P~_+] = -i P~_a
 
-each an exact identity of truncated series, verified with zero residual.
+each an exact identity of truncated series, verified with zero residual in
+X = -iM, where every i cancels.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .algebra import Metric, VectorTau, series_exp, series_log_one_plus
 from .errors import BasisError, InternalConsistencyError, InvalidVectorError
 from .hopf import DeformationContext
 from .reports import VerificationReport
-from .scalars import GR_I, GR_MINUS_I, GaussRational, HSeries
+from .scalars import HSeries
 from .tensors import TensorElement, tensor_exp, tensor_invert
 from .bases import adapted_context, in_adapted_basis, kappa_quotients
 
@@ -82,19 +85,17 @@ def build_twist(ctx: DeformationContext) -> TwistData:
     h1 = alg.h(1)
 
     ln_pi = series_log_one_plus(ctx.pi - alg.one())
-    m_pm = alg.M(0, minus)
-    jordanian = tensor_exp(TensorElement.of(m_pm, ln_pi) * GR_MINUS_I)
+    jordanian = tensor_exp(TensorElement.of(alg.X(0, minus), ln_pi))
 
     x_ext = TensorElement(alg, 2, {})
     x_ext_bare = TensorElement(alg, 2, {})
     for a in range(1, minus):
         p_up = alg.momentum_raised(a)
-        x_ext = x_ext + TensorElement.of(alg.M(0, a), p_up * ctx.pi_inv)
-        x_ext_bare = x_ext_bare + TensorElement.of(alg.M(0, a), p_up)
-    minus_ih = h1 * GR_MINUS_I
+        x_ext = x_ext + TensorElement.of(alg.X(0, a), p_up * ctx.pi_inv)
+        x_ext_bare = x_ext_bare + TensorElement.of(alg.X(0, a), p_up)
 
-    f_jordanian_first = jordanian * tensor_exp(x_ext * minus_ih)
-    f_transverse_first = tensor_exp(x_ext_bare * minus_ih) * jordanian
+    f_jordanian_first = jordanian * tensor_exp(x_ext * h1)
+    f_transverse_first = tensor_exp(x_ext_bare * h1) * jordanian
     if f_jordanian_first != f_transverse_first:
         raise InternalConsistencyError(
             "the two factorization orders of the extended Jordanian twist disagree"
@@ -151,12 +152,15 @@ def verify_twist(ctx: DeformationContext) -> VerificationReport:
         for b in range(a + 1, minus):
             primitive_set.add(alg.rotation_code(a, b)[0])
     for code in alg.generator_codes():
-        name = ctx.gen_name(code)
+        name, n = ctx.gen_name(code), alg.i_count((code,))
         d0 = ctx._primitive_gen(code)
         d_lc = f * d0 * f_inv
         d_tau = ctx.coproduct(code)
-        rep.record("twisted-coproduct-is-opposite-universal", d_lc - d_tau.flip(), generator=name)
-        rep.record("r-conjugation-gives-universal", r * d_lc * r_inv - d_tau, generator=name)
+        rep.record(
+            "twisted-coproduct-is-opposite-universal", d_lc - d_tau.flip(), generator=name, phase=n
+        )
+        residual = r * d_lc * r_inv - d_tau
+        rep.record("r-conjugation-gives-universal", residual, generator=name, phase=n)
         is_prim = (d_lc - d0).is_zero
         rep.record_bool(
             "twisted-primitivity-iff-stability",
@@ -167,7 +171,7 @@ def verify_twist(ctx: DeformationContext) -> VerificationReport:
     _reduced_lightcone_report(rep, ctx)
 
     # P_- + h/2 C = P_- Pi_+ + h/2 P^a P_a  (the C_+ = C bookkeeping identity)
-    half_h = HSeries.h_power(alg.order, 1, GaussRational(Fraction(1, 2)))
+    half_h = HSeries.h_power(alg.order, 1, Fraction(1, 2))
     p_minus = alg.P(minus)
     papa = alg.zero()
     for a in range(1, minus):
@@ -193,7 +197,7 @@ def _reduced_lightcone_report(rep: VerificationReport, ctx: DeformationContext):
     one = alg.one()
     pi, pi_inv = ctx.pi, ctx.pi_inv
     h1 = alg.h(1)
-    half_h = HSeries.h_power(alg.order, 1, GaussRational(Fraction(1, 2)))
+    half_h = HSeries.h_power(alg.order, 1, Fraction(1, 2))
 
     for a in range(1, minus):
         code, _ = alg.rotation_code(0, a)
@@ -201,6 +205,7 @@ def _reduced_lightcone_report(rep: VerificationReport, ctx: DeformationContext):
             "reduced-coproduct-m-plus-a-primitive",
             ctx.coproduct(code) - ctx._primitive_gen(code),
             generator=f"M_+{a}",
+            phase=1,
         )
         for b in range(a + 1, minus):
             code, _ = alg.rotation_code(a, b)
@@ -208,6 +213,7 @@ def _reduced_lightcone_report(rep: VerificationReport, ctx: DeformationContext):
                 "reduced-coproduct-m-ab-primitive",
                 ctx.coproduct(code) - ctx._primitive_gen(code),
                 generator=f"M_{a}{b}",
+                phase=1,
             )
 
     for mu in [0, *range(1, minus)]:
@@ -233,30 +239,32 @@ def _reduced_lightcone_report(rep: VerificationReport, ctx: DeformationContext):
         rhs = rhs - TensorElement.of(alg.momentum_raised(a) * pi_inv, alg.P(a)) * h1
     rep.record("reduced-coproduct-p-minus", lhs - rhs, generator="P_-")
 
-    m_pm = alg.M(0, minus)
+    # the rotation coproducts are linear in the rotations: X-form, phase 1
+    x_pm = alg.X(0, minus)
     lhs = ctx.coproduct(alg.rotation_code(0, minus)[0])
-    rhs = TensorElement.of(m_pm, one) + TensorElement.of(pi_inv, m_pm)
+    rhs = TensorElement.of(x_pm, one) + TensorElement.of(pi_inv, x_pm)
     for a in range(1, minus):
-        rhs = rhs - TensorElement.of(alg.momentum_raised(a) * pi_inv, alg.M(0, a)) * h1
-    rep.record("reduced-coproduct-m-plus-minus", lhs - rhs, generator="M_+-")
+        rhs = rhs - TensorElement.of(alg.momentum_raised(a) * pi_inv, alg.X(0, a)) * h1
+    rep.record("reduced-coproduct-m-plus-minus", lhs - rhs, generator="M_+-", phase=1)
 
     for a in range(1, minus):
-        m_ma = alg.M(minus, a)
-        lhs = ctx.coproduct_of(m_ma)
+        x_ma = alg.X(minus, a)
+        lhs = ctx.coproduct_of(x_ma)
         rhs = (
-            TensorElement.of(m_ma, one)
-            + TensorElement.of(pi_inv, m_ma)
-            - TensorElement.of(dressed, alg.M(0, a)) * h1
+            TensorElement.of(x_ma, one)
+            + TensorElement.of(pi_inv, x_ma)
+            - TensorElement.of(dressed, alg.X(0, a)) * h1
         )
         for b in range(1, minus):
-            rhs = rhs - TensorElement.of(alg.momentum_raised(b) * pi_inv, alg.M(b, a)) * h1
-        rep.record("reduced-coproduct-m-minus-a", lhs - rhs, generator=f"M_-{a}")
+            rhs = rhs - TensorElement.of(alg.momentum_raised(b) * pi_inv, alg.X(b, a)) * h1
+        rep.record("reduced-coproduct-m-minus-a", lhs - rhs, generator=f"M_-{a}", phase=1)
 
 
 def _partial_mr_report(rep: VerificationReport, ctx: DeformationContext):
     """The partial Majid-Ruegg scheme in the light-cone basis, with the
     kappa factors and the sign forced by P~_+ = kappa ln Pi_+.  Only P~_+ and
-    kappa (1 - exp(-P~_+ / kappa)) divide by h; kappa_quotients builds them."""
+    kappa (1 - exp(-P~_+ / kappa)) divide by h; kappa_quotients builds them.
+    Each relation is linear in one rotation: its X-form has no i, phase 1."""
     alg = ctx.algebra
     d = alg.dim
     minus = d - 1
@@ -267,39 +275,43 @@ def _partial_mr_report(rep: VerificationReport, ctx: DeformationContext):
     p_tilde = {a: alg.P(a) * pi_inv for a in range(1, minus)}
 
     rep.record("partial-mr-exp-recovers-pi", series_exp(p_tilde_plus * alg.h()) - pi)
-    m_pm = alg.M(0, minus)
+    x_pm = alg.X(0, minus)
     rep.record(
         "partial-mr-bracket-m-plus-minus-with-p-tilde-plus",
-        alg.bracket(m_pm, p_tilde_plus) - kappa_jump * GR_I,
+        alg.bracket(x_pm, p_tilde_plus) - kappa_jump,
         note="kappa normalization forced by [M_+-, P_+] = i P_+",
+        phase=1,
     )
     for a in range(1, minus):
-        m_pa = alg.M(0, a)
+        x_pa = alg.X(0, a)
         rep.record(
             "partial-mr-bracket-m-plus-a-with-p-tilde-plus-vanishes",
-            alg.bracket(m_pa, p_tilde_plus),
+            alg.bracket(x_pa, p_tilde_plus),
             generator=f"[M_+{a}, P~_+]",
+            phase=1,
         )
         for b in range(1, minus):
             g_ab = ctx.metric.rows[a][b]
             rep.record(
                 "partial-mr-bracket-m-plus-a-with-p-tilde-b",
-                alg.bracket(m_pa, p_tilde[b]) - kappa_jump * GaussRational(0, g_ab),
+                alg.bracket(x_pa, p_tilde[b]) - kappa_jump * g_ab,
                 generator=f"[M_+{a}, P~_{b}]",
+                phase=1,
             )
         jump = one - pi_inv  # 1 - exp(-P~_+ / kappa)
         rep.record(
             "partial-mr-bracket-m-plus-minus-with-p-tilde-a",
-            alg.bracket(m_pm, p_tilde[a]) + p_tilde[a] * jump * GR_I,
+            alg.bracket(x_pm, p_tilde[a]) + p_tilde[a] * jump,
             generator=f"[M_+-, P~_{a}]",
             note="sign forced by [M_+-, Pi_+^-1] = -i h P_+ Pi_+^-2",
+            phase=1,
         )
-        m_ma = alg.M(minus, a)
         rep.record(
             "partial-mr-bracket-m-minus-a-with-p-tilde-plus",
-            alg.bracket(m_ma, p_tilde_plus) + p_tilde[a] * GR_I,
+            alg.bracket(alg.X(minus, a), p_tilde_plus) + p_tilde[a],
             generator=f"[M_-{a}, P~_+]",
             note="normalization forced by [M_-a, P_+] = -i P_a",
+            phase=1,
         )
 
 
@@ -316,87 +328,46 @@ def lc_structure_check(metric: Metric, tau: VectorTau, order: int = 1) -> Verifi
     d = alg.dim
     minus = d - 1
     g = ctx.metric.rows
-    i_ = GR_I
+    br = alg.bracket
+    # [M, P] - i P = i ([X, P] - P) and [M, M] - i M = -([X, X] - X): each
+    # relation is recorded in X-form, phase 1 (one rotation) or 2 (two)
 
-    m_pm = alg.M(0, minus)
+    def rec(name, residual, generator=None, phase=1):
+        rep.record(name, residual, generator=generator, phase=phase)
+
+    x_pm = alg.X(0, minus)
     p_plus, p_minus = alg.P(0), alg.P(minus)
-    rep.record("bracket-m-plus-minus-p-plus", alg.bracket(m_pm, p_plus) - p_plus * i_)
-    rep.record("bracket-m-plus-minus-p-minus", alg.bracket(m_pm, p_minus) + p_minus * i_)
+    rec("bracket-m-plus-minus-p-plus", br(x_pm, p_plus) - p_plus)
+    rec("bracket-m-plus-minus-p-minus", br(x_pm, p_minus) + p_minus)
     for a in range(1, minus):
-        m_pa, m_ma, p_a = alg.M(0, a), alg.M(minus, a), alg.P(a)
-        rep.record(
-            "bracket-m-plus-minus-p-a-vanishes", alg.bracket(m_pm, p_a), generator=f"P_{a}"
-        )
-        rep.record(
-            "bracket-m-plus-minus-m-plus-a",
-            alg.bracket(m_pm, m_pa) - m_pa * i_,
-            generator=f"M_+{a}",
-        )
-        rep.record(
-            "bracket-m-plus-minus-m-minus-a",
-            alg.bracket(m_pm, m_ma) + m_ma * i_,
-            generator=f"M_-{a}",
-        )
-        rep.record(
-            "bracket-m-plus-a-p-plus-vanishes", alg.bracket(m_pa, p_plus), generator=f"M_+{a}"
-        )
-        rep.record(
-            "bracket-m-minus-a-p-minus-vanishes",
-            alg.bracket(m_ma, p_minus),
-            generator=f"M_-{a}",
-        )
-        rep.record(
-            "bracket-m-plus-a-p-minus",
-            alg.bracket(m_pa, p_minus) + p_a * i_,
-            generator=f"M_+{a}",
-        )
-        rep.record(
-            "bracket-m-minus-a-p-plus",
-            alg.bracket(m_ma, p_plus) + p_a * i_,
-            generator=f"M_-{a}",
-        )
+        x_pa, x_ma, p_a = alg.X(0, a), alg.X(minus, a), alg.P(a)
+        rec("bracket-m-plus-minus-p-a-vanishes", br(x_pm, p_a), f"P_{a}")
+        rec("bracket-m-plus-minus-m-plus-a", br(x_pm, x_pa) - x_pa, f"M_+{a}", 2)
+        rec("bracket-m-plus-minus-m-minus-a", br(x_pm, x_ma) + x_ma, f"M_-{a}", 2)
+        rec("bracket-m-plus-a-p-plus-vanishes", br(x_pa, p_plus), f"M_+{a}")
+        rec("bracket-m-minus-a-p-minus-vanishes", br(x_ma, p_minus), f"M_-{a}")
+        rec("bracket-m-plus-a-p-minus", br(x_pa, p_minus) + p_a, f"M_+{a}")
+        rec("bracket-m-minus-a-p-plus", br(x_ma, p_plus) + p_a, f"M_-{a}")
         for b in range(1, minus):
-            m_pb, m_mb, p_b = alg.M(0, b), alg.M(minus, b), alg.P(b)
-            rep.record(
-                "bracket-m-plus-a-p-b",
-                alg.bracket(m_pa, p_b) - p_plus * GaussRational(0, g[a][b]),
-                generator=f"[M_+{a}, P_{b}]",
-            )
-            rep.record(
-                "bracket-m-minus-a-p-b",
-                alg.bracket(m_ma, p_b) - p_minus * GaussRational(0, g[a][b]),
-                generator=f"[M_-{a}, P_{b}]",
-            )
-            rep.record(
-                "bracket-m-plus-a-m-plus-b-vanishes",
-                alg.bracket(m_pa, m_pb),
-                generator=f"[M_+{a}, M_+{b}]",
-            )
-            rep.record(
-                "bracket-m-minus-a-m-minus-b-vanishes",
-                alg.bracket(m_ma, m_mb),
-                generator=f"[M_-{a}, M_-{b}]",
-            )
-            rep.record(
+            x_pb, x_mb, p_b = alg.X(0, b), alg.X(minus, b), alg.P(b)
+            rec("bracket-m-plus-a-p-b", br(x_pa, p_b) - p_plus * g[a][b], f"[M_+{a}, P_{b}]")
+            rec("bracket-m-minus-a-p-b", br(x_ma, p_b) - p_minus * g[a][b], f"[M_-{a}, P_{b}]")
+            rec("bracket-m-plus-a-m-plus-b-vanishes", br(x_pa, x_pb), f"[M_+{a}, M_+{b}]", 2)
+            rec("bracket-m-minus-a-m-minus-b-vanishes", br(x_ma, x_mb), f"[M_-{a}, M_-{b}]", 2)
+            rec(
                 "bracket-m-plus-a-m-minus-b",
-                alg.bracket(m_pa, m_mb) + (alg.M(a, b) + m_pm * GaussRational(g[a][b])) * i_,
-                generator=f"[M_+{a}, M_-{b}]",
+                br(x_pa, x_mb) + alg.X(a, b) + x_pm * g[a][b],
+                f"[M_+{a}, M_-{b}]",
+                2,
             )
             for c in range(1, minus):
-                lhs = alg.bracket(m_pa, alg.M(b, c))
-                rhs = alg.M(0, c) * GaussRational(0, g[a][b]) - alg.M(0, b) * GaussRational(
-                    0, g[a][c]
-                )
-                rep.record(
-                    "bracket-m-plus-a-m-bc",
-                    lhs - rhs,
-                    generator=f"[M_+{a}, M_{b}{c}]",
-                )
-    # Abelian building blocks of the twist
-    gamma_plus = [m_pm] + [alg.momentum_raised(a) for a in range(1, minus)]
-    gamma_minus = [p_plus] + [alg.M(0, a) for a in range(1, minus)]
+                rhs = alg.X(0, c) * g[a][b] - alg.X(0, b) * g[a][c]
+                rec("bracket-m-plus-a-m-bc", br(x_pa, alg.X(b, c)) - rhs, f"[M_+{a}, M_{b}{c}]", 2)
+    # Abelian building blocks of the twist, each generator with its rotation count
+    gamma_plus = [(x_pm, 1)] + [(alg.momentum_raised(a), 0) for a in range(1, minus)]
+    gamma_minus = [(p_plus, 0)] + [(alg.X(0, a), 1) for a in range(1, minus)]
     for name, gens in (("gamma-plus-abelian", gamma_plus), ("gamma-minus-abelian", gamma_minus)):
-        for i, x in enumerate(gens):
-            for y in gens[i + 1 :]:
-                rep.record(name, alg.bracket(x, y))
+        for i, (x, n) in enumerate(gens):
+            for y, m in gens[i + 1 :]:
+                rec(name, br(x, y), phase=n + m)
     return rep

@@ -88,6 +88,19 @@ class TestBrackets:
                 assert jac.is_zero
 
 
+    def test_shift_is_stated_in_m_and_p(self, eta3):
+        # [M_01, P_0] += P_1 is [X_01, P_0] += -i P_1 in X = -iM: the product
+        # kernel must carry the imaginary table entry on rational operands
+        alg = PoincareAlgebra(eta3, 2, shift={(1, 9): {10: 1}})
+        clean = PoincareAlgebra(eta3, 2)
+        x, p = alg.X(0, 1) * Fraction(1, 2), alg.P(0) * Fraction(1, 3)
+        want = clean.bracket(clean.X(0, 1), clean.P(0)) - clean.P(1) * I
+        assert alg.bracket(x, p).terms == (want * Fraction(1, 6)).terms
+        assert alg.bracket(alg.M(0, 1), alg.P(0)).terms == (
+            clean.bracket(clean.M(0, 1), clean.P(0)) + clean.P(1)
+        ).terms
+
+
 class TestMultiply:
     def test_momenta_merge(self, eta4):
         alg = PoincareAlgebra(eta4, 2)
@@ -162,10 +175,10 @@ class TestCasimir:
 class TestContractTau:
     def test_unit_vector(self, eta4):
         alg = PoincareAlgebra(eta4, 2)
-        p_tau, m_tau = alg.contract_tau(VectorTau(eta4, [1, 0, 0, 0]))
+        p_tau, x_tau = alg.contract_tau(VectorTau(eta4, [1, 0, 0, 0]))
         assert p_tau == alg.P(0)
-        assert m_tau[1] == alg.M(0, 1)
-        assert m_tau[0].is_zero
+        assert x_tau[1] == alg.X(0, 1)  # X_{tau 1}, with M = iX
+        assert x_tau[0].is_zero
 
     def test_null_vector(self, eta4):
         alg = PoincareAlgebra(eta4, 2)

@@ -47,6 +47,11 @@ class TestClassify:
         for bad in (
             {"metric": [[1.5, 0], [0, 1]], "tau": [1, 0]},
             {"metric": [[-1, 0], [0, 1]], "tau": [1, 0], "truncation_order": True},
+            {"metric": 5, "tau": [1, 0]},
+            {"metric": [[-1, 0], [0, 1]], "tau": None},
+            {"metric": [["1/0", 0], [0, 1]], "tau": [1, 0]},
+            {"metric": [[-1, 0], [0, 1]], "tau": ["1/0", 0]},
+            {"metric": [5, [0, 1]], "tau": [1, 0]},
         ):
             cfg.write_text(json.dumps(bad))
             code, _, err = run(capsys, "classify", "--config", str(cfg))

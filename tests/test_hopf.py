@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import random_metric, random_null_pair, random_tau
 from kdeform import GaussRational, HSeries, Metric, TensorElement
-from kdeform.bases import verify_mr
+from kdeform.bases import adapted_context, mr_generators, verify_mr
+from kdeform.cli import EXAMPLES
 from kdeform.hopf import (
     DeformationContext,
     pi_identities_report,
     primitivity_report,
     verify_hopf,
 )
+from kdeform.jsonio import config_from_json
 from kdeform.minkowski import coordinate
 from kdeform.twist import build_twist, verify_twist
 
@@ -152,7 +154,8 @@ class TestAntipode:
     def test_spatial_rotation_classical(self, eta4):
         ctx = DeformationContext(eta4, [1, 0, 0, 0], 3)
         alg = ctx.algebra
-        assert ctx.antipode(alg.rotation_code(1, 2)[0]) == -alg.M(1, 2)
+        # the table holds S(X_12) for X = -iM, so S(M_12) = -M_12 alike
+        assert ctx.antipode(alg.rotation_code(1, 2)[0]) == -alg.X(1, 2)
 
     def test_zero_tau_classical(self, eta4):
         ctx = DeformationContext(eta4, [0, 0, 0, 0], 2)
@@ -257,20 +260,106 @@ class TestRandomizedSuites:
         self._suites_pass(*random_null_pair(random.Random(seed), dim))
 
 
+def _structure_faults(ctx):
+    """Every fault of the stored elements of a context, by element name: a
+    coefficient that is not an int or a Fraction (a float or a
+    GaussRational), an integral table entry that is not an int, a zero or
+    out-of-range term, and a term off the element's weight.  The weight of a
+    term is the number of momenta minus the power of h (P: 1, X: 0, h: -1),
+    and minus the word length for the coordinates y (y: -1)."""
+    alg = ctx.algebra
+    codes = alg.generator_codes()
+    weight = {c: 1 - alg.i_count((c,)) for c in codes}  # P: 1, X: 0
+    faults = []
+
+    def coefficient(name, c, table):
+        if type(c) not in (int, Fraction) or not c:
+            faults.append(f"{name}: coefficient {c!r} of type {type(c).__name__}")
+        elif table and type(c) is Fraction and c.denominator == 1:
+            faults.append(f"{name}: integral table entry {c!r} is not an int")
+
+    def element(name, elem, w, table=False, word_weight=None):
+        word_weight = word_weight or (lambda key: sum(weight[c] for c in key))
+        legs = getattr(elem, "legs", None)
+        for (key, k), c in elem.terms.items():
+            coefficient(name, c, table)
+            if type(k) is not int or not 0 <= k <= alg.order:
+                faults.append(f"{name}: power h^{k} out of range")
+            kw = sum(map(word_weight, key)) if legs else word_weight(key)
+            if kw - k != w:
+                faults.append(f"{name}: term {key} h^{k} has weight {kw - k}, not {w}")
+
+    element("Pi", ctx.pi, 0)
+    element("Pi^-1", ctx.pi_inv, 0)
+    element("C_tau", ctx.c_tau, 2)
+    for x in codes:
+        name = ctx.gen_name(x)
+        element(f"coproduct {name}", ctx.coproduct(x), weight[x], table=True)
+        element(f"antipode {name}", ctx.antipode(x), weight[x], table=True)
+        for y in codes:
+            for z, c in alg.bracket_codes(x, y).items():
+                coefficient(f"bracket [{x},{y}]", c, True)
+                if weight[z] != weight[x] + weight[y]:
+                    faults.append(f"bracket [{x},{y}]: {z} off weight")
+            for word in ((x, y), (y, x, y)):
+                for m, c in alg.normal_order(word).items():
+                    coefficient(f"normal order {word}", c, True)
+                    if sum(weight[g] for g in m) != sum(weight[g] for g in word):
+                        faults.append(f"normal order {word}: {m} off weight")
+    ys = [coordinate(ctx, mu) for mu in range(alg.dim)]
+    for name, elem, w in (
+        ("y1 y0 y1", ys[1] * ys[0] * ys[-1], -3),
+        ("(y1 y0)*", (ys[-1] * ys[0]).star(), -2),
+    ):
+        element(f"kappa-Minkowski {name}", elem, w, word_weight=lambda key: -len(key))
+    if ctx.tau.tau_sq:
+        _, adapted = adapted_context(ctx.metric, ctx.tau, ctx.order)
+        mr = mr_generators(adapted)
+        for name, elem in [("P~_tau", mr.p_tilde_tau), ("kappa term", mr.kappa_term)] + [
+            (f"P~_{i + 1}", p) for i, p in enumerate(mr.p_tilde)
+        ]:
+            element(f"Majid-Ruegg {name}", elem, 1)
+    elif not ctx.tau.is_zero:
+        _, adapted = adapted_context(ctx.metric, ctx.tau, ctx.order)
+        twist = build_twist(adapted)
+        element("twist F", twist.twist, 0)
+        element("R-matrix", twist.r_quantum, 0)
+    return faults
+
+
 class TestFlatTerms:
+    """Structural invariants of every stored element: rational coefficients
+    (int where integral in the tables) and one weight per element."""
+
     def test_every_element_stores_flat_nonzero_coefficients(self):
-        # lightcone-adapted eta_4 (g_03 = 1, tau = e_0), so the twist builds
+        # lightcone-adapted eta_4 (g_03 = 1, tau = e_0) at N=3: the twist suite's context
         metric = Metric([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]])
-        ctx = DeformationContext(metric, [1, 0, 0, 0], 3)
-        alg = ctx.algebra
-        twist = build_twist(ctx)
-        elements = [ctx.pi, ctx.pi_inv, ctx.c_tau, twist.twist, twist.r_quantum]
-        for code in ctx.generator_codes():
-            elements += [ctx.coproduct(code), ctx.antipode(code)]
-        x0, x1 = coordinate(ctx, 0), coordinate(ctx, 1)
-        elements += [x1 * x0 * x1, (x1 * x0).star()]
-        for elem in elements:
-            assert elem.terms
-            for (key, k), c in elem.terms.items():
-                assert type(key) is tuple and type(k) is int and 0 <= k <= alg.order
-                assert type(c) is GaussRational and c
+        assert _structure_faults(DeformationContext(metric, [1, 0, 0, 0], 3)) == []
+
+    @pytest.mark.parametrize("example", sorted(EXAMPLES))
+    def test_builtin_examples(self, example):
+        cfg = config_from_json({k: v for k, v in EXAMPLES[example].items() if k != "description"})
+        assert _structure_faults(DeformationContext(cfg.metric, cfg.tau, 2)) == []
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)), null=st.booleans())
+    def test_random_metric_and_tau(self, seed, dim, null):
+        rng = random.Random(seed)
+        if null:
+            metric, tau = random_null_pair(rng, dim)
+        else:
+            metric = random_metric(rng, dim)
+            tau = random_tau(rng, metric)
+        assert _structure_faults(DeformationContext(metric, tau, 2)) == []
+
+    def test_off_weight_bump_fails_by_name(self, eta3):
+        # h^1 (1 (x) 1) has weight -1: added to Delta(P_1), of weight 1, it
+        # must be named; at h^0 on Delta(M_01) it has the right weight 0
+        alg = DeformationContext(eta3, [1, 0, 0], 2).algebra
+        p1, m01 = alg.momentum_code(1), alg.rotation_code(0, 1)[0]
+        bumped = DeformationContext(eta3, [1, 0, 0], 2, shift={p1: {(((), ()), 1): 1}})
+        fault = "coproduct P_1: term ((), ()) h^1 has weight -1, not 1"
+        assert _structure_faults(bumped) == [fault]
+        level = DeformationContext(eta3, [1, 0, 0], 2, shift={m01: {(((), ()), 0): 1}})
+        faults = _structure_faults(level)
+        assert faults and all(f.startswith("coproduct M_01: coefficient") for f in faults)

@@ -88,12 +88,10 @@ class TestStructuredOutputs:
         assert data["matrix"][0][0] == "2"  # first column is tau
 
     def test_failed_check_carries_residual_json(self, eta4):
-        from kdeform import TensorElement
         from kdeform.hopf import DeformationContext, verify_hopf
 
-        ctx = DeformationContext(eta4, [1, 0, 0, 0], 2)
-        code = ctx.generator_codes()[0]
-        ctx._coproducts[code] = ctx.coproduct(code) + TensorElement.unit(ctx.algebra, 2)
+        # a unit bump 1 (x) 1 on the coproduct of M_01, the first generator
+        ctx = DeformationContext(eta4, [1, 0, 0, 0], 2, shift={1: {(((), ()), 0): 1}})
         rep = verify_hopf(ctx, checks=[3])
         bad = [c for c in rep.checks if not c.passed]
         assert bad

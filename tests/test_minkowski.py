@@ -1,3 +1,7 @@
+"""The coordinate algebra and the action, in the engine's real coordinates
+y = -i x and rotations X = -iM: [y^mu, y^nu] = h (tau^mu y^nu - tau^nu y^mu),
+P_mu |> y^nu = -delta and X_mn |> y^rho = y_m delta_n^rho - y_n delta_m^rho."""
+
 import pytest
 
 from kdeform import GaussRational, HSeries
@@ -21,10 +25,12 @@ def ctx_t(eta4):
 
 class TestCoordinateAlgebra:
     def test_defining_relation(self, ctx_t):
-        # x1 x0 = x0 x1 - i h x1 for tau = (1,0,0,0)
-        x0, x1 = coordinate(ctx_t, 0), coordinate(ctx_t, 1)
-        ih = HSeries.h_power(3, 1, I)
-        assert x1 * x0 == x0 * x1 - x1 * ih
+        # y1 y0 = y0 y1 - h y1 for tau = (1,0,0,0)
+        y0, y1 = coordinate(ctx_t, 0), coordinate(ctx_t, 1)
+        assert y1 * y0 == y0 * y1 - y1 * HSeries.h_power(3, 1)
+        # the paper's x = i y: x1 x0 = x0 x1 - i h x1
+        x0, x1 = y0 * I, y1 * I
+        assert x1 * x0 == x0 * x1 - x1 * HSeries.h_power(3, 1, I)
 
     def test_spatial_coordinates_commute(self, ctx_t):
         x1, x2 = coordinate(ctx_t, 1), coordinate(ctx_t, 2)
@@ -33,7 +39,7 @@ class TestCoordinateAlgebra:
     def test_h_zero_limit_is_polynomial_product(self, ctx_t):
         x0, x1 = coordinate(ctx_t, 0), coordinate(ctx_t, 1)
         prod = x1 * x0
-        assert prod.terms[((0, 1), 0)] == GaussRational(1)
+        assert prod.terms[((0, 1), 0)] == 1
 
     def test_multiplication_associative(self, ctx_t):
         xs = [coordinate(ctx_t, mu) for mu in range(4)]
@@ -46,36 +52,41 @@ class TestCoordinateAlgebra:
 class TestAction:
     def test_momentum_on_coordinate(self, ctx_t):
         alg = ctx_t.algebra
-        x1 = coordinate(ctx_t, 1)
-        assert act(ctx_t, alg.momentum_code(1), x1) == scalar_mink(ctx_t, -I)
-        assert act(ctx_t, alg.momentum_code(0), x1).is_zero
+        y1 = coordinate(ctx_t, 1)
+        assert act(ctx_t, alg.momentum_code(1), y1) == scalar_mink(ctx_t, -1)
+        assert act(ctx_t, alg.momentum_code(0), y1).is_zero
+        # P_1 |> x^1 = -i
+        assert act(ctx_t, alg.momentum_code(1), y1 * I) == scalar_mink(ctx_t, -I)
 
     def test_rotation_on_coordinate(self, ctx_t):
         alg = ctx_t.algebra
-        # M_12 |> x^2 = i x_1 = i x^1 (spatial index lowers trivially)
+        # X_12 |> y^2 = y_1 = y^1 (spatial index lowers trivially); the paper's
+        # M_12 |> x^2 = i x_1 alike
         code = alg.rotation_code(1, 2)[0]
-        assert act(ctx_t, code, coordinate(ctx_t, 2)) == coordinate(ctx_t, 1) * I
+        assert act(ctx_t, code, coordinate(ctx_t, 2)) == coordinate(ctx_t, 1)
+        m12 = ctx_t.algebra.M(1, 2)
+        assert act(ctx_t, m12, coordinate(ctx_t, 2) * I) == coordinate(ctx_t, 1) * I * I
 
     def test_boost_lowers_with_metric(self, ctx_t):
         alg = ctx_t.algebra
-        # M_01 |> x^1 = i x_0 = -i x^0 with g_00 = -1
+        # X_01 |> y^1 = y_0 = -y^0 with g_00 = -1
         code = alg.rotation_code(0, 1)[0]
-        assert act(ctx_t, code, coordinate(ctx_t, 1)) == coordinate(ctx_t, 0) * (-I)
+        assert act(ctx_t, code, coordinate(ctx_t, 1)) == -coordinate(ctx_t, 0)
 
     def test_action_represents_brackets(self, ctx_t):
-        # P_1 M_01 is out of PBW order: its normal form M_01 P_1 - i P_0 acts
-        # on x^0 as -1, and so must M_01 then P_1 (M_01 |> x^0 = -i x^1)
+        # P_1 X_01 is out of PBW order: its normal form X_01 P_1 - P_0 acts
+        # on y^0 as 1, and so must X_01 then P_1 (X_01 |> y^0 = -y^1)
         alg = ctx_t.algebra
         p1 = ctx_t.gen_element(alg.momentum_code(1))
-        m01 = ctx_t.gen_element(alg.rotation_code(0, 1)[0])
-        x0 = coordinate(ctx_t, 0)
-        assert act(ctx_t, p1 * m01, x0) == scalar_mink(ctx_t, -1)
-        assert act(ctx_t, p1, act(ctx_t, m01, x0)) == scalar_mink(ctx_t, -1)
+        x01 = ctx_t.gen_element(alg.rotation_code(0, 1)[0])
+        y0 = coordinate(ctx_t, 0)
+        assert act(ctx_t, p1 * x01, y0) == scalar_mink(ctx_t, 1)
+        assert act(ctx_t, p1, act(ctx_t, x01, y0)) == scalar_mink(ctx_t, 1)
 
     def test_leibniz_through_deformed_coproduct(self, ctx_t):
         alg = ctx_t.algebra
-        x0, x1 = coordinate(ctx_t, 0), coordinate(ctx_t, 1)
-        assert act(ctx_t, alg.momentum_code(1), x0 * x1) == x0 * (-I)
+        y0, y1 = coordinate(ctx_t, 0), coordinate(ctx_t, 1)
+        assert act(ctx_t, alg.momentum_code(1), y0 * y1) == -y0
 
     def test_unit_and_counit(self, ctx_t):
         alg = ctx_t.algebra
@@ -85,9 +96,9 @@ class TestAction:
 
     def test_action_linear_in_series(self, ctx_t):
         alg = ctx_t.algebra
-        x1 = coordinate(ctx_t, 1)
+        y1 = coordinate(ctx_t, 1)
         op = alg.P(1) * HSeries.h_power(3, 2)
-        assert act(ctx_t, op, x1) == scalar_mink(ctx_t, -I) * HSeries.h_power(3, 2)
+        assert act(ctx_t, op, y1) == scalar_mink(ctx_t, -1) * HSeries.h_power(3, 2)
 
 
 class TestStar:
@@ -97,8 +108,10 @@ class TestStar:
         assert prod.star() == x1.star() * x0.star()
 
     def test_fixes_coordinates(self, ctx_t):
-        x2 = coordinate(ctx_t, 2)
-        assert x2.star() == x2
+        # x* = x, so y* = (-i x)* = -y
+        y2 = coordinate(ctx_t, 2)
+        assert y2.star() == -y2
+        assert (y2 * I).star() == y2 * I
 
 
 class TestCovariance:
