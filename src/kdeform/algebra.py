@@ -117,9 +117,9 @@ class VectorTau:
 class PoincareAlgebra:
     """U(iso(g)) over h-series coefficients at a fixed truncation order.
 
-    Owns the structure-constant table and the normal-ordering cache; elements
-    hold a reference back here.  All values are immutable once built, so a
-    context can be shared freely.
+    Owns the structure-constant table and the normal-order, product and
+    commutator caches of monomials; elements hold a reference back here.
+    All values are immutable once built, so a context can be shared freely.
 
     shift perturbs the structure constants, for negative controls:
     {(a, b): {c: value}} adds value * c to [a, b] (and its negative to
@@ -136,7 +136,7 @@ class PoincareAlgebra:
         self._brackets = {}
         self._no_cache = {}
         self._prod_cache = {}
-        self._casimir = None
+        self._comm_cache = {}
         self._key = (metric._key, order)
         # [M_a, M_b] = i^(#a + #b) [X_a, X_b], and a term v M_c is v i^#c X_c
         self._shift = {}
@@ -146,6 +146,9 @@ class PoincareAlgebra:
                 for c, v in row.items():
                     n = self.i_count((c,)) - self.i_count((a, b))
                     accumulate(out, c, times_i(exact(v) * sign, n))
+        # pure-momentum words commute unless a shift names a pair of momenta
+        mom0 = self._mom0
+        self._momenta_commute = not any(a >= mom0 and b >= mom0 for a, b in self._shift)
 
     # -- generator codes ----------------------------------------------------
 
@@ -268,21 +271,48 @@ class PoincareAlgebra:
         product in the verification suites."""
         key = (m1, m2)
         out = self._prod_cache.get(key)
-        if out is not None:
-            return out
-        if not m1:
-            out = {m2: _ONE}
-        elif not m2:
-            out = {m1: _ONE}
-        elif m1[-1] <= m2[0]:
-            out = {m1 + m2: _ONE}
-        elif m1[0] >= self._mom0 and m2[0] >= self._mom0:
-            # both words pure momentum: sorted merge, momenta commute
-            out = {tuple(sorted(m1 + m2)): _ONE}
-        else:
-            out = self.normal_order(m1 + m2)
-        self._prod_cache[key] = out
+        if out is None:
+            out = self._prod_cache[key] = self._mono_product_uncached(m1, m2)
         return out
+
+    def _mono_product_uncached(self, m1: tuple, m2: tuple) -> dict:
+        if not m1:
+            return {m2: _ONE}
+        if not m2:
+            return {m1: _ONE}
+        if m1[-1] <= m2[0]:
+            return {m1 + m2: _ONE}
+        if m1[0] >= self._mom0 and m2[0] >= self._mom0 and self._momenta_commute:
+            # both words pure momentum: sorted merge, momenta commute
+            return {tuple(sorted(m1 + m2)): _ONE}
+        return self.normal_order(m1 + m2)
+
+    def mono_commutator(self, m1: tuple, m2: tuple) -> tuple:
+        """[m1, m2] = m1 m2 - m2 m1 of two normal-ordered monomials, as a tuple
+        of (monomial, coefficient) pairs.
+
+        A pair that commutes by structure (an empty word, or two words of
+        momenta) is answered without a lookup and never stored.  The other
+        pairs are cached here; their two products are formed afresh, not
+        through the product cache (normal_order caches the reordering), so
+        each pair is stored once."""
+        if not m1 or not m2:
+            return ()
+        mom0 = self._mom0
+        if m1[0] >= mom0 and m2[0] >= mom0 and self._momenta_commute:
+            return ()
+        key = (m1, m2)
+        out = self._comm_cache.get(key)
+        if out is None:
+            acc = dict(self._mono_product_uncached(m1, m2))
+            for m, c in self._mono_product_uncached(m2, m1).items():
+                accumulate(acc, m, -c)
+            out = tuple((m, rational(c)) for m, c in acc.items() if c)
+            self._comm_cache[key] = out
+        return out
+
+    # the key rule of the PBW commutator: its pairs are the cached tuple itself
+    pbw_commutator = mono_commutator
 
     def normal_order(self, word: tuple) -> dict:
         out = self._no_cache.get(word)
@@ -313,17 +343,17 @@ class PoincareAlgebra:
         """Key-product rule of PBW elements: the product of two monomials."""
         return self.mono_product(m1, m2).items()
 
-    def mul_terms(
-        self, ta: dict, tb: dict, key_product=None, commutator: bool = False, cap: int | None = None
-    ) -> dict:
+    def mul_terms(self, ta: dict, tb: dict, key_product=None, cap: int | None = None) -> dict:
         """The product of two flat term maps, as a flat term map.
 
         This is the one product kernel: PBW elements and tensors of any leg
         count differ only in key_product(k1, k2), which yields the
         (key, coefficient) pairs of the product of two keys (the int 1 takes
         a fast path: a third of all key products are by 1).  The default rule
-        is pbw_product.  With commutator=True the result is ta*tb - tb*ta,
-        both products accumulated into one map.  Powers of h above cap
+        is pbw_product.  Any bilinear rule on keys extends the same way: with
+        the commutator of two keys (pbw_commutator, or the leg-wise rule of
+        tensors.tensor_commutator) the result is ta*tb - tb*ta, and the two
+        products that would cancel are never formed.  Powers of h above cap
         (default: the order) are never formed.
 
         Rational operands are scaled to ints by the least common denominator
@@ -337,23 +367,19 @@ class PoincareAlgebra:
         if d > 1:
             ta, tb = _scaled(ta, da), _scaled(tb, db)
         acc = {}
-        passes = ((ta, tb, False), (tb, ta, True)) if commutator else ((ta, tb, False),)
-        for left, right, negate in passes:
-            items_b = [(m, k, c) for (m, k), c in right.items()]
-            for (m1, k1), c1 in left.items():
-                if negate:
-                    c1 = -c1
-                budget = N - k1
-                for m2, k2, c2 in items_b:
-                    if k2 > budget:
-                        continue
-                    k = k1 + k2
-                    c = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
-                    for m, cm in key_product(m1, m2):
-                        t = (m, k)
-                        p = c if cm is _ONE else c * cm
-                        cur = acc.get(t)
-                        acc[t] = p if cur is None else cur + p
+        items_b = [(m, k, c) for (m, k), c in tb.items()]
+        for (m1, k1), c1 in ta.items():
+            budget = N - k1
+            for m2, k2, c2 in items_b:
+                if k2 > budget:
+                    continue
+                k = k1 + k2
+                c = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
+                for m, cm in key_product(m1, m2):
+                    t = (m, k)
+                    p = c if cm is _ONE else c * cm
+                    cur = acc.get(t)
+                    acc[t] = p if cur is None else cur + p
         if d > 1:
             inv = Fraction(1, d)  # never int / int, which would be a float
             return {t: rational(c * inv) for t, c in acc.items() if c}
@@ -385,19 +411,17 @@ class PoincareAlgebra:
 
     def casimir(self) -> "AlgebraElement":
         """The quadratic Casimir C = g^{mu nu} P_mu P_nu."""
-        if self._casimir is None:
-            acc = {}
-            ginv = self.metric.inverse
-            mom0 = self._mom0
-            for mu in range(self.dim):
-                for nu in range(self.dim):
-                    f = ginv[mu][nu]
-                    if not f:
-                        continue
-                    key = (mom0 + mu, mom0 + nu) if mu <= nu else (mom0 + nu, mom0 + mu)
-                    acc[key] = acc.get(key, 0) + f
-            self._casimir = AlgebraElement(self, {(k, 0): rational(v) for k, v in acc.items() if v})
-        return self._casimir
+        acc = {}
+        ginv = self.metric.inverse
+        mom0 = self._mom0
+        for mu in range(self.dim):
+            for nu in range(self.dim):
+                f = ginv[mu][nu]
+                if not f:
+                    continue
+                key = (mom0 + mu, mom0 + nu) if mu <= nu else (mom0 + nu, mom0 + mu)
+                acc[key] = acc.get(key, 0) + f
+        return AlgebraElement(self, {(k, 0): rational(v) for k, v in acc.items() if v})
 
     def momentum_raised(self, alpha: int) -> "AlgebraElement":
         """P^alpha = g^{alpha beta} P_beta."""
@@ -422,7 +446,7 @@ class PoincareAlgebra:
         return p_tau, x_tau
 
     def bracket(self, x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self, self.mul_terms(x.terms, y.terms, commutator=True))
+        return AlgebraElement(self, self.mul_terms(x.terms, y.terms, self.pbw_commutator))
 
     # -- compatibility -------------------------------------------------------------
 

@@ -37,6 +37,7 @@ M-form identity: the number of rotations among the generators it is about.
 from __future__ import annotations
 
 import time
+import weakref
 from fractions import Fraction
 
 from .algebra import (
@@ -93,10 +94,14 @@ class DeformationContext:
             code: TensorElement(alg, 2, terms).in_symbols(1) * I_POWERS[-alg.i_count((code,)) % 4]
             for code, terms in (shift or {}).items()
         }
-        # the coproduct, undeformed coproduct and antipode of PBW monomials
-        self.mono_coproduct = MonomialMap(TensorElement.unit(alg, 2), self.coproduct)
-        self.mono_primitive = MonomialMap(TensorElement.unit(alg, 2), self._primitive_gen)
-        self.mono_antipode = MonomialMap(alg.one(), self.antipode, anti=True)
+        # the coproduct, undeformed coproduct and antipode of PBW monomials;
+        # the maps reach this context through a weak reference, so that a
+        # dropped context is freed at once, not by the cyclic collector
+        me = weakref.proxy(self)
+        unit2 = TensorElement.unit(alg, 2)
+        self.mono_coproduct = MonomialMap(unit2, lambda code: me.coproduct(code))
+        self.mono_primitive = MonomialMap(unit2, lambda code: me._primitive_gen(code))
+        self.mono_antipode = MonomialMap(alg.one(), lambda code: me.antipode(code), anti=True)
         # kappa-Minkowski: coordinate normal forms and generator actions on words
         self._mink_no_cache = {}
         self._act_cache = {}
@@ -424,7 +429,7 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
                 d = ctx.coproduct(x)
                 lhs = (d - d.flip()).h_coefficient(1)
                 d0 = ctx.primitive_of(ctx.gen_element(x))
-                rhs = (d0 * r_t - r_t * d0).h_coefficient(0)
+                rhs = tensor_commutator(d0, r_t).h_coefficient(0)
                 # the residual of the paper's generator, in its symbols
                 res = dict_sub(lhs, rhs)
                 n = ph((x,))

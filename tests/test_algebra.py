@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from kdeform import GaussRational, HSeries, Metric, PoincareAlgebra, VectorTau, divide_h
 from kdeform.algebra import AlgebraElement
 from kdeform.errors import ContextMismatchError, DegenerateMetricError, NonInvertibleError
+from kdeform.hopf import DeformationContext, verify_hopf
 
-from conftest import random_metric
+from conftest import random_metric, random_tau
 
 
 I = GaussRational(0, 1)
@@ -99,6 +100,67 @@ class TestBrackets:
         assert alg.bracket(alg.M(0, 1), alg.P(0)).terms == (
             clean.bracket(clean.M(0, 1), clean.P(0)) + clean.P(1)
         ).terms
+
+
+    def test_shifted_momentum_pair(self, eta3):
+        # [P_0, P_1] += P_2: pure-momentum words no longer commute by structure
+        alg = PoincareAlgebra(eta3, 2, shift={(9, 10): {11: 1}})
+        assert alg.bracket(alg.P(0), alg.P(1)).terms == alg.P(2).terms
+        assert alg.bracket(alg.P(1), alg.P(0)).terms == (-alg.P(2)).terms
+        assert (alg.P(1) * alg.P(0)).terms == (alg.P(0) * alg.P(1) - alg.P(2)).terms
+        rep = verify_hopf(DeformationContext(eta3, (1, 0, 0), 2, algebra=alg), [1])
+        failed = {c.generator for c in rep.checks if not c.passed}
+        assert "[P_0,P_1]" in failed
+
+
+def _random_pbw(rng, alg, series=()):
+    """A sum of three words of one to three generators and one element of
+    series (if given) times such a word, each with a random nonzero rational
+    coefficient at a random power of h."""
+    gens = [alg.from_codes({c: 1}) for c in alg.generator_codes()]
+    factors = [alg.one()] * 3 + ([rng.choice(series)] if series else [])
+    out = alg.zero()
+    for factor in factors:
+        word = factor
+        for _ in range(rng.randint(1, 3)):
+            word = word * rng.choice(gens)
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        out = out + word * alg.h(rng.randint(0, alg.order)) * c
+    return out
+
+
+class TestCommutatorRule:
+    """alg.bracket multiplies keys by their commutator (mono_commutator),
+    which answers pairs that commute by structure without a product: it must
+    agree with the difference of the two products."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)))
+    def test_random_metric_and_tau(self, seed, dim):
+        rng = random.Random(seed)
+        metric = random_metric(rng, dim)
+        ctx = DeformationContext(metric, random_tau(rng, metric), 2)
+        alg = ctx.algebra
+        series = (ctx.p_tau, ctx.pi, ctx.pi_inv)
+        for _ in range(3):
+            x, y = _random_pbw(rng, alg, series), _random_pbw(rng, alg, series)
+            assert alg.bracket(x, y) == x * y - y * x
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)))
+    def test_shifted_algebra(self, seed, dim):
+        rng = random.Random(seed)
+        clean = PoincareAlgebra(random_metric(rng, dim), 2)
+        codes = clean.generator_codes()
+        momenta = codes[-dim:]
+        shift = {
+            tuple(rng.sample(momenta, 2)): {rng.choice(codes): rng.randint(1, 2)},
+            tuple(rng.sample(codes, 2)): {rng.choice(codes): Fraction(1, 2)},
+        }
+        alg = PoincareAlgebra(clean.metric, 2, shift=shift)
+        for _ in range(3):
+            x, y = _random_pbw(rng, alg), _random_pbw(rng, alg)
+            assert alg.bracket(x, y) == x * y - y * x
 
 
 class TestMultiply:

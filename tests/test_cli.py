@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +234,14 @@ class TestExamples:
             code, out, _ = run(capsys, "examples", "--example", name)
             assert code == 0
             jsonio.config_from_json(json.loads(out))
+
+
+def test_python_dash_m_runs_the_cli():
+    """python -m kdeform is the kdeform console script."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    args = ["verify", "--example", "time-like", "--suite", "hopf", "--order", "2"]
+    done = subprocess.run(
+        [sys.executable, "-m", "kdeform", *args], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert "hopf" in done.stdout

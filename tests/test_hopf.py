@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -191,6 +193,23 @@ class TestMomentumSubalgebra:
                 assert all(code >= ctx.algebra._mom0 for m, _ in a.terms for code in m)
                 for b in series:
                     assert a * b == b * a
+
+
+class TestLifetime:
+    def test_dropped_context_is_freed_without_the_cyclic_collector(self, eta3):
+        # the rescaling check builds and drops contexts: they must not wait
+        # for a cyclic collection, or peak memory depends on its timing
+        gc.disable()
+        try:
+            ctx = DeformationContext(eta3, [1, 1, 0], 2)
+            for code in ctx.generator_codes():
+                ctx.coproduct_of(ctx.gen_element(code) * ctx.gen_element(code))
+                ctx.antipode_of(ctx.gen_element(code) * ctx.pi)
+            refs = weakref.ref(ctx), weakref.ref(ctx.algebra)
+            del ctx
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestPiIdentities:

@@ -10,10 +10,10 @@ on {power of h: polynomial}, truncated at h^N.  P lowers the degree, so every
 series in P (Pi, Pi^-1, C_tau) terminates on a polynomial and the evaluation
 is exact.
 
-The engine's coproduct tables are read as data (their flat terms) and
-evaluated here as compositions of operators; nothing below multiplies PBW
-words, so a fault in the product kernels or the normal ordering cannot hide
-behind itself.  The realization is not faithful (scalar fields kill the
+The engine's coproduct and antipode tables are read as data (their flat
+terms) and evaluated here as compositions of operators; nothing below
+multiplies PBW words, so a fault in the product kernels or the normal
+ordering cannot hide behind itself.  The realization is not faithful (scalar fields kill the
 Pauli-Lubanski square, for example), so agreement is a necessary condition
 only.
 """
@@ -239,3 +239,54 @@ def test_coproduct_is_coassociative(ctx):
         left = expanded(table[x], 0)
         right = expanded(table[x], 1)
         assert hsum((1, left), (-1, right)) == {}, ctx.gen_name(x)
+
+
+def antipode_axiom_residuals(coproducts, antipodes, x, f, g):
+    """m(S (x) id) D(x) and m(id (x) S) D(x) acting on f, one coordinate copy.
+
+    S of a leg word a_1 ... a_n is S(a_n) ... S(a_1), so S(a_1) acts first;
+    each S(a_i) is the generator's table entry, itself acted term by term."""
+
+    def antipode_word(mono, hf):
+        for code in mono:
+            hf = act(antipodes[code], (0,), hf, g)
+        return hf
+
+    left, right = {}, {}
+    for ((a, b), k), c in coproducts[x].items():
+        # S(a) b f, then a S(b) f
+        hf = act({(b, k): c}, (0,), f, g)
+        left = hsum((1, left), (1, antipode_word(a, hf)))
+        hf = antipode_word(b, act({((), k): c}, (0,), f, g))
+        right = hsum((1, right), (1, act({(a, 0): 1}, (0,), hf, g)))
+    return left, right
+
+
+def test_antipode_axiom(ctx):
+    """m(S (x) id) D(x) = m(id (x) S) D(x) = eps(x) 1 = 0 for every generator."""
+    g = ctx.metric.rows
+    codes = ctx.generator_codes()
+    coproducts = {x: ctx.coproduct(x).terms for x in codes}
+    antipodes = {x: ctx.antipode(x).terms for x in codes}
+    f = random_poly(random.Random(4), len(g), 1)
+    for x in codes:
+        left, right = antipode_axiom_residuals(coproducts, antipodes, x, f, g)
+        assert left == {} and right == {}, ctx.gen_name(x)
+
+
+def test_antipode_axiom_sees_a_flipped_h_term(ctx):
+    """The same evaluation with the sign of the h-term of every S(X) flipped
+    leaves a residual for exactly the rotations whose S(X) has an h-term."""
+    g = ctx.metric.rows
+    codes = ctx.generator_codes()
+    mom0 = len(g) ** 2
+    coproducts = {x: ctx.coproduct(x).terms for x in codes}
+    antipodes = {x: ctx.antipode(x).terms for x in codes}
+    deformed = {x for x in codes if x < mom0 and any(k == 1 for _, k in antipodes[x])}
+    for x in deformed:
+        antipodes[x] = {t: -c if t[1] == 1 else c for t, c in antipodes[x].items()}
+    f = random_poly(random.Random(4), len(g), 1)
+    failing = {
+        x for x in codes if antipode_axiom_residuals(coproducts, antipodes, x, f, g) != ({}, {})
+    }
+    assert deformed and failing == deformed
