@@ -26,7 +26,7 @@ from .bases import (
 from .hopf import DeformationContext, pi_identities_report, verify_hopf
 from .minkowski import MinkowskiElement, act, act_on_product, coordinate, verify_covariance
 from .reports import CheckResult, VerificationReport
-from .scalars import GaussRational, HSeries, binom_half
+from .scalars import GaussRational, binom_half
 from .tensors import (
     OrbitClassification,
     TensorElement,
@@ -46,7 +46,6 @@ __all__ = [
     "CheckResult",
     "DeformationContext",
     "GaussRational",
-    "HSeries",
     "LightconeBasis",
     "MRGenerators",
     "Metric",

@@ -30,7 +30,7 @@ from math import lcm
 
 from . import exactla
 from .errors import ContextMismatchError, InvalidVectorError, NonInvertibleError
-from .scalars import I_POWERS, GaussRational, HSeries, as_fraction, exact, rational, times_i
+from .scalars import I_POWERS, GaussRational, as_fraction, exact, rational, times_i
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -197,9 +197,6 @@ class PoincareAlgebra:
 
     def scalar(self, value) -> "AlgebraElement":
         return self.one() * value
-
-    def h(self, k: int = 1) -> HSeries:
-        return HSeries.h_power(self.order, k)
 
     def P(self, mu: int) -> "AlgebraElement":
         return AlgebraElement(self, {((self.momentum_code(mu),), 0): _ONE})
@@ -500,7 +497,7 @@ def dict_sub(a: dict, b: dict) -> dict:
     return out
 
 
-_SCALARS = (int, Fraction, GaussRational, HSeries)
+_SCALARS = (int, Fraction, GaussRational)
 
 
 class TermElement:
@@ -588,15 +585,6 @@ class TermElement:
 
     def __mul__(self, other):
         """Multiplication by a scalar; subclasses handle their own products."""
-        if isinstance(other, HSeries):
-            if other.order != self.algebra.order:
-                raise ContextMismatchError("series has the wrong truncation order")
-            nz = other.nz
-
-            def shifted(key, _budget):
-                return [((key, j), c) for j, c in nz]
-
-            return self._with(self.algebra.extend(self.terms, shifted))
         if not isinstance(other, _SCALARS):
             return NotImplemented
         other = exact(other)
@@ -610,6 +598,15 @@ class TermElement:
         if isinstance(other, _SCALARS):
             return self.__mul__(other)
         return NotImplemented
+
+    def times_h(self, k: int, c=1):
+        """c h^k times the element: every power of h raised by k, those past
+        the truncation order dropped."""
+        if k < 0:
+            raise ValueError("power of h must be non-negative: use divide_h")
+        top = self.algebra.order - k
+        shifted = self._with({(key, j + k): v for (key, j), v in self.terms.items() if j <= top})
+        return shifted if c == 1 else shifted * c
 
     def _star_by(self, image):
         """The antilinear map conjugating coefficients and sending each key to
@@ -625,13 +622,13 @@ class TermElement:
         return self._with({t: times_i(c, s * count(t[0])) for t, c in self.terms.items()})
 
     def series(self) -> dict:
-        """{key: HSeries} in the paper's symbols (see in_symbols), each key's
-        powers of h gathered into one series: the form output is written in."""
+        """{key: ((k, c), ...)} in the paper's symbols (see in_symbols), each
+        key's nonzero coefficients c of h^k in increasing k: the form output
+        is written in."""
         rows = {}
         for (key, k), c in self.in_symbols(-1).terms.items():
             rows.setdefault(key, []).append((k, c))
-        N = self.algebra.order
-        return {key: HSeries.from_nz(N, tuple(sorted(row))) for key, row in rows.items()}
+        return {key: tuple(sorted(row)) for key, row in rows.items()}
 
     def h_coefficient(self, k: int) -> dict:
         """{key: coefficient} at a fixed power of h."""
@@ -693,11 +690,9 @@ class AlgebraElement(TermElement):
 
     # -- structure maps ------------------------------------------------------
 
-    def counit(self) -> HSeries:
-        """The series coefficient of the empty monomial."""
-        N = self.algebra.order
-        get = self.terms.get
-        return HSeries.from_nz(N, tuple((k, c) for k in range(N + 1) if (c := get(((), k)))))
+    def counit(self) -> "AlgebraElement":
+        """epsilon(a) 1: the terms of the empty monomial."""
+        return AlgebraElement(self.algebra, {t: c for t, c in self.terms.items() if not t[0]})
 
     def star(self) -> "AlgebraElement":
         """Antilinear anti-involution: fixes P and M, so X* = -X; conjugates

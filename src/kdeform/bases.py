@@ -12,6 +12,7 @@ of the coproducts makes harmless.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +32,6 @@ from .algebra import (
 from .errors import BasisError, InvalidVectorError
 from .hopf import DeformationContext
 from .reports import VerificationReport
-from .scalars import HSeries
 from .tensors import TensorElement, hyperbolic_pair_complement, tau_orthogonal_complement
 
 _F0 = Fraction(0)
@@ -99,10 +99,13 @@ class BasisChange:
         return TensorElement(target, t.legs, target.extend(t.terms, legwise))
 
     def _monomials(self, target: PoincareAlgebra) -> MonomialMap:
-        """The images of PBW monomials, memoised per target context."""
+        """The images of PBW monomials, memoised per target context.  The map
+        reaches self through a weak proxy, so a dropped change is freed without
+        the cyclic collector."""
         images = self._mono_maps.get(target._key)
         if images is None:
-            images = MonomialMap(target.one(), lambda code: self.generator_image(code, target))
+            me = weakref.proxy(self)
+            images = MonomialMap(target.one(), lambda code: me.generator_image(code, target))
             self._mono_maps[target._key] = images
         return images
 
@@ -270,8 +273,7 @@ def _mr_bracket_numerator(ctx: DeformationContext) -> AlgebraElement:
     pp = alg.zero()
     for k in range(1, alg.dim):
         pp = pp + ptil[k - 1] * _raised(ctx, ptil, k)
-    t2h2 = HSeries.h_power(alg.order, 2, ctx.tau.tau_sq)
-    return alg.one() - ctx.pi_inv * ctx.pi_inv - pp * t2h2
+    return alg.one() - ctx.pi_inv * ctx.pi_inv - pp.times_h(2, ctx.tau.tau_sq)
 
 
 def mr_generators(ctx: DeformationContext) -> MRGenerators:
@@ -315,7 +317,7 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
     pi_inv = ctx.pi_inv
     one = alg.one()
 
-    rep.record("exp-of-p-tilde-tau-recovers-pi", series_exp(pt * alg.h()) - ctx.pi, note=note)
+    rep.record("exp-of-p-tilde-tau-recovers-pi", series_exp(pt.times_h(1)) - ctx.pi, note=note)
 
     # classical limits at h = 0
     rep.record(
@@ -354,7 +356,7 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
         for k in range(1, d):
             ptk = _raised(ctx, ptil, k)
             if ptk:
-                rhs = rhs - TensorElement.of(ptk, alg.X(k, j)) * HSeries.h_power(alg.order, 1, t2)
+                rhs = rhs - TensorElement.of(ptk, alg.X(k, j)).times_h(1, t2)
         rep.record("coproduct-m-tau-j-bicrossproduct", lhs - rhs, generator=f"M_0{j}", phase=1)
 
     # -- reduced 1+(D-1) coproducts against the universal ones ----------------
@@ -383,12 +385,11 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
     # [M_{tau i}, P~_j] = i/2 kappa g_ij (1 - exp(-2 P~_tau/kappa) - tau^2/kappa^2 P~_k P~^k)
     #                     + i tau^2/kappa P~_j P~_i
     half_kappa_part = mr.kappa_term * Fraction(1, 2)
-    h1_t2 = HSeries.h_power(alg.order, 1, t2)
     for i in range(1, d):
         x0i = alg.X(0, i)
         for j in range(1, d):
             lhs = alg.bracket(x0i, ptil[j - 1])
-            rhs = half_kappa_part * g[i][j] + ptil[j - 1] * ptil[i - 1] * h1_t2
+            rhs = half_kappa_part * g[i][j] + (ptil[j - 1] * ptil[i - 1]).times_h(1, t2)
             label = f"[M_0{i}, P~_{j}]"
             rep.record("bracket-m-tau-i-with-p-tilde-j-deformed", lhs - rhs, label, phase=1)
 
@@ -407,7 +408,6 @@ def _reduced_coproducts_report(rep, ctx):
     t2 = ctx.tau.tau_sq
     one = alg.one()
     pi, pi_inv = ctx.pi, ctx.pi_inv
-    h1 = alg.h(1)
 
     p_low = [alg.P(k) for k in range(1, d)]
     p_up = [None] + [_raised(ctx, p_low, j) for j in range(1, d)]
@@ -415,7 +415,7 @@ def _reduced_coproducts_report(rep, ctx):
     lhs = ctx.coproduct_of(ctx.p_tau)
     rhs = TensorElement.of(ctx.p_tau, pi) + TensorElement.of(pi_inv, ctx.p_tau)
     for j in range(1, d):
-        rhs = rhs - TensorElement.of(p_up[j] * pi_inv, alg.P(j)) * (h1 * t2)
+        rhs = rhs - TensorElement.of(p_up[j] * pi_inv, alg.P(j)).times_h(1, t2)
     rep.record("reduced-coproduct-p-tau", lhs - rhs, generator="P_tau")
 
     for i in range(1, d):
@@ -429,7 +429,7 @@ def _reduced_coproducts_report(rep, ctx):
         x0i = alg.X(0, i)
         rhs = TensorElement.of(x0i, one) + TensorElement.of(pi_inv, x0i)
         for j in range(1, d):
-            rhs = rhs + TensorElement.of(p_up[j] * pi_inv, alg.X(i, j)) * (h1 * t2)
+            rhs = rhs + TensorElement.of(p_up[j] * pi_inv, alg.X(i, j)).times_h(1, t2)
         rep.record("reduced-coproduct-m-tau-i", lhs - rhs, generator=f"M_0{i}", phase=1)
 
 

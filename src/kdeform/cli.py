@@ -13,8 +13,7 @@ import sys
 
 from . import jsonio, render
 from .bases import adapted_context, verify_mr
-from .errors import BasisError, ContextMismatchError, InvalidVectorError
-from .errors import InternalConsistencyError, OrderMismatchError
+from .errors import BasisError, ContextMismatchError, InternalConsistencyError, InvalidVectorError
 from .hopf import DeformationContext, pi_identities_report, verify_hopf
 from .minkowski import verify_covariance
 from .reports import VerificationReport
@@ -335,7 +334,7 @@ def main(argv=None) -> int:
             return cmd_verify(cfg, args.suite, args.corrupt)
         raise AssertionError(args.command)
     # the mismatch errors are ValueErrors, so they must be caught first
-    except (InternalConsistencyError, OrderMismatchError, ContextMismatchError) as e:
+    except (InternalConsistencyError, ContextMismatchError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
     except (ValueError, OSError, BasisError, InvalidVectorError, IndexError) as e:

@@ -1,10 +1,6 @@
 """Exceptions shared across the package."""
 
 
-class OrderMismatchError(ValueError):
-    """Two series from incompatible truncation contexts were combined."""
-
-
 class ContextMismatchError(ValueError):
     """Two algebra elements from incompatible contexts were combined."""
 

@@ -51,7 +51,7 @@ from .algebra import (
 )
 from .errors import InternalConsistencyError
 from .reports import VerificationReport
-from .scalars import I_POWERS, HSeries, binom_half, times_i
+from .scalars import I_POWERS, binom_half, times_i
 from .tensors import TensorElement, r_matrix, tensor_commutator
 from .render import gen_text
 
@@ -121,13 +121,11 @@ class DeformationContext:
         cpow = alg.one()
         for n in range(1, alg.order // 2 + 1):
             cpow = cpow * self.casimir
-            coeff = HSeries.h_power(alg.order, 2 * n, binom_half(n) * t2**n)
-            out = out + cpow * coeff
+            out = out + cpow.times_h(2 * n, binom_half(n) * t2**n)
         return out
 
     def _build_pi(self) -> AlgebraElement:
-        alg = self.algebra
-        return self.p_tau * alg.h() + self._sqrt_term()
+        return self.p_tau.times_h(1) + self._sqrt_term()
 
     def _build_pi_inv(self) -> AlgebraElement:
         """Pi^-1 two ways: plain series inversion, and the closed form
@@ -136,8 +134,8 @@ class DeformationContext:
         alg = self.algebra
         route_a = series_invert(self.pi)
         t2 = self.tau.tau_sq
-        denom = alg.one() + (self.casimir * t2 - self.p_tau * self.p_tau) * alg.h(2)
-        route_b = (self._sqrt_term() - self.p_tau * alg.h()) * series_invert(denom)
+        denom = alg.one() + (self.casimir * t2 - self.p_tau * self.p_tau).times_h(2)
+        route_b = (self._sqrt_term() - self.p_tau.times_h(1)) * series_invert(denom)
         if route_a != route_b:
             raise InternalConsistencyError(
                 "series inverse and closed form of Pi_tau^-1 disagree"
@@ -152,7 +150,7 @@ class DeformationContext:
         for n in range(1, alg.order // 2 + 2):
             cpow = cpow * self.casimir
             c = 2 * binom_half(n) * t2 ** (n - 1)
-            out = out + cpow * HSeries.h_power(alg.order, 2 * n - 2, c)
+            out = out + cpow.times_h(2 * n - 2, c)
         return out
 
     def lift(self, extra: int = 1) -> "DeformationContext":
@@ -184,8 +182,6 @@ class DeformationContext:
 
     def _coproduct_uncached(self, code: int) -> TensorElement:
         alg = self.algebra
-        h1 = alg.h(1)
-        h2_half = HSeries.h_power(alg.order, 2, _HALF)
         kind, idx = alg.decode(code)
         gen = self.gen_element(code)
         out = TensorElement.of(gen, self.pi if kind == "P" else alg.one())
@@ -195,8 +191,8 @@ class DeformationContext:
             mu = idx
             if cov[mu]:
                 pap, cp = self._shared_tails()
-                out = out - pap * (h1 * cov[mu])
-                out = out - cp * (h2_half * cov[mu])
+                out = out - pap.times_h(1, cov[mu])
+                out = out - cp.times_h(2, _HALF * cov[mu])
         else:
             mu, nu = idx
             if cov[mu] or cov[nu]:
@@ -206,10 +202,10 @@ class DeformationContext:
                     w = alg.X(a, mu) * cov[nu] - alg.X(a, nu) * cov[mu]
                     if w:
                         second = second + TensorElement.of(self._p_raised[a] * self.pi_inv, w)
-                out = out + second * h1
+                out = out + second.times_h(1)
                 w2 = self.x_tau[nu] * cov[mu] - self.x_tau[mu] * cov[nu]
                 if w2:
-                    out = out - TensorElement.of(self.c_tau * self.pi_inv, w2) * h2_half
+                    out = out - TensorElement.of(self.c_tau * self.pi_inv, w2).times_h(2, _HALF)
         return out
 
     def antipode(self, code: int) -> AlgebraElement:
@@ -221,8 +217,6 @@ class DeformationContext:
 
     def _antipode_uncached(self, code: int) -> AlgebraElement:
         alg = self.algebra
-        h1 = alg.h(1)
-        h2_half = HSeries.h_power(alg.order, 2, _HALF)
         kind, idx = alg.decode(code)
         cov = self.tau.covariant
         gen = self.gen_element(code)
@@ -230,18 +224,18 @@ class DeformationContext:
             mu = idx
             inner = gen
             if cov[mu]:
-                extra = self.casimir + self.p_tau * self.c_tau * (h1 * _HALF)
-                inner = inner + extra * (h1 * cov[mu])
+                extra = self.casimir + (self.p_tau * self.c_tau).times_h(1, _HALF)
+                inner = inner + extra.times_h(1, cov[mu])
             return -(inner * self.pi_inv)
         mu, nu = idx
         out = -gen
         for a in range(alg.dim):
             w = alg.X(a, mu) * cov[nu] - alg.X(a, nu) * cov[mu]
             if w:
-                out = out + self._p_raised[a] * w * h1
+                out = out + (self._p_raised[a] * w).times_h(1)
         w2 = self.x_tau[mu] * cov[nu] - self.x_tau[nu] * cov[mu]
         if w2:
-            out = out + self.c_tau * w2 * h2_half
+            out = out + (self.c_tau * w2).times_h(2, _HALF)
         return out
 
     # -- multiplicative extensions -----------------------------------------------
@@ -297,27 +291,25 @@ def pi_identities_report(ctx: DeformationContext) -> VerificationReport:
     one = alg.one()
     t2 = ctx.tau.tau_sq
     rep.record("pi-times-pi-inverse-is-one", ctx.pi * ctx.pi_inv - one)
-    quarter = HSeries.h_power(alg.order, 2, Fraction(t2, 4))
     rep.record(
         "casimir-recovered-from-deformed-casimir",
-        ctx.c_tau * (one + ctx.c_tau * quarter) - ctx.casimir,
+        ctx.c_tau * (one + ctx.c_tau.times_h(2, Fraction(t2, 4))) - ctx.casimir,
     )
-    half_t2 = HSeries.h_power(alg.order, 2, Fraction(t2, 2))
     rep.record(
         "pi-inverse-decomposition-identity",
-        one - ctx.c_tau * ctx.pi_inv * half_t2 - ctx.p_tau * ctx.pi_inv * alg.h()
-        - ctx.pi_inv,
+        one - (ctx.c_tau * ctx.pi_inv).times_h(2, Fraction(t2, 2))
+        - (ctx.p_tau * ctx.pi_inv).times_h(1) - ctx.pi_inv,
     )
-    lhs = ctx.c_tau * HSeries.h_power(alg.order, 2, t2)
+    lhs = ctx.c_tau.times_h(2, t2)
     rhs = (
         ctx.pi
         + ctx.pi_inv
         - alg.scalar(2)
-        + (ctx.casimir * t2 - ctx.p_tau * ctx.p_tau) * ctx.pi_inv * alg.h(2)
+        + ((ctx.casimir * t2 - ctx.p_tau * ctx.p_tau) * ctx.pi_inv).times_h(2)
     )
     rep.record("deformed-casimir-defining-relation-h2-scaled", lhs - rhs)
     rep.record("antipode-of-pi-is-pi-inverse", ctx.antipode_of(ctx.pi) - ctx.pi_inv)
-    rep.record("counit-of-pi-is-one", ctx.pi.counit() - HSeries.one(alg.order))
+    rep.record("counit-of-pi-is-one", ctx.pi.counit() - one)
     rep.seconds = time.monotonic() - t0
     return rep
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau
 from .minkowski import MinkowskiElement
-from .scalars import HSeries, gauss
+from .scalars import gauss
 from .tensors import OrbitClassification, TensorElement, WedgeElement
 
 
@@ -59,8 +59,9 @@ def gauss_from_json(d: dict):
     )
 
 
-def hseries_to_json(hs: HSeries) -> list:
-    return [{"h_power": k, **gauss_to_json(c)} for k, c in hs.nz]
+def series_to_json(nz: tuple) -> list:
+    """A series ((k, c), ...) as in TermElement.series."""
+    return [{"h_power": k, **gauss_to_json(c)} for k, c in nz]
 
 
 def _coeffs_from_json(data: list, order: int) -> dict:
@@ -74,10 +75,6 @@ def _coeffs_from_json(data: list, order: int) -> dict:
         if k <= order:
             out[k] = gauss_from_json(item)
     return {k: c for k, c in out.items() if c}
-
-
-def hseries_from_json(data: list, order: int) -> HSeries:
-    return HSeries.from_nz(order, tuple(sorted(_coeffs_from_json(data, order).items())))
 
 
 def _terms_from_json(data: dict, order: int, key_of) -> dict:
@@ -114,9 +111,9 @@ def element_to_json(elem: AlgebraElement) -> dict:
         "terms": [
             {
                 "monomial": [_gen_descriptor(c, dim) for c in mono],
-                "coeff": hseries_to_json(hs),
+                "coeff": series_to_json(nz),
             }
-            for mono, hs in sorted(elem.series().items(), key=lambda kv: (len(kv[0]), kv[0]))
+            for mono, nz in sorted(elem.series().items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
     }
 
@@ -135,9 +132,9 @@ def tensor_to_json(t: TensorElement) -> dict:
         "terms": [
             {
                 "monomials": [[_gen_descriptor(c, dim) for c in mono] for mono in key],
-                "coeff": hseries_to_json(hs),
+                "coeff": series_to_json(nz),
             }
-            for key, hs in sorted(
+            for key, nz in sorted(
                 t.series().items(), key=lambda kv: (sum(len(m) for m in kv[0]), kv[0])
             )
         ],
@@ -180,9 +177,9 @@ def mink_to_json(elem: MinkowskiElement) -> dict:
         "terms": [
             {
                 "monomial": [{"x": mu} for mu in mono],
-                "coeff": hseries_to_json(hs),
+                "coeff": series_to_json(nz),
             }
-            for mono, hs in sorted(elem.series().items(), key=lambda kv: (len(kv[0]), kv[0]))
+            for mono, nz in sorted(elem.series().items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
     }
 

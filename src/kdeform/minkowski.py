@@ -253,7 +253,6 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
     d = alg.dim
     codes = ctx.generator_codes()
     tau = ctx.tau.components
-    h1 = alg.h(1)
     ph = alg.i_count
 
     for code in codes:
@@ -265,7 +264,7 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
                 lhs = act_on_product(ctx, gen_elem, xmu, xnu) - act_on_product(
                     ctx, gen_elem, xnu, xmu
                 )
-                rhs = (act(ctx, code, xnu) * tau[mu] - act(ctx, code, xmu) * tau[nu]) * h1
+                rhs = (act(ctx, code, xnu) * tau[mu] - act(ctx, code, xmu) * tau[nu]).times_h(1)
                 label, n = f"{name} on [x{mu},x{nu}]", ph((code,)) + 2
                 rep.record("relation-preserved-under-action", lhs - rhs, label, phase=n)
 

@@ -1,10 +1,10 @@
 """Text and LaTeX rendering of series, elements, tensors and wedges, in the
 paper's symbols: elements come in through TermElement.series and wedges
-through WedgeElement.in_symbols, which restore M = iX and x = iy."""
+through WedgeElement.in_symbols, which restore M = iX and x = iy.  A series
+is a tuple nz = ((k, c), ...) of the nonzero coefficients c of h^k in
+increasing k, as TermElement.series groups them."""
 
 from __future__ import annotations
-
-from .scalars import HSeries
 
 
 def gen_text(code: int, dim: int) -> str:
@@ -53,11 +53,24 @@ def gauss_latex(c) -> str:
     return f"\\left({frac(re)} {s} {'' if mag == '1' else mag}i\\right)"
 
 
-def hseries_latex(hs: HSeries) -> str:
-    if hs.is_zero:
+def series_text(nz: tuple) -> str:
+    if not nz:
         return "0"
     parts = []
-    for k, c in hs.nz:
+    for k, c in nz:
+        if k == 0:
+            parts.append(str(c))
+        else:
+            hk = "h" if k == 1 else f"h^{k}"
+            parts.append(hk if c == 1 else f"{c}*{hk}")
+    return " + ".join(parts)
+
+
+def series_latex(nz: tuple) -> str:
+    if not nz:
+        return "0"
+    parts = []
+    for k, c in nz:
         if k == 0:
             parts.append(gauss_latex(c))
             continue
@@ -67,20 +80,18 @@ def hseries_latex(hs: HSeries) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def _coeff_prefix(hs: HSeries, text: bool) -> str:
+def _coeff_prefix(nz: tuple, text: bool) -> str:
     """Coefficient rendered for juxtaposition with a monomial."""
-    render = repr if text else hseries_latex
-    nz = hs.nz
     if len(nz) == 1 and nz[0][0] == 0 and nz[0][1] == 1:
         return ""
-    s = render(hs)
+    s = series_text(nz) if text else series_latex(nz)
     if len(nz) > 1:
         return f"({s})" if text else f"\\left({s}\\right)"
     return s
 
 
 def _sum(terms: dict, body, text: bool, size=len) -> str:
-    """{key: HSeries} as 'coefficient*body' terms joined by ' + ', ordered by
+    """{key: series} as 'coefficient*body' terms joined by ' + ', ordered by
     (size(key), key); the empty key is the unit."""
     if not terms:
         return "0"
@@ -130,7 +141,7 @@ def tensor_latex(t) -> str:
 
 
 def _wedge_series(w) -> dict:
-    return {key: HSeries.constant(0, c) for key, c in w.in_symbols(-1).terms.items()}
+    return {key: ((0, c),) for key, c in w.in_symbols(-1).terms.items()}
 
 
 def wedge_text(w) -> str:

@@ -1,4 +1,4 @@
-"""Exact coefficients, and truncated series in h = 1/kappa as scalar values.
+"""Exact coefficients: the engine's rationals and the boundary's Gaussian rationals.
 
 The engine works in the anti-Hermitian rotations X = -iM, where every
 structure constant, coproduct, antipode and twist exponent is rational, so
@@ -7,18 +7,17 @@ Fraction (see rational).  GaussRational is the boundary type for the values
 that really are non-real: the paper's rotations M = iX, JSON input with
 imaginary parts, and perturbations stated in the paper's generators.
 
-Everything downstream computes modulo h^(N+1) for a fixed truncation order N.
-No floating point enters anywhere.
+Powers of h = 1/kappa are not scalars here: every element stores its terms
+flat as {(key, power of h): coefficient}, modulo h^(N+1) for a fixed
+truncation order N, and TermElement.times_h multiplies by c h^k.  No floating
+point enters anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import OrderMismatchError
-
 _F1 = Fraction(1)
-_new = object.__new__
 
 
 def as_fraction(x) -> Fraction:
@@ -166,131 +165,3 @@ def binom_half(n: int) -> Fraction:
     for k in range(2, n + 1):
         num /= k
     return num
-
-
-class HSeries:
-    """A polynomial sum_k c_k h^k truncated at k = order: a scalar value.
-    Elements store their coefficients flat, one per (key, power of h); a
-    series is what multiplies them (h^k and its multiples), what the counit
-    returns, and what output groups each key's powers into.
-
-    Only the nonzero coefficients are stored, each in the form exact() gives:
-    nz = ((power, coefficient), ...) with increasing powers and no zero
-    coefficient, so equality is structural.  Addition is performed modulo
-    h^(order+1); combining two series of different orders is an error rather
-    than a silent coercion.
-    """
-
-    __slots__ = ("order", "nz")
-
-    def __init__(self, order: int, coeffs=None):
-        if order < 0:
-            raise ValueError("truncation order must be non-negative")
-        nz = ()
-        if coeffs is not None:
-            cs = list(coeffs)
-            if len(cs) != order + 1:
-                raise ValueError("coefficient list length must be order + 1")
-            nz = tuple((k, c) for k, c in enumerate(map(exact, cs)) if c)
-        self.order = order
-        self.nz = nz
-
-    @classmethod
-    def from_nz(cls, order: int, nz: tuple) -> "HSeries":
-        """The series with nonzero coefficients nz: increasing powers up to
-        order, no zero coefficient.  The caller guarantees the form."""
-        out = _new(cls)
-        out.order = order
-        out.nz = nz
-        return out
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, order: int, value) -> "HSeries":
-        return cls.h_power(order, 0, value)
-
-    @classmethod
-    def one(cls, order: int) -> "HSeries":
-        return cls.h_power(order, 0)
-
-    @classmethod
-    def h_power(cls, order: int, k: int, value=1) -> "HSeries":
-        """value * h^k, or zero when k exceeds the truncation order."""
-        if order < 0 or k < 0:
-            raise ValueError("truncation order and power of h must be non-negative")
-        c = exact(value)
-        return cls.from_nz(order, ((k, c),) if c and k <= order else ())
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nz
-
-    def __bool__(self):
-        return bool(self.nz)
-
-    def __eq__(self, other):
-        if isinstance(other, HSeries):
-            return self.order == other.order and self.nz == other.nz
-        if isinstance(other, _EXACT):
-            return self == HSeries.constant(self.order, other)
-        return NotImplemented
-
-    def __repr__(self):
-        if not self.nz:
-            return "0"
-        parts = []
-        for k, c in self.nz:
-            if k == 0:
-                parts.append(str(c))
-            else:
-                hk = "h" if k == 1 else f"h^{k}"
-                parts.append(hk if c == 1 else f"{c}*{hk}")
-        return " + ".join(parts)
-
-    # -- linear operations ---------------------------------------------------
-
-    def _check(self, other: "HSeries"):
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"series truncated at h^{self.order} and h^{other.order} "
-                "live in different truncation contexts"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, _EXACT):
-            other = HSeries.constant(self.order, other)
-        if not isinstance(other, HSeries):
-            return NotImplemented
-        self._check(other)
-        row = dict(self.nz)
-        for k, c in other.nz:
-            row[k] = row[k] + c if k in row else c
-        nz = tuple(sorted((k, rational(c)) for k, c in row.items() if c))
-        return HSeries.from_nz(self.order, nz)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HSeries.from_nz(self.order, tuple((k, -c) for k, c in self.nz))
-
-    def __sub__(self, other):
-        return self + -other if isinstance(other, (HSeries, *_EXACT)) else NotImplemented
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        """Multiplication by a scalar coefficient."""
-        if isinstance(other, _EXACT):
-            other = exact(other)
-            if not other:
-                return HSeries.from_nz(self.order, ())
-            # Q(i) has no zero divisors: no product of nonzero values vanishes
-            return HSeries.from_nz(self.order, tuple((k, rational(c * other)) for k, c in self.nz))
-        return NotImplemented
-
-    __rmul__ = __mul__
-

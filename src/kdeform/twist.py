@@ -35,12 +35,12 @@ from .algebra import Metric, VectorTau, series_exp, series_log_one_plus
 from .errors import BasisError, InternalConsistencyError, InvalidVectorError
 from .hopf import DeformationContext
 from .reports import VerificationReport
-from .scalars import HSeries
 from .tensors import TensorElement, tensor_exp, tensor_invert
 from .bases import adapted_context, in_adapted_basis, kappa_quotients
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_HALF = Fraction(1, 2)
 
 
 @dataclass
@@ -82,7 +82,6 @@ def build_twist(ctx: DeformationContext) -> TwistData:
     alg = ctx.algebra
     d = alg.dim
     minus = d - 1
-    h1 = alg.h(1)
 
     ln_pi = series_log_one_plus(ctx.pi - alg.one())
     jordanian = tensor_exp(TensorElement.of(alg.X(0, minus), ln_pi))
@@ -94,8 +93,8 @@ def build_twist(ctx: DeformationContext) -> TwistData:
         x_ext = x_ext + TensorElement.of(alg.X(0, a), p_up * ctx.pi_inv)
         x_ext_bare = x_ext_bare + TensorElement.of(alg.X(0, a), p_up)
 
-    f_jordanian_first = jordanian * tensor_exp(x_ext * h1)
-    f_transverse_first = tensor_exp(x_ext_bare * h1) * jordanian
+    f_jordanian_first = jordanian * tensor_exp(x_ext.times_h(1))
+    f_transverse_first = tensor_exp(x_ext_bare.times_h(1)) * jordanian
     if f_jordanian_first != f_transverse_first:
         raise InternalConsistencyError(
             "the two factorization orders of the extended Jordanian twist disagree"
@@ -171,14 +170,13 @@ def verify_twist(ctx: DeformationContext) -> VerificationReport:
     _reduced_lightcone_report(rep, ctx)
 
     # P_- + h/2 C = P_- Pi_+ + h/2 P^a P_a  (the C_+ = C bookkeeping identity)
-    half_h = HSeries.h_power(alg.order, 1, Fraction(1, 2))
     p_minus = alg.P(minus)
     papa = alg.zero()
     for a in range(1, minus):
         papa = papa + alg.momentum_raised(a) * alg.P(a)
     rep.record(
         "p-minus-casimir-identity",
-        (p_minus + ctx.casimir * half_h) - (p_minus * ctx.pi + papa * half_h),
+        (p_minus + ctx.casimir.times_h(1, _HALF)) - (p_minus * ctx.pi + papa.times_h(1, _HALF)),
     )
 
     _partial_mr_report(rep, ctx)
@@ -196,8 +194,6 @@ def _reduced_lightcone_report(rep: VerificationReport, ctx: DeformationContext):
     minus = d - 1
     one = alg.one()
     pi, pi_inv = ctx.pi, ctx.pi_inv
-    h1 = alg.h(1)
-    half_h = HSeries.h_power(alg.order, 1, Fraction(1, 2))
 
     for a in range(1, minus):
         code, _ = alg.rotation_code(0, a)
@@ -228,15 +224,15 @@ def _reduced_lightcone_report(rep: VerificationReport, ctx: DeformationContext):
 
     p_minus = alg.P(minus)
     p_plus = alg.P(0)
-    dressed = (p_minus + ctx.casimir * half_h) * pi_inv
+    dressed = (p_minus + ctx.casimir.times_h(1, _HALF)) * pi_inv
     lhs = ctx.coproduct(alg.momentum_code(minus))
     rhs = (
         TensorElement.of(p_minus, pi)
         + TensorElement.of(pi_inv, p_minus)
-        - TensorElement.of(dressed, p_plus) * h1
+        - TensorElement.of(dressed, p_plus).times_h(1)
     )
     for a in range(1, minus):
-        rhs = rhs - TensorElement.of(alg.momentum_raised(a) * pi_inv, alg.P(a)) * h1
+        rhs = rhs - TensorElement.of(alg.momentum_raised(a) * pi_inv, alg.P(a)).times_h(1)
     rep.record("reduced-coproduct-p-minus", lhs - rhs, generator="P_-")
 
     # the rotation coproducts are linear in the rotations: X-form, phase 1
@@ -244,7 +240,7 @@ def _reduced_lightcone_report(rep: VerificationReport, ctx: DeformationContext):
     lhs = ctx.coproduct(alg.rotation_code(0, minus)[0])
     rhs = TensorElement.of(x_pm, one) + TensorElement.of(pi_inv, x_pm)
     for a in range(1, minus):
-        rhs = rhs - TensorElement.of(alg.momentum_raised(a) * pi_inv, alg.X(0, a)) * h1
+        rhs = rhs - TensorElement.of(alg.momentum_raised(a) * pi_inv, alg.X(0, a)).times_h(1)
     rep.record("reduced-coproduct-m-plus-minus", lhs - rhs, generator="M_+-", phase=1)
 
     for a in range(1, minus):
@@ -253,10 +249,10 @@ def _reduced_lightcone_report(rep: VerificationReport, ctx: DeformationContext):
         rhs = (
             TensorElement.of(x_ma, one)
             + TensorElement.of(pi_inv, x_ma)
-            - TensorElement.of(dressed, alg.X(0, a)) * h1
+            - TensorElement.of(dressed, alg.X(0, a)).times_h(1)
         )
         for b in range(1, minus):
-            rhs = rhs - TensorElement.of(alg.momentum_raised(b) * pi_inv, alg.X(b, a)) * h1
+            rhs = rhs - TensorElement.of(alg.momentum_raised(b) * pi_inv, alg.X(b, a)).times_h(1)
         rep.record("reduced-coproduct-m-minus-a", lhs - rhs, generator=f"M_-{a}", phase=1)
 
 
@@ -274,7 +270,7 @@ def _partial_mr_report(rep: VerificationReport, ctx: DeformationContext):
     p_tilde_plus, kappa_jump = kappa_quotients(ctx, lambda up: up.algebra.one() - up.pi_inv)
     p_tilde = {a: alg.P(a) * pi_inv for a in range(1, minus)}
 
-    rep.record("partial-mr-exp-recovers-pi", series_exp(p_tilde_plus * alg.h()) - pi)
+    rep.record("partial-mr-exp-recovers-pi", series_exp(p_tilde_plus.times_h(1)) - pi)
     x_pm = alg.X(0, minus)
     rep.record(
         "partial-mr-bracket-m-plus-minus-with-p-tilde-plus",

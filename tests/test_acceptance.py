@@ -193,9 +193,9 @@ def test_criterion_8_internal_consistency_oracles():
 
             alg = ctx.algebra
             t2 = ctx.tau.tau_sq
-            denom = alg.one() + (ctx.casimir * t2 - ctx.p_tau * ctx.p_tau) * alg.h(2)
+            denom = alg.one() + (ctx.casimir * t2 - ctx.p_tau * ctx.p_tau).times_h(2)
             # numerator sqrt(1 + h^2 tau^2 C) - h P_tau, with sqrt = Pi - h P_tau
-            closed = (ctx.pi - ctx.p_tau * alg.h() * 2) * series_invert(denom)
+            closed = (ctx.pi - ctx.p_tau.times_h(1) * 2) * series_invert(denom)
             assert closed == ctx.pi_inv, f"{name}: closed-form route"
             assert series_invert(ctx.pi) == ctx.pi_inv, f"{name}: series route"
             rep = pi_identities_report(ctx)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdeform import GaussRational, HSeries, Metric, PoincareAlgebra, VectorTau, divide_h
+from kdeform import GaussRational, Metric, PoincareAlgebra, VectorTau, divide_h
 from kdeform.algebra import AlgebraElement
 from kdeform.errors import ContextMismatchError, DegenerateMetricError, NonInvertibleError
 from kdeform.hopf import DeformationContext, verify_hopf
+from kdeform.minkowski import MinkowskiElement
+from kdeform.tensors import TensorElement
 
 from conftest import random_metric, random_tau
 
@@ -125,7 +127,7 @@ def _random_pbw(rng, alg, series=()):
         for _ in range(rng.randint(1, 3)):
             word = word * rng.choice(gens)
         c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
-        out = out + word * alg.h(rng.randint(0, alg.order)) * c
+        out = out + word.times_h(rng.randint(0, alg.order)) * c
     return out
 
 
@@ -176,7 +178,7 @@ class TestMultiply:
 
     def test_unit(self, eta4):
         alg = PoincareAlgebra(eta4, 2)
-        a = alg.M(0, 1) * alg.P(2) + alg.P(0) * HSeries.h_power(2, 1)
+        a = alg.M(0, 1) * alg.P(2) + alg.P(0).times_h(1)
         assert alg.one() * a == a
         assert a * alg.one() == a
 
@@ -200,6 +202,12 @@ class TestMultiply:
         a3 = PoincareAlgebra(eta3, 2)
         with pytest.raises(ContextMismatchError):
             a4.P(0) * a3.P(0)
+        # the same metric truncated at another order is another context
+        a4_3 = PoincareAlgebra(eta4, 3)
+        with pytest.raises(ContextMismatchError):
+            a4.P(0) + a4_3.P(0)
+        with pytest.raises(ContextMismatchError):
+            a4.P(0) * a4_3.P(0)
 
 
 class TestCasimir:
@@ -266,7 +274,7 @@ class TestStar:
 
     def test_involution(self, eta4):
         alg = PoincareAlgebra(eta4, 3)
-        a = alg.M(0, 1) * alg.P(0) * I + alg.P(2) * HSeries.h_power(3, 1) + alg.one()
+        a = alg.M(0, 1) * alg.P(0) * I + alg.P(2).times_h(1) + alg.one()
         assert a.star().star() == a
 
 
@@ -335,7 +343,6 @@ class TestFlatLinearLayer:
 
         for scalar in (s,) if isinstance(s, GaussRational) else (s, GaussRational(s)):
             assert (a * scalar).terms == flat(map_ref(x, lambda k, c: c * scalar))
-        series = HSeries(order, dense[: order + 1])
         conv = {
             key: [
                 sum((cs[i] * dense[k - i] for i in range(k + 1)), GaussRational(0))
@@ -343,8 +350,10 @@ class TestFlatLinearLayer:
             ]
             for key, cs in x.items()
         }
-        assert (a * series).terms == flat(conv)
-        assert (series * a).terms == flat(conv)
+        shifted = alg.zero()
+        for k in range(order + 1):
+            shifted = shifted + a.times_h(k, dense[k])
+        assert shifted.terms == flat(conv)
 
         for k in range(order + 1):
             assert a.h_coefficient(k) == {key: cs[k] for key, cs in x.items() if cs[k]}
@@ -355,7 +364,7 @@ class TestFlatLinearLayer:
             assert a.rescale_h(r).terms == flat(map_ref(x, lambda k, c: c * (1 / r) ** k))
 
         counit = x.get((), [GaussRational(0)] * (order + 1))
-        assert a.counit() == HSeries(order, counit)
+        assert a.counit() == AlgebraElement(alg, flat({(): counit}))
 
         for j in range(1, order + 1):
             if any(cs[k] for cs in x.values() for k in range(j)):
@@ -364,3 +373,83 @@ class TestFlatLinearLayer:
             else:
                 want = {key: cs[j:] + [GaussRational(0)] * j for key, cs in x.items()}
                 assert divide_h(a, j).terms == flat(want)
+
+
+# -- times_h against a dense shift ---------------------------------------------------
+
+SHIFT_COEFFS = [1, 0, -2, Fraction(3, 2), GaussRational(5), I, GaussRational(Fraction(1, 2), -1)]
+
+
+def dense_times_h(x, k, c, order) -> dict:
+    """The flat terms of c h^k x, from each key's dense list of coefficients."""
+    dense = {}
+    for (key, j), v in x.terms.items():
+        dense.setdefault(key, [0] * (order + 1))[j] = v
+    shifted = {key: ([0] * k + [v * c for v in cs])[: order + 1] for key, cs in dense.items()}
+    return {(key, j): v for key, cs in shifted.items() for j, v in enumerate(cs) if v}
+
+
+def in_coefficient_form(v) -> bool:
+    """An int when integral, a Fraction when not, a GaussRational only when
+    not real."""
+    t = type(v)
+    return t is int or (t is Fraction and v.denominator != 1) or (t is GaussRational and v.imag)
+
+
+class TestTimesH:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from((2, 3)),
+        k=st.integers(0, 4),
+        c=st.sampled_from(SHIFT_COEFFS),
+    )
+    def test_against_dense_shift(self, seed, dim, k, c):
+        rng = random.Random(seed)
+        metric = random_metric(rng, dim)
+        ctx = DeformationContext(metric, random_tau(rng, metric), 2)
+        alg = ctx.algebra
+        gens = [ctx.gen_element(code) for code in alg.generator_codes()]
+        a = ctx.pi * rng.choice(gens) + ctx.pi_inv * Fraction(rng.randint(1, 3), rng.randint(1, 3))
+        coords = {
+            ((rng.randrange(dim),) * rng.randint(0, 2), j): Fraction(2 * rng.randint(-2, 2) + 1, 2)
+            for j in range(3)
+        }
+        elements = (
+            a,
+            ctx.coproduct_of(a),
+            TensorElement.of(a, ctx.pi_inv, rng.choice(gens)),
+            MinkowskiElement(ctx, coords),
+        )
+        for x in elements:
+            got = x.times_h(k, c)
+            assert type(got) is type(x)
+            assert getattr(got, "legs", None) == getattr(x, "legs", None)
+            assert got.terms == dense_times_h(x, k, c, alg.order)
+            assert all(map(in_coefficient_form, got.terms.values()))
+            # past the order, or by zero, everything is dropped
+            assert x.times_h(alg.order + 1, c).is_zero
+            assert x.times_h(k, 0).is_zero
+            assert x.times_h(0) == x
+        with pytest.raises(ValueError):
+            a.times_h(-1)
+
+    def test_add_cancellation(self, eta2):
+        # (1 + h) + (2 - h) = 3
+        one = PoincareAlgebra(eta2, 2).one()
+        assert (one + one.times_h(1)) + (one * 2 - one.times_h(1)) == one * 3
+
+    def test_truncation_drops_overflow(self, eta2):
+        # h^2 + h^3 at N=2: the h^3 term does not exist at this order
+        one = PoincareAlgebra(eta2, 2).one()
+        assert one.times_h(2) + one.times_h(3) == one.times_h(2)
+        assert one.times_h(3).terms == {}
+
+    def test_series_groups_powers(self, eta2):
+        # each key's nonzero powers in increasing order, rotations written in M
+        alg = PoincareAlgebra(eta2, 3)
+        p, m = alg.P(0), alg.M(0, 1)
+        a = p.times_h(2, Fraction(-1, 8)) + p + m.times_h(1, 3) + p.times_h(3, 0)
+        (kp,) = p.series()
+        (km,) = m.series()
+        assert a.series() == {kp: ((0, 1), (2, Fraction(-1, 8))), km: ((1, 3),)}

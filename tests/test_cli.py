@@ -8,7 +8,7 @@ import pytest
 
 from kdeform import cli, jsonio
 from kdeform.cli import EXAMPLES, main
-from kdeform.errors import ContextMismatchError, InternalConsistencyError, OrderMismatchError
+from kdeform.errors import ContextMismatchError, InternalConsistencyError
 
 
 def run(capsys, *argv):
@@ -195,9 +195,7 @@ class TestVerify:
         assert code == 1
         assert "FAILED" in out
 
-    @pytest.mark.parametrize(
-        "exc", [InternalConsistencyError, OrderMismatchError, ContextMismatchError]
-    )
+    @pytest.mark.parametrize("exc", [InternalConsistencyError, ContextMismatchError])
     def test_internal_defect_exits_3(self, capsys, monkeypatch, exc):
         def broken(ctx):
             raise exc("routes disagree")

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from kdeform import (
-    HSeries,
     PoincareAlgebra,
     VectorTau,
     classify_orbit,
@@ -19,21 +18,34 @@ I = GR(0, 1)
 
 
 class TestScalarRoundTrip:
-    def test_hseries(self):
-        hs = HSeries(3, [1, GR(0, 1), GR(2, -3), 0])
-        data = jsonio.hseries_to_json(hs)
-        assert all(set(d) == {"h_power", "re_num", "re_den", "im_num", "im_den"} for d in data)
-        assert len(data) == 3  # zero coefficient omitted
-        assert jsonio.hseries_from_json(json.loads(json.dumps(data)), 3) == hs
+    def test_hseries(self, eta2):
+        alg = PoincareAlgebra(eta2, 3)
+        one = alg.one()
+        scalar = one + one.times_h(1, GR(0, 1)) + one.times_h(2, GR(2, -3))
+        data = jsonio.element_to_json(scalar)
+        (term,) = data["terms"]
+        assert term["monomial"] == []
+        coeff = term["coeff"]
+        assert all(set(d) == {"h_power", "re_num", "re_den", "im_num", "im_den"} for d in coeff)
+        assert [d["h_power"] for d in coeff] == [0, 1, 2]  # zero coefficient of h^3 omitted
+        assert jsonio.element_from_json(json.loads(json.dumps(data)), alg) == scalar
 
     @pytest.mark.parametrize("power", [-1, True, 1.0, "1"])
     def test_h_power_must_be_a_plain_int(self, eta2, power):
         data = [{"h_power": power, "re_num": 5, "re_den": 1, "im_num": 0, "im_den": 1}]
-        with pytest.raises(ValueError, match="h_power"):
-            jsonio.hseries_from_json(data, 3)
         term = {"monomial": [], "coeff": data}
         with pytest.raises(ValueError, match="h_power"):
             jsonio.element_from_json({"terms": [term]}, PoincareAlgebra(eta2, 3))
+
+    def test_series_to_json(self):
+        from fractions import Fraction
+
+        nz = ((0, I), (2, Fraction(-1, 8)))
+        assert jsonio.series_to_json(nz) == [
+            {"h_power": 0, "re_num": 0, "re_den": 1, "im_num": 1, "im_den": 1},
+            {"h_power": 2, "re_num": -1, "re_den": 8, "im_num": 0, "im_den": 1},
+        ]
+        assert jsonio.series_to_json(()) == []
 
     def test_rational_strings(self):
         from fractions import Fraction

@@ -4,7 +4,7 @@ P_mu |> y^nu = -delta and X_mn |> y^rho = y_m delta_n^rho - y_n delta_m^rho."""
 
 import pytest
 
-from kdeform import GaussRational, HSeries
+from kdeform import GaussRational
 from kdeform.hopf import DeformationContext
 from kdeform.minkowski import (
     act,
@@ -27,10 +27,10 @@ class TestCoordinateAlgebra:
     def test_defining_relation(self, ctx_t):
         # y1 y0 = y0 y1 - h y1 for tau = (1,0,0,0)
         y0, y1 = coordinate(ctx_t, 0), coordinate(ctx_t, 1)
-        assert y1 * y0 == y0 * y1 - y1 * HSeries.h_power(3, 1)
+        assert y1 * y0 == y0 * y1 - y1.times_h(1)
         # the paper's x = i y: x1 x0 = x0 x1 - i h x1
         x0, x1 = y0 * I, y1 * I
-        assert x1 * x0 == x0 * x1 - x1 * HSeries.h_power(3, 1, I)
+        assert x1 * x0 == x0 * x1 - x1.times_h(1, I)
 
     def test_spatial_coordinates_commute(self, ctx_t):
         x1, x2 = coordinate(ctx_t, 1), coordinate(ctx_t, 2)
@@ -97,8 +97,8 @@ class TestAction:
     def test_action_linear_in_series(self, ctx_t):
         alg = ctx_t.algebra
         y1 = coordinate(ctx_t, 1)
-        op = alg.P(1) * HSeries.h_power(3, 2)
-        assert act(ctx_t, op, y1) == scalar_mink(ctx_t, -1) * HSeries.h_power(3, 2)
+        op = alg.P(1).times_h(2)
+        assert act(ctx_t, op, y1) == scalar_mink(ctx_t, -1).times_h(2)
 
 
 class TestStar:

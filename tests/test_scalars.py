@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdeform import GaussRational, HSeries, binom_half
-from kdeform.errors import OrderMismatchError
-
-
-def hs(order, *coeffs):
-    cs = list(coeffs) + [0] * (order + 1 - len(coeffs))
-    return HSeries(order, cs)
+from kdeform import GaussRational, binom_half
+from kdeform.render import series_latex, series_text
 
 
 class TestGaussRational:
@@ -37,34 +32,36 @@ class TestGaussRational:
         assert GaussRational(5) == 5
 
 
-class TestHSeriesExamples:
-    def test_add_cancellation(self):
-        # (1 + h) + (2 - h) = 3
-        assert hs(2, 1, 1) + hs(2, 2, -1) == hs(2, 3)
+def test_binom_half():
+    assert binom_half(0) == 1
+    assert binom_half(1) == Fraction(1, 2)
+    assert binom_half(2) == Fraction(-1, 8)
+    assert binom_half(3) == Fraction(1, 16)
 
-    def test_add_identity(self):
-        a = hs(2, 0, 5, -1)
-        assert hs(2) + a == a
 
-    def test_add_truncation_drops_overflow(self):
-        # h^2 + h^3 at N=2: the h^3 term does not exist at this order
-        assert hs(2, 0, 0, 1) + HSeries.h_power(2, 3) == hs(2, 0, 0, 1)
-
-    def test_order_mismatch(self):
-        with pytest.raises(OrderMismatchError):
-            hs(2, 1) + hs(3, 1)
-
-    def test_binom_half(self):
-        assert binom_half(0) == 1
-        assert binom_half(1) == Fraction(1, 2)
-        assert binom_half(2) == Fraction(-1, 8)
-        assert binom_half(3) == Fraction(1, 16)
+@pytest.mark.parametrize(
+    "nz, text, latex",
+    [
+        ((), "0", "0"),
+        (((1, 1),), "h", "h"),
+        (((0, 1), (2, Fraction(-1, 8))), "1 + -1/8*h^2", "1 + \\tfrac{-1}{8}\\, h^{2}"),
+        (
+            ((0, GaussRational(0, 1)), (1, GaussRational(2, -3)), (3, 1)),
+            "i + (2-3i)*h + h^3",
+            "i + \\left(2 - 3i\\right)\\, h + h^{3}",
+        ),
+    ],
+)
+def test_series_output(nz, text, latex):
+    # a series ((k, c), ...) as TermElement.series gives it
+    assert series_text(nz) == text
+    assert series_latex(nz) == latex
 
 
 # -- reference arithmetic ---------------------------------------------------------
 #
-# Gaussian rationals as (re, im) pairs of Fractions and series as dense lists of
-# such pairs, written independently of kdeform.scalars.  The strategies draw
+# Gaussian rationals as (re, im) pairs of Fractions, written independently of
+# kdeform.scalars.  The strategies draw
 # zero-heavy coefficients mixing zero, pure-real, pure-imaginary and fully
 # complex values, which exercises every fast path and the general one.
 
@@ -123,37 +120,6 @@ gauss_mixed = st.one_of(
 rational_scalar = st.one_of(st.integers(-3, 3), small)
 
 
-def dense_lists(order):
-    return st.lists(gauss_mixed, min_size=order + 1, max_size=order + 1).map(
-        lambda cs: [pair(c) for c in cs]
-    )
-
-
-@st.composite
-def series_pairs(draw, count=2):
-    """(order, [dense reference list] * count) at an order in 0..4."""
-    order = draw(st.integers(0, 4))
-    return order, [draw(dense_lists(order)) for _ in range(count)]
-
-
-def build(ref):
-    return HSeries(len(ref) - 1, [GaussRational(*p) for p in ref])
-
-
-def assert_matches(hs, ref):
-    """hs holds exactly the dense reference: sorted zero-free nz, and every
-    derived view agrees."""
-    order = len(ref) - 1
-    expect_nz = tuple((k, p) for k, p in enumerate(ref) if p != ZERO)
-    assert hs.order == order
-    assert tuple((k, pair(c)) for k, c in hs.nz) == expect_nz
-    for _, c in hs.nz:
-        assert_form(c)
-    assert hs.is_zero is (not expect_nz)
-    assert bool(hs) is bool(expect_nz)
-    assert hs == build(ref)
-
-
 class TestGaussRationalReference:
     @settings(max_examples=300, deadline=None)
     @given(gauss_mixed, gauss_mixed)
@@ -190,42 +156,3 @@ class TestGaussRationalReference:
             assert pair(got) == want
         if r:
             assert pair(x / r) == p_div(px, pr)
-
-
-class TestHSeriesReference:
-    @settings(max_examples=200, deadline=None)
-    @given(series_pairs())
-    def test_views_and_ring_operations(self, drawn):
-        _, (x, y) = drawn
-        a, b = build(x), build(y)
-        assert_matches(a, x)
-        assert_matches(a + b, [p_add(p, q) for p, q in zip(x, y)])
-        assert_matches(a - b, [p_sub(p, q) for p, q in zip(x, y)])
-        assert_matches(-a, [p_neg(p) for p in x])
-        assert (a == b) is (x == y)
-
-    @settings(max_examples=120, deadline=None)
-    @given(series_pairs(count=1), gauss_mixed, rational_scalar)
-    def test_scalar_operations(self, drawn, g, r):
-        _, (x,) = drawn
-        a = build(x)
-        for s in (g, r):
-            ps = pair(s) if isinstance(s, GaussRational) else (Fraction(s), Fraction(0))
-            const = [ps] + [ZERO] * (len(x) - 1)
-            assert_matches(a * s, [p_mul(p, ps) for p in x])
-            assert_matches(s * a, [p_mul(p, ps) for p in x])
-            assert_matches(a + s, [p_add(p, q) for p, q in zip(x, const)])
-            assert_matches(s + a, [p_add(p, q) for p, q in zip(x, const)])
-            assert_matches(a - s, [p_sub(p, q) for p, q in zip(x, const)])
-            assert_matches(s - a, [p_sub(q, p) for p, q in zip(x, const)])
-            assert_matches(HSeries.constant(len(x) - 1, s), const)
-
-    @settings(max_examples=120, deadline=None)
-    @given(series_pairs(count=1), st.integers(0, 5))
-    def test_h_power(self, drawn, k):
-        order, _ = drawn
-        for g in (GaussRational(1), GaussRational(0, -2), GaussRational(0)):
-            want = [ZERO] * (order + 1)
-            if k <= order:
-                want[k] = pair(g)
-            assert_matches(HSeries.h_power(order, k, g), want)

@@ -70,7 +70,7 @@ def _random_element(rng, ctx, min_h=0):
     out = alg.zero()
     for _ in range(2):
         c = GaussRational(rng.randint(-2, 2), rng.randint(-2, 2))
-        out = out + rng.choice(pool) * rng.choice(pool) * alg.h(rng.randint(min_h, 2)) * c
+        out = out + (rng.choice(pool) * rng.choice(pool)).times_h(rng.randint(min_h, 2), c)
     return out
 
 
