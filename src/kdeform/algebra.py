@@ -1,7 +1,9 @@
 """The enveloping algebra of iso(g) over truncated h-series coefficients.
 
-Every element stores its terms flat: {(key, k): coefficient}, one entry per
-key and power k of h with 0 <= k <= N, and never a zero coefficient.
+Every element stores its terms flat, one per key and power k of h with
+0 <= k <= N, as int numerators over one denominator (see TermElement); the
+key-product tables and structure-map images share that form, so the product
+and extension kernels run on ints.
 
 The rotations are the anti-Hermitian X_{mu nu} = -i M_{mu nu}, in which every
 structure constant is rational:
@@ -10,9 +12,9 @@ structure constant is rational:
     [X_{mu nu}, X_{rho lam}] = g_{mu lam} X_{nu rho} - g_{nu lam} X_{mu rho}
                               + g_{nu rho} X_{mu lam} - g_{mu rho} X_{nu lam}
 
-so every coefficient the engine computes is real: an int when it is
-integral, else a Fraction.  The paper's M = iX comes back only in output (see
-TermElement.series) and in the boundary constructor PoincareAlgebra.M.
+so every coefficient the engine computes is real and its numerator an int.
+The paper's M = iX comes back only in output (see TermElement.series) and in
+the boundary constructor PoincareAlgebra.M.
 
 Generators are encoded as small integers so that monomials are plain int
 tuples: a rotation X_{mu nu} (mu < nu) gets code mu*D + nu, a momentum P_mu
@@ -26,15 +28,15 @@ leftmost out-of-order adjacent pair via x y = y x + [x, y]; each step lowers a
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import exactla
 from .errors import ContextMismatchError, InvalidVectorError, NonInvertibleError
-from .scalars import I_POWERS, GaussRational, as_fraction, exact, rational, times_i
+from .scalars import I_POWERS, GaussRational, as_fraction, exact, ratio, split, split_map, times_i
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 _ONE = 1  # a key product by 1 takes the kernels' fast path: the cached int 1
+_EMPTY = (1, ())  # the (denominator, pairs) of a key product or image that vanishes
 
 
 class Metric:
@@ -117,8 +119,8 @@ class VectorTau:
 class PoincareAlgebra:
     """U(iso(g)) over h-series coefficients at a fixed truncation order.
 
-    Owns the structure-constant table and the normal-order, product and
-    commutator caches of monomials; elements hold a reference back here.
+    Owns the structure-constant table and the normal-order and commutator
+    caches of monomials; elements hold a reference back here.
     All values are immutable once built, so a context can be shared freely.
 
     shift perturbs the structure constants, for negative controls:
@@ -135,7 +137,6 @@ class PoincareAlgebra:
         self._mom0 = metric.dim * metric.dim  # first momentum code
         self._brackets = {}
         self._no_cache = {}
-        self._prod_cache = {}
         self._comm_cache = {}
         self._key = (metric._key, order)
         # [M_a, M_b] = i^(#a + #b) [X_a, X_b], and a term v M_c is v i^#c X_c
@@ -190,16 +191,16 @@ class PoincareAlgebra:
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
+        return AlgebraElement(self, {}, 1)
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {((), 0): _ONE})
+        return AlgebraElement(self, {((), 0): _ONE}, 1)
 
     def scalar(self, value) -> "AlgebraElement":
         return self.one() * value
 
     def P(self, mu: int) -> "AlgebraElement":
-        return AlgebraElement(self, {((self.momentum_code(mu),), 0): _ONE})
+        return AlgebraElement(self, {((self.momentum_code(mu),), 0): _ONE}, 1)
 
     def X(self, mu: int, nu: int) -> "AlgebraElement":
         """The rotation X_{mu nu} = -i M_{mu nu} the engine computes with."""
@@ -213,19 +214,24 @@ class PoincareAlgebra:
 
     def from_codes(self, coeff_map) -> "AlgebraElement":
         """Element from {generator code: coefficient}; degree-one terms only."""
-        return AlgebraElement(self, {((c,), 0): rational(v) for c, v in coeff_map.items() if v})
+        return AlgebraElement(self, {((c,), 0): v for c, v in coeff_map.items()})
 
     # -- structure constants --------------------------------------------------
 
     def bracket_codes(self, a: int, b: int) -> dict:
         """[a, b] for basis generators, as {generator code: coefficient}."""
+        d, num = self._bracket(a, b)
+        return {c: ratio(n, d) for c, n in num.items()}
+
+    def _bracket(self, a: int, b: int) -> tuple:
+        """[a, b] as (denominator, {generator code: numerator})."""
         out = self._brackets.get((a, b))
         if out is None:
-            out = self._bracket_uncached(a, b)
+            acc = self._bracket_uncached(a, b)
             for c, v in self._shift.get((a, b), {}).items():
-                accumulate(out, c, v)
-            out = {c: rational(v) for c, v in out.items() if v}
-            self._brackets[(a, b)] = out
+                accumulate(acc, c, v)
+            num, d = split_map(acc)
+            out = self._brackets[(a, b)] = (d, num)
         return out
 
     def _bracket_uncached(self, a: int, b: int) -> dict:
@@ -260,110 +266,91 @@ class PoincareAlgebra:
         return out
 
     # -- PBW normal ordering ---------------------------------------------------
+    # A key product is (d, pairs): (key, numerator) pairs over d; -d negates them.
 
-    def mono_product(self, m1: tuple, m2: tuple) -> dict:
-        """Product of two normal-ordered monomials as {monomial: coefficient}.
+    def mono_product(self, m1: tuple, m2: tuple) -> tuple:
+        """Product of two normal-ordered monomials as (d, pairs).
 
-        Results are cached: the same monomial pairs recur across every tensor
-        product in the verification suites."""
-        key = (m1, m2)
-        out = self._prod_cache.get(key)
-        if out is None:
-            out = self._prod_cache[key] = self._mono_product_uncached(m1, m2)
-        return out
-
-    def _mono_product_uncached(self, m1: tuple, m2: tuple) -> dict:
-        if not m1:
-            return {m2: _ONE}
-        if not m2:
-            return {m1: _ONE}
-        if m1[-1] <= m2[0]:
-            return {m1 + m2: _ONE}
+        A pair whose concatenation is sorted (an empty word among them), or
+        two words of commuting momenta, is answered without a lookup.  The
+        other products are the normal forms of the concatenated word, which
+        normal_order caches once for every pair that spells it."""
+        if not m1 or not m2 or m1[-1] <= m2[0]:
+            return 1, ((m1 + m2, _ONE),)
+        word = m1 + m2
         if m1[0] >= self._mom0 and m2[0] >= self._mom0 and self._momenta_commute:
-            # both words pure momentum: sorted merge, momenta commute
-            return {tuple(sorted(m1 + m2)): _ONE}
-        return self.normal_order(m1 + m2)
+            return 1, ((tuple(sorted(word)), _ONE),)
+        out = self._no_cache.get(word)
+        return self.normal_order(word) if out is None else out
 
     def mono_commutator(self, m1: tuple, m2: tuple) -> tuple:
-        """[m1, m2] = m1 m2 - m2 m1 of two normal-ordered monomials, as a tuple
-        of (monomial, coefficient) pairs.
+        """[m1, m2] = m1 m2 - m2 m1 of two normal-ordered monomials, as (d, pairs).
 
-        A pair that commutes by structure (an empty word, or two words of
-        momenta) is answered without a lookup and never stored.  The other
-        pairs are cached here; their two products are formed afresh, not
-        through the product cache (normal_order caches the reordering), so
-        each pair is stored once."""
-        if not m1 or not m2:
-            return ()
+        A pair that commutes by structure (an empty word, a word with itself,
+        or two words of momenta) is answered without a lookup and never
+        stored.  The other pairs are cached in one orientation, m1 < m2; the
+        reversed pair returns the same pairs under -d."""
+        if not m1 or not m2 or m1 == m2:
+            return _EMPTY
         mom0 = self._mom0
         if m1[0] >= mom0 and m2[0] >= mom0 and self._momenta_commute:
-            return ()
-        key = (m1, m2)
+            return _EMPTY
+        rev = m2 < m1
+        key = (m2, m1) if rev else (m1, m2)
         out = self._comm_cache.get(key)
         if out is None:
-            acc = dict(self._mono_product_uncached(m1, m2))
-            for m, c in self._mono_product_uncached(m2, m1).items():
-                accumulate(acc, m, -c)
-            out = tuple((m, rational(c)) for m, c in acc.items() if c)
-            self._comm_cache[key] = out
-        return out
+            a, b = key
+            (d1, p1), (d2, p2) = self.mono_product(a, b), self.mono_product(b, a)
+            num, d = collect({d1: dict(p1), -d2: dict(p2)})
+            out = self._comm_cache[key] = (d, tuple(num.items()))
+        return (-out[0], out[1]) if rev else out
 
-    # the key rule of the PBW commutator: its pairs are the cached tuple itself
-    pbw_commutator = mono_commutator
-
-    def normal_order(self, word: tuple) -> dict:
+    def normal_order(self, word: tuple) -> tuple:
+        """The normal form of a generator word, as (d, pairs)."""
         out = self._no_cache.get(word)
         if out is None:
-            out = self._normal_order_uncached(word)
-            self._no_cache[word] = out
+            out = self._no_cache[word] = self._normal_order_uncached(word)
         return out
 
-    def _normal_order_uncached(self, word: tuple) -> dict:
+    def _normal_order_uncached(self, word: tuple) -> tuple:
         for i in range(len(word) - 1):
             if word[i] > word[i + 1]:
                 break
         else:
-            return {word: _ONE}
+            return 1, ((word, _ONE),)
         a, b = word[i], word[i + 1]
         head, tail = word[:i], word[i + 2:]
-        acc = {}
-        for m, c in self.normal_order(head + (b, a) + tail).items():
-            accumulate(acc, m, c)
-        for gen, cb in self.bracket_codes(a, b).items():
-            for m, c in self.normal_order(head + (gen,) + tail).items():
+        d, swapped = self.normal_order(head + (b, a) + tail)
+        accs = {d: dict(swapped)}
+        db, rule = self._bracket(a, b)
+        for gen, cb in rule.items():
+            d, pairs = self.normal_order(head + (gen,) + tail)
+            acc = accs.setdefault(db * d, {})
+            for m, c in pairs:
                 accumulate(acc, m, c * cb)
-        return {m: rational(c) for m, c in acc.items() if c}
+        num, d = collect(accs)
+        return d, tuple(num.items())
 
     # -- products and linear extensions of term maps ----------------------------
 
-    def pbw_product(self, m1: tuple, m2: tuple):
-        """Key-product rule of PBW elements: the product of two monomials."""
-        return self.mono_product(m1, m2).items()
-
-    def mul_terms(self, ta: dict, tb: dict, key_product=None, cap: int | None = None) -> dict:
-        """The product of two flat term maps, as a flat term map.
+    def mul_terms(self, ta: dict, tb: dict, key_product=None, cap: int | None = None,
+                  den: int = 1) -> tuple:
+        """The product of two flat numerator maps over den, as a canonical
+        (numerators, denominator).
 
         This is the one product kernel: PBW elements and tensors of any leg
-        count differ only in key_product(k1, k2), which yields the
-        (key, coefficient) pairs of the product of two keys (the int 1 takes
-        a fast path: a third of all key products are by 1).  The default rule
-        is pbw_product.  Any bilinear rule on keys extends the same way: with
-        the commutator of two keys (pbw_commutator, or the leg-wise rule of
+        count differ only in key_product(k1, k2), the (d, pairs) of the
+        product of two keys (a numerator 1 takes a fast path: a third of all
+        key products are by 1).  The default rule is mono_product.  With the
+        commutator of two keys (mono_commutator, or the leg-wise rule of
         tensors.tensor_commutator) the result is ta*tb - tb*ta, and the two
         products that would cancel are never formed.  Powers of h above cap
-        (default: the order) are never formed.
-
-        Rational operands are scaled to ints by the least common denominator
-        of their coefficients, so that the loop runs on Python ints, and each
-        sum is divided by the product of the two once."""
+        (default: the order) are never formed.  The loop runs on ints, one
+        accumulator per rule denominator, combined at the end (see collect)."""
         N = self.order if cap is None else cap
         if key_product is None:
-            key_product = self.pbw_product
-        da, db = _denominator(ta), _denominator(tb)
-        d = da * db if da and db else 1
-        if d > 1:
-            ta, tb = _scaled(ta, da), _scaled(tb, db)
-        acc = {}
+            key_product = self.mono_product
+        accs = {}
         items_b = [(m, k, c) for (m, k), c in tb.items()]
         for (m1, k1), c1 in ta.items():
             budget = N - k1
@@ -372,37 +359,43 @@ class PoincareAlgebra:
                     continue
                 k = k1 + k2
                 c = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
-                for m, cm in key_product(m1, m2):
+                d, pairs = key_product(m1, m2)
+                acc = accs.get(d)
+                if acc is None:
+                    acc = accs[d] = {}
+                for m, cm in pairs:
                     t = (m, k)
                     p = c if cm is _ONE else c * cm
                     cur = acc.get(t)
                     acc[t] = p if cur is None else cur + p
-        if d > 1:
-            inv = Fraction(1, d)  # never int / int, which would be a float
-            return {t: rational(c * inv) for t, c in acc.items() if c}
-        return {t: rational(c) for t, c in acc.items() if c}
+        return collect(accs, den)
 
-    def extend(self, terms: dict, image) -> dict:
-        """The linear extension sum_key terms[key] * image(key), as a flat term
-        map.  A term c h^k key can only contribute the image's powers of h up
-        to N - k, so image(key, budget) is called with that budget and yields
-        the flat ((key, power of h), coefficient) pairs of the image; a rule
-        need build nothing past the budget, and whatever it yields past it is
-        dropped here.  Every structure map reaches elements this way:
-        coproducts, antipodes, basis changes, leg maps, the kappa-Minkowski
-        product and action, and the star maps."""
+    def extend(self, terms: dict, image, den: int = 1) -> tuple:
+        """The linear extension sum_key terms[key] * image(key) of a flat
+        numerator map over den, as a canonical (numerators, denominator).  A
+        term c h^k key can only contribute the image's powers of h up to
+        N - k, so image(key, budget) is called with that budget and returns
+        (d, flat ((key, power of h), numerator) pairs), as TermElement.as_image
+        does; a rule need build nothing past the budget, and whatever it yields
+        past it is dropped here.  Every structure map reaches elements this
+        way: coproducts, antipodes, basis changes, leg maps, the
+        kappa-Minkowski product and action, and the star maps."""
         N = self.order
-        acc = {}
+        accs = {}
         for (key, k1), c1 in terms.items():
             budget = N - k1
-            for (k2, j), c2 in image(key, budget):
+            d, pairs = image(key, budget)
+            acc = accs.get(d)
+            if acc is None:
+                acc = accs[d] = {}
+            for (k2, j), c2 in pairs:
                 if j > budget:
                     continue
                 t = (k2, k1 + j)
                 p = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
                 cur = acc.get(t)
                 acc[t] = p if cur is None else cur + p
-        return {t: rational(c) for t, c in acc.items() if c}
+        return collect(accs, den)
 
     # -- derived elements ---------------------------------------------------------
 
@@ -418,7 +411,7 @@ class PoincareAlgebra:
                     continue
                 key = (mom0 + mu, mom0 + nu) if mu <= nu else (mom0 + nu, mom0 + mu)
                 acc[key] = acc.get(key, 0) + f
-        return AlgebraElement(self, {(k, 0): rational(v) for k, v in acc.items() if v})
+        return AlgebraElement(self, {(k, 0): v for k, v in acc.items()})
 
     def momentum_raised(self, alpha: int) -> "AlgebraElement":
         """P^alpha = g^{alpha beta} P_beta."""
@@ -443,7 +436,8 @@ class PoincareAlgebra:
         return p_tau, x_tau
 
     def bracket(self, x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self, self.mul_terms(x.terms, y.terms, self.pbw_commutator))
+        num, den = self.mul_terms(x.num, y.num, self.mono_commutator, den=x.den * y.den)
+        return AlgebraElement(self, num, den)
 
     # -- compatibility -------------------------------------------------------------
 
@@ -461,62 +455,65 @@ def accumulate(acc: dict, key, val):
     acc[key] = val if cur is None else cur + val
 
 
-def _denominator(terms: dict) -> int:
-    """The least common denominator of the coefficients, or 0 when one of
-    them is not rational."""
-    d = 1
-    for c in terms.values():
-        t = type(c)
-        if t is Fraction:
-            d = lcm(d, c.denominator)
-        elif t is not int:
-            return 0
-    return d
+def reduced(num: dict, den: int) -> tuple:
+    """(num, den) over the gcd of den and every numerator (of its parts, for a
+    Gaussian one): lowest terms.  num holds no zero."""
+    if den == 1 or not num:
+        return num, 1
+    try:
+        g = gcd(den, *num.values())
+    except TypeError:  # a GaussRational numerator
+        g = gcd(den, *(p for c in num.values() for p in (c.real, c.imag)))
+    if g == 1:
+        return num, den
+    return {t: c // g for t, c in num.items()}, den // g
 
 
-def _scaled(terms: dict, d: int) -> dict:
-    """The coefficients times d, a multiple of every denominator: ints."""
-    if d == 1:
-        return terms
-    return {
-        t: c * d if type(c) is int else c.numerator * (d // c.denominator)
-        for t, c in terms.items()
-    }
-
-
-def dict_sub(a: dict, b: dict) -> dict:
-    """a - b on sparse coefficient maps; cancelled keys are dropped."""
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        s = -v if cur is None else cur - v
-        if s:
-            out[k] = rational(s)
-        elif cur is not None:
-            del out[k]
-    return out
+def collect(accs: dict, den: int = 1) -> tuple:
+    """The canonical (numerators, denominator) of accumulators keyed by their
+    denominator: each is rescaled to the lcm L of the keys (a negative key
+    negates it), zero sums are dropped, and the sum is over den * L."""
+    if len(accs) == 1:
+        ((L, num),) = accs.items()
+        if L < 0:
+            L, num = -L, {t: -c for t, c in num.items()}
+    else:
+        L = lcm(*accs)
+        num = accs.pop(L, {})
+        for d, acc in accs.items():
+            f = L // d
+            for t, c in acc.items():
+                cur = num.get(t)
+                num[t] = c * f if cur is None else cur + c * f
+    num = {t: c for t, c in num.items() if c}
+    den *= L
+    return (num, 1) if den == 1 else reduced(num, den)
 
 
 _SCALARS = (int, Fraction, GaussRational)
 
 
 class TermElement:
-    """The linear structure shared by every sparse element, stored flat as
-    {(key, power of h): coefficient}: PBW elements, tensors and
-    kappa-Minkowski coordinates.  Powers run from 0 to the truncation order
-    and zero coefficients are never stored, so equality is structural.
+    """The linear structure shared by every sparse element (PBW elements,
+    tensors, wedges and kappa-Minkowski coordinates), stored flat as int
+    numerators {(key, power of h): numerator} over one int den >= 1.
+    Powers run from 0 to the truncation order, no numerator is zero and den
+    is coprime to them all, so equality is structural.  A value that is not
+    real (alg.M, report phases, shifts stated in M) has GaussRational
+    numerators with int parts.  terms is the coefficient view, for output.
 
     A subclass says what its keys are: _with builds an element of the same
-    kind, _compatible says which elements combine, _scalar embeds a scalar
-    (where scalars have a place), _key_product gives the rule by which
-    PoincareAlgebra.mul_terms multiplies two of its keys (where the kind has
-    such a product), and _i_count(key) is the power of i between the key's
-    symbols and the paper's (M = iX, x = iy).
+    kind from canonical (num, den), _compatible says which elements combine,
+    _scalar embeds a scalar (where scalars have a place), _key_product gives
+    the rule by which PoincareAlgebra.mul_terms multiplies two of its keys
+    (where the kind has such a product), and _i_count(key) is the power of i
+    between the key's symbols and the paper's (M = iX, x = iy).  Constructors
+    take {(key, power of h): coefficient}, or canonical num with its den.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "num", "den")
 
-    def _with(self, terms: dict, algebra: PoincareAlgebra | None = None):
+    def _with(self, num: dict, den: int = 1, algebra: PoincareAlgebra | None = None):
         raise NotImplementedError
 
     def _compatible(self, other) -> bool:
@@ -541,44 +538,58 @@ class TermElement:
             raise ContextMismatchError(f"{type(self).__name__}s from incompatible contexts")
 
     @property
+    def terms(self) -> dict:
+        """{(key, power of h): coefficient}, each an int, Fraction or
+        GaussRational: a fresh view of the element, for output."""
+        d = self.den
+        return {t: ratio(c, d) for t, c in self.num.items()}
+
+    def as_image(self) -> tuple:
+        """(den, numerator pairs): the element as a rule of extend returns it."""
+        return self.den, self.num.items()
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._compatible(other) and self.terms == other.terms
+        return self._compatible(other) and self.den == other.den and self.num == other.num
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for t, c in other.terms.items():
+        da, db = self.den, other.den
+        den = da if da == db else lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        out = dict(self.num) if fa == 1 else {t: c * fa for t, c in self.num.items()}
+        for t, c in other.num.items():
             cur = out.get(t)
-            s = c if cur is None else cur + c
+            s = c * fb if cur is None else cur + c * fb
             if s:
-                out[t] = rational(s)
+                out[t] = s
             elif cur is not None:
                 del out[t]
-        return self._with(out)
+        return self._with(*reduced(out, den))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._with({t: -c for t, c in self.terms.items()})
+        return self._with({t: -c for t, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        return self._with(dict_sub(self.terms, other.terms))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -587,11 +598,11 @@ class TermElement:
         """Multiplication by a scalar; subclasses handle their own products."""
         if not isinstance(other, _SCALARS):
             return NotImplemented
-        other = exact(other)
-        if not other:
+        n, d = split(other)
+        if not n:
             return self._with({})
         # Q(i) has no zero divisors: no product of nonzero values vanishes
-        return self._with({t: rational(c * other) for t, c in self.terms.items()})
+        return self._with(*reduced({t: c * n for t, c in self.num.items()}, self.den * d))
 
     def __rmul__(self, other):
         # scalar coefficients commute with everything
@@ -605,21 +616,22 @@ class TermElement:
         if k < 0:
             raise ValueError("power of h must be non-negative: use divide_h")
         top = self.algebra.order - k
-        shifted = self._with({(key, j + k): v for (key, j), v in self.terms.items() if j <= top})
+        num = {(key, j + k): v for (key, j), v in self.num.items() if j <= top}
+        shifted = self._with(*reduced(num, self.den))
         return shifted if c == 1 else shifted * c
 
     def _star_by(self, image):
         """The antilinear map conjugating coefficients and sending each key to
         image(key, budget), an extend rule."""
-        conj = {t: c.conjugate() for t, c in self.terms.items()}
-        return self._with(self.algebra.extend(conj, image))
+        conj = {t: c.conjugate() for t, c in self.num.items()}
+        return self._with(*self.algebra.extend(conj, image, self.den))
 
     def in_symbols(self, s: int):
         """Each coefficient times i^(s n), n = _i_count(key): s = -1 gives the
         coefficients of the paper's symbols M = iX and x = iy (a boundary
         value), and s = 1 takes them back to the engine's."""
         count = self._i_count
-        return self._with({t: times_i(c, s * count(t[0])) for t, c in self.terms.items()})
+        return self._with({t: times_i(c, s * count(t[0])) for t, c in self.num.items()}, self.den)
 
     def series(self) -> dict:
         """{key: ((k, c), ...)} in the paper's symbols (see in_symbols), each
@@ -632,43 +644,49 @@ class TermElement:
 
     def h_coefficient(self, k: int) -> dict:
         """{key: coefficient} at a fixed power of h."""
-        return {key: c for (key, j), c in self.terms.items() if j == k}
+        d = self.den
+        return {key: ratio(c, d) for (key, j), c in self.num.items() if j == k}
 
     def project_to(self, algebra: PoincareAlgebra):
         """Truncate to a lower-order context over the same metric."""
         if algebra.metric != self.algebra.metric or algebra.order > self.algebra.order:
             raise ContextMismatchError("projection target must be a truncation of this context")
         N = algebra.order
-        return self._with({t: c for t, c in self.terms.items() if t[1] <= N}, algebra)
+        num = {t: c for t, c in self.num.items() if t[1] <= N}
+        return self._with(*reduced(num, self.den), algebra)
 
     def rescale_h(self, s):
-        """Substitute h -> h/s in every coefficient."""
+        """Substitute h -> h/s = h q/p: c h^k becomes c q^k p^(N-k) / p^N."""
         s = as_fraction(s)
         if not s:
             raise ZeroDivisionError("rescaling parameter must be nonzero")
-        return self._with({(key, k): exact(c / s**k) for (key, k), c in self.terms.items()})
+        p, q, n = s.numerator, s.denominator, self.algebra.order
+        sign = -1 if p**n < 0 else 1
+        num = {(key, k): sign * c * q**k * p ** (n - k) for (key, k), c in self.num.items()}
+        return self._with(*reduced(num, self.den * abs(p) ** n))
 
 
 class AlgebraElement(TermElement):
-    """A sparse element of U(iso(g))[[h]]: {(PBW monomial, power of h): coefficient}.
+    """A sparse element of U(iso(g))[[h]]: {(PBW monomial, power of h): numerator}
+    over a denominator (see TermElement).
 
     Monomials are nondecreasing tuples of generator codes.
     """
 
     __slots__ = ()
 
-    def __init__(self, algebra: PoincareAlgebra, terms: dict):
+    def __init__(self, algebra: PoincareAlgebra, terms: dict, den: int | None = None):
         self.algebra = algebra
-        self.terms = terms
+        self.num, self.den = split_map(terms) if den is None else (terms, den)
 
-    def _with(self, terms: dict, algebra: PoincareAlgebra | None = None) -> "AlgebraElement":
-        return AlgebraElement(algebra or self.algebra, terms)
+    def _with(self, num: dict, den: int = 1, algebra=None) -> "AlgebraElement":
+        return AlgebraElement(algebra or self.algebra, num, den)
 
     def _scalar(self, value) -> "AlgebraElement":
         return self.algebra.scalar(value)
 
     def _key_product(self):
-        return self.algebra.pbw_product
+        return self.algebra.mono_product
 
     def _i_count(self, key) -> int:
         return self.algebra.i_count(key)
@@ -677,7 +695,7 @@ class AlgebraElement(TermElement):
         if isinstance(other, AlgebraElement):
             self._check(other)
             alg = self.algebra
-            return AlgebraElement(alg, alg.mul_terms(self.terms, other.terms))
+            return self._with(*alg.mul_terms(self.num, other.num, den=self.den * other.den))
         return TermElement.__mul__(self, other)
 
     def __pow__(self, n: int):
@@ -692,21 +710,21 @@ class AlgebraElement(TermElement):
 
     def counit(self) -> "AlgebraElement":
         """epsilon(a) 1: the terms of the empty monomial."""
-        return AlgebraElement(self.algebra, {t: c for t, c in self.terms.items() if not t[0]})
+        return self._with(*reduced({t: c for t, c in self.num.items() if not t[0]}, self.den))
 
     def star(self) -> "AlgebraElement":
         """Antilinear anti-involution: fixes P and M, so X* = -X; conjugates
         coefficients, reverses monomials (then re-normal-orders)."""
         alg = self.algebra
-        return self._star_by(
-            lambda mono, _: [
-                ((m, 0), c * (-1) ** alg.i_count(mono))
-                for m, c in alg.normal_order(tuple(reversed(mono))).items()
-            ]
-        )
+
+        def image(mono, _):
+            d, pairs = alg.normal_order(tuple(reversed(mono)))
+            return d * (-1) ** alg.i_count(mono), [((m, 0), c) for m, c in pairs]
+
+        return self._star_by(image)
 
     def max_degree(self) -> int:
-        return max((len(m) for m, _ in self.terms), default=0)
+        return max((len(m) for m, _ in self.num), default=0)
 
     def __repr__(self):
         from .render import element_text
@@ -739,17 +757,20 @@ class MonomialMap:
             if len(mono) > 1:
                 head, last = self.image(mono[:-1], cap), self.image(mono[-1:], cap)
                 left, right = (last, head) if self._anti else (head, last)
-                terms = head.algebra.mul_terms(left.terms, right.terms, self._rule, cap=cap)
-                img = head._with(terms)
+                num, den = head.algebra.mul_terms(
+                    left.num, right.num, self._rule, cap, left.den * right.den
+                )
+                img = head._with(num, den)
             else:
                 full = self._gen_image(mono[0]) if mono else self._one
-                img = full._with({t: c for t, c in full.terms.items() if t[1] <= cap})
+                num = {t: c for t, c in full.num.items() if t[1] <= cap}
+                img = full._with(*reduced(num, full.den))
             self._images[(mono, cap)] = img
         return img
 
     def pairs(self, mono: tuple, budget: int):
-        """The flat term pairs of the image to the budget: the extend rule."""
-        return self.image(mono, budget).terms.items()
+        """The image to the budget as an extend rule returns it."""
+        return self.image(mono, budget).as_image()
 
 
 # -- series calculus, once for every element kind ----------------------------------
@@ -762,11 +783,11 @@ class MonomialMap:
 def invert_in(unit: TermElement, a: TermElement) -> TermElement:
     """a^-1 = c^-1 sum_k (-X)^k for a = c (1 + X), c the h^0 coefficient of
     the unit's key and X of positive h-valuation."""
-    ((t, _),) = unit.terms.items()
-    c = a.terms.get(t)
-    if c is None:
+    ((t, _),) = unit.num.items()
+    n = a.num.get(t)
+    if n is None:
         raise NonInvertibleError("element has no invertible scalar part")
-    c_inv = exact(_F1 / c)  # never int / int, which would be a float
+    c_inv = exact(Fraction(a.den) / n)  # never int / int, which would be a float
     x = a * c_inv - unit
     _require_h_positive(x, "series inversion")
     out = term = unit
@@ -825,12 +846,12 @@ def divide_h(a: AlgebraElement, k: int = 1) -> AlgebraElement:
     back, which drops the unknown slots; bases.kappa_quotients does this with
     k = 1 for kappa ln Pi_tau and the kappa terms of the Majid-Ruegg brackets.
     """
-    low = min((j for _, j in a.terms), default=k)
+    low = min((j for _, j in a.num), default=k)
     if low < k:
         raise NonInvertibleError(f"division by h^{k} of a series with valuation {low}")
-    return AlgebraElement(a.algebra, {(m, j - k): c for (m, j), c in a.terms.items()})
+    return AlgebraElement(a.algebra, {(m, j - k): c for (m, j), c in a.num.items()}, a.den)
 
 
 def _require_h_positive(x: TermElement, what: str):
-    if any(k == 0 for _, k in x.terms):
+    if any(k == 0 for _, k in x.num):
         raise NonInvertibleError(f"{what} requires an argument of positive h-valuation")

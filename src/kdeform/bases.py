@@ -24,7 +24,6 @@ from .algebra import (
     PoincareAlgebra,
     VectorTau,
     accumulate,
-    dict_sub,
     divide_h,
     series_exp,
     series_log_one_plus,
@@ -33,9 +32,6 @@ from .errors import BasisError, InvalidVectorError
 from .hopf import DeformationContext
 from .reports import VerificationReport
 from .tensors import TensorElement, hyperbolic_pair_complement, tau_orthogonal_complement
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class BasisChange:
@@ -87,16 +83,17 @@ class BasisChange:
 
     def push(self, elem: AlgebraElement, target: PoincareAlgebra) -> AlgebraElement:
         """Multiplicative-linear extension of the generator map to U(iso(g))."""
-        return AlgebraElement(target, target.extend(elem.terms, self._monomials(target).pairs))
+        num, den = target.extend(elem.num, self._monomials(target).pairs, elem.den)
+        return AlgebraElement(target, num, den)
 
     def push_tensor(self, t: TensorElement, target: PoincareAlgebra) -> TensorElement:
         """(push (x) ... (x) push)(t): push applied to every leg."""
         images = self._monomials(target)
 
         def legwise(key, budget):
-            return TensorElement.of(*(images.image(m, budget) for m in key)).terms.items()
+            return TensorElement.of(*(images.image(m, budget) for m in key)).as_image()
 
-        return TensorElement(target, t.legs, target.extend(t.terms, legwise))
+        return TensorElement(target, t.legs, *target.extend(t.num, legwise, t.den))
 
     def _monomials(self, target: PoincareAlgebra) -> MonomialMap:
         """The images of PBW monomials, memoised per target context.  The map
@@ -218,7 +215,7 @@ def in_adapted_basis(ctx: DeformationContext, is_adapted) -> tuple:
 def is_orthogonally_adapted(ctx: DeformationContext) -> bool:
     d = ctx.algebra.dim
     g = ctx.metric.rows
-    tau_ok = ctx.tau.components == (_F1,) + (_F0,) * (d - 1)
+    tau_ok = ctx.tau.components == (1,) + (0,) * (d - 1)
     return tau_ok and all(not g[0][i] for i in range(1, d))
 
 
@@ -322,12 +319,12 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
     # classical limits at h = 0
     rep.record(
         "p-tilde-tau-classical-limit",
-        dict_sub(pt.h_coefficient(0), ctx.p_tau.h_coefficient(0)),
+        (pt - ctx.p_tau).h_coefficient(0),
     )
     for i in range(1, d):
         rep.record(
             "p-tilde-classical-limit",
-            dict_sub(ptil[i - 1].h_coefficient(0), alg.P(i).h_coefficient(0)),
+            (ptil[i - 1] - alg.P(i)).h_coefficient(0),
             generator=f"P~_{i}",
         )
 

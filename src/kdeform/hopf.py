@@ -46,7 +46,6 @@ from .algebra import (
     MonomialMap,
     PoincareAlgebra,
     VectorTau,
-    dict_sub,
     series_invert,
 )
 from .errors import InternalConsistencyError
@@ -243,12 +242,12 @@ class DeformationContext:
     def coproduct_of(self, a: AlgebraElement) -> TensorElement:
         """Linear-multiplicative extension of the deformed coproduct."""
         alg = self.algebra
-        return TensorElement(alg, 2, alg.extend(a.terms, self.mono_coproduct.pairs))
+        return TensorElement(alg, 2, *alg.extend(a.num, self.mono_coproduct.pairs, a.den))
 
     def primitive_of(self, a: AlgebraElement) -> TensorElement:
         """Extension of the undeformed coproduct D0(x) = x (x) 1 + 1 (x) x."""
         alg = self.algebra
-        return TensorElement(alg, 2, alg.extend(a.terms, self.mono_primitive.pairs))
+        return TensorElement(alg, 2, *alg.extend(a.num, self.mono_primitive.pairs, a.den))
 
     def _primitive_gen(self, code: int) -> TensorElement:
         gen, one = self.gen_element(code), self.algebra.one()
@@ -257,7 +256,7 @@ class DeformationContext:
     def antipode_of(self, a: AlgebraElement) -> AlgebraElement:
         """Anti-multiplicative extension of the antipode."""
         alg = self.algebra
-        return AlgebraElement(alg, alg.extend(a.terms, self.mono_antipode.pairs))
+        return AlgebraElement(alg, *alg.extend(a.num, self.mono_antipode.pairs, a.den))
 
     # -- convenience -------------------------------------------------------------
 
@@ -419,11 +418,10 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
             r_t = r_matrix(alg, ctx.tau).to_tensor()
             for x in codes:
                 d = ctx.coproduct(x)
-                lhs = (d - d.flip()).h_coefficient(1)
                 d0 = ctx.primitive_of(ctx.gen_element(x))
-                rhs = tensor_commutator(d0, r_t).h_coefficient(0)
+                rhs = tensor_commutator(d0, r_t).times_h(1)
                 # the residual of the paper's generator, in its symbols
-                res = dict_sub(lhs, rhs)
+                res = (d - d.flip() - rhs).h_coefficient(1)
                 n = ph((x,))
                 res = {k: times_i(c, n - sum(map(ph, k))) for k, c in res.items()}
                 rep.record("classical-limit-cobracket", res, generator=ctx.gen_name(x))

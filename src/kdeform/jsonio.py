@@ -159,7 +159,7 @@ def wedge_to_json(w: WedgeElement) -> dict:
                 "generators": [_gen_descriptor(c, dim) for c in key],
                 "coeff": gauss_to_json(c),
             }
-            for key, c in sorted(w.in_symbols(-1).terms.items())
+            for key, ((_, c),) in sorted(w.series().items())
         ],
     }
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import time
 
-from .algebra import AlgebraElement, TermElement, accumulate
-from .scalars import rational
+from .algebra import _EMPTY, AlgebraElement, TermElement, accumulate, collect
+from .scalars import split, split_map
 from .errors import ContextMismatchError
 from .hopf import DeformationContext
 from .reports import VerificationReport
@@ -34,21 +34,22 @@ from .reports import VerificationReport
 
 class MinkowskiElement(TermElement):
     """Sparse element of the coordinate algebra in y = -i x:
-    {(nondecreasing index tuple, power of h): coefficient}."""
+    {(nondecreasing index tuple, power of h): numerator} over a denominator
+    (see TermElement)."""
 
     __slots__ = ("context",)
 
-    def __init__(self, context: DeformationContext, terms: dict):
+    def __init__(self, context: DeformationContext, terms: dict, den: int | None = None):
         self.context = context
         self.algebra = context.algebra
-        self.terms = terms
+        self.num, self.den = split_map(terms) if den is None else (terms, den)
 
-    def _with(self, terms: dict, algebra=None) -> "MinkowskiElement":
+    def _with(self, num: dict, den: int = 1, algebra=None) -> "MinkowskiElement":
         # coordinates live in their deformation context; a projection can
         # only target the context's own algebra
         if algebra is not None and not algebra.compatible(self.algebra):
             raise ContextMismatchError("coordinate elements cannot change their context")
-        return MinkowskiElement(self.context, terms)
+        return MinkowskiElement(self.context, num, den)
 
     def _compatible(self, other: "MinkowskiElement") -> bool:
         return self.algebra.compatible(other.algebra) and (
@@ -71,15 +72,15 @@ class MinkowskiElement(TermElement):
         """Antilinear anti-involution fixing the coordinates x (tau real), so
         y* = -y."""
         ctx = self.context
-        return self._star_by(
-            lambda mono, _: [
-                (t, c * (-1) ** len(mono))
-                for t, c in _coord_normal_order(ctx, tuple(reversed(mono))).items()
-            ]
-        )
+
+        def image(mono, _):
+            d, pairs = _coord_normal_order(ctx, tuple(reversed(mono)))
+            return d * (-1) ** len(mono), pairs
+
+        return self._star_by(image)
 
     def degree(self) -> int:
-        return max((len(m) for m, _ in self.terms), default=0)
+        return max((len(m) for m, _ in self.num), default=0)
 
     def __repr__(self):
         from .render import mink_text
@@ -88,14 +89,14 @@ class MinkowskiElement(TermElement):
 
 
 def scalar_mink(ctx: DeformationContext, value) -> MinkowskiElement:
-    return MinkowskiElement(ctx, {((), 0): 1}) * value
+    return MinkowskiElement(ctx, {((), 0): 1}, 1) * value
 
 
 def coordinate(ctx: DeformationContext, mu: int) -> MinkowskiElement:
     """The real coordinate y^mu = -i x^mu."""
     if not 0 <= mu < ctx.algebra.dim:
         raise IndexError(f"coordinate index {mu} out of range")
-    return MinkowskiElement(ctx, {((mu,), 0): 1})
+    return MinkowskiElement(ctx, {((mu,), 0): 1}, 1)
 
 
 def coordinate_monomial(ctx: DeformationContext, indices) -> MinkowskiElement:
@@ -105,11 +106,12 @@ def coordinate_monomial(ctx: DeformationContext, indices) -> MinkowskiElement:
     return out
 
 
-def _coord_normal_order(ctx: DeformationContext, word: tuple) -> dict:
-    """Normal order a coordinate word, as flat terms {(word, power of h):
-    coefficient}.  Each swap of an out-of-order adjacent pair (mu > nu)
-    emits the linear correction h (tau^mu y^nu - tau^nu y^mu), one power of
-    h up: the only key product that shifts h."""
+def _coord_normal_order(ctx: DeformationContext, word: tuple) -> tuple:
+    """Normal order a coordinate word, as an extend rule's image: (d, flat
+    ((word, power of h), numerator) pairs).  Each swap of an out-of-order
+    adjacent pair (mu > nu) emits the linear correction
+    h (tau^mu y^nu - tau^nu y^mu), one power of h up: the only key product
+    that shifts h."""
     cache = ctx._mink_no_cache
     out = cache.get(word)
     if out is not None:
@@ -118,22 +120,25 @@ def _coord_normal_order(ctx: DeformationContext, word: tuple) -> dict:
         if word[i] > word[i + 1]:
             break
     else:
-        out = {(word, 0): 1}
-        cache[word] = out
+        out = cache[word] = (1, (((word, 0), 1),))
         return out
     N = ctx.algebra.order
     mu, nu = word[i], word[i + 1]
     head, tail = word[:i], word[i + 2 :]
-    acc = dict(_coord_normal_order(ctx, head + (nu, mu) + tail))
+    d, swapped = _coord_normal_order(ctx, head + (nu, mu) + tail)
+    accs = {d: dict(swapped)}
     tau = ctx.tau.components
     for comp, keep in ((tau[mu], nu), (-tau[nu], mu)):
         if not comp:
             continue
-        for (m, j), c in _coord_normal_order(ctx, head + (keep,) + tail).items():
+        n, dc = split(comp)
+        d, pairs = _coord_normal_order(ctx, head + (keep,) + tail)
+        acc = accs.setdefault(dc * d, {})
+        for (m, j), c in pairs:
             if j < N:
-                accumulate(acc, (m, j + 1), c * comp)
-    out = {t: rational(c) for t, c in acc.items() if c}
-    cache[word] = out
+                accumulate(acc, (m, j + 1), c * n)
+    num, d = collect(accs)
+    out = cache[word] = (d, tuple(num.items()))
     return out
 
 
@@ -145,9 +150,10 @@ def mink_multiply(a: MinkowskiElement, b: MinkowskiElement) -> MinkowskiElement:
     extend = a.algebra.extend
 
     def times_b(w1, _budget):
-        return extend(b.terms, lambda w2, _: _coord_normal_order(ctx, w1 + w2).items()).items()
+        num, den = extend(b.num, lambda w2, _: _coord_normal_order(ctx, w1 + w2), b.den)
+        return den, num.items()
 
-    return MinkowskiElement(ctx, extend(a.terms, times_b))
+    return MinkowskiElement(ctx, *extend(a.num, times_b, a.den))
 
 
 # -- the Hopf action ---------------------------------------------------------------
@@ -159,8 +165,8 @@ def act(ctx: DeformationContext, op, a: MinkowskiElement) -> MinkowskiElement:
     op may be an AlgebraElement or a generator code; products of generators act
     by successive action, scalars through the counit."""
     if isinstance(op, AlgebraElement):
-        terms = ctx.algebra.extend(op.terms, lambda mono, _: _act_word(ctx, mono, a).terms.items())
-        return MinkowskiElement(ctx, terms)
+        num, den = ctx.algebra.extend(op.num, lambda m, _: _act_word(ctx, m, a).as_image(), op.den)
+        return MinkowskiElement(ctx, num, den)
     return _act_word(ctx, (op,), a)
 
 
@@ -171,10 +177,8 @@ def _act_word(ctx: DeformationContext, word: tuple, a: MinkowskiElement) -> Mink
 
 
 def _act_gen(ctx: DeformationContext, code: int, a: MinkowskiElement) -> MinkowskiElement:
-    terms = ctx.algebra.extend(
-        a.terms, lambda mono, _: _act_gen_mono(ctx, code, mono).terms.items()
-    )
-    return MinkowskiElement(ctx, terms)
+    num, den = ctx.algebra.extend(a.num, lambda m, _: _act_gen_mono(ctx, code, m).as_image(), a.den)
+    return MinkowskiElement(ctx, num, den)
 
 
 def _act_gen_mono(ctx: DeformationContext, code: int, cmono: tuple) -> MinkowskiElement:
@@ -191,8 +195,8 @@ def _act_gen_mono(ctx: DeformationContext, code: int, cmono: tuple) -> Minkowski
         out = _act_gen_coordinate(ctx, code, cmono[0])
     else:
         head, tail = cmono[:1], cmono[1:]
-        head_elem = MinkowskiElement(ctx, {(head, 0): 1})
-        tail_elem = MinkowskiElement(ctx, {(tail, 0): 1})
+        head_elem = MinkowskiElement(ctx, {(head, 0): 1}, 1)
+        tail_elem = MinkowskiElement(ctx, {(tail, 0): 1}, 1)
         out = _leibniz(ctx, ctx.coproduct(code), head_elem, tail_elem)
     cache[key] = out
     return out
@@ -212,9 +216,7 @@ def _act_gen_coordinate(ctx: DeformationContext, code: int, mu: int) -> Minkowsk
         lowered, sign = g[sig], -1
     else:
         return scalar_mink(ctx, 0)
-    return MinkowskiElement(
-        ctx, {((nu,), 0): rational(sign * c) for nu, c in enumerate(lowered) if c}
-    )
+    return MinkowskiElement(ctx, {((nu,), 0): sign * c for nu, c in enumerate(lowered)})
 
 
 def act_on_product(
@@ -232,11 +234,11 @@ def _leibniz(ctx: DeformationContext, coproduct, a: MinkowskiElement, b: Minkows
     def image(key, _budget):
         left = _act_word(ctx, key[0], a)
         if left.is_zero:
-            return ()
+            return _EMPTY
         right = _act_word(ctx, key[1], b)
-        return (left * right).terms.items() if right else ()
+        return (left * right).as_image() if right else _EMPTY
 
-    return MinkowskiElement(ctx, ctx.algebra.extend(coproduct.terms, image))
+    return MinkowskiElement(ctx, *ctx.algebra.extend(coproduct.num, image, coproduct.den))
 
 
 def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> VerificationReport:

@@ -1,10 +1,11 @@
 """Text and LaTeX rendering of series, elements, tensors and wedges, in the
-paper's symbols: elements come in through TermElement.series and wedges
-through WedgeElement.in_symbols, which restore M = iX and x = iy.  A series
-is a tuple nz = ((k, c), ...) of the nonzero coefficients c of h^k in
-increasing k, as TermElement.series groups them."""
+paper's symbols: every kind comes in through TermElement.series, which
+restores M = iX and x = iy and groups each key's nonzero coefficients c of
+h^k as a series nz = ((k, c), ...) in increasing k."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def gen_text(code: int, dim: int) -> str:
@@ -140,13 +141,9 @@ def tensor_latex(t) -> str:
     return _sum(t.series(), body, False, _legs)
 
 
-def _wedge_series(w) -> dict:
-    return {key: ((0, c),) for key, c in w.in_symbols(-1).terms.items()}
-
-
 def wedge_text(w) -> str:
     dim = w.algebra.dim
-    return _sum(_wedge_series(w), lambda key: " ^ ".join(gen_text(g, dim) for g in key), True)
+    return _sum(w.series(), lambda key: " ^ ".join(gen_text(g, dim) for g in key), True)
 
 
 def wedge_latex(w) -> str:
@@ -155,7 +152,7 @@ def wedge_latex(w) -> str:
     def body(key):
         return " \\wedge ".join(gen_latex(g, dim) for g in key)
 
-    return _sum(_wedge_series(w), body, False)
+    return _sum(w.series(), body, False)
 
 
 def _kappa_term(coeff, kappa_power: int, body: str) -> str | None:
@@ -172,8 +169,6 @@ def _kappa_term(coeff, kappa_power: int, body: str) -> str | None:
 def coproduct_latex_symbolic(ctx, code: int) -> str:
     """The deformed coproduct in the conventional symbols: Pi_tau and C_tau
     stay unexpanded, terms with vanishing covariant tau-components drop."""
-    from fractions import Fraction
-
     alg = ctx.algebra
     kind, idx = alg.decode(code)
     cov = ctx.tau.covariant
@@ -200,8 +195,6 @@ def coproduct_latex_symbolic(ctx, code: int) -> str:
 
 
 def antipode_latex_symbolic(ctx, code: int) -> str:
-    from fractions import Fraction
-
     alg = ctx.algebra
     kind, idx = alg.decode(code)
     cov = ctx.tau.covariant

@@ -1,14 +1,16 @@
-"""Exact coefficients: the engine's rationals and the boundary's Gaussian rationals.
+"""Exact coefficients: the engine's integers and the boundary's rationals.
 
 The engine works in the anti-Hermitian rotations X = -iM, where every
 structure constant, coproduct, antipode and twist exponent is rational, so
-every coefficient it computes is real: a plain int when it is integral, else a
-Fraction (see rational).  GaussRational is the boundary type for the values
-that really are non-real: the paper's rotations M = iX, JSON input with
-imaginary parts, and perturbations stated in the paper's generators.
+every coefficient it computes is real.  The engine stores them as int
+numerators over one int denominator (see split), and an int or Fraction
+comes back only at the boundary (see ratio).  GaussRational is the boundary
+type for the values that really are non-real: the paper's rotations M = iX,
+JSON input with imaginary parts, and perturbations stated in the paper's
+generators; its numerators have int parts and share + and * with int.
 
 Powers of h = 1/kappa are not scalars here: every element stores its terms
-flat as {(key, power of h): coefficient}, modulo h^(N+1) for a fixed
+flat as {(key, power of h): numerator}, modulo h^(N+1) for a fixed
 truncation order N, and TermElement.times_h multiplies by c h^k.  No floating
 point enters anywhere.
 """
@@ -16,6 +18,7 @@ point enters anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 _F1 = Fraction(1)
 
@@ -49,6 +52,29 @@ def exact(x):
     if t is GaussRational:
         return gauss(x.real, x.imag)
     return rational(as_fraction(x))
+
+
+def split(x) -> tuple:
+    """An exact scalar as (numerator, denominator) in lowest terms: an int, or
+    a GaussRational with int parts, over an int >= 1."""
+    x = exact(x)
+    if type(x) is not GaussRational:
+        return x.numerator, x.denominator
+    d = lcm(x.real.denominator, x.imag.denominator)
+    return GaussRational(x.real * d, x.imag * d), d
+
+
+def split_map(values: dict) -> tuple:
+    """(numerators, denominator) of a map of exact scalars: the nonzero values
+    over their least common denominator, coprime to the numerators."""
+    parts = {k: split(v) for k, v in values.items() if v}
+    den = lcm(*(d for _, d in parts.values()))
+    return {k: n * (den // d) for k, (n, d) in parts.items()}, den
+
+
+def ratio(n, d: int):
+    """The coefficient n / d of a numerator over a denominator, as exact gives it."""
+    return n if d == 1 else rational(Fraction(n, d)) if type(n) is int else n * Fraction(1, d)
 
 
 def gauss(real, imag=0):
@@ -111,6 +137,10 @@ class GaussRational:
         return gauss(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, n: int):
+        """Both parts divided by a common int divisor n (see algebra.reduced)."""
+        return gauss(self.real // n, self.imag // n)
 
     def __truediv__(self, other):
         return self * _inverse(other) if isinstance(other, _EXACT) else NotImplemented

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import exactla
 from .algebra import (
@@ -16,30 +17,30 @@ from .algebra import (
     TermElement,
     VectorTau,
     accumulate,
+    collect,
     exp_in,
     invert_in,
 )
 from .errors import ContextMismatchError, InvalidVectorError
-from .scalars import GaussRational, exact, rational, times_i
+from .scalars import ratio, split_map
 
-_F0 = Fraction(0)
 _ONE = 1  # the kernels' fast path for a product by 1 (see PoincareAlgebra.mul_terms)
 
 
 class TensorElement(TermElement):
-    """A k-legged tensor: {((monomial, ..., monomial), power of h): coefficient},
-    each leg a PBW monomial.  The product acts leg-wise:
-    (a (x) b)(c (x) d) = ac (x) bd."""
+    """A k-legged tensor: {((monomial, ..., monomial), power of h): numerator}
+    over a denominator (see TermElement), each leg a PBW monomial.  The
+    product acts leg-wise: (a (x) b)(c (x) d) = ac (x) bd."""
 
     __slots__ = ("legs",)
 
-    def __init__(self, algebra: PoincareAlgebra, legs: int, terms: dict):
+    def __init__(self, algebra: PoincareAlgebra, legs: int, terms: dict, den: int | None = None):
         self.algebra = algebra
         self.legs = legs
-        self.terms = terms
+        self.num, self.den = split_map(terms) if den is None else (terms, den)
 
-    def _with(self, terms: dict, algebra: PoincareAlgebra | None = None) -> "TensorElement":
-        return TensorElement(algebra or self.algebra, self.legs, terms)
+    def _with(self, num: dict, den: int = 1, algebra=None) -> "TensorElement":
+        return TensorElement(algebra or self.algebra, self.legs, num, den)
 
     def _compatible(self, other: "TensorElement") -> bool:
         return self.legs == other.legs and self.algebra.compatible(other.algebra)
@@ -54,24 +55,25 @@ class TensorElement(TermElement):
 
     @classmethod
     def unit(cls, algebra: PoincareAlgebra, legs: int) -> "TensorElement":
-        return cls(algebra, legs, {(((),) * legs, 0): 1})
+        return cls(algebra, legs, {(((),) * legs, 0): 1}, 1)
 
     @classmethod
     def of(cls, *factors: AlgebraElement) -> "TensorElement":
         """The tensor product a1 (x) a2 (x) ... of algebra elements."""
         alg = factors[0].algebra
-        terms = {((), 0): 1}
+        num, den = {((), 0): 1}, 1
         for f in factors:
             if not alg.compatible(f.algebra):
                 raise ContextMismatchError("tensor factors from incompatible contexts")
-            terms = alg.mul_terms(terms, f.terms, key_product=_append_leg)
-        return cls(alg, len(factors), terms)
+            num, den = alg.mul_terms(num, f.num, _append_leg, den=den * f.den)
+        return cls(alg, len(factors), num, den)
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
             self._check(other)
             alg = self.algebra
-            return self._with(alg.mul_terms(self.terms, other.terms, self._key_product()))
+            rule = self._key_product()
+            return self._with(*alg.mul_terms(self.num, other.num, rule, den=self.den * other.den))
         return TermElement.__mul__(self, other)
 
     # -- leg surgery ------------------------------------------------------------
@@ -79,7 +81,7 @@ class TensorElement(TermElement):
     def transpose(self, perm) -> "TensorElement":
         """Permute legs: new leg i carries what old leg perm[i] carried."""
         return self._with(
-            {(tuple(key[p] for p in perm), k): c for (key, k), c in self.terms.items()}
+            {(tuple(key[p] for p in perm), k): c for (key, k), c in self.num.items()}, self.den
         )
 
     def flip(self) -> "TensorElement":
@@ -94,8 +96,8 @@ class TensorElement(TermElement):
         perm = {"12": (0, 1, 2), "13": (0, 2, 1), "23": (2, 0, 1)}.get(placement)
         if perm is None:
             raise ValueError(f"invalid placement {placement!r}; expected 12, 13 or 23")
-        terms = {((m1, m2, ()), k): c for ((m1, m2), k), c in self.terms.items()}
-        return TensorElement(self.algebra, 3, terms).transpose(perm)
+        num = {((m1, m2, ()), k): c for ((m1, m2), k), c in self.num.items()}
+        return TensorElement(self.algebra, 3, num, self.den).transpose(perm)
 
     def map_leg(self, i: int, fn) -> "TensorElement":
         """Replace leg i by its image under fn: monomial -> AlgebraElement or
@@ -107,55 +109,53 @@ class TensorElement(TermElement):
         def spliced(key, budget):
             img = image(key[i], budget)
             head, tail = key[:i], key[i + 1 :]
-            pairs = [(m, j, c) for (m, j), c in img.terms.items() if j <= budget]
+            pairs = [(m, j, c) for (m, j), c in img.num.items() if j <= budget]
             if isinstance(img, TensorElement):
-                return [((head + m + tail, j), c) for m, j, c in pairs]
-            return [((head + (m,) + tail, j), c) for m, j, c in pairs]
+                return img.den, [((head + m + tail, j), c) for m, j, c in pairs]
+            return img.den, [((head + (m,) + tail, j), c) for m, j, c in pairs]
 
-        terms = self.algebra.extend(self.terms, spliced)
-        legs = len(next(iter(terms))[0]) if terms else self.legs  # zero: the count is moot
-        return TensorElement(self.algebra, legs, terms)
+        num, den = self.algebra.extend(self.num, spliced, self.den)
+        legs = len(next(iter(num))[0]) if num else self.legs  # zero: the count is moot
+        return TensorElement(self.algebra, legs, num, den)
 
     def contract_counit(self, i: int):
         """Apply the counit to leg i (keep only unit monomials there)."""
         acc = {}
-        for (key, k), c in self.terms.items():
+        for (key, k), c in self.num.items():
             if not key[i]:
                 accumulate(acc, (key[:i] + key[i + 1 :], k), c)
-        terms = {t: c for t, c in acc.items() if c}
+        num, den = collect({1: acc}, self.den)
         if self.legs == 2:
-            return AlgebraElement(self.algebra, {(key[0], k): c for (key, k), c in terms.items()})
-        return TensorElement(self.algebra, self.legs - 1, terms)
+            return AlgebraElement(self.algebra, {(m[0], k): c for (m, k), c in num.items()}, den)
+        return TensorElement(self.algebra, self.legs - 1, num, den)
 
     def merge_legs(self) -> AlgebraElement:
         """Multiply all legs together left-to-right in U(iso(g)).
 
         The tensor is paired with the unit in mul_terms, whose rule maps a
-        key to the PBW product of its legs."""
+        key to the PBW product of its legs, one leg at a time."""
         alg = self.algebra
-        mono_product = alg.mono_product
+        mono_product, mul_terms = alg.mono_product, alg.mul_terms
 
         def merged(key, _unit):
-            word = {key[0]: 1}
-            for mono in key[1:]:
-                nxt = {}
-                for m, c in word.items():
-                    for m2, c2 in mono_product(m, mono).items():
-                        accumulate(nxt, m2, c * c2)
-                word = nxt
-            return [(m, c) for m, c in word.items() if c]
+            d, pairs = mono_product(key[0], key[1])
+            for mono in key[2:]:
+                num, d = mul_terms({(m, 0): c for m, c in pairs}, {(mono, 0): 1}, den=d)
+                pairs = [(m, c) for (m, _), c in num.items()]
+            return d, pairs
 
-        return AlgebraElement(alg, alg.mul_terms(self.terms, alg.one().terms, key_product=merged))
+        one = alg.one()
+        return AlgebraElement(alg, *alg.mul_terms(self.num, one.num, merged, den=self.den))
 
     def star_legs(self) -> "TensorElement":
         """(a (x) b)* = a* (x) b*: star each leg, no flip (X* = -X)."""
         normal_order = self.algebra.normal_order
-        return self._star_by(
-            lambda key, _: [
-                ((ms, 0), c * (-1) ** self._i_count(key))
-                for ms, c in _leg_combos(normal_order(tuple(reversed(m))) for m in key)
-            ]
-        )
+
+        def image(key, _):
+            d, combos = _leg_combos(normal_order(tuple(reversed(m))) for m in key)
+            return d * (-1) ** self._i_count(key), [((ms, 0), c) for ms, c in combos]
+
+        return self._star_by(image)
 
     def __repr__(self):
         from .render import tensor_text
@@ -165,15 +165,22 @@ class TensorElement(TermElement):
 
 def _append_leg(key: tuple, mono: tuple):
     """Key-product rule of the tensor product: the monomial becomes a new leg."""
-    return ((key + (mono,), 1),)
+    return 1, ((key + (mono,), 1),)
 
 
-def _leg_combos(leg_maps) -> list:
-    """[(key, coefficient)] of the outer product of per-leg {monomial: coefficient}."""
-    combos = [((), 1)]
-    for prods in leg_maps:
-        combos = [(ms + (m,), c * cm) for ms, c in combos for m, cm in prods.items()]
-    return combos
+def _leg_combos(leg_products) -> tuple:
+    """(d, [(key, numerator)]) of the outer product of per-leg (d, pairs)."""
+    den, combos = 1, [((), 1)]
+    for d, pairs in leg_products:
+        den *= d
+        combos = [(ms + (m,), c * cm) for ms, c in combos for m, cm in pairs]
+    return den, combos
+
+
+def _sum_of(parts: list) -> tuple:
+    """One (d, pairs) for a sum of key-rule results (d, pairs), over the lcm."""
+    d = lcm(*(dp for dp, _ in parts))
+    return d, [(m, c * (d // dp)) for dp, pairs in parts for m, c in pairs]
 
 
 def _leg_product(alg: PoincareAlgebra, legs: int):
@@ -184,10 +191,13 @@ def _leg_product(alg: PoincareAlgebra, legs: int):
         return lambda k1, k2: _leg_combos(map(mono_product, k1, k2))
 
     def product(k1, k2):
-        pb = mono_product(k1[1], k2[1])
-        for ma, ca in mono_product(k1[0], k2[0]).items():
-            for mb, cb in pb.items():
-                yield (ma, mb), (cb if ca is _ONE else ca if cb is _ONE else ca * cb)
+        da, pa = mono_product(k1[0], k2[0])
+        db, pb = mono_product(k1[1], k2[1])
+        return da * db, [
+            ((ma, mb), cb if ca is _ONE else ca if cb is _ONE else ca * cb)
+            for ma, ca in pa
+            for mb, cb in pb
+        ]
 
     return product
 
@@ -205,26 +215,26 @@ def _leg_commutator(alg: PoincareAlgebra, legs: int):
             out = []
             for i, (a, b) in enumerate(zip(k1, k2)):
                 comm = mono_commutator(a, b)
-                if comm:
+                if comm[1]:
                     before = map(mono_product, k2[:i], k1[:i])
                     after = map(mono_product, k1[i + 1 :], k2[i + 1 :])
-                    out += _leg_combos((*before, dict(comm), *after))
-            return out
+                    out.append(_leg_combos((*before, comm, *after)))
+            return _sum_of(out)
 
         return commutator
 
     def commutator(k1, k2):
         (a1, b1), (a2, b2) = k1, k2
         out = []
-        comm = mono_commutator(a1, a2)
+        dc, comm = mono_commutator(a1, a2)
         if comm:
-            pb = mono_product(b1, b2).items()
-            out += [((ma, mb), ca * cb) for ma, ca in comm for mb, cb in pb]
-        comm = mono_commutator(b1, b2)
+            dp, pb = mono_product(b1, b2)
+            out.append((dc * dp, [((ma, mb), ca * cb) for ma, ca in comm for mb, cb in pb]))
+        dc, comm = mono_commutator(b1, b2)
         if comm:
-            pa = mono_product(a2, a1).items()
-            out += [((ma, mb), ca * cb) for ma, ca in pa for mb, cb in comm]
-        return out
+            dp, pa = mono_product(a2, a1)
+            out.append((dp * dc, [((ma, mb), ca * cb) for ma, ca in pa for mb, cb in comm]))
+        return _sum_of(out)
 
     return commutator
 
@@ -234,7 +244,7 @@ def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
     are never formed."""
     a._check(b)
     alg = a.algebra
-    return a._with(alg.mul_terms(a.terms, b.terms, _leg_commutator(alg, a.legs)))
+    return a._with(*alg.mul_terms(a.num, b.num, _leg_commutator(alg, a.legs), den=a.den * b.den))
 
 
 def tensor_invert(t: TensorElement) -> TensorElement:
@@ -251,86 +261,40 @@ def tensor_exp(t: TensorElement) -> TensorElement:
 # -- wedges ---------------------------------------------------------------------
 
 
-class WedgeElement:
-    """A fully antisymmetric degree-2 or -3 tensor over the Lie algebra, stored
-    on strictly increasing code tuples (rotations X) with rational
-    coefficients.  Wedge coefficients carry no h-dependence: r-matrices and
-    Omega are classical objects."""
+class WedgeElement(TermElement):
+    """A fully antisymmetric degree-2 or -3 tensor over the Lie algebra,
+    {(strictly increasing code tuple, 0): numerator} over a denominator (see
+    TermElement), rotations as X.  Wedges carry no h-dependence: r-matrices
+    and Omega are classical objects.  The constructor takes {generator
+    tuple: coefficient}, each tuple in any order (see _sorted_terms)."""
 
-    __slots__ = ("algebra", "degree", "terms")
+    __slots__ = ("degree",)
 
-    def __init__(self, algebra: PoincareAlgebra, degree: int, terms=None):
+    def __init__(self, algebra: PoincareAlgebra, degree: int, terms=None, den: int | None = None):
         if degree not in (2, 3):
             raise ValueError("wedge degree must be 2 or 3")
         self.algebra = algebra
         self.degree = degree
-        self.terms = dict(terms) if terms else {}
+        self.num, self.den = split_map(_sorted_terms(terms or {})) if den is None else (terms, den)
+
+    def _with(self, num: dict, den: int = 1, algebra=None) -> "WedgeElement":
+        return WedgeElement(algebra or self.algebra, self.degree, num, den)
+
+    def _compatible(self, other: "WedgeElement") -> bool:
+        return self.degree == other.degree and self.algebra.compatible(other.algebra)
+
+    def _i_count(self, key) -> int:
+        return self.algebra.i_count(key)
 
     def add(self, gens: tuple, coeff):
-        """Accumulate coeff * (g1 ^ g2 [^ g3]), canonicalizing with sign."""
-        if not coeff:
-            return
-        sign, key = _sort_parity(gens)
-        if sign == 0:
-            return
-        cur = self.terms.get(key)
-        s = coeff * sign if cur is None else cur + coeff * sign
-        if s:
-            self.terms[key] = rational(s)
-        elif cur is not None:
-            del self.terms[key]
+        """Accumulate coeff * (g1 ^ g2 [^ g3]) in place."""
+        total = self + WedgeElement(self.algebra, self.degree, {gens: coeff})
+        self.num, self.den = total.num, total.den
 
     def coefficient(self, gens: tuple):
         """Signed coefficient of an arbitrary (possibly unsorted) key."""
         sign, key = _sort_parity(gens)
-        return self.terms.get(key, 0) * sign
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, WedgeElement):
-            return (
-                self.algebra.compatible(other.algebra)
-                and self.degree == other.degree
-                and self.terms == other.terms
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, WedgeElement) or other.degree != self.degree:
-            return NotImplemented
-        out = WedgeElement(self.algebra, self.degree, self.terms)
-        for k, c in other.terms.items():
-            out.add(k, c)
-        return out
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction, GaussRational)):
-            scalar = exact(scalar)
-            if not scalar:
-                return WedgeElement(self.algebra, self.degree)
-            return WedgeElement(
-                self.algebra, self.degree, {k: rational(c * scalar) for k, c in self.terms.items()}
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def in_symbols(self, s: int) -> "WedgeElement":
-        """Each coefficient times i^(s n), n the rotations of its key (see
-        TermElement.in_symbols)."""
-        count = self.algebra.i_count
-        return WedgeElement(
-            self.algebra, self.degree, {k: times_i(c, s * count(k)) for k, c in self.terms.items()}
-        )
+        return ratio(self.num.get((key, 0), 0), self.den) * sign
 
     def to_tensor(self) -> TensorElement:
         """Tensor realization of a degree-2 wedge: x ^ y -> x (x) y - y (x) x.
@@ -342,16 +306,27 @@ class WedgeElement:
         """
         if self.degree != 2:
             raise ValueError("tensor realization implemented for degree 2")
-        acc = {}
-        for (x, y), c in self.terms.items():
-            accumulate(acc, (((x,), (y,)), 0), c)
-            accumulate(acc, (((y,), (x,)), 0), -c)
-        return TensorElement(self.algebra, 2, {t: c for t, c in acc.items() if c})
+        num = {}
+        for ((x, y), _), c in self.num.items():
+            num[(((x,), (y,)), 0)] = c
+            num[(((y,), (x,)), 0)] = -c
+        return TensorElement(self.algebra, 2, num, self.den)
 
     def __repr__(self):
         from .render import wedge_text
 
         return wedge_text(self)
+
+
+def _sorted_terms(terms: dict) -> dict:
+    """{(sorted key, 0): value} of {generator tuple: value}: each tuple sorted
+    with the sign of its permutation, tuples with a repeat dropped."""
+    acc = {}
+    for gens, c in terms.items():
+        sign, key = _sort_parity(gens)
+        if sign:
+            accumulate(acc, (key, 0), c * sign)
+    return acc
 
 
 def _sort_parity(gens: tuple):
@@ -377,7 +352,7 @@ def r_matrix(algebra: PoincareAlgebra, tau: VectorTau) -> WedgeElement:
         raise InvalidVectorError("the r-matrix requires a nonzero deforming vector")
     d = algebra.dim
     ginv = algebra.metric.inverse
-    w = WedgeElement(algebra, 2)
+    acc = {}
     for alpha, t in enumerate(tau.components):
         if not t:
             continue
@@ -388,8 +363,8 @@ def r_matrix(algebra: PoincareAlgebra, tau: VectorTau) -> WedgeElement:
             for nu in range(d):
                 f = ginv[mu][nu]
                 if f:
-                    w.add((code, algebra.momentum_code(nu)), t * f * sign)
-    return w
+                    accumulate(acc, (code, algebra.momentum_code(nu)), t * f * sign)
+    return WedgeElement(algebra, 2, acc)
 
 
 def omega(algebra: PoincareAlgebra) -> WedgeElement:
@@ -397,7 +372,7 @@ def omega(algebra: PoincareAlgebra) -> WedgeElement:
     Omega = M_{mu nu} ^ P^mu ^ P^nu is i times it."""
     d = algebra.dim
     ginv = algebra.metric.inverse
-    w = WedgeElement(algebra, 3)
+    acc = {}
     for mu in range(d):
         for nu in range(d):
             if mu == nu:
@@ -410,11 +385,9 @@ def omega(algebra: PoincareAlgebra) -> WedgeElement:
                 for be in range(d):
                     f2 = ginv[nu][be]
                     if f2:
-                        w.add(
-                            (code, algebra.momentum_code(al), algebra.momentum_code(be)),
-                            f1 * f2 * sign,
-                        )
-    return w
+                        key = (code, algebra.momentum_code(al), algebra.momentum_code(be))
+                        accumulate(acc, key, f1 * f2 * sign)
+    return WedgeElement(algebra, 3, acc)
 
 
 def schouten_square(r: WedgeElement) -> WedgeElement:
@@ -429,27 +402,22 @@ def schouten_square(r: WedgeElement) -> WedgeElement:
     if r.degree != 2:
         raise ValueError("the Schouten square takes a degree-2 wedge")
     alg = r.algebra
-    # tensor terms (a, b, coeff) of the realization x (x) y - y (x) x
-    terms = []
-    for (x, y), c in r.terms.items():
-        terms.append((x, y, c))
-        terms.append((y, x, -c))
-    t3 = {}
+    # tensor terms (a, b, numerator) of the realization x (x) y - y (x) x
+    terms = [t for ((x, y), _), c in r.num.items() for t in ((x, y, c), (y, x, -c))]
+    accs = {}
     for a1, b1, c1 in terms:
         for a2, b2, c2 in terms:
-            c12 = c1 * c2
-            for g, cb in alg.bracket_codes(a1, a2).items():
-                accumulate(t3, (g, b1, b2), c12 * cb)
-            for g, cb in alg.bracket_codes(b1, a2).items():
-                accumulate(t3, (a1, g, b2), c12 * cb)
-            for g, cb in alg.bracket_codes(b1, b2).items():
-                accumulate(t3, (a1, a2, g), c12 * cb)
-    # antisymmetrize (1/6) and normalize (2); add sorts each key with its sign
-    third = Fraction(1, 3)
-    out = WedgeElement(alg, 3)
-    for key, c in t3.items():
-        out.add(key, c * third)
-    return out
+            for (d, rule), head, tail in (
+                (alg._bracket(a1, a2), (), (b1, b2)),
+                (alg._bracket(b1, a2), (a1,), (b2,)),
+                (alg._bracket(b1, b2), (a1, a2), ()),
+            ):
+                acc = accs.setdefault(d, {})
+                for g, cb in rule.items():
+                    accumulate(acc, head + (g,) + tail, c1 * c2 * cb)
+    # antisymmetrize (1/6) and normalize (2): each key sorted with its sign
+    t3, d = collect(accs, 3 * r.den * r.den)
+    return WedgeElement(alg, 3, *collect({1: _sorted_terms(t3)}, d))
 
 
 # -- orbit classification ----------------------------------------------------------
@@ -484,10 +452,8 @@ def tau_orthogonal_complement(metric: Metric, tau: VectorTau):
     d = metric.dim
     t2 = tau.tau_sq
     cands = []
-    for k in range(d):
-        e = [_F0] * d
-        e[k] = Fraction(1)
-        lam = metric.apply(tau.components, tuple(e)) / t2
+    for e in exactla.identity(d):
+        lam = metric.apply(tau.components, e) / t2
         v = tuple(e[i] - lam * tau.components[i] for i in range(d))
         if any(v):
             cands.append(v)
@@ -498,13 +464,13 @@ def hyperbolic_pair_complement(metric: Metric, tau: VectorTau):
     """(tau_tilde, transverse basis) for a null tau: g(tau, tt) = 1, g(tt, tt) = 0,
     transverse vectors g-orthogonal to both."""
     d = metric.dim
-    row = tuple(metric.apply(tau.components, _unit(d, j)) for j in range(d))
+    units = exactla.identity(d)
+    row = tuple(metric.apply(tau.components, e) for e in units)
     w = exactla.solve_single(row, 1)
     lam = metric.apply(w, w) / 2
     tt = tuple(w[i] - lam * tau.components[i] for i in range(d))
     cands = []
-    for k in range(d):
-        e = _unit(d, k)
+    for e in units:
         a = metric.apply(e, tt)  # component along tau
         b = metric.apply(e, tau.components)  # component along tau_tilde
         v = tuple(e[i] - a * tau.components[i] - b * tt[i] for i in range(d))
@@ -512,12 +478,6 @@ def hyperbolic_pair_complement(metric: Metric, tau: VectorTau):
             cands.append(v)
     trans = exactla.select_independent(cands, d - 2) if d > 2 else []
     return tt, trans
-
-
-def _unit(d, k):
-    e = [_F0] * d
-    e[k] = Fraction(1)
-    return tuple(e)
 
 
 def classify_orbit(metric: Metric, tau: VectorTau) -> OrbitClassification:

@@ -38,8 +38,6 @@ from .reports import VerificationReport
 from .tensors import TensorElement, tensor_exp, tensor_invert
 from .bases import adapted_context, in_adapted_basis, kappa_quotients
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -59,7 +57,7 @@ class TwistData:
 def is_lightcone_adapted(ctx: DeformationContext) -> bool:
     d = ctx.algebra.dim
     g = ctx.metric.rows
-    if ctx.tau.components != (_F1,) + (_F0,) * (d - 1):
+    if ctx.tau.components != (1,) + (0,) * (d - 1):
         return False
     last = d - 1
     return (

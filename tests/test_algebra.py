@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from kdeform.algebra import AlgebraElement
 from kdeform.errors import ContextMismatchError, DegenerateMetricError, NonInvertibleError
 from kdeform.hopf import DeformationContext, verify_hopf
 from kdeform.minkowski import MinkowskiElement
-from kdeform.tensors import TensorElement
+from kdeform.tensors import TensorElement, tensor_commutator
 
 from conftest import random_metric, random_tau
 
@@ -193,9 +194,8 @@ class TestMultiply:
     def test_normal_form_idempotent(self, eta4):
         alg = PoincareAlgebra(eta4, 2)
         a = alg.M(0, 1) * alg.M(1, 3) * alg.P(0) * alg.P(2)
-        terms = dict(a.terms)
-        redone = alg.mul_terms(terms, alg.one().terms)
-        assert redone == terms
+        redone = alg.mul_terms(a.num, alg.one().num, den=a.den)
+        assert redone == (a.num, a.den)
 
     def test_context_mismatch(self, eta4, eta3):
         a4 = PoincareAlgebra(eta4, 2)
@@ -453,3 +453,92 @@ class TestTimesH:
         (kp,) = p.series()
         (km,) = m.series()
         assert a.series() == {kp: ((0, 1), (2, Fraction(-1, 8))), km: ((1, 3),)}
+
+
+# -- the integer kernels against Fraction arithmetic ----------------------------------
+
+
+def fraction_sum(*parts) -> dict:
+    """sum of scale * terms over (scale, terms) pairs, in Fraction arithmetic."""
+    out = {}
+    for scale, terms in parts:
+        for t, c in terms.items():
+            out[t] = out.get(t, 0) + scale * c
+    return {t: c for t, c in out.items() if c}
+
+
+def fraction_product(ta, tb, rule, order) -> dict:
+    """sum of c1 c2 (n / d) h^(k1 + k2) m over the term pairs of ta and tb and
+    the pairs (m, n) of rule(m1, m2) = (d, pairs), in Fraction arithmetic."""
+    out = {}
+    for (m1, k1), c1 in ta.items():
+        for (m2, k2), c2 in tb.items():
+            if k1 + k2 > order:
+                continue
+            d, pairs = rule(m1, m2)
+            for m, n in pairs:
+                t = (m, k1 + k2)
+                out[t] = out.get(t, 0) + c1 * c2 * n * Fraction(1, d)
+    return {t: c for t, c in out.items() if c}
+
+
+def fraction_extension(terms, image, order) -> dict:
+    """sum of c h^k image(key), image(key, budget) an element, in Fraction
+    arithmetic."""
+    out = {}
+    for (key, k), c in terms.items():
+        for (m, j), v in image(key, order - k).terms.items():
+            if k + j <= order:
+                out[(m, k + j)] = out.get((m, k + j), 0) + c * v
+    return {t: c for t, c in out.items() if c}
+
+
+def canonical(x) -> bool:
+    """int (or int-part Gaussian) nonzero numerators over an int denominator
+    >= 1, all in lowest terms."""
+    parts = [p for c in x.num.values() for p in (c.real, c.imag)]
+    return (
+        type(x.den) is int
+        and x.den >= 1
+        and all(x.num.values())
+        and all(type(p) is int for p in parts)
+        and gcd(x.den, *parts) == 1
+    )
+
+
+class TestIntegerKernels:
+    """mul_terms, extend and the linear operations, which run on int
+    numerators over one denominator, against Fraction arithmetic on the
+    coefficients they stand for."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)))
+    def test_against_fraction_reference(self, seed, dim):
+        rng = random.Random(seed)
+        metric = random_metric(rng, dim)
+        ctx = DeformationContext(metric, random_tau(rng, metric), 2)
+        alg = ctx.algebra
+        order = alg.order
+        gens = [ctx.gen_element(code) for code in alg.generator_codes()]
+        gauss = GaussRational(Fraction(rng.randint(-3, 3), 2), Fraction(rng.choice((-1, 1)), 3))
+        a = ctx.pi * rng.choice(gens) + ctx.pi_inv * Fraction(rng.randint(1, 3), rng.randint(2, 5))
+        b = ctx.c_tau * rng.choice(gens) * gauss + rng.choice(gens).times_h(1, Fraction(1, 7))
+        ta, tb = a.terms, b.terms
+        t, u = ctx.coproduct_of(a), ctx.coproduct_of(b)
+        shifted = {(m, k + 1): c * gauss for (m, k), c in ta.items() if k < order}
+        cases = [
+            (a * b, fraction_product(ta, tb, alg.mono_product, order)),
+            (alg.bracket(a, b), fraction_product(ta, tb, alg.mono_commutator, order)),
+            (t * u, fraction_product(t.terms, u.terms, t._key_product(), order)),
+            (tensor_commutator(t, u), fraction_sum((1, (t * u).terms), (-1, (u * t).terms))),
+            (t, fraction_extension(ta, ctx.mono_coproduct.image, order)),
+            (ctx.antipode_of(b), fraction_extension(tb, ctx.mono_antipode.image, order)),
+            (a + b, fraction_sum((1, ta), (1, tb))),
+            (a - b, fraction_sum((1, ta), (-1, tb))),
+            (b - b, {}),
+            (a.times_h(1, gauss), shifted),
+        ]
+        cases += [(b * s, fraction_sum((s, tb))) for s in (6, Fraction(-3, 4), gauss)]
+        for got, want in cases:
+            assert got.terms == want
+            assert canonical(got)

@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -295,28 +296,33 @@ class TestRandomizedSuites:
 
 
 def _structure_faults(ctx):
-    """Every fault of the stored elements of a context, by element name: a
-    coefficient that is not an int or a Fraction (a float or a
-    GaussRational), an integral table entry that is not an int, a zero or
-    out-of-range term, and a term off the element's weight.  The weight of a
-    term is the number of momenta minus the power of h (P: 1, X: 0, h: -1),
-    and minus the word length for the coordinates y (y: -1)."""
+    """Every fault of the stored elements and tables of a context, by name:
+    a denominator that is not an int >= 1, a numerator that is not a nonzero
+    int (a Fraction, a float, or a GaussRational: a phase the real form of
+    the engine never has), numerators that share a factor with their
+    denominator, an out-of-range term, and a term off the element's weight.
+    The weight of a term is the number of momenta minus the power of h
+    (P: 1, X: 0, h: -1), and minus the word length for the coordinates y
+    (y: -1)."""
     alg = ctx.algebra
     codes = alg.generator_codes()
     weight = {c: 1 - alg.i_count((c,)) for c in codes}  # P: 1, X: 0
     faults = []
 
-    def coefficient(name, c, table):
-        if type(c) not in (int, Fraction) or not c:
-            faults.append(f"{name}: coefficient {c!r} of type {type(c).__name__}")
-        elif table and type(c) is Fraction and c.denominator == 1:
-            faults.append(f"{name}: integral table entry {c!r} is not an int")
+    def stored(name, den, numerators):
+        if type(den) is not int or den < 1:
+            faults.append(f"{name}: denominator {den!r} of type {type(den).__name__}")
+        bad = [c for c in numerators if type(c) is not int or not c]
+        for c in bad:
+            faults.append(f"{name}: coefficient numerator {c!r} of type {type(c).__name__}")
+        if not bad and type(den) is int and gcd(den, *numerators) != 1:
+            faults.append(f"{name}: numerators share a factor with the denominator {den}")
 
-    def element(name, elem, w, table=False, word_weight=None):
+    def element(name, elem, w, word_weight=None):
         word_weight = word_weight or (lambda key: sum(weight[c] for c in key))
         legs = getattr(elem, "legs", None)
-        for (key, k), c in elem.terms.items():
-            coefficient(name, c, table)
+        stored(name, elem.den, list(elem.num.values()))
+        for key, k in elem.num:
             if type(k) is not int or not 0 <= k <= alg.order:
                 faults.append(f"{name}: power h^{k} out of range")
             kw = sum(map(word_weight, key)) if legs else word_weight(key)
@@ -328,16 +334,19 @@ def _structure_faults(ctx):
     element("C_tau", ctx.c_tau, 2)
     for x in codes:
         name = ctx.gen_name(x)
-        element(f"coproduct {name}", ctx.coproduct(x), weight[x], table=True)
-        element(f"antipode {name}", ctx.antipode(x), weight[x], table=True)
+        element(f"coproduct {name}", ctx.coproduct(x), weight[x])
+        element(f"antipode {name}", ctx.antipode(x), weight[x])
         for y in codes:
-            for z, c in alg.bracket_codes(x, y).items():
-                coefficient(f"bracket [{x},{y}]", c, True)
+            for z in alg.bracket_codes(x, y):
                 if weight[z] != weight[x] + weight[y]:
                     faults.append(f"bracket [{x},{y}]: {z} off weight")
+            if x < y:
+                d, pairs = alg.mono_commutator((x,), (y,))
+                stored(f"commutator [{x},{y}]", d, [c for _, c in pairs])
             for word in ((x, y), (y, x, y)):
-                for m, c in alg.normal_order(word).items():
-                    coefficient(f"normal order {word}", c, True)
+                d, pairs = alg.normal_order(word)
+                stored(f"normal order {word}", d, [c for _, c in pairs])
+                for m, _ in pairs:
                     if sum(weight[g] for g in m) != sum(weight[g] for g in word):
                         faults.append(f"normal order {word}: {m} off weight")
     ys = [coordinate(ctx, mu) for mu in range(alg.dim)]
@@ -362,8 +371,9 @@ def _structure_faults(ctx):
 
 
 class TestFlatTerms:
-    """Structural invariants of every stored element: rational coefficients
-    (int where integral in the tables) and one weight per element."""
+    """Structural invariants of every stored element and table: int
+    numerators over an int denominator in lowest terms, and one weight per
+    element."""
 
     def test_every_element_stores_flat_nonzero_coefficients(self):
         # lightcone-adapted eta_4 (g_03 = 1, tau = e_0) at N=3: the twist suite's context

@@ -28,6 +28,11 @@ from kdeform import Metric
 from kdeform.hopf import DeformationContext
 
 ETA3 = Metric([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+# non-integral off-diagonal entries and a fractional tau: the tables mix
+# denominators, so the kernels combine accumulators over their lcm
+RATIONAL3 = Metric(
+    [[-1, Fraction(1, 2), 0], [Fraction(1, 2), 1, Fraction(-1, 3)], [0, Fraction(-1, 3), 2]]
+)
 N = 2
 
 
@@ -176,9 +181,18 @@ def as_terms(coefficients):
 # -- the checks ----------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module", params=[(1, 0, 0), (1, 1, 0)], ids=["eta3-timelike", "eta3-null"])
+@pytest.fixture(
+    scope="module",
+    params=[
+        (ETA3, (1, 0, 0)),
+        (ETA3, (1, 1, 0)),
+        (RATIONAL3, (Fraction(1, 2), 0, Fraction(-2, 3))),
+    ],
+    ids=["eta3-timelike", "eta3-null", "rational3"],
+)
 def ctx(request):
-    return DeformationContext(ETA3, request.param, N)
+    metric, tau = request.param
+    return DeformationContext(metric, tau, N)
 
 
 def test_realization_reproduces_the_written_brackets():
