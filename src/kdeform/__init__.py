@@ -30,15 +30,15 @@ from .scalars import GaussRational, binom_half
 from .tensors import (
     OrbitClassification,
     TensorElement,
-    WedgeElement,
     classify_orbit,
     omega,
     r_matrix,
     schouten_square,
     tensor_exp,
     tensor_invert,
+    wedge,
 )
-from .twist import TwistData, build_twist, lc_structure_check, verify_twist
+from .twist import TwistData, build_twist, verify_twist
 
 __all__ = [
     "AlgebraElement",
@@ -56,7 +56,6 @@ __all__ = [
     "TwistData",
     "VectorTau",
     "VerificationReport",
-    "WedgeElement",
     "act",
     "act_on_product",
     "adapted_context",
@@ -65,7 +64,6 @@ __all__ = [
     "classify_orbit",
     "coordinate",
     "divide_h",
-    "lc_structure_check",
     "lightcone_decompose",
     "mr_generators",
     "omega",
@@ -82,4 +80,5 @@ __all__ = [
     "verify_hopf",
     "verify_mr",
     "verify_twist",
+    "wedge",
 ]

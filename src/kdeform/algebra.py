@@ -495,7 +495,7 @@ _SCALARS = (int, Fraction, GaussRational)
 
 class TermElement:
     """The linear structure shared by every sparse element (PBW elements,
-    tensors, wedges and kappa-Minkowski coordinates), stored flat as int
+    tensors of any leg count and kappa-Minkowski coordinates), stored flat as int
     numerators {(key, power of h): numerator} over one int den >= 1.
     Powers run from 0 to the truncation order, no numerator is zero and den
     is coprime to them all, so equality is structural.  A value that is not

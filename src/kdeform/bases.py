@@ -428,21 +428,3 @@ def _reduced_coproducts_report(rep, ctx):
         for j in range(1, d):
             rhs = rhs + TensorElement.of(p_up[j] * pi_inv, alg.X(i, j)).times_h(1, t2)
         rep.record("reduced-coproduct-m-tau-i", lhs - rhs, generator=f"M_0{i}", phase=1)
-
-
-def pushforward_consistency_report(
-    change: BasisChange, source: PoincareAlgebra, target: PoincareAlgebra
-) -> VerificationReport:
-    """Brackets commute with the basis change: push([x, y]) = [push(x), push(y)]
-    for all generator pairs."""
-    rep = VerificationReport("pushforward-consistency")
-    codes = source.generator_codes()
-    for i, x in enumerate(codes):
-        for y in codes[i + 1 :]:
-            xe = source.from_codes({x: 1})
-            ye = source.from_codes({y: 1})
-            lhs = change.push(source.bracket(xe, ye), target)
-            rhs = target.bracket(change.push(xe, target), change.push(ye, target))
-            n = source.i_count((x, y))
-            rep.record("bracket-commutes-with-basis-change", lhs - rhs, f"codes ({x},{y})", phase=n)
-    return rep

@@ -415,7 +415,7 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
                 "classical-limit-cobracket", True, note="tau = 0: no r-matrix, nothing to check"
             )
         else:
-            r_t = r_matrix(alg, ctx.tau).to_tensor()
+            r_t = r_matrix(alg, ctx.tau)
             for x in codes:
                 d = ctx.coproduct(x)
                 d0 = ctx.primitive_of(ctx.gen_element(x))
@@ -463,21 +463,3 @@ def _select(checks):
         else:
             out.add(c)
     return out
-
-
-def primitivity_report(ctx: DeformationContext, stability_codes) -> VerificationReport:
-    """Check that the deformed coproduct is primitive exactly on the given
-    generators (the stability subalgebra of tau)."""
-    rep = VerificationReport("stability-primitivity")
-    for code in ctx.generator_codes():
-        d = ctx.coproduct(code)
-        prim = ctx._primitive_gen(code)
-        is_prim = (d - prim).is_zero
-        should = code in stability_codes
-        rep.record_bool(
-            "coproduct-primitive-iff-stability",
-            is_prim == should,
-            generator=ctx.gen_name(code),
-            note="primitive" if is_prim else "deformed",
-        )
-    return rep

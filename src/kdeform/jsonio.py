@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau
+from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau, accumulate
 from .minkowski import MinkowskiElement
+from .render import mono_text, wedge_series
 from .scalars import gauss
-from .tensors import OrbitClassification, TensorElement, WedgeElement
+from .tensors import OrbitClassification, TensorElement, wedge
 
 
 def rational_to_str(x: Fraction) -> str:
@@ -105,6 +106,15 @@ def _gen_from_descriptor(d: dict, alg: PoincareAlgebra) -> int:
     return code
 
 
+def _monomial(descriptors: list, alg: PoincareAlgebra) -> tuple:
+    """The PBW monomial of a list of generator descriptors, which must come
+    in PBW order: a nondecreasing code tuple."""
+    mono = tuple(_gen_from_descriptor(d, alg) for d in descriptors)
+    if any(a > b for a, b in zip(mono, mono[1:])):
+        raise ValueError(f"monomial {mono_text(mono, alg.dim)} is not in PBW order")
+    return mono
+
+
 def element_to_json(elem: AlgebraElement) -> dict:
     dim = elem.algebra.dim
     return {
@@ -120,7 +130,7 @@ def element_to_json(elem: AlgebraElement) -> dict:
 
 def element_from_json(data: dict, alg: PoincareAlgebra) -> AlgebraElement:
     def monomial(item):
-        return tuple(_gen_from_descriptor(d, alg) for d in item["monomial"])
+        return _monomial(item["monomial"], alg)
 
     return AlgebraElement(alg, _terms_from_json(data, alg.order, monomial)).in_symbols(1)
 
@@ -142,34 +152,40 @@ def tensor_to_json(t: TensorElement) -> dict:
 
 
 def tensor_from_json(data: dict, alg: PoincareAlgebra) -> TensorElement:
-    def legs(item):
-        return tuple(
-            tuple(_gen_from_descriptor(d, alg) for d in mono) for mono in item["monomials"]
-        )
+    legs = data["legs"]
 
-    return TensorElement(alg, data["legs"], _terms_from_json(data, alg.order, legs)).in_symbols(1)
+    def key_of(item):
+        key = tuple(_monomial(mono, alg) for mono in item["monomials"])
+        if len(key) != legs:
+            names = " (x) ".join(mono_text(m, alg.dim) for m in key)
+            raise ValueError(f"tensor term [{names}] has {len(key)} legs, expected {legs}")
+        return key
+
+    return TensorElement(alg, legs, _terms_from_json(data, alg.order, key_of)).in_symbols(1)
 
 
-def wedge_to_json(w: WedgeElement) -> dict:
-    dim = w.algebra.dim
+def wedge_to_json(t: TensorElement) -> dict:
+    """An antisymmetric tensor of generators (see tensors.wedge) in its sorted
+    wedge coordinates."""
+    dim = t.algebra.dim
     return {
-        "degree": w.degree,
+        "degree": t.legs,
         "terms": [
             {
                 "generators": [_gen_descriptor(c, dim) for c in key],
                 "coeff": gauss_to_json(c),
             }
-            for key, ((_, c),) in sorted(w.series().items())
+            for key, ((_, c),) in sorted(wedge_series(t).items())
         ],
     }
 
 
-def wedge_from_json(data: dict, alg: PoincareAlgebra) -> WedgeElement:
-    w = WedgeElement(alg, data["degree"])
+def wedge_from_json(data: dict, alg: PoincareAlgebra) -> TensorElement:
+    terms = {}
     for item in data["terms"]:
         key = tuple(_gen_from_descriptor(d, alg) for d in item["generators"])
-        w.add(key, gauss_from_json(item["coeff"]))
-    return w.in_symbols(1)
+        accumulate(terms, key, gauss_from_json(item["coeff"]))
+    return wedge(alg, data["degree"], terms).in_symbols(1)
 
 
 def mink_to_json(elem: MinkowskiElement) -> dict:
@@ -185,8 +201,13 @@ def mink_to_json(elem: MinkowskiElement) -> dict:
 
 
 def mink_from_json(data: dict, ctx) -> MinkowskiElement:
+    dim = ctx.algebra.dim
+
     def word(item):
-        return tuple(d["x"] for d in item["monomial"])
+        mono = tuple(d["x"] for d in item["monomial"])
+        if not all(type(mu) is int and 0 <= mu < dim for mu in mono) or list(mono) != sorted(mono):
+            raise ValueError(f"coordinate word {mono!r} is not nondecreasing in range({dim})")
+        return mono
 
     return MinkowskiElement(ctx, _terms_from_json(data, ctx.algebra.order, word)).in_symbols(1)
 
@@ -228,16 +249,10 @@ def basischange_to_json(change) -> dict:
 
 def residual_to_json(residual):
     """Best-effort JSON encoding of a failed check's residual."""
-    from .algebra import AlgebraElement
-    from .minkowski import MinkowskiElement
-    from .tensors import TensorElement, WedgeElement
-
     if isinstance(residual, AlgebraElement):
         return element_to_json(residual)
     if isinstance(residual, TensorElement):
         return tensor_to_json(residual)
-    if isinstance(residual, WedgeElement):
-        return wedge_to_json(residual)
     if isinstance(residual, MinkowskiElement):
         return mink_to_json(residual)
     if isinstance(residual, dict):

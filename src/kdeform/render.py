@@ -1,7 +1,7 @@
-"""Text and LaTeX rendering of series, elements, tensors and wedges, in the
-paper's symbols: every kind comes in through TermElement.series, which
-restores M = iX and x = iy and groups each key's nonzero coefficients c of
-h^k as a series nz = ((k, c), ...) in increasing k."""
+"""Text and LaTeX rendering of series, elements, tensors and wedges (read
+through wedge_series), in the paper's symbols: every kind comes in through
+TermElement.series, which restores M = iX and x = iy and groups each key's
+nonzero coefficients c of h^k as a series nz = ((k, c), ...) in increasing k."""
 
 from __future__ import annotations
 
@@ -141,18 +141,30 @@ def tensor_latex(t) -> str:
     return _sum(t.series(), body, False, _legs)
 
 
-def wedge_text(w) -> str:
-    dim = w.algebra.dim
-    return _sum(w.series(), lambda key: " ^ ".join(gen_text(g, dim) for g in key), True)
+def wedge_series(t) -> dict:
+    """{strictly increasing code tuple: series} of an antisymmetric tensor of
+    generators (see tensors.wedge): its wedge coordinates, read off the keys
+    whose legs are single generators in increasing order."""
+    out = {}
+    for key, nz in t.series().items():
+        codes = tuple(c for m in key for c in m)
+        if len(codes) == len(key) and all(a < b for a, b in zip(codes, codes[1:])):
+            out[codes] = nz
+    return out
 
 
-def wedge_latex(w) -> str:
-    dim = w.algebra.dim
+def wedge_text(t) -> str:
+    dim = t.algebra.dim
+    return _sum(wedge_series(t), lambda key: " ^ ".join(gen_text(g, dim) for g in key), True)
+
+
+def wedge_latex(t) -> str:
+    dim = t.algebra.dim
 
     def body(key):
         return " \\wedge ".join(gen_latex(g, dim) for g in key)
 
-    return _sum(w.series(), body, False)
+    return _sum(wedge_series(t), body, False)
 
 
 def _kappa_term(coeff, kappa_power: int, body: str) -> str | None:

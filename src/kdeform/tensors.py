@@ -1,11 +1,13 @@
-"""Multi-legged tensors over U(iso(g)), antisymmetric wedges, and the
-Schouten-bracket machinery for the r-matrix family r_tau = tau _| Omega.
+"""Multi-legged tensors over U(iso(g)), wedges as antisymmetric tensors of
+generators, and the Schouten-bracket machinery for the r-matrix family
+r_tau = tau _| Omega.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import lcm
 
 from . import exactla
@@ -20,9 +22,11 @@ from .algebra import (
     collect,
     exp_in,
     invert_in,
+    reduced,
 )
 from .errors import ContextMismatchError, InvalidVectorError
-from .scalars import ratio, split_map
+from .render import gen_text, tensor_text
+from .scalars import split_map
 
 _ONE = 1  # the kernels' fast path for a product by 1 (see PoincareAlgebra.mul_terms)
 
@@ -158,8 +162,6 @@ class TensorElement(TermElement):
         return self._star_by(image)
 
     def __repr__(self):
-        from .render import tensor_text
-
         return tensor_text(self)
 
 
@@ -258,96 +260,38 @@ def tensor_exp(t: TensorElement) -> TensorElement:
     return exp_in(TensorElement.unit(t.algebra, t.legs), t)
 
 
-# -- wedges ---------------------------------------------------------------------
+# -- wedges: antisymmetric tensors of generators ------------------------------------
 
 
-class WedgeElement(TermElement):
-    """A fully antisymmetric degree-2 or -3 tensor over the Lie algebra,
-    {(strictly increasing code tuple, 0): numerator} over a denominator (see
-    TermElement), rotations as X.  Wedges carry no h-dependence: r-matrices
-    and Omega are classical objects.  The constructor takes {generator
-    tuple: coefficient}, each tuple in any order (see _sorted_terms)."""
-
-    __slots__ = ("degree",)
-
-    def __init__(self, algebra: PoincareAlgebra, degree: int, terms=None, den: int | None = None):
-        if degree not in (2, 3):
-            raise ValueError("wedge degree must be 2 or 3")
-        self.algebra = algebra
-        self.degree = degree
-        self.num, self.den = split_map(_sorted_terms(terms or {})) if den is None else (terms, den)
-
-    def _with(self, num: dict, den: int = 1, algebra=None) -> "WedgeElement":
-        return WedgeElement(algebra or self.algebra, self.degree, num, den)
-
-    def _compatible(self, other: "WedgeElement") -> bool:
-        return self.degree == other.degree and self.algebra.compatible(other.algebra)
-
-    def _i_count(self, key) -> int:
-        return self.algebra.i_count(key)
-
-    def add(self, gens: tuple, coeff):
-        """Accumulate coeff * (g1 ^ g2 [^ g3]) in place."""
-        total = self + WedgeElement(self.algebra, self.degree, {gens: coeff})
-        self.num, self.den = total.num, total.den
-
-    def coefficient(self, gens: tuple):
-        """Signed coefficient of an arbitrary (possibly unsorted) key."""
-        sign, key = _sort_parity(gens)
-        return ratio(self.num.get((key, 0), 0), self.den) * sign
-
-    def to_tensor(self) -> TensorElement:
-        """Tensor realization of a degree-2 wedge: x ^ y -> x (x) y - y (x) x.
-
-        This is the normalization under which the classical-limit formula
-        h-part of (coproduct - opposite) = [primitive coproduct, r] holds with
-        the real structure constants of X = -iM; it is pinned by the
-        acceptance tests.
-        """
-        if self.degree != 2:
-            raise ValueError("tensor realization implemented for degree 2")
-        num = {}
-        for ((x, y), _), c in self.num.items():
-            num[(((x,), (y,)), 0)] = c
-            num[(((y,), (x,)), 0)] = -c
-        return TensorElement(self.algebra, 2, num, self.den)
-
-    def __repr__(self):
-        from .render import wedge_text
-
-        return wedge_text(self)
-
-
-def _sorted_terms(terms: dict) -> dict:
-    """{(sorted key, 0): value} of {generator tuple: value}: each tuple sorted
-    with the sign of its permutation, tuples with a repeat dropped."""
+def wedge(algebra: PoincareAlgebra, legs: int, terms: dict) -> TensorElement:
+    """The antisymmetric legs-legged tensor of {generator tuple: coefficient}:
+    each term c (g_1 ^ ... ^ g_k) is the signed sum over permutations s of
+    sign(s) c g_s(1) (x) ... (x) g_s(k), so a tuple may come in any order and
+    a repeated generator gives zero.  Wedges carry no h-dependence: r-matrices
+    and Omega are classical objects, read back in sorted coordinates by
+    render.wedge_series."""
+    for gens in terms:
+        if len(gens) != legs:
+            names = " ^ ".join(gen_text(g, algebra.dim) for g in gens)
+            raise ValueError(f"wedge term {names} has {len(gens)} generators, expected {legs}")
+    num, den = split_map(terms)
+    # the sign of each permutation, (-1) to the number of its inversions
+    signs = [
+        (p, (-1) ** sum(a > b for a, b in combinations(p, 2))) for p in permutations(range(legs))
+    ]
     acc = {}
-    for gens, c in terms.items():
-        sign, key = _sort_parity(gens)
-        if sign:
-            accumulate(acc, (key, 0), c * sign)
-    return acc
+    for gens, c in num.items():
+        for p, sign in signs:
+            accumulate(acc, (tuple((gens[i],) for i in p), 0), c * sign)
+    return TensorElement(algebra, legs, *collect({1: acc}, den))
 
 
-def _sort_parity(gens: tuple):
-    """Sort a code tuple, tracking permutation parity; sign 0 on repeats."""
-    lst = list(gens)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(lst)):
-        if lst[i - 1] == lst[i]:
-            return 0, ()
-    return sign, tuple(lst)
-
-
-def r_matrix(algebra: PoincareAlgebra, tau: VectorTau) -> WedgeElement:
+def r_matrix(algebra: PoincareAlgebra, tau: VectorTau) -> TensorElement:
     """tau^alpha X_{alpha mu} ^ P^mu, indices raised with the exact inverse
-    metric: the paper's r_tau = tau^alpha M_{alpha mu} ^ P^mu is i times it."""
+    metric, as a 2-leg wedge: the paper's r_tau = tau^alpha M_{alpha mu} ^ P^mu
+    is i times it.  With x ^ y = x (x) y - y (x) x the classical limit
+    h-part of (coproduct - opposite) = [primitive coproduct, r] holds in the
+    real structure constants of X = -iM, as the acceptance tests pin."""
     if tau.is_zero:
         raise InvalidVectorError("the r-matrix requires a nonzero deforming vector")
     d = algebra.dim
@@ -364,10 +308,10 @@ def r_matrix(algebra: PoincareAlgebra, tau: VectorTau) -> WedgeElement:
                 f = ginv[mu][nu]
                 if f:
                     accumulate(acc, (code, algebra.momentum_code(nu)), t * f * sign)
-    return WedgeElement(algebra, 2, acc)
+    return wedge(algebra, 2, acc)
 
 
-def omega(algebra: PoincareAlgebra) -> WedgeElement:
+def omega(algebra: PoincareAlgebra) -> TensorElement:
     """X_{mu nu} ^ P^mu ^ P^nu, the invariant 3-wedge: the paper's
     Omega = M_{mu nu} ^ P^mu ^ P^nu is i times it."""
     d = algebra.dim
@@ -387,23 +331,23 @@ def omega(algebra: PoincareAlgebra) -> WedgeElement:
                     if f2:
                         key = (code, algebra.momentum_code(al), algebra.momentum_code(be))
                         accumulate(acc, key, f1 * f2 * sign)
-    return WedgeElement(algebra, 3, acc)
+    return wedge(algebra, 3, acc)
 
 
-def schouten_square(r: WedgeElement) -> WedgeElement:
-    """[[r, r]] for a degree-2 wedge over the Lie algebra, as a degree-3 wedge.
+def schouten_square(r: TensorElement) -> TensorElement:
+    """[[r, r]] of a 2-leg wedge (as wedge returns it), as a 3-leg wedge.
 
-    Expands [r12, r13] + [r12, r23] + [r13, r23] on the tensor realization of r
-    and antisymmetrizes back onto wedge coordinates.  The overall normalization
-    is anchored so that the time-like r over the Lorentzian metric squares to
-    exactly +Omega, matching -g(tau, tau) * Omega across the family; both
-    sides are in X = -iM, where the paper's identity is i times this one.
+    Expands 2 ([r12, r13] + [r12, r23] + [r13, r23]) on r's terms through the
+    structure constants, which tensor_commutator would reach only through
+    PBW products.  The normalization 2 is anchored so that the time-like r
+    over the Lorentzian metric squares to exactly +Omega, matching
+    -g(tau, tau) * Omega across the family; both sides are in X = -iM, where
+    the paper's identity is i times this one.
     """
-    if r.degree != 2:
-        raise ValueError("the Schouten square takes a degree-2 wedge")
+    if r.legs != 2:
+        raise ValueError("the Schouten square takes a 2-leg wedge")
     alg = r.algebra
-    # tensor terms (a, b, numerator) of the realization x (x) y - y (x) x
-    terms = [t for ((x, y), _), c in r.num.items() for t in ((x, y, c), (y, x, -c))]
+    terms = [(x, y, c) for (((x,), (y,)), _), c in r.num.items()]
     accs = {}
     for a1, b1, c1 in terms:
         for a2, b2, c2 in terms:
@@ -415,9 +359,9 @@ def schouten_square(r: WedgeElement) -> WedgeElement:
                 acc = accs.setdefault(d, {})
                 for g, cb in rule.items():
                     accumulate(acc, head + (g,) + tail, c1 * c2 * cb)
-    # antisymmetrize (1/6) and normalize (2): each key sorted with its sign
-    t3, d = collect(accs, 3 * r.den * r.den)
-    return WedgeElement(alg, 3, *collect({1: _sorted_terms(t3)}, d))
+    t3, d = collect(accs, r.den * r.den)
+    num = {(tuple((g,) for g in codes), 0): 2 * c for codes, c in t3.items()}
+    return TensorElement(alg, 3, *reduced(num, d))
 
 
 # -- orbit classification ----------------------------------------------------------

@@ -31,12 +31,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Metric, VectorTau, series_exp, series_log_one_plus
+from .algebra import series_exp, series_log_one_plus
 from .errors import BasisError, InternalConsistencyError, InvalidVectorError
 from .hopf import DeformationContext
 from .reports import VerificationReport
 from .tensors import TensorElement, tensor_exp, tensor_invert
-from .bases import adapted_context, in_adapted_basis, kappa_quotients
+from .bases import in_adapted_basis, kappa_quotients
 
 _HALF = Fraction(1, 2)
 
@@ -307,61 +307,3 @@ def _partial_mr_report(rep: VerificationReport, ctx: DeformationContext):
             note="normalization forced by [M_-a, P_+] = -i P_a",
             phase=1,
         )
-
-
-def lc_structure_check(metric: Metric, tau: VectorTau, order: int = 1) -> VerificationReport:
-    """All light-cone brackets against the generic structure constants pushed
-    through the basis change, plus Abelian-ness of the two building subalgebras
-    Gamma_+ = gen{M_+-, P^a} and Gamma_- = gen{P_+, M_+a}."""
-    rep = VerificationReport("lightcone-structure")
-    if tau.tau_sq or tau.is_zero:
-        rep.skipped = "light-cone structure requires null tau"
-        return rep
-    _, ctx = adapted_context(metric, tau, order)
-    alg = ctx.algebra
-    d = alg.dim
-    minus = d - 1
-    g = ctx.metric.rows
-    br = alg.bracket
-    # [M, P] - i P = i ([X, P] - P) and [M, M] - i M = -([X, X] - X): each
-    # relation is recorded in X-form, phase 1 (one rotation) or 2 (two)
-
-    def rec(name, residual, generator=None, phase=1):
-        rep.record(name, residual, generator=generator, phase=phase)
-
-    x_pm = alg.X(0, minus)
-    p_plus, p_minus = alg.P(0), alg.P(minus)
-    rec("bracket-m-plus-minus-p-plus", br(x_pm, p_plus) - p_plus)
-    rec("bracket-m-plus-minus-p-minus", br(x_pm, p_minus) + p_minus)
-    for a in range(1, minus):
-        x_pa, x_ma, p_a = alg.X(0, a), alg.X(minus, a), alg.P(a)
-        rec("bracket-m-plus-minus-p-a-vanishes", br(x_pm, p_a), f"P_{a}")
-        rec("bracket-m-plus-minus-m-plus-a", br(x_pm, x_pa) - x_pa, f"M_+{a}", 2)
-        rec("bracket-m-plus-minus-m-minus-a", br(x_pm, x_ma) + x_ma, f"M_-{a}", 2)
-        rec("bracket-m-plus-a-p-plus-vanishes", br(x_pa, p_plus), f"M_+{a}")
-        rec("bracket-m-minus-a-p-minus-vanishes", br(x_ma, p_minus), f"M_-{a}")
-        rec("bracket-m-plus-a-p-minus", br(x_pa, p_minus) + p_a, f"M_+{a}")
-        rec("bracket-m-minus-a-p-plus", br(x_ma, p_plus) + p_a, f"M_-{a}")
-        for b in range(1, minus):
-            x_pb, x_mb, p_b = alg.X(0, b), alg.X(minus, b), alg.P(b)
-            rec("bracket-m-plus-a-p-b", br(x_pa, p_b) - p_plus * g[a][b], f"[M_+{a}, P_{b}]")
-            rec("bracket-m-minus-a-p-b", br(x_ma, p_b) - p_minus * g[a][b], f"[M_-{a}, P_{b}]")
-            rec("bracket-m-plus-a-m-plus-b-vanishes", br(x_pa, x_pb), f"[M_+{a}, M_+{b}]", 2)
-            rec("bracket-m-minus-a-m-minus-b-vanishes", br(x_ma, x_mb), f"[M_-{a}, M_-{b}]", 2)
-            rec(
-                "bracket-m-plus-a-m-minus-b",
-                br(x_pa, x_mb) + alg.X(a, b) + x_pm * g[a][b],
-                f"[M_+{a}, M_-{b}]",
-                2,
-            )
-            for c in range(1, minus):
-                rhs = alg.X(0, c) * g[a][b] - alg.X(0, b) * g[a][c]
-                rec("bracket-m-plus-a-m-bc", br(x_pa, alg.X(b, c)) - rhs, f"[M_+{a}, M_{b}{c}]", 2)
-    # Abelian building blocks of the twist, each generator with its rotation count
-    gamma_plus = [(x_pm, 1)] + [(alg.momentum_raised(a), 0) for a in range(1, minus)]
-    gamma_minus = [(p_plus, 0)] + [(alg.X(0, a), 1) for a in range(1, minus)]
-    for name, gens in (("gamma-plus-abelian", gamma_plus), ("gamma-minus-abelian", gamma_minus)):
-        for i, (x, n) in enumerate(gens):
-            for y, m in gens[i + 1 :]:
-                rec(name, br(x, y), phase=n + m)
-    return rep

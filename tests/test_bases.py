@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_metric, random_tau
 from kdeform import GaussRational, Metric, PoincareAlgebra, VectorTau
 from kdeform.bases import (
+    BasisChange,
     _mr_bracket_numerator,
     adapted_context,
     is_orthogonally_adapted,
@@ -15,15 +16,33 @@ from kdeform.bases import (
     lightcone_decompose,
     mr_generators,
     orthogonal_decompose,
-    pushforward_consistency_report,
     verify_mr,
 )
 from kdeform.errors import BasisError, InvalidVectorError
 from kdeform.hopf import DeformationContext
 from kdeform.algebra import divide_h, series_exp, series_log_one_plus
+from kdeform.reports import VerificationReport
 
 # an h^1 (1 (x) 1) bump on one generator coproduct, stated in M and P
 H_BUMP = {(((), ()), 1): 1}
+
+
+def pushforward_consistency_report(
+    change: BasisChange, source: PoincareAlgebra, target: PoincareAlgebra
+) -> VerificationReport:
+    """Brackets commute with the basis change: push([x, y]) = [push(x), push(y)]
+    for all generator pairs."""
+    rep = VerificationReport("pushforward-consistency")
+    codes = source.generator_codes()
+    for i, x in enumerate(codes):
+        for y in codes[i + 1 :]:
+            xe = source.from_codes({x: 1})
+            ye = source.from_codes({y: 1})
+            lhs = change.push(source.bracket(xe, ye), target)
+            rhs = target.bracket(change.push(xe, target), change.push(ye, target))
+            n = source.i_count((x, y))
+            rep.record("bracket-commutes-with-basis-change", lhs - rhs, f"codes ({x},{y})", phase=n)
+    return rep
 
 
 class TestOrthogonalDecompose:

@@ -12,17 +12,31 @@ from conftest import random_metric, random_null_pair, random_tau
 from kdeform import GaussRational, Metric, TensorElement
 from kdeform.bases import adapted_context, mr_generators, verify_mr
 from kdeform.cli import EXAMPLES
-from kdeform.hopf import (
-    DeformationContext,
-    pi_identities_report,
-    primitivity_report,
-    verify_hopf,
-)
+from kdeform.hopf import DeformationContext, pi_identities_report, verify_hopf
 from kdeform.jsonio import config_from_json
 from kdeform.minkowski import coordinate
+from kdeform.reports import VerificationReport
 from kdeform.twist import build_twist, verify_twist
 
 I = GaussRational(0, 1)
+
+
+def primitivity_report(ctx: DeformationContext, stability_codes) -> VerificationReport:
+    """Check that the deformed coproduct is primitive exactly on the given
+    generators (the stability subalgebra of tau)."""
+    rep = VerificationReport("stability-primitivity")
+    for code in ctx.generator_codes():
+        d = ctx.coproduct(code)
+        prim = ctx._primitive_gen(code)
+        is_prim = (d - prim).is_zero
+        should = code in stability_codes
+        rep.record_bool(
+            "coproduct-primitive-iff-stability",
+            is_prim == should,
+            generator=ctx.gen_name(code),
+            note="primitive" if is_prim else "deformed",
+        )
+    return rep
 
 
 class TestPiTau:

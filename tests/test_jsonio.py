@@ -89,6 +89,39 @@ class TestExpressionRoundTrips:
         assert data["stability"] == {"kind": "SO", "p": 2, "q": 1}
 
 
+ONE = [{"h_power": 0, "re_num": 1, "re_den": 1, "im_num": 0, "im_den": 1}]
+P0_M01 = [{"P": 0}, {"M": [0, 1]}]  # P_0 M_01: M_01 comes first in PBW order
+
+
+class TestMalformedKeys:
+    def test_tensor_key_with_more_legs(self, eta4):
+        alg = PoincareAlgebra(eta4, 2)
+        term = {"monomials": [[{"P": 0}], [{"P": 1}], [{"P": 2}]], "coeff": ONE}
+        with pytest.raises(ValueError, match=r"\[P_0 \(x\) P_1 \(x\) P_2\] has 3 legs"):
+            jsonio.tensor_from_json({"legs": 2, "terms": [term]}, alg)
+
+    def test_wedge_term_with_more_generators(self, eta4):
+        alg = PoincareAlgebra(eta4, 2)
+        term = {"generators": [{"P": 0}, {"P": 1}, {"P": 2}], "coeff": ONE[0]}
+        with pytest.raises(ValueError, match=r"P_0 \^ P_1 \^ P_2 has 3 generators"):
+            jsonio.wedge_from_json({"degree": 2, "terms": [term]}, alg)
+
+    def test_unsorted_monomial(self, eta4):
+        alg = PoincareAlgebra(eta4, 2)
+        with pytest.raises(ValueError, match="P_0 M_01 is not in PBW order"):
+            jsonio.element_from_json({"terms": [{"monomial": P0_M01, "coeff": ONE}]}, alg)
+        term = {"monomials": [[], P0_M01], "coeff": ONE}
+        with pytest.raises(ValueError, match="P_0 M_01 is not in PBW order"):
+            jsonio.tensor_from_json({"legs": 2, "terms": [term]}, alg)
+
+    @pytest.mark.parametrize("word", [[1, 0], [0, 4], [-1], ["1"]])
+    def test_minkowski_word(self, eta4, word):
+        ctx = DeformationContext(eta4, [1, 0, 0, 0], 2)
+        term = {"monomial": [{"x": mu} for mu in word], "coeff": ONE}
+        with pytest.raises(ValueError, match="coordinate word"):
+            jsonio.mink_from_json({"terms": [term]}, ctx)
+
+
 class TestStructuredOutputs:
     def test_basis_change(self, eta4):
         from kdeform.bases import orthogonal_decompose

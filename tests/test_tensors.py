@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,17 +12,18 @@ from kdeform import (
     PoincareAlgebra,
     TensorElement,
     VectorTau,
-    WedgeElement,
     classify_orbit,
     omega,
     r_matrix,
     schouten_square,
     tensor_exp,
     tensor_invert,
+    wedge,
 )
 from kdeform.errors import ContextMismatchError, InvalidVectorError
 from kdeform.hopf import DeformationContext
 from kdeform.minkowski import coordinate_monomial
+from kdeform.render import wedge_series
 from kdeform.tensors import tensor_commutator
 
 from conftest import random_metric, random_tau
@@ -149,20 +151,59 @@ class TestEmbed:
 
 
 class TestWedgeStorage:
-    def test_antisymmetric_reads(self, eta4):
+    def test_order_flips_sign(self, eta4):
+        # a ^ b = a (x) b - b (x) a, and b ^ a = -(a ^ b)
         alg = PoincareAlgebra(eta4, 2)
-        w = WedgeElement(alg, 2)
         a, b = alg.momentum_code(0), alg.momentum_code(1)
-        w.add((b, a), GaussRational(3))
-        assert w.coefficient((a, b)) == GaussRational(-3)
-        assert w.coefficient((b, a)) == GaussRational(3)
+        w = wedge(alg, 2, {(b, a): GaussRational(3)})
+        assert w == -wedge(alg, 2, {(a, b): GaussRational(3)})
+        p0, p1 = alg.P(0), alg.P(1)
+        assert w == (TensorElement.of(p1, p0) - TensorElement.of(p0, p1)) * 3
+        c = alg.momentum_code(2)
+        assert wedge(alg, 3, {(c, a, b): 1}) == wedge(alg, 3, {(a, b, c): 1})
+        assert wedge(alg, 3, {(b, a, c): 1}) == -wedge(alg, 3, {(a, b, c): 1})
 
     def test_repeated_entries_vanish(self, eta4):
         alg = PoincareAlgebra(eta4, 2)
-        w = WedgeElement(alg, 2)
-        a = alg.momentum_code(0)
-        w.add((a, a), GaussRational(5))
-        assert w.is_zero
+        a, b = alg.momentum_code(0), alg.momentum_code(1)
+        assert wedge(alg, 2, {(a, a): GaussRational(5)}).is_zero
+        assert wedge(alg, 3, {(a, b, a): GaussRational(5)}).is_zero
+
+    def test_series_reads_sorted_coordinates(self, eta4):
+        # one coordinate per set of generators, in the paper's M = iX
+        alg = PoincareAlgebra(eta4, 2)
+        a, b = alg.momentum_code(0), alg.momentum_code(1)
+        x = alg.rotation_code(0, 1)[0]
+        w = wedge(alg, 2, {(b, a): GaussRational(3)})
+        assert wedge_series(w) == {(a, b): ((0, -3),)}
+        w = wedge(alg, 3, {(b, x, a): Fraction(1, 2)})
+        assert wedge_series(w) == {(x, a, b): ((0, Fraction(1, 2) * -I),)}
+
+    def test_term_length_must_match_legs(self, eta4):
+        alg = PoincareAlgebra(eta4, 2)
+        codes = tuple(alg.momentum_code(mu) for mu in range(3))
+        with pytest.raises(ValueError, match="P_0 \\^ P_1 \\^ P_2"):
+            wedge(alg, 2, {codes: 1})
+
+
+def _sign(perm: tuple) -> int:
+    """The sign of a permutation, by counting transpositions as it is sorted."""
+    perm, sign = list(perm), 1
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    return sign
+
+
+def _cybe_oracle(r: TensorElement) -> TensorElement:
+    """2 ([r12, r13] + [r12, r23] + [r13, r23]) through PBW products: the
+    Schouten square as the classical Yang-Baxter sum, from tensor_commutator."""
+    r12, r13, r23 = (r.embed(p) for p in ("12", "13", "23"))
+    return (
+        tensor_commutator(r12, r13) + tensor_commutator(r12, r23) + tensor_commutator(r13, r23)
+    ) * 2
 
 
 class TestRMatrix:
@@ -170,19 +211,18 @@ class TestRMatrix:
         # r = M_0i ^ P^i = sum_i M_0i ^ P_i for the mostly-plus metric
         alg = PoincareAlgebra(eta4, 2)
         r = r_matrix(alg, VectorTau(eta4, [1, 0, 0, 0]))
-        expect = WedgeElement(alg, 2)
+        terms = {}
         for i in (1, 2, 3):
-            expect.add((alg.rotation_code(0, i)[0], alg.momentum_code(i)), GaussRational(1))
-        assert r == expect
+            terms[(alg.rotation_code(0, i)[0], alg.momentum_code(i))] = GaussRational(1)
+        assert r == wedge(alg, 2, terms)
 
     def test_spacelike_direct_contraction(self, eta4):
         alg = PoincareAlgebra(eta4, 2)
         r = r_matrix(alg, VectorTau(eta4, [0, 0, 0, 1]))
-        expect = WedgeElement(alg, 2)
-        expect.add((alg.rotation_code(0, 3)[0], alg.momentum_code(0)), GaussRational(1))
+        terms = {(alg.rotation_code(0, 3)[0], alg.momentum_code(0)): GaussRational(1)}
         for i in (1, 2):
-            expect.add((alg.rotation_code(i, 3)[0], alg.momentum_code(i)), GaussRational(-1))
-        assert r == expect
+            terms[(alg.rotation_code(i, 3)[0], alg.momentum_code(i))] = GaussRational(-1)
+        assert r == wedge(alg, 2, terms)
 
     def test_lightlike_after_basis_change(self, eta4):
         # in the light-cone adapted basis: r_LC = M_{+-} ^ P_+ + M_{+a} ^ P^a
@@ -192,17 +232,15 @@ class TestRMatrix:
         alg = ctx.algebra
         r = r_matrix(alg, ctx.tau)
         d = alg.dim
-        expect = WedgeElement(alg, 2)
-        expect.add((alg.rotation_code(0, d - 1)[0], alg.momentum_code(0)), GaussRational(1))
+        terms = {(alg.rotation_code(0, d - 1)[0], alg.momentum_code(0)): GaussRational(1)}
         ginv = alg.metric.inverse
         for a in range(1, d - 1):
             for b in range(1, d - 1):
                 if ginv[a][b]:
-                    expect.add(
-                        (alg.rotation_code(0, a)[0], alg.momentum_code(b)),
-                        GaussRational(ginv[a][b]),
+                    terms[(alg.rotation_code(0, a)[0], alg.momentum_code(b))] = GaussRational(
+                        ginv[a][b]
                     )
-        assert r == expect
+        assert r == wedge(alg, 2, terms)
 
     def test_zero_tau_rejected(self, eta4):
         alg = PoincareAlgebra(eta4, 2)
@@ -215,22 +253,14 @@ class TestOmega:
         # Omega = M_mn ^ P^m ^ P^n; D=2 with g = antidiag: P^0 = P_1, P^1 = P_0
         alg = PoincareAlgebra(Metric([[0, 1], [1, 0]]), 2)
         w = omega(alg)
-        expect = WedgeElement(alg, 3)
-        expect.add(
-            (alg.rotation_code(0, 1)[0], alg.momentum_code(0), alg.momentum_code(1)),
-            GaussRational(-2),
-        )
-        assert w == expect
+        key = (alg.rotation_code(0, 1)[0], alg.momentum_code(0), alg.momentum_code(1))
+        assert w == wedge(alg, 3, {key: GaussRational(-2)})
 
     def test_d2_diagonal(self):
         alg = PoincareAlgebra(Metric([[2, 0], [0, -3]]), 2)
         w = omega(alg)
-        expect = WedgeElement(alg, 3)
-        expect.add(
-            (alg.rotation_code(0, 1)[0], alg.momentum_code(0), alg.momentum_code(1)),
-            GaussRational(Fraction(2, -6)),
-        )
-        assert w == expect
+        key = (alg.rotation_code(0, 1)[0], alg.momentum_code(0), alg.momentum_code(1))
+        assert w == wedge(alg, 3, {key: GaussRational(Fraction(2, -6))})
 
 
 class TestSchouten:
@@ -246,7 +276,7 @@ class TestSchouten:
 
     def test_zero_wedge(self, eta4):
         alg = PoincareAlgebra(eta4, 2)
-        assert schouten_square(WedgeElement(alg, 2)).is_zero
+        assert schouten_square(wedge(alg, 2, {})).is_zero
 
     def test_sign_flip_of_metric(self, eta4):
         # g -> -g flips tau^2, and the identity stays consistent
@@ -264,6 +294,36 @@ class TestSchouten:
             alg = PoincareAlgebra(metric, 2)
             lhs = schouten_square(r_matrix(alg, tau))
             assert lhs == omega(alg) * GaussRational(-tau.tau_sq)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)))
+    def test_matches_yang_baxter_commutators(self, seed, dim):
+        rng = random.Random(seed)
+        metric = random_metric(rng, dim)
+        r = r_matrix(PoincareAlgebra(metric, 2), random_tau(rng, metric))
+        assert schouten_square(r) == _cybe_oracle(r)
+
+    @pytest.mark.parametrize(
+        "metric, tau", [("eta4", [1, 0, 0, 1]), ("kleinian", [1, 1, 1, 1])]
+    )
+    def test_matches_yang_baxter_commutators_d4(self, request, metric, tau):
+        metric = request.getfixturevalue(metric)
+        r = r_matrix(PoincareAlgebra(metric, 2), VectorTau(metric, tau))
+        assert schouten_square(r) == _cybe_oracle(r)
+
+
+class TestAntisymmetry:
+    @pytest.mark.parametrize("which", ["r_matrix", "omega", "schouten_square"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_transpose_by_sign(self, which, dim):
+        rng = random.Random(200 + dim)
+        metric = random_metric(rng, dim)
+        alg = PoincareAlgebra(metric, 2)
+        r = r_matrix(alg, random_tau(rng, metric))
+        t = {"r_matrix": r, "omega": omega(alg), "schouten_square": schouten_square(r)}[which]
+        assert not t.is_zero
+        for perm in permutations(range(t.legs)):
+            assert t.transpose(perm) == t * _sign(perm)
 
 
 class TestClassifyOrbit:
