@@ -8,14 +8,12 @@ from .algebra import (
     Metric,
     PoincareAlgebra,
     VectorTau,
-    divide_h,
+    kappa_log,
     series_exp,
     series_invert,
-    series_log_one_plus,
 )
 from .bases import (
     BasisChange,
-    LightconeBasis,
     MRGenerators,
     adapted_context,
     lightcone_decompose,
@@ -46,7 +44,6 @@ __all__ = [
     "CheckResult",
     "DeformationContext",
     "GaussRational",
-    "LightconeBasis",
     "MRGenerators",
     "Metric",
     "MinkowskiElement",
@@ -63,7 +60,7 @@ __all__ = [
     "build_twist",
     "classify_orbit",
     "coordinate",
-    "divide_h",
+    "kappa_log",
     "lightcone_decompose",
     "mr_generators",
     "omega",
@@ -73,7 +70,6 @@ __all__ = [
     "schouten_square",
     "series_exp",
     "series_invert",
-    "series_log_one_plus",
     "tensor_exp",
     "tensor_invert",
     "verify_covariance",

@@ -513,7 +513,7 @@ class TermElement:
 
     __slots__ = ("algebra", "num", "den")
 
-    def _with(self, num: dict, den: int = 1, algebra: PoincareAlgebra | None = None):
+    def _with(self, num: dict, den: int = 1):
         raise NotImplementedError
 
     def _compatible(self, other) -> bool:
@@ -614,7 +614,7 @@ class TermElement:
         """c h^k times the element: every power of h raised by k, those past
         the truncation order dropped."""
         if k < 0:
-            raise ValueError("power of h must be non-negative: use divide_h")
+            raise ValueError("power of h must be non-negative")
         top = self.algebra.order - k
         num = {(key, j + k): v for (key, j), v in self.num.items() if j <= top}
         shifted = self._with(*reduced(num, self.den))
@@ -647,14 +647,6 @@ class TermElement:
         d = self.den
         return {key: ratio(c, d) for (key, j), c in self.num.items() if j == k}
 
-    def project_to(self, algebra: PoincareAlgebra):
-        """Truncate to a lower-order context over the same metric."""
-        if algebra.metric != self.algebra.metric or algebra.order > self.algebra.order:
-            raise ContextMismatchError("projection target must be a truncation of this context")
-        N = algebra.order
-        num = {t: c for t, c in self.num.items() if t[1] <= N}
-        return self._with(*reduced(num, self.den), algebra)
-
     def rescale_h(self, s):
         """Substitute h -> h/s = h q/p: c h^k becomes c q^k p^(N-k) / p^N."""
         s = as_fraction(s)
@@ -679,8 +671,8 @@ class AlgebraElement(TermElement):
         self.algebra = algebra
         self.num, self.den = split_map(terms) if den is None else (terms, den)
 
-    def _with(self, num: dict, den: int = 1, algebra=None) -> "AlgebraElement":
-        return AlgebraElement(algebra or self.algebra, num, den)
+    def _with(self, num: dict, den: int = 1) -> "AlgebraElement":
+        return AlgebraElement(self.algebra, num, den)
 
     def _scalar(self, value) -> "AlgebraElement":
         return self.algebra.scalar(value)
@@ -722,9 +714,6 @@ class AlgebraElement(TermElement):
             return d * (-1) ** alg.i_count(mono), [((m, 0), c) for m, c in pairs]
 
         return self._star_by(image)
-
-    def max_degree(self) -> int:
-        return max((len(m) for m, _ in self.num), default=0)
 
     def __repr__(self):
         from .render import element_text
@@ -823,33 +812,18 @@ def series_exp(x: AlgebraElement) -> AlgebraElement:
     return exp_in(x.algebra.one(), x)
 
 
-def series_log_one_plus(x: AlgebraElement) -> AlgebraElement:
-    """log(1 + x) for x of positive h-valuation."""
-    _require_h_positive(x, "logarithm")
-    alg = x.algebra
-    out = alg.zero()
-    term = alg.one()
-    for k in range(1, alg.order + 1):
-        term = term * x
+def kappa_log(q: AlgebraElement) -> AlgebraElement:
+    """ln(1 + h q) / h = sum_{k>=1} (-1)^(k+1) h^(k-1) q^k / k: kappa ln Pi_tau
+    for q = kappa (Pi_tau - 1).  Each term reads q only up to the order, so
+    the quotient by h is exact there."""
+    hq = q.times_h(1)
+    out = term = q
+    for k in range(2, q.algebra.order + 2):
+        term = term * hq
         if term.is_zero:
             break
         out = out + term * Fraction((-1) ** (k + 1), k)
     return out
-
-
-def divide_h(a: AlgebraElement, k: int = 1) -> AlgebraElement:
-    """Exact division by h^k: every coefficient must vanish below h^k.
-
-    The top k coefficients of the result are unknown (they would require
-    information beyond the truncation order) and are set to zero.  A quotient
-    wanted exact at order N is therefore computed at order N + k and projected
-    back, which drops the unknown slots; bases.kappa_quotients does this with
-    k = 1 for kappa ln Pi_tau and the kappa terms of the Majid-Ruegg brackets.
-    """
-    low = min((j for _, j in a.num), default=k)
-    if low < k:
-        raise NonInvertibleError(f"division by h^{k} of a series with valuation {low}")
-    return AlgebraElement(a.algebra, {(m, j - k): c for (m, j), c in a.num.items()}, a.den)
 
 
 def _require_h_positive(x: TermElement, what: str):

@@ -24,9 +24,8 @@ from .algebra import (
     PoincareAlgebra,
     VectorTau,
     accumulate,
-    divide_h,
+    kappa_log,
     series_exp,
-    series_log_one_plus,
 )
 from .errors import BasisError, InvalidVectorError
 from .hopf import DeformationContext
@@ -123,25 +122,11 @@ def orthogonal_decompose(metric: Metric, tau: VectorTau) -> BasisChange:
     return BasisChange(metric, cols)
 
 
-@dataclass
-class LightconeBasis:
-    """The 2+(D-2) splitting for null tau: new index 0 is the tau direction
-    ('+'), new index D-1 is the null partner ('-'), the middle indices are the
-    transverse block."""
-
-    change: BasisChange
-    plus: int
-    minus: int
-    transverse: tuple
-
-    @property
-    def new_metric(self) -> Metric:
-        return self.change.new_metric
-
-
-def lightcone_decompose(metric: Metric, tau: VectorTau) -> LightconeBasis:
+def lightcone_decompose(metric: Metric, tau: VectorTau) -> BasisChange:
     """Basis (tau, e_a ..., tau_tilde) with g(tau,tau) = g(tt,tt) = 0,
-    g(tau,tt) = 1 and the transverse block orthogonal to both.
+    g(tau,tt) = 1 and the transverse block orthogonal to both: new index 0 is
+    the tau direction ('+'), new index D-1 the null partner ('-'), and the
+    middle indices the transverse block.
 
     tau_tilde is pinned by minimal-index pivoting with no components outside
     the pivot direction and tau itself; any valid choice satisfies the same
@@ -159,31 +144,27 @@ def lightcone_decompose(metric: Metric, tau: VectorTau) -> LightconeBasis:
     tt, trans = hyperbolic_pair_complement(metric, tau)
     cols = exactla.transpose((tau.components,) + tuple(trans) + (tt,))
     change = BasisChange(metric, cols)
-    d = metric.dim
-    lc = LightconeBasis(change, 0, d - 1, tuple(range(1, d - 1)))
+    last = metric.dim - 1
     g = change.new_metric.rows
     ok = (
         not g[0][0]
-        and not g[d - 1][d - 1]
-        and g[0][d - 1] == 1
-        and all(not g[0][a] and not g[d - 1][a] for a in lc.transverse)
+        and not g[last][last]
+        and g[0][last] == 1
+        and all(not g[0][a] and not g[last][a] for a in range(1, last))
     )
     if not ok:
         raise BasisError("light-cone Gram conditions failed; defective decomposition")
-    return lc
+    return change
 
 
 def adapted_context(metric: Metric, tau: VectorTau, order: int, shift=None):
-    """(BasisChange-or-LightconeBasis, DeformationContext) in the basis adapted
-    to tau: orthogonal for tau^2 != 0, light-cone for tau^2 = 0.  shift goes
-    to the context (see DeformationContext)."""
-    if tau.tau_sq:
-        change = orthogonal_decompose(metric, tau)
-        ctx = DeformationContext(change.new_metric, change.transform_tau(tau), order, shift=shift)
-        return change, ctx
-    lc = lightcone_decompose(metric, tau)
-    ctx = DeformationContext(lc.new_metric, lc.change.transform_tau(tau), order, shift=shift)
-    return lc, ctx
+    """(BasisChange, DeformationContext) in the basis adapted to tau:
+    orthogonal for tau^2 != 0, light-cone for tau^2 = 0.  shift goes to the
+    context (see DeformationContext)."""
+    decompose = orthogonal_decompose if tau.tau_sq else lightcone_decompose
+    change = decompose(metric, tau)
+    ctx = DeformationContext(change.new_metric, change.transform_tau(tau), order, shift=shift)
+    return change, ctx
 
 
 def in_adapted_basis(ctx: DeformationContext, is_adapted) -> tuple:
@@ -198,8 +179,6 @@ def in_adapted_basis(ctx: DeformationContext, is_adapted) -> tuple:
     if is_adapted(ctx):
         return ctx, None
     change, adapted = adapted_context(ctx.metric, ctx.tau, ctx.order)
-    if isinstance(change, LightconeBasis):
-        change = change.change
     target = adapted.algebra
 
     def tie(rep: VerificationReport):
@@ -251,41 +230,29 @@ def _p_tilde(ctx: DeformationContext) -> list:
     return [ctx.algebra.P(i) * ctx.pi_inv for i in range(1, ctx.algebra.dim)]
 
 
-def kappa_quotients(ctx: DeformationContext, numerator) -> tuple:
-    """(kappa ln Pi_tau, kappa * numerator(lifted)) at the order N of ctx.
-
-    divide_h(x, 1) cannot know the top coefficient of its result, so both
-    quotients are taken in lifted = ctx.lift(1), where that coefficient sits
-    at h^(N+1), and projected back to N, which drops it.  Nothing else needs
-    the lift: every other series is exact when computed at order N."""
-    lifted = ctx.lift(1)
-    log_pi = series_log_one_plus(lifted.pi - lifted.algebra.one())
-    return tuple(divide_h(x).project_to(ctx.algebra) for x in (log_pi, numerator(lifted)))
-
-
-def _mr_bracket_numerator(ctx: DeformationContext) -> AlgebraElement:
-    """1 - Pi^-2 - tau^2 h^2 P~_k P~^k."""
+def _mr_kappa_term(ctx: DeformationContext) -> AlgebraElement:
+    """kappa (1 - Pi^-2) - tau^2 h P~_k P~^k, with kappa (1 - Pi^-2) =
+    q Pi^-1 (1 + Pi^-1) for q = kappa (Pi - 1)."""
     alg = ctx.algebra
     ptil = _p_tilde(ctx)
     pp = alg.zero()
     for k in range(1, alg.dim):
         pp = pp + ptil[k - 1] * _raised(ctx, ptil, k)
-    return alg.one() - ctx.pi_inv * ctx.pi_inv - pp.times_h(2, ctx.tau.tau_sq)
+    jump = ctx.pi_quotient * ctx.pi_inv  # kappa (1 - Pi^-1)
+    return jump * (alg.one() + ctx.pi_inv) - pp.times_h(1, ctx.tau.tau_sq)
 
 
 def mr_generators(ctx: DeformationContext) -> MRGenerators:
     """Build the Majid-Ruegg generators in an orthogonally adapted context.
 
-    Only p_tilde_tau and kappa_term divide by h; kappa_quotients computes
-    them one order up and projects them back.  p_tilde[i] = P_i Pi^-1 is built
-    at order N.  Every element is exact modulo h^(N+1)."""
+    Only p_tilde_tau and kappa_term divide by h: both are series in
+    q = ctx.pi_quotient, so every element is exact modulo h^(N+1)."""
     if not is_orthogonally_adapted(ctx):
         raise BasisError(
             "Majid-Ruegg generators need the adapted basis (e_0 = tau, g_0i = 0); "
             "apply orthogonal_decompose first"
         )
-    p_tilde_tau, kappa_term = kappa_quotients(ctx, _mr_bracket_numerator)
-    return MRGenerators(ctx, p_tilde_tau, _p_tilde(ctx), kappa_term)
+    return MRGenerators(ctx, kappa_log(ctx.pi_quotient), _p_tilde(ctx), _mr_kappa_term(ctx))
 
 
 def verify_mr(ctx: DeformationContext) -> VerificationReport:
@@ -297,7 +264,7 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
     in_adapted_basis): ctx itself when it is orthogonally adapted, otherwise
     (e.g. space-like tau, the CLI's tachyonic example) a freshly built one
     tied to the caller's tables.  Only p_tilde_tau and the kappa term divide
-    by h; mr_generators lifts those two by one order and projects them back."""
+    by h; mr_generators reads both off q = kappa (Pi - 1) at order N."""
     t0 = time.monotonic()
     rep = VerificationReport("majid-ruegg")
     if ctx.tau.is_zero or not ctx.tau.tau_sq:

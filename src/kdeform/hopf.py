@@ -6,9 +6,12 @@ building blocks are
 
     Pi_tau = h P_tau + sqrt(1 + h^2 tau^2 C)          (group-like)
     C_tau  = 2 sum_{n>=1} binom(1/2, n) (tau^2)^{n-1} h^{2n-2} C^n
+    q      = kappa (Pi_tau - 1) = P_tau + tau^2/2 h C_tau
 
 with C the quadratic Casimir.  C_tau is defined by the explicit series with
 (tau^2)^{n-1} so the null case tau^2 = 0 is exact and uniform (C_tau = C).
+q is exact at order N because C_tau is, so every series the Majid-Ruegg
+generators and the twist divide by h is a series in q (see algebra.kappa_log).
 
 The generator coproducts are
 
@@ -59,9 +62,9 @@ _HALF = Fraction(1, 2)
 
 class DeformationContext:
     """Everything derived from (g, tau, N): the algebra, the deformation series
-    Pi_tau / Pi_tau^-1 / C_tau, and the coproduct and antipode tables with
-    their memoised monomial images.  Immutable after construction; caches are
-    fill-once.
+    C_tau, q = kappa (Pi_tau - 1) (pi_quotient), Pi_tau and Pi_tau^-1, and the
+    coproduct and antipode tables with their memoised monomial images.
+    Immutable after construction; caches are fill-once.
 
     shift perturbs the coproduct tables, for negative controls: {code:
     {(key, power of h): value}} adds those terms to the coproduct of the
@@ -82,9 +85,10 @@ class DeformationContext:
         self.casimir = alg.casimir()
 
         self._p_raised = [alg.momentum_raised(a) for a in range(alg.dim)]
-        self.pi = self._build_pi()
-        self.pi_inv = self._build_pi_inv()
         self.c_tau = self._build_c_tau()
+        self.pi_quotient = self.p_tau + self.c_tau.times_h(1, _HALF * self.tau.tau_sq)
+        self.pi = alg.one() + self.pi_quotient.times_h(1)
+        self.pi_inv = self._build_pi_inv()
 
         self._coproducts = {}
         self._antipodes = {}
@@ -110,31 +114,16 @@ class DeformationContext:
 
     # -- deformation series -------------------------------------------------
 
-    def _sqrt_term(self) -> AlgebraElement:
-        """sqrt(1 + h^2 tau^2 C) via the binomial series, truncated."""
-        alg = self.algebra
-        t2 = self.tau.tau_sq
-        out = alg.one()
-        if not t2:
-            return out
-        cpow = alg.one()
-        for n in range(1, alg.order // 2 + 1):
-            cpow = cpow * self.casimir
-            out = out + cpow.times_h(2 * n, binom_half(n) * t2**n)
-        return out
-
-    def _build_pi(self) -> AlgebraElement:
-        return self.p_tau.times_h(1) + self._sqrt_term()
-
     def _build_pi_inv(self) -> AlgebraElement:
         """Pi^-1 two ways: plain series inversion, and the closed form
-        (sqrt - h P_tau) / (1 + h^2 (tau^2 C - P_tau^2)) expanded geometrically.
-        Disagreement is a defect, not bad input."""
+        (Pi - 2 h P_tau) / (1 + h^2 (tau^2 C - P_tau^2)) expanded geometrically,
+        whose numerator is sqrt(1 + h^2 tau^2 C) - h P_tau.  Disagreement is a
+        defect, not bad input."""
         alg = self.algebra
         route_a = series_invert(self.pi)
         t2 = self.tau.tau_sq
         denom = alg.one() + (self.casimir * t2 - self.p_tau * self.p_tau).times_h(2)
-        route_b = (self._sqrt_term() - self.p_tau.times_h(1)) * series_invert(denom)
+        route_b = (self.pi - self.p_tau.times_h(1, 2)) * series_invert(denom)
         if route_a != route_b:
             raise InternalConsistencyError(
                 "series inverse and closed form of Pi_tau^-1 disagree"
@@ -151,11 +140,6 @@ class DeformationContext:
             c = 2 * binom_half(n) * t2 ** (n - 1)
             out = out + cpow.times_h(2 * n - 2, c)
         return out
-
-    def lift(self, extra: int = 1) -> "DeformationContext":
-        """The same deformation at order N + extra.  divide_h(x, 1) is exact at N
-        when computed at N + 1 and projected back (see bases.kappa_quotients)."""
-        return DeformationContext(self.metric, self.tau, self.order + extra)
 
     # -- structure maps on generators ------------------------------------------
 

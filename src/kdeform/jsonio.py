@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau, accumulate
+from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau
 from .minkowski import MinkowskiElement
-from .render import mono_text, wedge_series
+from .render import gen_text, mink_mono_text, mono_text, wedge_series
 from .scalars import gauss
 from .tensors import OrbitClassification, TensorElement, wedge
 
@@ -65,28 +65,21 @@ def series_to_json(nz: tuple) -> list:
     return [{"h_power": k, **gauss_to_json(c)} for k, c in nz]
 
 
-def _coeffs_from_json(data: list, order: int) -> dict:
-    """{power of h: nonzero coefficient} of a JSON series, truncated at the
-    order; a later entry for the same power replaces an earlier one."""
-    out = {}
-    for item in data:
-        k = item["h_power"]
-        if type(k) is not int or k < 0:
-            raise ValueError(f"h_power must be an integer >= 0, got {k!r}")
-        if k <= order:
-            out[k] = gauss_from_json(item)
-    return {k: c for k, c in out.items() if c}
-
-
-def _terms_from_json(data: dict, order: int, key_of) -> dict:
+def _terms_from_json(data: dict, order: int, key_of, name) -> dict:
     """Flat terms {(key, power of h): coefficient} of a JSON term list, in the
-    paper's symbols."""
+    paper's symbols, truncated at the order.  A term given twice (the same
+    key and power of h) is malformed; name(key) names it in the error."""
     terms = {}
     for item in data["terms"]:
         key = key_of(item)
-        for k, c in _coeffs_from_json(item["coeff"], order).items():
-            terms[(key, k)] = c
-    return terms
+        for entry in item["coeff"]:
+            k = entry["h_power"]
+            if type(k) is not int or k < 0:
+                raise ValueError(f"h_power must be an integer >= 0, got {k!r}")
+            if (key, k) in terms:
+                raise ValueError(f"repeated term {name(key)} at h^{k}")
+            terms[(key, k)] = gauss_from_json(entry)
+    return {t: c for t, c in terms.items() if t[1] <= order and c}
 
 
 def _gen_descriptor(code: int, dim: int) -> dict:
@@ -132,7 +125,8 @@ def element_from_json(data: dict, alg: PoincareAlgebra) -> AlgebraElement:
     def monomial(item):
         return _monomial(item["monomial"], alg)
 
-    return AlgebraElement(alg, _terms_from_json(data, alg.order, monomial)).in_symbols(1)
+    terms = _terms_from_json(data, alg.order, monomial, lambda m: mono_text(m, alg.dim))
+    return AlgebraElement(alg, terms).in_symbols(1)
 
 
 def tensor_to_json(t: TensorElement) -> dict:
@@ -154,14 +148,17 @@ def tensor_to_json(t: TensorElement) -> dict:
 def tensor_from_json(data: dict, alg: PoincareAlgebra) -> TensorElement:
     legs = data["legs"]
 
+    def name(key):
+        return "[" + " (x) ".join(mono_text(m, alg.dim) for m in key) + "]"
+
     def key_of(item):
         key = tuple(_monomial(mono, alg) for mono in item["monomials"])
         if len(key) != legs:
-            names = " (x) ".join(mono_text(m, alg.dim) for m in key)
-            raise ValueError(f"tensor term [{names}] has {len(key)} legs, expected {legs}")
+            raise ValueError(f"tensor term {name(key)} has {len(key)} legs, expected {legs}")
         return key
 
-    return TensorElement(alg, legs, _terms_from_json(data, alg.order, key_of)).in_symbols(1)
+    terms = _terms_from_json(data, alg.order, key_of, name)
+    return TensorElement(alg, legs, terms).in_symbols(1)
 
 
 def wedge_to_json(t: TensorElement) -> dict:
@@ -181,10 +178,16 @@ def wedge_to_json(t: TensorElement) -> dict:
 
 
 def wedge_from_json(data: dict, alg: PoincareAlgebra) -> TensorElement:
-    terms = {}
+    """A wedge term may list its generators in any order (see tensors.wedge),
+    so two terms over the same generators repeat one wedge coordinate."""
+    terms, seen = {}, set()
     for item in data["terms"]:
         key = tuple(_gen_from_descriptor(d, alg) for d in item["generators"])
-        accumulate(terms, key, gauss_from_json(item["coeff"]))
+        coords = tuple(sorted(key))
+        if coords in seen:
+            raise ValueError(f"repeated term {' ^ '.join(gen_text(g, alg.dim) for g in key)}")
+        seen.add(coords)
+        terms[key] = gauss_from_json(item["coeff"])
     return wedge(alg, data["degree"], terms).in_symbols(1)
 
 
@@ -209,7 +212,8 @@ def mink_from_json(data: dict, ctx) -> MinkowskiElement:
             raise ValueError(f"coordinate word {mono!r} is not nondecreasing in range({dim})")
         return mono
 
-    return MinkowskiElement(ctx, _terms_from_json(data, ctx.algebra.order, word)).in_symbols(1)
+    terms = _terms_from_json(data, ctx.algebra.order, word, mink_mono_text)
+    return MinkowskiElement(ctx, terms).in_symbols(1)
 
 
 def orbit_to_json(o: OrbitClassification) -> dict:

@@ -27,7 +27,6 @@ import time
 
 from .algebra import _EMPTY, AlgebraElement, TermElement, accumulate, collect
 from .scalars import split, split_map
-from .errors import ContextMismatchError
 from .hopf import DeformationContext
 from .reports import VerificationReport
 
@@ -44,11 +43,7 @@ class MinkowskiElement(TermElement):
         self.algebra = context.algebra
         self.num, self.den = split_map(terms) if den is None else (terms, den)
 
-    def _with(self, num: dict, den: int = 1, algebra=None) -> "MinkowskiElement":
-        # coordinates live in their deformation context; a projection can
-        # only target the context's own algebra
-        if algebra is not None and not algebra.compatible(self.algebra):
-            raise ContextMismatchError("coordinate elements cannot change their context")
+    def _with(self, num: dict, den: int = 1) -> "MinkowskiElement":
         return MinkowskiElement(self.context, num, den)
 
     def _compatible(self, other: "MinkowskiElement") -> bool:
@@ -78,9 +73,6 @@ class MinkowskiElement(TermElement):
             return d * (-1) ** len(mono), pairs
 
         return self._star_by(image)
-
-    def degree(self) -> int:
-        return max((len(m) for m, _ in self.num), default=0)
 
     def __repr__(self):
         from .render import mink_text

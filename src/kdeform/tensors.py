@@ -43,8 +43,8 @@ class TensorElement(TermElement):
         self.legs = legs
         self.num, self.den = split_map(terms) if den is None else (terms, den)
 
-    def _with(self, num: dict, den: int = 1, algebra=None) -> "TensorElement":
-        return TensorElement(algebra or self.algebra, self.legs, num, den)
+    def _with(self, num: dict, den: int = 1) -> "TensorElement":
+        return TensorElement(self.algebra, self.legs, num, den)
 
     def _compatible(self, other: "TensorElement") -> bool:
         return self.legs == other.legs and self.algebra.compatible(other.algebra)

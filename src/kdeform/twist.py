@@ -31,21 +31,23 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import series_exp, series_log_one_plus
+from .algebra import AlgebraElement, kappa_log, series_exp
 from .errors import BasisError, InternalConsistencyError, InvalidVectorError
 from .hopf import DeformationContext
 from .reports import VerificationReport
 from .tensors import TensorElement, tensor_exp, tensor_invert
-from .bases import in_adapted_basis, kappa_quotients
+from .bases import in_adapted_basis
 
 _HALF = Fraction(1, 2)
 
 
 @dataclass
 class TwistData:
-    """The twist and its derived tensors, with both factorization witnesses."""
+    """The twist and its derived tensors, with both factorization witnesses,
+    and P~_+ = kappa ln Pi_+, the Jordanian exponent's second leg over h."""
 
     context: DeformationContext
+    p_tilde_plus: AlgebraElement
     twist: TensorElement  # F
     twist_inv: TensorElement  # F^-1
     r_quantum: TensorElement  # R = F_21 F^-1
@@ -81,8 +83,8 @@ def build_twist(ctx: DeformationContext) -> TwistData:
     d = alg.dim
     minus = d - 1
 
-    ln_pi = series_log_one_plus(ctx.pi - alg.one())
-    jordanian = tensor_exp(TensorElement.of(alg.X(0, minus), ln_pi))
+    p_tilde_plus = kappa_log(ctx.pi_quotient)
+    jordanian = tensor_exp(TensorElement.of(alg.X(0, minus), p_tilde_plus.times_h(1)))
 
     x_ext = TensorElement(alg, 2, {})
     x_ext_bare = TensorElement(alg, 2, {})
@@ -101,7 +103,7 @@ def build_twist(ctx: DeformationContext) -> TwistData:
     f_inv = tensor_invert(f)
     r = f.flip() * f_inv
     r_inv = f * f_inv.flip()
-    return TwistData(ctx, f, f_inv, r, r_inv, f_jordanian_first, f_transverse_first)
+    return TwistData(ctx, p_tilde_plus, f, f_inv, r, r_inv, f_jordanian_first, f_transverse_first)
 
 
 def verify_twist(ctx: DeformationContext) -> VerificationReport:
@@ -177,7 +179,7 @@ def verify_twist(ctx: DeformationContext) -> VerificationReport:
         (p_minus + ctx.casimir.times_h(1, _HALF)) - (p_minus * ctx.pi + papa.times_h(1, _HALF)),
     )
 
-    _partial_mr_report(rep, ctx)
+    _partial_mr_report(rep, ctx, data.p_tilde_plus)
     if tie is not None:
         tie(rep)
 
@@ -254,18 +256,19 @@ def _reduced_lightcone_report(rep: VerificationReport, ctx: DeformationContext):
         rep.record("reduced-coproduct-m-minus-a", lhs - rhs, generator=f"M_-{a}", phase=1)
 
 
-def _partial_mr_report(rep: VerificationReport, ctx: DeformationContext):
+def _partial_mr_report(rep: VerificationReport, ctx: DeformationContext, p_tilde_plus):
     """The partial Majid-Ruegg scheme in the light-cone basis, with the
     kappa factors and the sign forced by P~_+ = kappa ln Pi_+.  Only P~_+ and
-    kappa (1 - exp(-P~_+ / kappa)) divide by h; kappa_quotients builds them.
-    Each relation is linear in one rotation: its X-form has no i, phase 1."""
+    kappa (1 - exp(-P~_+ / kappa)) = q Pi_+^-1 divide by h; both are series in
+    q = ctx.pi_quotient.  Each relation is linear in one rotation: its X-form
+    has no i, phase 1."""
     alg = ctx.algebra
     d = alg.dim
     minus = d - 1
     one = alg.one()
     pi, pi_inv = ctx.pi, ctx.pi_inv
 
-    p_tilde_plus, kappa_jump = kappa_quotients(ctx, lambda up: up.algebra.one() - up.pi_inv)
+    kappa_jump = ctx.pi_quotient * pi_inv
     p_tilde = {a: alg.P(a) * pi_inv for a in range(1, minus)}
 
     rep.record("partial-mr-exp-recovers-pi", series_exp(p_tilde_plus.times_h(1)) - pi)

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_metric, random_tau
-from kdeform import GaussRational, Metric, PoincareAlgebra, VectorTau
+from conftest import random_metric, random_null_pair, random_tau
+from kdeform import AlgebraElement, GaussRational, Metric, PoincareAlgebra, VectorTau
 from kdeform.bases import (
     BasisChange,
-    _mr_bracket_numerator,
     adapted_context,
     is_orthogonally_adapted,
-    kappa_quotients,
     lightcone_decompose,
     mr_generators,
     orthogonal_decompose,
@@ -20,8 +18,9 @@ from kdeform.bases import (
 )
 from kdeform.errors import BasisError, InvalidVectorError
 from kdeform.hopf import DeformationContext
-from kdeform.algebra import divide_h, series_exp, series_log_one_plus
+from kdeform.algebra import series_exp
 from kdeform.reports import VerificationReport
+from kdeform.twist import build_twist, verify_twist
 
 # an h^1 (1 (x) 1) bump on one generator coproduct, stated in M and P
 H_BUMP = {(((), ()), 1): 1}
@@ -81,7 +80,7 @@ class TestOrthogonalDecompose:
 class TestLightconeDecompose:
     def test_lorentzian_null(self, eta4):
         lc = lightcone_decompose(eta4, VectorTau(eta4, [1, 0, 0, 1]))
-        ttilde = tuple(lc.change.columns[i][3] for i in range(4))
+        ttilde = tuple(lc.columns[i][3] for i in range(4))
         assert ttilde == (Fraction(-1, 2), 0, 0, Fraction(1, 2))
         g = lc.new_metric.rows
         assert g[0][0] == 0 and g[3][3] == 0 and g[0][3] == 1
@@ -113,7 +112,7 @@ class TestPushforward:
         if tau.tau_sq:
             ch = orthogonal_decompose(eta4, tau)
         else:
-            ch = lightcone_decompose(eta4, tau).change
+            ch = lightcone_decompose(eta4, tau)
         src = PoincareAlgebra(eta4, 2)
         dst = PoincareAlgebra(ch.new_metric, 2)
         rep = pushforward_consistency_report(ch, src, dst)
@@ -137,10 +136,7 @@ class TestMRGenerators:
 
     def test_exponential_recovers_pi(self, eta4):
         ctx = DeformationContext(eta4, [1, 0, 0, 0], 3)
-        lifted = ctx.lift()
-        p_tilde_tau, _ = kappa_quotients(lifted, _mr_bracket_numerator)
-        lhs = series_exp(p_tilde_tau.times_h(1))
-        assert (lhs - lifted.pi).project_to(ctx.algebra).is_zero
+        assert series_exp(mr_generators(ctx).p_tilde_tau.times_h(1)) == ctx.pi
 
     def test_p_tilde_i_definition(self, eta4):
         ctx = DeformationContext(eta4, [1, 0, 0, 0], 3)
@@ -196,34 +192,65 @@ class TestVerifyMR:
         }
 
 
+def _over_h(up: DeformationContext, x: AlgebraElement, order: int) -> AlgebraElement:
+    """x / h at the lower order: x, computed at order N + 2, has no h^0 term;
+    each power of h drops by one, and the powers above N are cut."""
+    assert all(k for _, k in x.terms)
+    terms = {(key, k - 1): c for (key, k), c in x.terms.items() if k <= order + 1}
+    return AlgebraElement(PoincareAlgebra(up.metric, order), terms)
+
+
+def _log(x: AlgebraElement) -> AlgebraElement:
+    """ln(1 + x) for x of positive h-valuation, written out."""
+    out, term = x.algebra.zero(), x.algebra.one()
+    for k in range(1, x.algebra.order + 1):
+        term = term * x
+        out = out + term * Fraction((-1) ** (k + 1), k)
+    return out
+
+
 class TestKappaQuotients:
-    @settings(max_examples=12, deadline=None)
+    """The quotients by h come from q = kappa (Pi - 1) at order N; the
+    reference divides the same series, built at order N + 2, by h."""
+
+    @settings(max_examples=16, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         dim=st.sampled_from((2, 3)),
         order=st.sampled_from((2, 3)),
+        null=st.booleans(),
     )
-    def test_one_order_lift_matches_two(self, seed, dim, order):
+    def test_closed_forms_match_division_at_higher_order(self, seed, dim, order, null):
         rng = random.Random(seed)
-        metric = random_metric(rng, dim)
-        tau = random_tau(rng, metric)
-        assume(tau.tau_sq)
+        if null:
+            metric, tau = random_null_pair(rng, dim)
+        else:
+            metric = random_metric(rng, dim)
+            tau = random_tau(rng, metric)
+            assume(tau.tau_sq)
         _, ctx = adapted_context(metric, tau, order)
-        p_tilde_tau, kappa_term = kappa_quotients(ctx, _mr_bracket_numerator)
+        assert ctx.pi == ctx.algebra.one() + ctx.pi_quotient.times_h(1)
 
-        # reference: both quotients at N+2, written out from their definitions
-        up = ctx.lift(2)
-        alg, one, ginv = up.algebra, up.algebra.one(), up.metric.inverse
-        ptil = {k: alg.P(k) * up.pi_inv for k in range(1, dim)}
-        pp = alg.zero()
-        for k in range(1, dim):
-            for l in range(1, dim):
-                pp = pp + ptil[k] * ptil[l] * GaussRational(ginv[k][l])
-        inner = one - up.pi_inv * up.pi_inv - pp.times_h(2, GaussRational(up.tau.tau_sq))
-        assert p_tilde_tau == divide_h(series_log_one_plus(up.pi - one)).project_to(ctx.algebra)
-        assert kappa_term == divide_h(inner).project_to(ctx.algebra)
-
-        rep = verify_mr(DeformationContext(metric, tau, order))
+        up = DeformationContext(ctx.metric, ctx.tau, order + 2)
+        alg, one = up.algebra, up.algebra.one()
+        log_pi = _over_h(up, _log(up.pi - one), order)
+        if null:
+            data = build_twist(ctx)
+            assert data.p_tilde_plus == log_pi
+            assert ctx.pi_quotient * ctx.pi_inv == _over_h(up, one - up.pi_inv, order)
+            rep = verify_twist(DeformationContext(metric, tau, order))
+        else:
+            mr = mr_generators(ctx)
+            ginv = up.metric.inverse
+            ptil = {k: alg.P(k) * up.pi_inv for k in range(1, dim)}
+            pp = alg.zero()
+            for k in range(1, dim):
+                for l in range(1, dim):
+                    pp = pp + ptil[k] * ptil[l] * GaussRational(ginv[k][l])
+            inner = one - up.pi_inv * up.pi_inv - pp.times_h(2, GaussRational(up.tau.tau_sq))
+            assert mr.p_tilde_tau == log_pi
+            assert mr.kappa_term == _over_h(up, inner, order)
+            rep = verify_mr(DeformationContext(metric, tau, order))
         assert rep.all_passed, [f"{c.name} {c.generator}" for c in rep.failures()[:4]]
 
 

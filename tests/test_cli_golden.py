@@ -4,7 +4,7 @@ The snapshot in tests/data/cli_golden.json covers `classify` for every
 built-in example and `emit` of every object that applies to it at --order 2,
 each in text, latex and json.  tests/data/cli_golden_verify.json pins the
 verdicts: `verify --suite all --order 2` in text for every built-in example,
-and the three `--corrupt` negative controls, with the per-suite timings
+and the four `--corrupt` negative controls, with the per-suite timings
 masked.  That fixes every check name, count and verdict, and the first-term
 residual text of each failure.  Regenerate both (only when an output change
 is intended) with
@@ -58,7 +58,13 @@ def verify_cases():
     """Every verify (argv) the verdict snapshot pins: each example's full run,
     then the negative controls of the CI."""
     out = [["verify", "--example", name, "--suite", "all", "--order", "2"] for name in sorted(EXAMPLES)]
-    for name, suite in (("time-like", "hopf"), ("light-like", "twist"), ("tachyonic", "mr")):
+    controls = (
+        ("time-like", "hopf"),
+        ("light-like", "twist"),
+        ("tachyonic", "mr"),
+        ("time-like", "minkowski"),
+    )
+    for name, suite in controls:
         out.append(["verify", "--example", name, "--suite", suite, "--order", "2", "--corrupt"])
     return out
 

@@ -122,6 +122,52 @@ class TestMalformedKeys:
             jsonio.mink_from_json({"terms": [term]}, ctx)
 
 
+ONE_H1 = [{**ONE[0], "h_power": 1}]
+REPEATED = {
+    # two terms of one key at h^0, and one key's h^1 coefficient given twice
+    "element": (
+        lambda data, ctx: jsonio.element_from_json(data, ctx.algebra),
+        {"terms": [{"monomial": [{"P": 0}], "coeff": ONE}, {"monomial": [{"P": 0}], "coeff": ONE}]},
+        {"terms": [{"monomial": [{"P": 0}], "coeff": ONE_H1 * 2}]},
+        r"repeated term P_0 at h\^",
+    ),
+    "tensor": (
+        lambda data, ctx: jsonio.tensor_from_json(data, ctx.algebra),
+        {"legs": 2, "terms": [{"monomials": [[], [{"P": 0}]], "coeff": ONE}] * 2},
+        {"legs": 2, "terms": [{"monomials": [[], [{"P": 0}]], "coeff": ONE_H1 * 2}]},
+        r"repeated term \[1 \(x\) P_0\] at h\^",
+    ),
+    "minkowski": (
+        jsonio.mink_from_json,
+        {"terms": [{"monomial": [{"x": 0}, {"x": 1}], "coeff": ONE}] * 2},
+        {"terms": [{"monomial": [{"x": 0}, {"x": 1}], "coeff": ONE_H1 * 2}]},
+        r"repeated term x0 x1 at h\^",
+    ),
+    "wedge": (
+        lambda data, ctx: jsonio.wedge_from_json(data, ctx.algebra),
+        {"degree": 2, "terms": [{"generators": [{"P": 0}, {"P": 1}], "coeff": ONE[0]}] * 2},
+        # the same wedge coordinate with its generators swapped
+        {
+            "degree": 2,
+            "terms": [
+                {"generators": [{"P": 0}, {"P": 1}], "coeff": ONE[0]},
+                {"generators": [{"P": 1}, {"P": 0}], "coeff": ONE[0]},
+            ],
+        },
+        r"repeated term P_. \^ P_.",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATED))
+def test_repeated_term_rejected(eta4, kind):
+    read, twice, twice_again, match = REPEATED[kind]
+    ctx = DeformationContext(eta4, [1, 0, 0, 0], 2)
+    for data in (twice, twice_again):
+        with pytest.raises(ValueError, match=match):
+            read(json.loads(json.dumps(data)), ctx)
+
+
 class TestStructuredOutputs:
     def test_basis_change(self, eta4):
         from kdeform.bases import orthogonal_decompose

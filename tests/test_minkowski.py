@@ -4,7 +4,7 @@ P_mu |> y^nu = -delta and X_mn |> y^rho = y_m delta_n^rho - y_n delta_m^rho."""
 
 import pytest
 
-from kdeform import GaussRational
+from kdeform import GaussRational, jsonio
 from kdeform.hopf import DeformationContext
 from kdeform.minkowski import (
     act,
@@ -132,3 +132,19 @@ class TestCovariance:
         lhs = act_on_product(ctx_t, boost, x0, x1)
         rhs = act_on_product(ctx_t, boost, x1, x0)
         assert lhs != rhs  # orderings differ before the relation is imposed
+
+    def test_corrupted_coproduct_fails(self, eta4):
+        # a unit bump 1 (x) 1 on the coproduct of M_01 (code 1), as verify --corrupt
+        ctx = DeformationContext(eta4, [1, 0, 0, 0], 2, shift={1: {(((), ()), 0): 1}})
+        rep = verify_covariance(ctx)
+        failed = rep.failures()
+        assert {c.name for c in failed} == {
+            "relation-preserved-under-action",
+            "successive-action-representation",
+            "leibniz-compatibility",
+            "casimir-action-commutes",
+        }
+        for c in failed:
+            back = jsonio.mink_from_json(c.residual_json, ctx)
+            assert not back.is_zero
+            assert jsonio.mink_to_json(back) == c.residual_json
