@@ -133,8 +133,10 @@ class PoincareAlgebra:
             raise ValueError("truncation order must be >= 1")
         self.metric = metric
         self.order = order
-        self.dim = metric.dim
-        self._mom0 = metric.dim * metric.dim  # first momentum code
+        self.dim = d = metric.dim
+        self._mom0 = d * d  # first momentum code
+        rotations = tuple(mu * d + nu for mu in range(d) for nu in range(mu + 1, d))
+        self._codes = rotations + tuple(range(d * d, d * d + d))  # PBW order
         self._brackets = {}
         self._no_cache = {}
         self._comm_cache = {}
@@ -183,10 +185,8 @@ class PoincareAlgebra:
         return sum(1 for c in mono if c < mom0)
 
     def generator_codes(self):
-        """All basis generator codes in PBW order (rotations, then momenta)."""
-        d = self.dim
-        rots = [mu * d + nu for mu in range(d) for nu in range(mu + 1, d)]
-        return rots + [self._mom0 + mu for mu in range(d)]
+        """All basis generator codes in PBW order (rotations, then momenta), as a tuple."""
+        return self._codes
 
     # -- element constructors ------------------------------------------------
 

@@ -105,7 +105,7 @@ class DeformationContext:
         self.mono_coproduct = MonomialMap(unit2, lambda code: me.coproduct(code))
         self.mono_primitive = MonomialMap(unit2, lambda code: me._primitive_gen(code))
         self.mono_antipode = MonomialMap(alg.one(), lambda code: me.antipode(code), anti=True)
-        # kappa-Minkowski: coordinate normal forms and generator actions on words
+        # kappa-Minkowski: normal forms and (monomial, word) action images, as tuples
         self._mink_no_cache = {}
         self._act_cache = {}
         # shared tails of the coproduct formulas, independent of the free index

@@ -15,17 +15,22 @@ with the deformed coproduct supplying the legs.  Generators act classically on
 single coordinates as P_mu = -i d_mu and M_mn = i(x_m d_n - x_n d_m), which
 represent the brackets; in X = -iM and y that is P_mu |> y^nu = -delta and
 X_mn |> y^rho = y_m delta_n^rho - y_n delta_m^rho, with the coordinate index
-lowered by the metric; constants are hit with the counit.  A series leg acting
-on a degree-d word is finite: every momentum word longer than d annihilates
-it.  A check on degree-d words of the paper's x records its y-form residual
-with the phase d (plus one per rotation): x = iy.
+lowered by the metric; constants are hit with the counit.  The action is the
+linear extension of the images of (PBW monomial, word) pairs, cached per
+context as (d, pairs) tuples: a monomial's first generator acts on the image
+of the rest, and a generator on a longer word expands by the Leibniz rule, in
+which each distinct leg monomial acts once per expansion and a term whose
+left leg annihilates is dropped.  A check on degree-d words of the paper's x
+records its y-form residual with the phase d (plus one per rotation): x = iy.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import combinations_with_replacement
 
 from .algebra import _EMPTY, AlgebraElement, TermElement, accumulate, collect
+from .errors import ContextMismatchError
 from .scalars import split, split_map
 from .hopf import DeformationContext
 from .reports import VerificationReport
@@ -47,9 +52,7 @@ class MinkowskiElement(TermElement):
         return MinkowskiElement(self.context, num, den)
 
     def _compatible(self, other: "MinkowskiElement") -> bool:
-        return self.algebra.compatible(other.algebra) and (
-            self.context.tau.components == other.context.tau.components
-        )
+        return _same_coordinates(self.context, other.context)
 
     def _scalar(self, value) -> "MinkowskiElement":
         return scalar_mink(self.context, value)
@@ -80,22 +83,28 @@ class MinkowskiElement(TermElement):
         return mink_text(self)
 
 
+def _same_coordinates(c1: DeformationContext, c2: DeformationContext) -> bool:
+    """Whether two contexts share one coordinate algebra: metric, order and tau."""
+    return c1.algebra.compatible(c2.algebra) and c1.tau.components == c2.tau.components
+
+
 def scalar_mink(ctx: DeformationContext, value) -> MinkowskiElement:
     return MinkowskiElement(ctx, {((), 0): 1}, 1) * value
 
 
 def coordinate(ctx: DeformationContext, mu: int) -> MinkowskiElement:
     """The real coordinate y^mu = -i x^mu."""
-    if not 0 <= mu < ctx.algebra.dim:
-        raise IndexError(f"coordinate index {mu} out of range")
-    return MinkowskiElement(ctx, {((mu,), 0): 1}, 1)
+    return coordinate_monomial(ctx, (mu,))
 
 
 def coordinate_monomial(ctx: DeformationContext, indices) -> MinkowskiElement:
-    out = scalar_mink(ctx, 1)
-    for mu in indices:
-        out = out * coordinate(ctx, mu)
-    return out
+    """The product y^mu1 ... y^muk: the normal form of its word."""
+    word = tuple(indices)
+    for mu in word:
+        if not 0 <= mu < ctx.algebra.dim:
+            raise IndexError(f"coordinate index {mu} out of range")
+    d, pairs = _coord_normal_order(ctx, word)
+    return MinkowskiElement(ctx, dict(pairs), d)
 
 
 def _coord_normal_order(ctx: DeformationContext, word: tuple) -> tuple:
@@ -152,85 +161,108 @@ def mink_multiply(a: MinkowskiElement, b: MinkowskiElement) -> MinkowskiElement:
 
 
 def act(ctx: DeformationContext, op, a: MinkowskiElement) -> MinkowskiElement:
-    """The module action of U(iso(g))[[h]] on the coordinate algebra.
+    """The module action of U(iso(g))[[h]] on the coordinate algebra: the
+    linear extension, over the terms of op and of a, of the cached images of
+    (PBW monomial, word) pairs.
 
-    op may be an AlgebraElement or a generator code; products of generators act
-    by successive action, scalars through the counit."""
+    op may be an element of ctx's algebra or a generator code; products of
+    generators act by successive action, scalars through the counit."""
+    _check_operands(ctx, op, a)
     if isinstance(op, AlgebraElement):
-        num, den = ctx.algebra.extend(op.num, lambda m, _: _act_word(ctx, m, a).as_image(), op.den)
+        num, den = ctx.algebra.extend(op.num, lambda m, _: _act_mono(ctx, m, a).as_image(), op.den)
         return MinkowskiElement(ctx, num, den)
-    return _act_word(ctx, (op,), a)
+    return _act_mono(ctx, (op,), a)
 
 
-def _act_word(ctx: DeformationContext, word: tuple, a: MinkowskiElement) -> MinkowskiElement:
-    for code in reversed(word):
-        a = _act_gen(ctx, code, a)
-    return a
+def _check_operands(ctx: DeformationContext, op, *coords: MinkowskiElement):
+    """Reject an operator that is neither an element of ctx's algebra nor one
+    of its generator codes, and coordinates of another coordinate algebra."""
+    if isinstance(op, AlgebraElement):
+        if not ctx.algebra.compatible(op.algebra):
+            raise ContextMismatchError("operator from an incompatible algebra")
+    elif op not in ctx.generator_codes():
+        raise ValueError(f"{op!r} is not a generator code of {ctx.algebra!r}")
+    for y in coords:
+        if y.context is not ctx and not _same_coordinates(ctx, y.context):
+            raise ContextMismatchError("coordinates from an incompatible context")
 
 
-def _act_gen(ctx: DeformationContext, code: int, a: MinkowskiElement) -> MinkowskiElement:
-    num, den = ctx.algebra.extend(a.num, lambda m, _: _act_gen_mono(ctx, code, m).as_image(), a.den)
+def _act_mono(ctx: DeformationContext, mono: tuple, a: MinkowskiElement) -> MinkowskiElement:
+    """A PBW monomial on an element: the linear extension of its word images."""
+    num, den = ctx.algebra.extend(a.num, lambda w, _: _image(ctx, mono, w), a.den)
     return MinkowskiElement(ctx, num, den)
 
 
-def _act_gen_mono(ctx: DeformationContext, code: int, cmono: tuple) -> MinkowskiElement:
-    """A single generator on a single coordinate word, via the Leibniz rule
-    through the deformed coproduct; cached per context."""
-    cache = ctx._act_cache
-    key = (code, cmono)
-    out = cache.get(key)
-    if out is not None:
-        return out
-    if not cmono:
-        out = scalar_mink(ctx, 0)  # generators have vanishing counit
-    elif len(cmono) == 1:
-        out = _act_gen_coordinate(ctx, code, cmono[0])
-    else:
-        head, tail = cmono[:1], cmono[1:]
-        head_elem = MinkowskiElement(ctx, {(head, 0): 1}, 1)
-        tail_elem = MinkowskiElement(ctx, {(tail, 0): 1}, 1)
-        out = _leibniz(ctx, ctx.coproduct(code), head_elem, tail_elem)
-    cache[key] = out
+def _image(ctx: DeformationContext, mono: tuple, word: tuple) -> tuple:
+    """A PBW monomial on a coordinate word, as (d, pairs), cached per context
+    as plain tuples.  A monomial acts as its generators do one after another,
+    right to left: its first generator acts on the image of the rest."""
+    out = ctx._act_cache.get((mono, word))
+    if out is None:
+        if not mono:
+            out = 1, (((word, 0), 1),)
+        elif len(mono) == 1:
+            out = _act_gen_word(ctx, mono[0], word)
+        else:
+            d, pairs = _image(ctx, mono[1:], word)
+            num, den = ctx.algebra.extend(dict(pairs), lambda w, _: _image(ctx, mono[:1], w), d)
+            out = den, tuple(num.items())
+        ctx._act_cache[(mono, word)] = out
     return out
 
 
-def _act_gen_coordinate(ctx: DeformationContext, code: int, mu: int) -> MinkowskiElement:
-    alg = ctx.algebra
-    kind, idx = alg.decode(code)
-    if kind == "P":
-        return scalar_mink(ctx, -1 if idx == mu else 0)
-    rho, sig = idx
-    g = ctx.metric.rows
-    # y_rho when sig == mu, -y_sig when rho == mu (rho < sig: not both)
-    if sig == mu:
-        lowered, sign = g[rho], 1
-    elif rho == mu:
-        lowered, sign = g[sig], -1
+def _act_gen_word(ctx: DeformationContext, code: int, word: tuple) -> tuple:
+    """A single generator on a single coordinate word, as (d, pairs): the
+    counit (zero) on the empty word, the classical action on a coordinate,
+    and the Leibniz rule through the deformed coproduct on longer words."""
+    if len(word) > 1:
+        head, tail = coordinate(ctx, word[0]), coordinate_monomial(ctx, word[1:])
+        num, den = _leibniz(ctx, ctx.coproduct(code), head, tail)
+    elif not word:
+        return _EMPTY
     else:
-        return scalar_mink(ctx, 0)
-    return MinkowskiElement(ctx, {((nu,), 0): sign * c for nu, c in enumerate(lowered)})
+        (mu,) = word
+        kind, idx = ctx.algebra.decode(code)
+        if kind == "P":
+            terms = {((), 0): -(idx == mu)}
+        else:  # X_rs |> y^mu = y_r delta_s^mu - y_s delta_r^mu (r < s: not both)
+            (r, s), g = idx, ctx.metric.rows
+            row = g[r] if s == mu else [-c for c in g[s]] if r == mu else ()
+            terms = {((n,), 0): c for n, c in enumerate(row)}
+        num, den = split_map(terms)
+    return den, tuple(num.items())
 
 
 def act_on_product(
-    ctx: DeformationContext, op: AlgebraElement, a: MinkowskiElement, b: MinkowskiElement
+    ctx: DeformationContext, op, a: MinkowskiElement, b: MinkowskiElement
 ) -> MinkowskiElement:
     """The top-level Leibniz expansion L |> (a . b) = sum (L_(1) |> a)(L_(2) |> b),
     computed without multiplying a and b first (this is what makes the
-    covariance check non-vacuous)."""
-    return _leibniz(ctx, ctx.coproduct_of(op), a, b)
+    covariance check non-vacuous).  op is as in act."""
+    _check_operands(ctx, op, a, b)
+    coproduct = ctx.coproduct_of(op) if isinstance(op, AlgebraElement) else ctx.coproduct(op)
+    return MinkowskiElement(ctx, *_leibniz(ctx, coproduct, a, b))
 
 
 def _leibniz(ctx: DeformationContext, coproduct, a: MinkowskiElement, b: MinkowskiElement):
-    """sum (L_(1) |> a)(L_(2) |> b) over the terms of a coproduct of L."""
+    """sum (L_(1) |> a)(L_(2) |> b) over the terms of a coproduct of L, as
+    (num, den).  Each distinct leg monomial acts once per call, and a term
+    whose left leg acts as zero is skipped before its right leg acts."""
+    lefts, rights = {}, {}
 
     def image(key, _budget):
-        left = _act_word(ctx, key[0], a)
-        if left.is_zero:
+        m1, m2 = key
+        left = lefts.get(m1)
+        if left is None:
+            left = lefts[m1] = _act_mono(ctx, m1, a)
+        if not left:
             return _EMPTY
-        right = _act_word(ctx, key[1], b)
+        right = rights.get(m2)
+        if right is None:
+            right = rights[m2] = _act_mono(ctx, m2, b)
         return (left * right).as_image() if right else _EMPTY
 
-    return MinkowskiElement(ctx, *ctx.algebra.extend(coproduct.num, image, coproduct.den))
+    return ctx.algebra.extend(coproduct.num, image, coproduct.den)
 
 
 def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> VerificationReport:
@@ -254,10 +286,7 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
         for mu in range(d):
             for nu in range(mu + 1, d):
                 xmu, xnu = coordinate(ctx, mu), coordinate(ctx, nu)
-                gen_elem = ctx.gen_element(code)
-                lhs = act_on_product(ctx, gen_elem, xmu, xnu) - act_on_product(
-                    ctx, gen_elem, xnu, xmu
-                )
+                lhs = act_on_product(ctx, code, xmu, xnu) - act_on_product(ctx, code, xnu, xmu)
                 rhs = (act(ctx, code, xnu) * tau[mu] - act(ctx, code, xmu) * tau[nu]).times_h(1)
                 label, n = f"{name} on [x{mu},x{nu}]", ph((code,)) + 2
                 rep.record("relation-preserved-under-action", lhs - rhs, label, phase=n)
@@ -281,13 +310,12 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
     rep.record_bool("successive-action-representation", True, note="all pairs, all monomials")
 
     for code in codes:
-        gen_elem = ctx.gen_element(code)
         for mono in monomials:
             for cut in range(1, len(mono)):
                 a = coordinate_monomial(ctx, mono[:cut])
                 b = coordinate_monomial(ctx, mono[cut:])
-                lhs = act(ctx, gen_elem, a * b)
-                rhs = act_on_product(ctx, gen_elem, a, b)
+                lhs = act(ctx, code, a * b)
+                rhs = act_on_product(ctx, code, a, b)
                 residual = lhs - rhs
                 if not residual.is_zero:
                     label = f"{ctx.gen_name(code)} on x{list(mono)} split {cut}"
@@ -330,14 +358,4 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
 
 
 def _monomials_up_to(d: int, max_degree: int):
-    out = []
-    frontier = [()]
-    for _ in range(max_degree):
-        nxt = []
-        for m in frontier:
-            start = m[-1] if m else 0
-            for mu in range(start, d):
-                nxt.append(m + (mu,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    return [m for k in range(1, max_degree + 1) for m in combinations_with_replacement(range(d), k)]

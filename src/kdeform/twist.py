@@ -35,7 +35,7 @@ from .algebra import AlgebraElement, kappa_log, series_exp
 from .errors import BasisError, InternalConsistencyError, InvalidVectorError
 from .hopf import DeformationContext
 from .reports import VerificationReport
-from .tensors import TensorElement, tensor_exp, tensor_invert
+from .tensors import TensorElement, tensor_commutator, tensor_exp, tensor_invert
 from .bases import in_adapted_basis
 
 _HALF = Fraction(1, 2)
@@ -143,8 +143,9 @@ def verify_twist(ctx: DeformationContext) -> VerificationReport:
     r12, r13, r23 = r.embed("12"), r.embed("13"), r.embed("23")
     rep.record("quantum-yang-baxter", r12 * r13 * r23 - r23 * r13 * r12)
 
-    # twisted coproducts: D_LC(x) = F D0(x) F^-1 equals the opposite of the
-    # universal coproduct, and conjugating by R lands on the universal one
+    # twisted coproducts: D_LC(x) = F D0(x) F^-1 equals the opposite of the universal
+    # coproduct, and conjugating by R lands on the universal one.  Both conjugations
+    # are y + [T, y] T^-1, exact as T T^-1 = 1 (twist-times-inverse, triangularity)
     primitive_set = set()
     for a in range(1, minus):
         primitive_set.add(alg.rotation_code(0, a)[0])
@@ -153,12 +154,12 @@ def verify_twist(ctx: DeformationContext) -> VerificationReport:
     for code in alg.generator_codes():
         name, n = ctx.gen_name(code), alg.i_count((code,))
         d0 = ctx._primitive_gen(code)
-        d_lc = f * d0 * f_inv
+        d_lc = d0 + tensor_commutator(f, d0) * f_inv
         d_tau = ctx.coproduct(code)
         rep.record(
             "twisted-coproduct-is-opposite-universal", d_lc - d_tau.flip(), generator=name, phase=n
         )
-        residual = r * d_lc * r_inv - d_tau
+        residual = d_lc + tensor_commutator(r, d_lc) * r_inv - d_tau
         rep.record("r-conjugation-gives-universal", residual, generator=name, phase=n)
         is_prim = (d_lc - d0).is_zero
         rep.record_bool(

@@ -14,7 +14,7 @@ from kdeform.bases import adapted_context, mr_generators, verify_mr
 from kdeform.cli import EXAMPLES
 from kdeform.hopf import DeformationContext, pi_identities_report, verify_hopf
 from kdeform.jsonio import config_from_json
-from kdeform.minkowski import coordinate
+from kdeform.minkowski import coordinate, verify_covariance
 from kdeform.reports import VerificationReport
 from kdeform.twist import build_twist, verify_twist
 
@@ -228,11 +228,17 @@ class TestLifetime:
             gc.enable()
 
     @pytest.mark.parametrize(
-        "suite, tau", [(verify_mr, [0, 0, 0, 1]), (verify_twist, [1, 0, 0, 1])]
+        "suite, tau",
+        [
+            (verify_mr, [0, 0, 0, 1]),
+            (verify_twist, [1, 0, 0, 1]),
+            (verify_covariance, [1, 0, 0, 1]),
+        ],
     )
     def test_adapted_suites_leave_no_cycles(self, eta4, suite, tau):
-        # both suites build a basis change and an adapted context, and drop
-        # them: nothing may be left for the cyclic collector
+        # the MR and twist suites build a basis change and an adapted context,
+        # and drop them; the covariance suite fills the action caches of the
+        # caller's context: nothing may be left for the cyclic collector
         gc.collect()
         gc.disable()
         try:

@@ -2,11 +2,20 @@
 y = -i x and rotations X = -iM: [y^mu, y^nu] = h (tau^mu y^nu - tau^nu y^mu),
 P_mu |> y^nu = -delta and X_mn |> y^rho = y_m delta_n^rho - y_n delta_m^rho."""
 
-import pytest
+import random
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_metric, random_null_pair, random_tau
 from kdeform import GaussRational, jsonio
+from kdeform.algebra import AlgebraElement, PoincareAlgebra
+from kdeform.errors import ContextMismatchError
 from kdeform.hopf import DeformationContext
 from kdeform.minkowski import (
+    MinkowskiElement,
     act,
     act_on_product,
     coordinate,
@@ -101,6 +110,39 @@ class TestAction:
         assert act(ctx_t, op, y1) == scalar_mink(ctx_t, -1).times_h(2)
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("metric", ["kleinian", "eta3"])
+    def test_operator_of_another_metric(self, ctx_t, request, metric):
+        g = request.getfixturevalue(metric)
+        y = coordinate(ctx_t, 1)
+        other_order = PoincareAlgebra(ctx_t.metric, 2).P(1)
+        for op in (PoincareAlgebra(g, 3).P(1), PoincareAlgebra(g, 3).X(0, 1) * 2, other_order):
+            with pytest.raises(ContextMismatchError):
+                act(ctx_t, op, y)
+            with pytest.raises(ContextMismatchError):
+                act_on_product(ctx_t, op, y, y)
+
+    @pytest.mark.parametrize("tau, order", [([0, 0, 0, 1], 3), ([1, 0, 0, 0], 2)])
+    def test_coordinates_of_another_context_or_order(self, ctx_t, eta4, tau, order):
+        y = coordinate(DeformationContext(eta4, tau, order), 1)
+        p1 = ctx_t.algebra.P(1)
+        with pytest.raises(ContextMismatchError):
+            act(ctx_t, p1, y)
+        with pytest.raises(ContextMismatchError):
+            act(ctx_t, ctx_t.algebra.momentum_code(1), y)
+        with pytest.raises(ContextMismatchError):
+            act_on_product(ctx_t, p1, coordinate(ctx_t, 0), y)
+
+    @pytest.mark.parametrize("code", [99, 0, 5, -1])
+    def test_code_that_is_not_a_generator(self, ctx_t, code):
+        # D=4: rotations are mu*4 + nu with mu < nu, momenta 16..19
+        y = coordinate(ctx_t, 1)
+        with pytest.raises(ValueError, match=f"^{code} is not a generator code"):
+            act(ctx_t, code, y)
+        with pytest.raises(ValueError, match=f"^{code} is not a generator code"):
+            act_on_product(ctx_t, code, y, y)
+
+
 class TestStar:
     def test_reality_of_relations(self, ctx_t):
         x0, x1 = coordinate(ctx_t, 0), coordinate(ctx_t, 1)
@@ -148,3 +190,139 @@ class TestCovariance:
             back = jsonio.mink_from_json(c.residual_json, ctx)
             assert not back.is_zero
             assert jsonio.mink_to_json(back) == c.residual_json
+
+
+# -- an independent reference for the action ------------------------------------------
+# Elements are plain {(word, power of h): Fraction} maps truncated at the order.
+# The reference normal orders coordinate words itself and applies one generator
+# at a time, through ctx.coproduct and the Leibniz rule on longer words.
+
+
+def _add(acc: dict, terms: dict, c, k: int, order: int):
+    """acc += c h^k terms, truncated at the order."""
+    for (w, j), v in terms.items():
+        if j + k <= order:
+            acc[(w, j + k)] = acc.get((w, j + k), 0) + c * v
+
+
+def _clean(terms: dict) -> dict:
+    return {t: v for t, v in terms.items() if v}
+
+
+def _ref_word(ctx, word: tuple, memo: dict) -> dict:
+    """The normal form of a coordinate word: y^mu y^nu = y^nu y^mu +
+    h (tau^mu y^nu - tau^nu y^mu) on the first descent mu > nu."""
+    if word in memo:
+        return memo[word]
+    i = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
+    if i is None:
+        out = {(word, 0): Fraction(1)}
+    else:
+        mu, nu = word[i], word[i + 1]
+        head, tail = word[:i], word[i + 2 :]
+        tau, order = ctx.tau.components, ctx.algebra.order
+        out = dict(_ref_word(ctx, head + (nu, mu) + tail, memo))
+        _add(out, _ref_word(ctx, head + (nu,) + tail, memo), tau[mu], 1, order)
+        _add(out, _ref_word(ctx, head + (mu,) + tail, memo), -tau[nu], 1, order)
+    memo[word] = out = _clean(out)
+    return out
+
+
+def _ref_product(ctx, a: dict, b: dict, memo: dict) -> dict:
+    out = {}
+    for (w1, j1), c1 in a.items():
+        for (w2, j2), c2 in b.items():
+            _add(out, _ref_word(ctx, w1 + w2, memo["words"]), c1 * c2, j1 + j2, ctx.algebra.order)
+    return _clean(out)
+
+
+def _ref_gen_on_word(ctx, code: int, word: tuple, memo: dict) -> dict:
+    key = (code, word)
+    if key in memo["gens"]:
+        return memo["gens"][key]
+    d, g = ctx.algebra.dim, ctx.metric.rows
+    out = {}
+    if len(word) == 1:
+        (mu,) = word
+        if code >= d * d:  # P_nu |> y^mu = -delta
+            if code - d * d == mu:
+                out[((), 0)] = Fraction(-1)
+        else:  # X_rs |> y^mu = y_r delta_s^mu - y_s delta_r^mu, y_r = g_rn y^n
+            r, s = divmod(code, d)
+            for low, sign in ((r, 1 if s == mu else 0), (s, -1 if r == mu else 0)):
+                for n in range(d):
+                    out[((n,), 0)] = out.get(((n,), 0), 0) + sign * g[low][n]
+    elif word:
+        head, tail = {(word[:1], 0): 1}, {(word[1:], 0): 1}
+        for ((m1, m2), k), c in ctx.coproduct(code).terms.items():
+            left = _ref_mono(ctx, m1, head, memo)
+            right = _ref_mono(ctx, m2, tail, memo)
+            _add(out, _ref_product(ctx, left, right, memo), c, k, ctx.algebra.order)
+    memo["gens"][key] = out = _clean(out)
+    return out
+
+
+def _ref_mono(ctx, mono: tuple, a: dict, memo: dict) -> dict:
+    """A PBW monomial acts as its generators do, right to left."""
+    for code in reversed(mono):
+        out = {}
+        for (w, j), c in a.items():
+            _add(out, _ref_gen_on_word(ctx, code, w, memo), c, j, ctx.algebra.order)
+        a = _clean(out)
+    return a
+
+
+def _ref_act(ctx, op: AlgebraElement, a: dict, memo: dict) -> dict:
+    out = {}
+    for (mono, k), c in op.terms.items():
+        _add(out, _ref_mono(ctx, mono, a, memo), c, k, ctx.algebra.order)
+    return _clean(out)
+
+
+def _random_coords(rng: random.Random, ctx, max_degree: int) -> dict:
+    out = {}
+    for _ in range(rng.randint(1, 3)):
+        degree = rng.randint(0, max_degree)
+        word = tuple(sorted(rng.randrange(ctx.algebra.dim) for _ in range(degree)))
+        out[(word, rng.randint(0, 1))] = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+    return out
+
+
+def _random_pbw(rng: random.Random, ctx) -> AlgebraElement:
+    codes = ctx.generator_codes()
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple(sorted(rng.choice(codes) for _ in range(rng.randint(1, 3))))
+        terms[(mono, rng.randint(0, 1))] = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+    return AlgebraElement(ctx.algebra, terms)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from((2, 3)),
+    null=st.booleans(),
+    order=st.sampled_from((2, 3)),
+)
+def test_action_matches_reference(seed, dim, null, order):
+    """act and act_on_product on random PBW elements and coordinate elements
+    over random metrics, null and non-null tau, against the reference."""
+    rng = random.Random(seed)
+    if null:
+        metric, tau = random_null_pair(rng, dim)
+    else:
+        metric = random_metric(rng, dim)
+        tau = random_tau(rng, metric)
+    ctx = DeformationContext(metric, tau, order)
+    memo = {"words": {}, "gens": {}}
+    for _ in range(3):
+        op = _random_pbw(rng, ctx)
+        a, b = _random_coords(rng, ctx, 2), _random_coords(rng, ctx, 2)
+        ya, yb = MinkowskiElement(ctx, a), MinkowskiElement(ctx, b)
+        ab = _ref_product(ctx, a, b, memo)
+        assert (ya * yb).terms == ab
+        assert act(ctx, op, ya).terms == _ref_act(ctx, op, a, memo)
+        assert act(ctx, op, ya * yb).terms == _ref_act(ctx, op, ab, memo)
+        assert act_on_product(ctx, op, ya, yb).terms == _ref_act(ctx, op, ab, memo)
+        word = tuple(rng.randrange(dim) for _ in range(3))
+        assert coordinate_monomial(ctx, word).terms == _ref_word(ctx, word, memo["words"])

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+from conftest import random_null_pair
 from kdeform import GaussRational, Metric, PoincareAlgebra, TensorElement, VectorTau
 from kdeform.bases import adapted_context
 from kdeform.errors import InvalidVectorError
 from kdeform.hopf import DeformationContext
 from kdeform.reports import VerificationReport
+from kdeform.tensors import tensor_commutator
 from kdeform.twist import build_twist, is_lightcone_adapted, verify_twist
 
 
@@ -110,6 +114,27 @@ class TestBuildTwist:
     def test_adapted_flag(self, eta4, lc_ctx):
         assert is_lightcone_adapted(lc_ctx)
         assert not is_lightcone_adapted(DeformationContext(eta4, [1, 0, 0, 1], 2))
+
+
+def _random_null_lc_ctx():
+    metric, tau = random_null_pair(random.Random(11), 3)
+    return adapted_context(metric, tau, 2)[1]
+
+
+class TestConjugationBridge:
+    """verify_twist conjugates by commutators, T y T^-1 = y + [T, y] T^-1;
+    here against the plain triple products, for every generator."""
+
+    @pytest.mark.parametrize("which", ["light-like-N3", "random-D3-null-N2"])
+    def test_commutator_route_is_the_product_route(self, lc_ctx, which):
+        ctx = lc_ctx if which == "light-like-N3" else _random_null_lc_ctx()
+        data = build_twist(ctx)
+        f, f_inv, r, r_inv = data.twist, data.twist_inv, data.r_quantum, data.r_quantum_inv
+        for code in ctx.generator_codes():
+            d0 = ctx._primitive_gen(code)
+            d_lc = f * d0 * f_inv
+            assert d0 + tensor_commutator(f, d0) * f_inv == d_lc, ctx.gen_name(code)
+            assert d_lc + tensor_commutator(r, d_lc) * r_inv == r * d_lc * r_inv, ctx.gen_name(code)
 
 
 class TestVerifyTwist:
