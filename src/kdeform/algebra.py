@@ -341,12 +341,12 @@ class PoincareAlgebra:
         This is the one product kernel: PBW elements and tensors of any leg
         count differ only in key_product(k1, k2), the (d, pairs) of the
         product of two keys (a numerator 1 takes a fast path: a third of all
-        key products are by 1).  The default rule is mono_product.  With the
-        commutator of two keys (mono_commutator, or the leg-wise rule of
-        tensors.tensor_commutator) the result is ta*tb - tb*ta, and the two
-        products that would cancel are never formed.  Powers of h above cap
-        (default: the order) are never formed.  The loop runs on ints, one
-        accumulator per rule denominator, combined at the end (see collect)."""
+        key products are by 1).  The default rule is mono_product.  With a
+        key commutator (mono_commutator, tensors._leg_commutator) the result
+        is ta*tb - tb*ta, and the two products that would cancel are never
+        formed; two-leg tensors group theirs in tensors.tensor_commutator.
+        Powers of h above cap (default: the order) are never formed.  The loop
+        runs on ints, one accumulator per rule denominator (see collect)."""
         N = self.order if cap is None else cap
         if key_product is None:
             key_product = self.mono_product

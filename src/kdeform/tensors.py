@@ -118,9 +118,9 @@ class TensorElement(TermElement):
                 return img.den, [((head + m + tail, j), c) for m, j, c in pairs]
             return img.den, [((head + (m,) + tail, j), c) for m, j, c in pairs]
 
-        num, den = self.algebra.extend(self.num, spliced, self.den)
-        legs = len(next(iter(num))[0]) if num else self.legs  # zero: the count is moot
-        return TensorElement(self.algebra, legs, num, den)
+        unit = image((), 0)  # the image of 1: leg i becomes as many legs as it has
+        legs = self.legs - 1 + (unit.legs if isinstance(unit, TensorElement) else 1)
+        return TensorElement(self.algebra, legs, *self.algebra.extend(self.num, spliced, self.den))
 
     def contract_counit(self, i: int):
         """Apply the counit to leg i (keep only unit monomials there)."""
@@ -179,12 +179,6 @@ def _leg_combos(leg_products) -> tuple:
     return den, combos
 
 
-def _sum_of(parts: list) -> tuple:
-    """One (d, pairs) for a sum of key-rule results (d, pairs), over the lcm."""
-    d = lcm(*(dp for dp, _ in parts))
-    return d, [(m, c * (d // dp)) for dp, pairs in parts for m, c in pairs]
-
-
 def _leg_product(alg: PoincareAlgebra, legs: int):
     """Key-product rule of legs-legged tensors: leg-wise PBW products.  Two
     legs, the common case, read the two mono_product tables directly."""
@@ -204,49 +198,80 @@ def _leg_product(alg: PoincareAlgebra, legs: int):
     return product
 
 
-def _leg_commutator(alg: PoincareAlgebra, legs: int):
-    """Key rule of the commutator of legs-legged tensors, by the leg-wise
-    Leibniz rule: [a (x) b, a' (x) b'] = [a, a'] (x) bb' + a'a (x) [b, b'].
-    For k legs, term i carries [a_i, b_i] on leg i, b_j a_j on the legs
-    before it and a_j b_j on the legs after it; a leg whose pair commutes
-    contributes nothing.  Two legs read the tables directly."""
+def _leg_commutator(alg: PoincareAlgebra):
+    """Key rule of the commutator of tensors, by the leg-wise Leibniz rule:
+    term i carries [a_i, b_i] on leg i, b_j a_j on the legs before it and
+    a_j b_j on the legs after it; a leg whose pair commutes contributes
+    nothing.  Two legs take tensor_commutator's grouped loop instead."""
     mono_product, mono_commutator = alg.mono_product, alg.mono_commutator
-    if legs != 2:
-
-        def commutator(k1, k2):
-            out = []
-            for i, (a, b) in enumerate(zip(k1, k2)):
-                comm = mono_commutator(a, b)
-                if comm[1]:
-                    before = map(mono_product, k2[:i], k1[:i])
-                    after = map(mono_product, k1[i + 1 :], k2[i + 1 :])
-                    out.append(_leg_combos((*before, comm, *after)))
-            return _sum_of(out)
-
-        return commutator
 
     def commutator(k1, k2):
-        (a1, b1), (a2, b2) = k1, k2
         out = []
-        dc, comm = mono_commutator(a1, a2)
-        if comm:
-            dp, pb = mono_product(b1, b2)
-            out.append((dc * dp, [((ma, mb), ca * cb) for ma, ca in comm for mb, cb in pb]))
-        dc, comm = mono_commutator(b1, b2)
-        if comm:
-            dp, pa = mono_product(a2, a1)
-            out.append((dp * dc, [((ma, mb), ca * cb) for ma, ca in pa for mb, cb in comm]))
-        return _sum_of(out)
+        for i, (a, b) in enumerate(zip(k1, k2)):
+            comm = mono_commutator(a, b)
+            if comm[1]:
+                before = map(mono_product, k2[:i], k1[:i])
+                after = map(mono_product, k1[i + 1 :], k2[i + 1 :])
+                out.append(_leg_combos((*before, comm, *after)))
+        d = lcm(*(dp for dp, _ in out))  # the terms' sum over the lcm
+        return d, [(m, c * (d // dp)) for dp, pairs in out for m, c in pairs]
 
     return commutator
 
 
+def _by_right_leg(num: dict) -> list:
+    """[(right leg, [(left leg, power of h, numerator)] by rising power)]."""
+    groups = {}
+    for ((a, b), k), c in sorted(num.items(), key=lambda t: t[0][1]):
+        groups.setdefault(b, []).append((a, k, c))
+    return list(groups.items())
+
+
+def _gather(accs: dict, d: int, pairs, k: int, c: int):
+    """accs[d][(m, k)] += c * cm for each (m, cm) of a key rule's pairs."""
+    acc = accs.setdefault(d, {})
+    for m, cm in pairs:
+        accumulate(acc, (m, k), c * cm)
+
+
 def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
     """a*b - b*a, from the commutators of keys: the two products that cancel
-    are never formed."""
+    are never formed.  Two legs group the terms by right leg and follow
+    [a (x) b, a' (x) b'] = [a, a'] (x) bb' + a'a (x) [b, b']: per pair of
+    groups, [b, b'] is read once (bb' only if some [a, a'] is nonzero) and
+    the left-leg sums are multiplied out once.  A pair of groups whose lowest
+    powers of h sum past the order makes no lookup."""
     a._check(b)
-    alg = a.algebra
-    return a._with(*alg.mul_terms(a.num, b.num, _leg_commutator(alg, a.legs), den=a.den * b.den))
+    alg, den = a.algebra, a.den * b.den
+    if a.legs != 2:
+        return a._with(*alg.mul_terms(a.num, b.num, _leg_commutator(alg), den=den))
+    N, mono_product, mono_commutator = alg.order, alg.mono_product, alg.mono_commutator
+    accs, right = {}, _by_right_leg(b.num)
+    for b1, terms1 in _by_right_leg(a.num):
+        for b2, terms2 in right:
+            if terms1[0][1] + terms2[0][1] > N:
+                continue
+            comm_b = mono_commutator(b1, b2)
+            comms, prods = {}, {}  # per denominator: {(left leg, power of h): numerator}
+            for a1, k1, c1 in terms1:
+                for a2, k2, c2 in terms2:
+                    if k1 + k2 > N:
+                        break
+                    d, pairs = mono_commutator(a1, a2)
+                    if pairs:
+                        _gather(comms, d, pairs, k1 + k2, c1 * c2)
+                    if comm_b[1]:
+                        _gather(prods, *mono_product(a2, a1), k1 + k2, c1 * c2)
+            parts = [(prods, comm_b)]
+            if comms:
+                parts.append((comms, mono_product(b1, b2)))
+            for lefts, (d_right, rights) in parts:
+                for d, acc in lefts.items():
+                    out = accs.setdefault(d * d_right, {})
+                    for (m, k), c in acc.items():
+                        for mb, cb in rights:
+                            accumulate(out, ((m, mb), k), c * cb)
+    return a._with(*collect(accs, den))
 
 
 def tensor_invert(t: TensorElement) -> TensorElement:

@@ -130,6 +130,77 @@ class TestSharedKernel:
         assert (a * b).star() == b.star() * a.star()
 
 
+def _grouped_tensor(rng, alg, rights, terms=12):
+    """A 2-leg tensor of many terms over the few right legs given: PBW words of
+    up to two generators on the left, powers of h from 0 to the order (so many
+    pairs of terms sum past it) and rational coefficients."""
+    codes = alg.generator_codes()
+    num = {}
+    for _ in range(terms):
+        left = tuple(sorted(rng.choices(codes, k=rng.randint(0, 2))))
+        key = ((left, rng.choice(rights)), rng.randint(0, alg.order))
+        num[key] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    return TensorElement(alg, 2, num)
+
+
+class TestTwoLegCommutator:
+    """tensor_commutator on two legs groups the terms by right leg; it must
+    agree with the two products it never forms."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)), shifted=st.booleans()
+    )
+    def test_matches_products(self, seed, dim, shifted):
+        rng = random.Random(seed)
+        mom0 = dim * dim
+        # [P_0, P_1] += M_01 turns the momentum shortcuts off
+        shift = {(mom0, mom0 + 1): {1: 1}} if shifted else None
+        alg = PoincareAlgebra(random_metric(rng, dim), rng.choice((2, 3)), shift=shift)
+        rotations = [c for c in alg.generator_codes() if c < mom0]
+        shared = (rng.choice(rotations),)
+        rights = [shared, (rotations[-1],), (), (mom0,), (mom0 + 1,), (1, mom0)]
+        s = _grouped_tensor(rng, alg, [shared])
+        t = _grouped_tensor(rng, alg, rights)
+        u = _grouped_tensor(rng, alg, rights, terms=4) * Fraction(2, 7)
+        for x, y in ((s, t), (t, s), (t, u), (s, s)):
+            assert tensor_commutator(x, y) == x * y - y * x
+
+    def test_kleinian_coproducts(self, kleinian):
+        ctx = DeformationContext(kleinian, (1, 1, 1, 1), 3)
+        codes = ctx.generator_codes()
+        for i, x in enumerate(codes):
+            for y in codes[i + 1 :]:
+                dx, dy = ctx.coproduct(x), ctx.coproduct(y)
+                assert tensor_commutator(dx, dy) == dx * dy - dy * dx, (x, y)
+
+    def test_no_lookup_that_no_pair_of_terms_needs(self, eta3):
+        alg = PoincareAlgebra(eta3, 2)
+        x01, x02, x12 = alg.X(0, 1), alg.X(0, 2), alg.X(1, 2)
+        # every pair of terms sums past h^2
+        s = TensorElement.of(x01, x02).times_h(2) + TensorElement.of(x12, x01).times_h(2)
+        t = TensorElement.of(x02, x12).times_h(1) + TensorElement.of(x12, x02).times_h(1)
+        # both legs commute by structure, so the product of the right legs,
+        # an unsorted word, is never needed
+        w = TensorElement.of(x01, x01 * x12)
+        before = len(alg._no_cache), len(alg._comm_cache)
+        for x, y in ((s, t), (t, s), (w, w)):
+            assert tensor_commutator(x, y).is_zero
+        assert (len(alg._no_cache), len(alg._comm_cache)) == before
+
+
+class TestMapLeg:
+    def test_zero_takes_the_leg_count_of_the_map(self, eta3):
+        # a zero mapped by the coproduct has three legs, like any other image
+        ctx = DeformationContext(eta3, (1, 0, 0), 2)
+        alg = ctx.algebra
+        zero = TensorElement(alg, 2, {}).map_leg(0, ctx.mono_coproduct)
+        assert zero.legs == 3
+        t3 = TensorElement.of(alg.P(0), alg.P(1), alg.X(0, 1))
+        assert zero - t3 == -t3
+        assert TensorElement(alg, 3, {}).map_leg(1, ctx.mono_antipode).legs == 3
+
+
 class TestEmbed:
     def test_placements(self, eta4):
         alg = PoincareAlgebra(eta4, 2)
