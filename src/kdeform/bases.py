@@ -86,13 +86,21 @@ class BasisChange:
         return AlgebraElement(target, num, den)
 
     def push_tensor(self, t: TensorElement, target: PoincareAlgebra) -> TensorElement:
-        """(push (x) ... (x) push)(t): push applied to every leg."""
+        """(push (x) ... (x) push)(t): push applied to every leg.  The terms
+        are grouped by their right legs: per group, the sum of the left legs
+        is pushed once, each right leg once (only to the power of h that the
+        group's lowest term leaves), and the images multiply out as one
+        tensor product."""
         images = self._monomials(target)
-
-        def legwise(key, budget):
-            return TensorElement.of(*(images.image(m, budget) for m in key)).as_image()
-
-        return TensorElement(target, t.legs, *target.extend(t.num, legwise, t.den))
+        groups = {}
+        for (key, k), c in t.num.items():
+            groups.setdefault(key[1:], {})[key[0], k] = c
+        out = TensorElement(target, t.legs, {})
+        for rights, lefts in groups.items():
+            cap = target.order - min(k for _, k in lefts)
+            left = AlgebraElement(target, *target.extend(lefts, images.pairs, t.den))
+            out = out + TensorElement.of(left, *(images.image(m, cap) for m in rights))
+        return out
 
     def _monomials(self, target: PoincareAlgebra) -> MonomialMap:
         """The images of PBW monomials, memoised per target context.  The map

@@ -42,6 +42,7 @@ from __future__ import annotations
 import time
 import weakref
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     AlgebraElement,
@@ -49,11 +50,13 @@ from .algebra import (
     MonomialMap,
     PoincareAlgebra,
     VectorTau,
+    accumulate,
+    collect,
     series_invert,
 )
 from .errors import InternalConsistencyError
 from .reports import VerificationReport
-from .scalars import I_POWERS, binom_half, times_i
+from .scalars import I_POWERS, binom_half, split, times_i
 from .tensors import TensorElement, r_matrix, tensor_commutator
 from .render import gen_text
 
@@ -108,9 +111,6 @@ class DeformationContext:
         # kappa-Minkowski: normal forms and (monomial, word) action images, as tuples
         self._mink_no_cache = {}
         self._act_cache = {}
-        # shared tails of the coproduct formulas, independent of the free index
-        self._pap = None
-        self._cp = None
 
     # -- deformation series -------------------------------------------------
 
@@ -143,15 +143,21 @@ class DeformationContext:
 
     # -- structure maps on generators ------------------------------------------
 
-    def _shared_tails(self):
-        if self._pap is None:
-            alg = self.algebra
-            pap = TensorElement(alg, 2, {})
-            for a in range(alg.dim):
-                pap = pap + TensorElement.of(self._p_raised[a] * self.pi_inv, alg.P(a))
-            self._pap = pap
-            self._cp = TensorElement.of(self.c_tau * self.pi_inv, self.p_tau)
-        return self._pap, self._cp
+    @cached_property
+    def _shared_lefts(self) -> list:
+        """W_a = h U_a + h^2/2 tau^a V for U_a = P^a Pi^-1 and V = C_tau Pi^-1,
+        each formed once: the left legs of every coproduct's O(h) part."""
+        v = self.c_tau * self.pi_inv
+        return [
+            (p * self.pi_inv).times_h(1) + v.times_h(2, _HALF * t)
+            for p, t in zip(self._p_raised, self.tau.components)
+        ]
+
+    @cached_property
+    def _antipode_tail(self) -> AlgebraElement:
+        """(C + h/2 P_tau C_tau) Pi^-1, shared by every S(P_mu)."""
+        extra = self.casimir + (self.p_tau * self.c_tau).times_h(1, _HALF)
+        return extra * self.pi_inv
 
     def coproduct(self, code: int) -> TensorElement:
         """The deformed coproduct of a basis generator."""
@@ -164,32 +170,33 @@ class DeformationContext:
         return t
 
     def _coproduct_uncached(self, code: int) -> TensorElement:
+        """The module docstring's formulas with P_tau = tau^a P_a and
+        X_{tau l} = tau^a X_{a l}: g (x) Pi for g = P_mu, g (x) 1 for g = X_mn,
+        plus 1 (x) g, plus sum_a W_a (x) w_a, where w_a is -tau_mu P_a or
+        tau_n X_{a mu} - tau_mu X_{a nu}.  Every term is a key rewrite."""
         alg = self.algebra
         kind, idx = alg.decode(code)
-        gen = self.gen_element(code)
-        out = TensorElement.of(gen, self.pi if kind == "P" else alg.one())
-        out = out + TensorElement.of(alg.one(), gen)
         cov = self.tau.covariant
+        right = self.pi if kind == "P" else alg.one()
+        accs = {right.den: {(((code,), m), k): c for (m, k), c in right.num.items()}}
+        accumulate(accs.setdefault(1, {}), (((), (code,)), 0), 1)
         if kind == "P":
-            mu = idx
-            if cov[mu]:
-                pap, cp = self._shared_tails()
-                out = out - pap.times_h(1, cov[mu])
-                out = out - cp.times_h(2, _HALF * cov[mu])
+            legs = [(a, -cov[idx], alg.momentum_code(a), 1) for a in range(alg.dim)]
         else:
             mu, nu = idx
-            if cov[mu] or cov[nu]:
-                pap, cp = self._shared_tails()
-                second = TensorElement(alg, 2, {})
-                for a in range(alg.dim):
-                    w = alg.X(a, mu) * cov[nu] - alg.X(a, nu) * cov[mu]
-                    if w:
-                        second = second + TensorElement.of(self._p_raised[a] * self.pi_inv, w)
-                out = out + second.times_h(1)
-                w2 = self.x_tau[nu] * cov[mu] - self.x_tau[mu] * cov[nu]
-                if w2:
-                    out = out - TensorElement.of(self.c_tau * self.pi_inv, w2).times_h(2, _HALF)
-        return out
+            legs = [
+                (a, f, *alg.rotation_code(a, lam))
+                for a in range(alg.dim)
+                for lam, f in ((mu, cov[nu]), (nu, -cov[mu]))
+            ]
+        for a, f, g, sign in legs:
+            if f and sign:
+                n, d = split(f * sign)
+                w = self._shared_lefts[a]
+                acc = accs.setdefault(w.den * d, {})
+                for (m, k), c in w.num.items():
+                    accumulate(acc, ((m, (g,)), k), c * n)
+        return TensorElement(alg, 2, *collect(accs))
 
     def antipode(self, code: int) -> AlgebraElement:
         a = self._antipodes.get(code)
@@ -204,12 +211,8 @@ class DeformationContext:
         cov = self.tau.covariant
         gen = self.gen_element(code)
         if kind == "P":
-            mu = idx
-            inner = gen
-            if cov[mu]:
-                extra = self.casimir + (self.p_tau * self.c_tau).times_h(1, _HALF)
-                inner = inner + extra.times_h(1, cov[mu])
-            return -(inner * self.pi_inv)
+            out = -(gen * self.pi_inv)
+            return out - self._antipode_tail.times_h(1, cov[idx]) if cov[idx] else out
         mu, nu = idx
         out = -gen
         for a in range(alg.dim):

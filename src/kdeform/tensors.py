@@ -63,14 +63,15 @@ class TensorElement(TermElement):
 
     @classmethod
     def of(cls, *factors: AlgebraElement) -> "TensorElement":
-        """The tensor product a1 (x) a2 (x) ... of algebra elements."""
+        """The tensor product a1 (x) a2 (x) ... of algebra elements: keys
+        concatenate and powers of h add, those past the order dropped."""
         alg = factors[0].algebra
         num, den = {((), 0): 1}, 1
         for f in factors:
             if not alg.compatible(f.algebra):
                 raise ContextMismatchError("tensor factors from incompatible contexts")
-            num, den = alg.mul_terms(num, f.num, _append_leg, den=den * f.den)
-        return cls(alg, len(factors), num, den)
+            num, den = _outer(num, f.num, alg.order), den * f.den
+        return cls(alg, len(factors), *collect({1: num}, den))
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
@@ -165,9 +166,20 @@ class TensorElement(TermElement):
         return tensor_text(self)
 
 
-def _append_leg(key: tuple, mono: tuple):
-    """Key-product rule of the tensor product: the monomial becomes a new leg."""
-    return 1, ((key + (mono,), 1),)
+def _outer(num: dict, leg: dict, N: int) -> dict:
+    """The numerators of num (x) leg, powers past N dropped: each key gains
+    the leg's monomial.  Two splits of one power of h can meet on a key, so
+    the products accumulate (and may cancel; collect drops the zeros)."""
+    acc = {}
+    terms = [(m, j, c) for (m, j), c in leg.items()]
+    for (key, k), c1 in num.items():
+        budget = N - k
+        for m, j, c2 in terms:
+            if j <= budget:
+                t = (key + (m,), k + j)
+                cur = acc.get(t)
+                acc[t] = c1 * c2 if cur is None else cur + c1 * c2
+    return acc
 
 
 def _leg_combos(leg_products) -> tuple:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kdeform import Metric, VectorTau
+from kdeform import Metric, TensorElement, VectorTau
 
 
 @pytest.fixture(scope="session")
@@ -81,3 +81,20 @@ def random_null_pair(rng: random.Random, dim: int):
         except Exception:
             continue
         return metric, VectorTau(metric, comps)
+
+
+def brute_outer(*factors) -> TensorElement:
+    """a1 (x) a2 (x) ... term by term on the coefficient views, the powers of
+    h past the order dropped: a reference that shares no code with
+    TensorElement.of."""
+    alg = factors[0].algebra
+    out = {((), 0): 1}
+    for f in factors:
+        nxt = {}
+        for (key, k), c in out.items():
+            for (m, j), cf in f.terms.items():
+                if k + j <= alg.order:
+                    t = (key + (m,), k + j)
+                    nxt[t] = c * cf if t not in nxt else nxt[t] + c * cf
+        out = nxt
+    return TensorElement(alg, len(factors), out)

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_metric, random_null_pair, random_tau
-from kdeform import AlgebraElement, GaussRational, Metric, PoincareAlgebra, VectorTau
+from conftest import brute_outer, random_metric, random_null_pair, random_tau
+from kdeform import (
+    AlgebraElement,
+    GaussRational,
+    Metric,
+    PoincareAlgebra,
+    TensorElement,
+    VectorTau,
+    r_matrix,
+)
 from kdeform.bases import (
     BasisChange,
     adapted_context,
@@ -18,7 +26,7 @@ from kdeform.bases import (
 )
 from kdeform.errors import BasisError, InvalidVectorError
 from kdeform.hopf import DeformationContext
-from kdeform.algebra import series_exp
+from kdeform.algebra import MonomialMap, series_exp
 from kdeform.reports import VerificationReport
 from kdeform.twist import build_twist, verify_twist
 
@@ -117,6 +125,62 @@ class TestPushforward:
         dst = PoincareAlgebra(ch.new_metric, 2)
         rep = pushforward_consistency_report(ch, src, dst)
         assert rep.all_passed
+
+
+class _RecordingMap(MonomialMap):
+    """A MonomialMap that records every (monomial, cap) it is asked for."""
+
+    def __init__(self, change: BasisChange, target: PoincareAlgebra):
+        super().__init__(target.one(), lambda code: change.generator_image(code, target))
+        self.asked = set()
+
+    def image(self, mono, cap):
+        self.asked.add((mono, cap))
+        return super().image(mono, cap)
+
+
+def _legwise_push(images: MonomialMap, t: TensorElement, target: PoincareAlgebra):
+    """(push (x) ... (x) push)(t) one term at a time: every leg's image to the
+    term's budget, multiplied out on coefficients."""
+    out = TensorElement(target, t.legs, {})
+    for (key, k), c in t.terms.items():
+        legs = (images.image(m, target.order - k) for m in key)
+        out = out + brute_outer(*legs).times_h(k, c)
+    return out
+
+
+class TestPushTensor:
+    """push_tensor pushes each group's left-leg sum once and each right leg
+    once: it must agree with the push term by term, and ask for no monomial
+    image at a cap that no term's budget asks for."""
+
+    @staticmethod
+    def _check(change, t, target, monkeypatch):
+        grouped, reference = _RecordingMap(change, target), _RecordingMap(change, target)
+        monkeypatch.setattr(change, "_monomials", lambda _: grouped)
+        got, want = change.push_tensor(t, target), _legwise_push(reference, t, target)
+        assert (got.legs, got.num, got.den) == (want.legs, want.num, want.den)
+        assert grouped.asked <= reference.asked
+
+    @pytest.mark.parametrize("tau", ([2, 1, 0, 0], [1, 0, 0, 1]))
+    def test_coproducts(self, eta4, tau, monkeypatch):
+        # an orthogonal and a light-cone change; N=3 puts terms at h^N
+        ctx = DeformationContext(eta4, tau, 3)
+        change, adapted = adapted_context(eta4, ctx.tau, 3)
+        for code in ctx.generator_codes():
+            self._check(change, ctx.coproduct(code), adapted.algebra, monkeypatch)
+
+    def test_three_legs(self, nondiag_lorentzian, monkeypatch):
+        ctx = DeformationContext(nondiag_lorentzian, [1, 0, 0, 2], 2)
+        alg = ctx.algebra
+        change, adapted = adapted_context(nondiag_lorentzian, ctx.tau, 2)
+        p0, p1, x01 = alg.P(0), alg.P(1), alg.X(0, 1)
+        t = (
+            r_matrix(alg, ctx.tau).embed("13")
+            + ctx.coproduct(alg.momentum_code(3)).embed("12").times_h(1)
+            + TensorElement.of(p0 * x01, p1, x01).times_h(2, Fraction(3, 4))
+        )
+        self._check(change, t, adapted.algebra, monkeypatch)
 
 
 class TestMRGenerators:

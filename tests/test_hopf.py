@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_metric, random_null_pair, random_tau
+from conftest import brute_outer, random_metric, random_null_pair, random_tau
 from kdeform import GaussRational, Metric, TensorElement
 from kdeform.bases import adapted_context, mr_generators, verify_mr
 from kdeform.cli import EXAMPLES
@@ -427,3 +427,98 @@ class TestFlatTerms:
         level = DeformationContext(eta3, [1, 0, 0], 2, shift={m01: {(((), ()), 0): 1}})
         faults = _structure_faults(level)
         assert faults and all(f.startswith("coproduct M_01: coefficient") for f in faults)
+
+
+# -- the tables against the module formulas, term by term --------------------------
+
+
+def reference_coproduct(ctx: DeformationContext, code: int) -> TensorElement:
+    """D(code) from the module docstring's formulas one term at a time, every
+    tensor product taken on coefficients (brute_outer)."""
+    alg, one, half = ctx.algebra, ctx.algebra.one(), Fraction(1, 2)
+    kind, idx = alg.decode(code)
+    cov, gen = ctx.tau.covariant, ctx.gen_element(code)
+    raised = [alg.momentum_raised(a) * ctx.pi_inv for a in range(alg.dim)]
+    cp = ctx.c_tau * ctx.pi_inv
+    out = brute_outer(gen, ctx.pi if kind == "P" else one) + brute_outer(one, gen)
+    if kind == "P":
+        for a in range(alg.dim):
+            out = out - brute_outer(raised[a], alg.P(a)).times_h(1, cov[idx])
+        return out - brute_outer(cp, ctx.p_tau).times_h(2, half * cov[idx])
+    mu, nu = idx
+    for a in range(alg.dim):
+        w = alg.X(a, mu) * cov[nu] - alg.X(a, nu) * cov[mu]
+        out = out + brute_outer(raised[a], w).times_h(1)
+    w2 = ctx.x_tau[nu] * cov[mu] - ctx.x_tau[mu] * cov[nu]
+    return out - brute_outer(cp, w2).times_h(2, half)
+
+
+def reference_antipode(ctx: DeformationContext, code: int):
+    """S(code) from the module docstring's formulas one term at a time."""
+    alg, half = ctx.algebra, Fraction(1, 2)
+    kind, idx = alg.decode(code)
+    cov, gen = ctx.tau.covariant, ctx.gen_element(code)
+    if kind == "P":
+        extra = ctx.casimir + (ctx.p_tau * ctx.c_tau).times_h(1, half)
+        return -((gen + extra.times_h(1, cov[idx])) * ctx.pi_inv)
+    mu, nu = idx
+    out = -gen
+    for a in range(alg.dim):
+        w = alg.X(a, mu) * cov[nu] - alg.X(a, nu) * cov[mu]
+        out = out + (alg.momentum_raised(a) * w).times_h(1)
+    w2 = ctx.x_tau[mu] * cov[nu] - ctx.x_tau[nu] * cov[mu]
+    return out + (ctx.c_tau * w2).times_h(2, half)
+
+
+def _table_mismatches(ctx: DeformationContext, shifted=None) -> list:
+    """The generators whose coproduct or antipode is not stored exactly as the
+    reference's numerators over its denominator.  shifted: {code: tensor}
+    added to the reference coproduct, as the context's shift= adds it."""
+    bad = []
+    for code in ctx.generator_codes():
+        want, got = reference_coproduct(ctx, code), ctx.coproduct(code)
+        if shifted and code in shifted:
+            want = want + shifted[code]
+        if (got.num, got.den) != (want.num, want.den):
+            bad.append(f"coproduct {ctx.gen_name(code)}")
+        want, got = reference_antipode(ctx, code), ctx.antipode(code)
+        if (got.num, got.den) != (want.num, want.den):
+            bad.append(f"antipode {ctx.gen_name(code)}")
+    return bad
+
+
+class TestTablesAgainstFormulas:
+    """The coproduct and antipode tables, assembled from the shared left
+    factors W_a by key rewrites, are the paper's formulas exactly."""
+
+    @pytest.mark.parametrize("order", (2, 3, 4))
+    @pytest.mark.parametrize("example", sorted(EXAMPLES))
+    def test_builtin_examples(self, example, order):
+        cfg = config_from_json({k: v for k, v in EXAMPLES[example].items() if k != "description"})
+        assert _table_mismatches(DeformationContext(cfg.metric, cfg.tau, order)) == []
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)), null=st.booleans())
+    def test_random_metric_and_tau(self, seed, dim, null):
+        rng = random.Random(seed)
+        if null:
+            metric, tau = random_null_pair(rng, dim)
+        else:
+            metric = random_metric(rng, dim)
+            tau = random_tau(rng, metric)
+        ctx = DeformationContext(metric, tau, rng.choice((2, 3)))
+        assert _table_mismatches(ctx) == []
+
+    @pytest.mark.parametrize("tau", ((0, 2, 0, -1), (0, 0, 0, 0), (3, 0, 0, 0)))
+    def test_zero_components(self, nondiag_lorentzian, tau):
+        assert _table_mismatches(DeformationContext(nondiag_lorentzian, tau, 3)) == []
+
+    def test_shift_is_added_after_assembly(self, eta3):
+        probe = DeformationContext(eta3, [1, 0, 1], 3)
+        p1, m01 = probe.algebra.momentum_code(1), probe.algebra.rotation_code(0, 1)[0]
+        bump = {(((), ()), 1): 1}
+        ctx = DeformationContext(eta3, [1, 0, 1], 3, shift={p1: bump, m01: bump})
+        # stated in M: D(X_01) = -i D(M_01) carries -i times the bump
+        t = TensorElement(ctx.algebra, 2, bump)
+        assert _table_mismatches(ctx, {p1: t, m01: t * -I}) == []
+        assert _table_mismatches(ctx) == ["coproduct M_01", "coproduct P_1"]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdeform import (
+    AlgebraElement,
     GaussRational,
     Metric,
     PoincareAlgebra,
@@ -26,7 +27,7 @@ from kdeform.minkowski import coordinate_monomial
 from kdeform.render import wedge_series
 from kdeform.tensors import tensor_commutator
 
-from conftest import random_metric, random_tau
+from conftest import brute_outer, random_metric, random_tau
 
 I = GaussRational(0, 1)
 
@@ -61,6 +62,61 @@ class TestTensorProduct:
         a = TensorElement.of(alg.M(0, 1), alg.P(0))
         b = TensorElement.of(alg.P(0), alg.P(1) + alg.M(1, 2) * I)
         assert tensor_commutator(a, b) == a * b - b * a
+
+
+def _random_factor(rng, alg, terms=5):
+    """A PBW element of up to two generators per word at every power of h
+    from 0 to the order, with coefficients over mixed denominators."""
+    codes = alg.generator_codes()
+    num = {}
+    for _ in range(terms):
+        word = tuple(sorted(rng.choices(codes, k=rng.randint(0, 2))))
+        c = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+        num[word, rng.randint(0, alg.order)] = c
+    return AlgebraElement(alg, num)
+
+
+class TestOuterProduct:
+    """TensorElement.of concatenates keys and adds powers of h; it must agree
+    with the term-by-term product on coefficients."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), legs=st.sampled_from((1, 2, 3)))
+    def test_matches_brute_force(self, seed, legs):
+        rng = random.Random(seed)
+        alg = PoincareAlgebra(random_metric(rng, rng.choice((2, 3))), rng.choice((2, 3)))
+        factors = [_random_factor(rng, alg) for _ in range(legs)]
+        got, want = TensorElement.of(*factors), brute_outer(*factors)
+        assert (got.legs, got.num, got.den) == (want.legs, want.num, want.den)
+
+    def test_terms_at_the_order_and_past_it(self, eta3):
+        alg = PoincareAlgebra(eta3, 2)
+        x, y = alg.P(0).times_h(2), alg.X(0, 1) + alg.P(1).times_h(1)
+        # h^2 P_0 (x) X_01 stays, h^3 P_0 (x) P_1 is past the order
+        t = TensorElement.of(x, y)
+        assert t == brute_outer(x, y)
+        assert [k for _, k in t.num] == [2]
+        assert TensorElement.of(x, y, x).is_zero
+
+    def test_colliding_splits_cancel(self, eta3):
+        alg = PoincareAlgebra(eta3, 2)
+        x, y = alg.P(0), alg.X(0, 1)
+        # x (1 + h) (x) y (1 - h) = x (x) y (1 - h^2): the two h^1 splits cancel
+        t = TensorElement.of(x + x.times_h(1), y - y.times_h(1))
+        assert t == brute_outer(x, y) - brute_outer(x, y).times_h(2)
+        assert sorted(k for _, k in t.num) == [0, 2]
+
+    def test_lowest_terms(self, eta3):
+        alg = PoincareAlgebra(eta3, 2)
+        t = TensorElement.of(alg.P(0) * Fraction(1, 2), alg.P(1) * 2)
+        assert (t.num, t.den) == ({(((alg.momentum_code(0),), (alg.momentum_code(1),)), 0): 1}, 1)
+
+    def test_foreign_factor_rejected(self, eta3, eta2):
+        alg, other = PoincareAlgebra(eta3, 2), PoincareAlgebra(eta2, 2)
+        with pytest.raises(ContextMismatchError):
+            TensorElement.of(alg.P(0), other.P(0))
+        with pytest.raises(ContextMismatchError):
+            TensorElement.of(alg.P(0), PoincareAlgebra(eta3, 3).P(0))
 
 
 def _random_element(rng, ctx, min_h=0):
