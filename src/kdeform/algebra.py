@@ -20,13 +20,15 @@ Generators are encoded as small integers so that monomials are plain int
 tuples: a rotation X_{mu nu} (mu < nu) gets code mu*D + nu, a momentum P_mu
 gets code D*D + mu.  The PBW order "rotations lexicographically, then momenta
 by index" is then just increasing code order, and a monomial is in normal form
-iff its code tuple is nondecreasing.  Products are reduced by rewriting the
-leftmost out-of-order adjacent pair via x y = y x + [x, y]; each step lowers a
-(degree, inversions) measure, so rewriting terminates.
+iff its code tuple is nondecreasing.  A word is reduced at its first inversion:
+the out-of-order letter moves left across the whole run of larger letters
+before it via x y = y x + [x, y], which leaves one word with fewer inversions
+plus words of lower degree, so rewriting terminates.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -140,7 +142,6 @@ class PoincareAlgebra:
         self._brackets = {}
         self._no_cache = {}
         self._comm_cache = {}
-        self._key = (metric._key, order)
         # [M_a, M_b] = i^(#a + #b) [X_a, X_b], and a term v M_c is v i^#c X_c
         self._shift = {}
         for (a, b), row in (shift or {}).items():
@@ -149,6 +150,8 @@ class PoincareAlgebra:
                 for c, v in row.items():
                     n = self.i_count((c,)) - self.i_count((a, b))
                     accumulate(out, c, times_i(exact(v) * sign, n))
+        table = sorted((p, c, v) for p, row in self._shift.items() for c, v in row.items() if v)
+        self._key = (metric._key, order, tuple(table))  # tables that differ do not mix
         # pure-momentum words commute unless a shift names a pair of momenta
         mom0 = self._mom0
         self._momenta_commute = not any(a >= mom0 and b >= mom0 for a, b in self._shift)
@@ -289,7 +292,10 @@ class PoincareAlgebra:
         A pair that commutes by structure (an empty word, a word with itself,
         or two words of momenta) is answered without a lookup and never
         stored.  The other pairs are cached in one orientation, m1 < m2; the
-        reversed pair returns the same pairs under -d."""
+        reversed pair returns the same pairs under -d.  A miss forms neither
+        product: [a, b] = sum_ij NO(b[:j] a[:i] [a_i, b_j] a[i+1:] b[j+1:]) by
+        the Leibniz rule, which needs the unique normal forms of a Lie table
+        (the diamond lemma); a shifted table, which can break Jacobi, takes NO(ab) - NO(ba)."""
         if not m1 or not m2 or m1 == m2:
             return _EMPTY
         mom0 = self._mom0
@@ -300,34 +306,49 @@ class PoincareAlgebra:
         out = self._comm_cache.get(key)
         if out is None:
             a, b = key
-            (d1, p1), (d2, p2) = self.mono_product(a, b), self.mono_product(b, a)
-            num, d = collect({d1: dict(p1), -d2: dict(p2)})
-            out = self._comm_cache[key] = (d, tuple(num.items()))
+            if self._shift:
+                (d1, p1), (d2, p2) = self.mono_product(a, b), self.mono_product(b, a)
+                accs, splices = {d1: dict(p1), -d2: dict(p2)}, ()
+            else:
+                accs, splices = {}, ((b[:j] + a[:i], br, a[i + 1:] + b[j + 1:])
+                                     for i, x in enumerate(a) for j, y in enumerate(b)
+                                     if (br := self._bracket(x, y))[1])
+            out = self._comm_cache[key] = self._splice(accs, splices)
         return (-out[0], out[1]) if rev else out
 
     def normal_order(self, word: tuple) -> tuple:
-        """The normal form of a generator word, as (d, pairs)."""
+        """The normal form of a generator word, as (d, pairs), cached per word."""
         out = self._no_cache.get(word)
         if out is None:
             out = self._no_cache[word] = self._normal_order_uncached(word)
         return out
 
     def _normal_order_uncached(self, word: tuple) -> tuple:
+        """head run g tail = head g run tail + sum_j head run[:j] [run_j, g]
+        run[j+1:] tail at the first inversion: the words of one adjacent swap
+        at a time, less those with g part of the way across the run."""
         for i in range(len(word) - 1):
             if word[i] > word[i + 1]:
                 break
         else:
             return 1, ((word, _ONE),)
-        a, b = word[i], word[i + 1]
-        head, tail = word[:i], word[i + 2:]
-        d, swapped = self.normal_order(head + (b, a) + tail)
-        accs = {d: dict(swapped)}
-        db, rule = self._bracket(a, b)
-        for gen, cb in rule.items():
-            d, pairs = self.normal_order(head + (gen,) + tail)
-            acc = accs.setdefault(db * d, {})
-            for m, c in pairs:
-                accumulate(acc, m, c * cb)
+        g = word[i + 1]
+        lo = bisect_right(word, g, 0, i + 1)
+        head, run, tail = word[:lo], word[lo:i + 1], word[i + 2:]
+        d, moved = self.normal_order(head + (g,) + run + tail)
+        return self._splice({d: dict(moved)}, (
+            (head + run[:j], br, run[j + 1:] + tail)
+            for j, x in enumerate(run) if (br := self._bracket(x, g))[1]
+        ))
+
+    def _splice(self, accs: dict, splices) -> tuple:
+        """accs (see collect) plus NO(left [x, y] right) over the splices, as (d, pairs)."""
+        for left, (db, rule), right in splices:
+            for gen, cb in rule.items():
+                d, pairs = self.normal_order(left + (gen,) + right)
+                acc = accs.setdefault(db * d, {})
+                for m, c in pairs:
+                    accumulate(acc, m, c * cb)
         num, d = collect(accs)
         return d, tuple(num.items())
 

@@ -159,6 +159,17 @@ class DeformationContext:
         extra = self.casimir + (self.p_tau * self.c_tau).times_h(1, _HALF)
         return extra * self.pi_inv
 
+    @cached_property
+    def _rotation_tails(self) -> list:
+        """Y_l + Z_l for Y_l = h P^a X_{a l} and Z_l = h^2/2 C_tau X_{tau l},
+        each formed once: S(X_mn) = -X_mn + tau_n (Y_m + Z_m) - tau_m (Y_n + Z_n)."""
+        alg = self.algebra
+        return [
+            sum((p * alg.X(a, lam) for a, p in enumerate(self._p_raised)), alg.zero()).times_h(1)
+            + (self.c_tau * x).times_h(2, _HALF)
+            for lam, x in enumerate(self.x_tau)
+        ]
+
     def coproduct(self, code: int) -> TensorElement:
         """The deformed coproduct of a basis generator."""
         t = self._coproducts.get(code)
@@ -214,15 +225,7 @@ class DeformationContext:
             out = -(gen * self.pi_inv)
             return out - self._antipode_tail.times_h(1, cov[idx]) if cov[idx] else out
         mu, nu = idx
-        out = -gen
-        for a in range(alg.dim):
-            w = alg.X(a, mu) * cov[nu] - alg.X(a, nu) * cov[mu]
-            if w:
-                out = out + (self._p_raised[a] * w).times_h(1)
-        w2 = self.x_tau[mu] * cov[nu] - self.x_tau[nu] * cov[mu]
-        if w2:
-            out = out + (self.c_tau * w2).times_h(2, _HALF)
-        return out
+        return self._rotation_tails[mu] * cov[nu] - self._rotation_tails[nu] * cov[mu] - gen
 
     # -- multiplicative extensions -----------------------------------------------
 
@@ -427,7 +430,7 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
 
     if "rescaling-invariance" in selected:
         for s in (Fraction(2), Fraction(-3)):
-            scaled = DeformationContext(ctx.metric, ctx.tau.scaled(s), ctx.order)
+            scaled = DeformationContext(ctx.metric, ctx.tau.scaled(s), ctx.order, algebra=alg)
             for x in codes:
                 rep.record(
                     "rescaling-invariance",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kdeform import Metric, TensorElement, VectorTau
+from kdeform.algebra import accumulate, collect
 
 
 @pytest.fixture(scope="session")
@@ -98,3 +99,34 @@ def brute_outer(*factors) -> TensorElement:
                     nxt[t] = c * cf if t not in nxt else nxt[t] + c * cf
         out = nxt
     return TensorElement(alg, len(factors), out)
+
+
+def adjacent_swap_normal_order(alg, word: tuple, cache: dict) -> tuple:
+    """The normal form of a generator word, as (d, pairs), by rewriting the
+    leftmost out-of-order adjacent pair via x y = y x + [x, y], one swap at a
+    time, every intermediate word memoised in cache: a reference that shares
+    only the bracket table and collect with PoincareAlgebra.normal_order."""
+    out = cache.get(word)
+    if out is None:
+        out = cache[word] = _adjacent_swap(alg, word, cache)
+    return out
+
+
+def _adjacent_swap(alg, word: tuple, cache: dict) -> tuple:
+    for i in range(len(word) - 1):
+        if word[i] > word[i + 1]:
+            break
+    else:
+        return 1, ((word, 1),)
+    a, b = word[i], word[i + 1]
+    head, tail = word[:i], word[i + 2:]
+    d, swapped = adjacent_swap_normal_order(alg, head + (b, a) + tail, cache)
+    accs = {d: dict(swapped)}
+    db, rule = alg._bracket(a, b)
+    for gen, cb in rule.items():
+        d, pairs = adjacent_swap_normal_order(alg, head + (gen,) + tail, cache)
+        acc = accs.setdefault(db * d, {})
+        for m, c in pairs:
+            accumulate(acc, m, c * cb)
+    num, d = collect(accs)
+    return d, tuple(num.items())

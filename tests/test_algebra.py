@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdeform import GaussRational, Metric, PoincareAlgebra, VectorTau
-from kdeform.algebra import AlgebraElement
+from kdeform.algebra import AlgebraElement, collect
 from kdeform.errors import ContextMismatchError, DegenerateMetricError
 from kdeform.hopf import DeformationContext, verify_hopf
 from kdeform.minkowski import MinkowskiElement
 from kdeform.tensors import TensorElement, tensor_commutator
 
-from conftest import random_metric, random_tau
+from conftest import adjacent_swap_normal_order, random_metric, random_tau
 
 
 I = GaussRational(0, 1)
@@ -132,6 +132,15 @@ def _random_pbw(rng, alg, series=()):
     return out
 
 
+def _random_shift(rng, metric):
+    """A shift of two random brackets, one of them of two momenta."""
+    codes = PoincareAlgebra(metric, 2).generator_codes()
+    return {
+        tuple(rng.sample(codes[-metric.dim:], 2)): {rng.choice(codes): rng.randint(1, 2)},
+        tuple(rng.sample(codes, 2)): {rng.choice(codes): Fraction(1, 2)},
+    }
+
+
 class TestCommutatorRule:
     """alg.bracket multiplies keys by their commutator (mono_commutator),
     which answers pairs that commute by structure without a product: it must
@@ -153,17 +162,88 @@ class TestCommutatorRule:
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)))
     def test_shifted_algebra(self, seed, dim):
         rng = random.Random(seed)
-        clean = PoincareAlgebra(random_metric(rng, dim), 2)
-        codes = clean.generator_codes()
-        momenta = codes[-dim:]
-        shift = {
-            tuple(rng.sample(momenta, 2)): {rng.choice(codes): rng.randint(1, 2)},
-            tuple(rng.sample(codes, 2)): {rng.choice(codes): Fraction(1, 2)},
-        }
-        alg = PoincareAlgebra(clean.metric, 2, shift=shift)
+        metric = random_metric(rng, dim)
+        alg = PoincareAlgebra(metric, 2, shift=_random_shift(rng, metric))
         for _ in range(3):
             x, y = _random_pbw(rng, alg), _random_pbw(rng, alg)
             assert alg.bracket(x, y) == x * y - y * x
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3, 4)))
+    def test_monomial_pairs_on_a_lie_table(self, seed, dim):
+        # an unshifted table expands a commutator by the Leibniz rule on
+        # letters: it must equal the difference of the two products
+        rng = random.Random(seed)
+        alg = PoincareAlgebra(random_metric(rng, dim), 2)
+        codes = alg.generator_codes()
+        for _ in range(40):
+            a, b = (tuple(sorted(rng.choices(codes, k=rng.randint(1, 3)))) for _ in range(2))
+            (d1, p1), (d2, p2) = alg.mono_product(a, b), alg.mono_product(b, a)
+            d, pairs = alg.mono_commutator(a, b)  # d < 0 for a reversed pair
+            assert collect({d: dict(pairs)}) == collect({d1: dict(p1), -d2: dict(p2)}), (a, b)
+
+    def test_shifted_table_that_breaks_jacobi(self, eta3):
+        # [P_0, P_1] += P_2 breaks Jacobi, so a word has no unique normal
+        # form and the Leibniz expansion of a commutator differs from the
+        # difference of the two products, which bracket must keep
+        alg = PoincareAlgebra(eta3, 2, shift={(9, 10): {11: 1}})
+        x, y = alg.X(0, 1) * alg.P(0), alg.X(0, 2) * alg.P(1) * alg.P(2)
+        assert alg.bracket(x, y) == x * y - y * x
+        assert alg.bracket(y, x) == y * x - x * y
+
+
+def _canonical(d_pairs):
+    d, pairs = d_pairs
+    return d, dict(pairs)
+
+
+class TestNormalOrder:
+    """normal_order moves a letter across its whole run of larger letters in
+    one step: its normal forms must be those of one adjacent swap at a time
+    (conftest.adjacent_swap_normal_order), on every table."""
+
+    @staticmethod
+    def _random_words(rng, alg, count=60):
+        codes = alg.generator_codes()
+        return [tuple(rng.choices(codes, k=rng.randint(1, 6))) for _ in range(count)]
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3, 4)))
+    def test_against_adjacent_swaps(self, seed, dim):
+        rng = random.Random(seed)
+        alg = PoincareAlgebra(random_metric(rng, dim), 2)
+        cache = {}
+        for word in self._random_words(rng, alg):
+            want = adjacent_swap_normal_order(alg, word, cache)
+            assert _canonical(alg.normal_order(word)) == _canonical(want), word
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)))
+    def test_against_adjacent_swaps_on_shifted_tables(self, seed, dim):
+        # a shift can break Jacobi: normal forms then depend on the order of
+        # the rewrites, which must stay the same
+        rng = random.Random(seed)
+        metric = random_metric(rng, dim)
+        alg = PoincareAlgebra(metric, 2, shift=_random_shift(rng, metric))
+        cache = {}
+        for word in self._random_words(rng, alg):
+            want = adjacent_swap_normal_order(alg, word, cache)
+            assert _canonical(alg.normal_order(word)) == _canonical(want), word
+
+    def test_no_half_sorted_word_is_cached(self, eta4):
+        # X P3 P2 P1 X': P1 crosses P2 P3, then X' crosses P1 P2 P3, each in
+        # one step; one swap at a time passes through the words below
+        alg = PoincareAlgebra(eta4, 2)
+        x, x2 = alg.rotation_code(0, 1)[0], alg.rotation_code(2, 3)[0]
+        p1, p2, p3 = (alg.momentum_code(mu) for mu in (1, 2, 3))
+        word = (x, p3, p2, p1, x2)
+        cache = {}
+        want = adjacent_swap_normal_order(alg, word, cache)
+        assert _canonical(alg.normal_order(word)) == _canonical(want)
+        half_sorted = {(x, p2, p1, p3, x2), (x, p1, p2, x2, p3), (x, p1, x2, p2, p3)}
+        assert half_sorted <= set(cache)
+        assert not half_sorted & set(alg._no_cache)
+        assert set(alg._no_cache) < set(cache)
 
 
 class TestMultiply:
@@ -208,6 +288,23 @@ class TestMultiply:
             a4.P(0) + a4_3.P(0)
         with pytest.raises(ContextMismatchError):
             a4.P(0) * a4_3.P(0)
+
+    def test_shifted_and_clean_tables_do_not_mix(self, eta3):
+        # with [P_0, P_1] += P_2 the product of P_1 and P_0 depends on the table
+        shifted = PoincareAlgebra(eta3, 2, shift={(9, 10): {11: 1}})
+        clean = PoincareAlgebra(eta3, 2)
+        for x, y in ((shifted.P(1), clean.P(0)), (clean.P(1), shifted.P(0))):
+            with pytest.raises(ContextMismatchError):
+                x * y
+            with pytest.raises(ContextMismatchError):
+                x + y
+        # the same table stated another way, or a shift that vanishes, is the same algebra
+        restated = PoincareAlgebra(eta3, 2, shift={(10, 9): {11: -1}})
+        assert (shifted.P(1) * restated.P(0)).terms == (shifted.P(1) * shifted.P(0)).terms
+        assert clean.compatible(PoincareAlgebra(eta3, 2, shift={(9, 10): {11: 0}}))
+        # the rescaled contexts of the Hopf suite share the shifted table
+        ctx = DeformationContext(eta3, (1, 0, 0), 2, algebra=shifted)
+        assert verify_hopf(ctx, ["rescaling-invariance"]).checks
 
 
 class TestCasimir:

@@ -191,6 +191,22 @@ class TestCovariance:
             assert not back.is_zero
             assert jsonio.mink_to_json(back) == c.residual_json
 
+    @pytest.mark.parametrize(
+        "code, power", ((1, 0), (1, 1), (17, 0)), ids=("M01-h0", "M01-h1", "P1-h0")
+    )
+    def test_corrupted_coproduct_fails_leibniz_past_the_first_cut(self, eta4, code, power):
+        # act on a word already splits it at its first letter, so a cut-1
+        # comparison is one computation twice and cannot see a bad coproduct;
+        # the check compares from cut 2, and must still fail
+        ctx = DeformationContext(eta4, [1, 0, 0, 0], 2, shift={code: {(((), ()), power): 1}})
+        for gen in ctx.generator_codes():
+            for mono in ((0, 1, 3), (1, 1, 2)):
+                a, b = coordinate_monomial(ctx, mono[:1]), coordinate_monomial(ctx, mono[1:])
+                assert act(ctx, gen, a * b) == act_on_product(ctx, gen, a, b)
+        failed = [c for c in verify_covariance(ctx).failures() if c.name == "leibniz-compatibility"]
+        assert failed
+        assert all(c.generator.endswith("split 2") for c in failed)
+
 
 # -- an independent reference for the action ------------------------------------------
 # Elements are plain {(word, power of h): Fraction} maps truncated at the order.
