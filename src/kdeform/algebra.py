@@ -317,21 +317,23 @@ class PoincareAlgebra:
         return (-out[0], out[1]) if rev else out
 
     def normal_order(self, word: tuple) -> tuple:
-        """The normal form of a generator word, as (d, pairs), cached per word."""
+        """The normal form of a generator word, as (d, pairs), cached per
+        unsorted word: a sorted word is its own normal form."""
         out = self._no_cache.get(word)
         if out is None:
-            out = self._no_cache[word] = self._normal_order_uncached(word)
+            for i in range(len(word) - 1):
+                if word[i] > word[i + 1]:
+                    out = self._no_cache[word] = self._reorder(word, i)
+                    break
+            else:
+                return 1, ((word, _ONE),)
         return out
 
-    def _normal_order_uncached(self, word: tuple) -> tuple:
-        """head run g tail = head g run tail + sum_j head run[:j] [run_j, g]
-        run[j+1:] tail at the first inversion: the words of one adjacent swap
-        at a time, less those with g part of the way across the run."""
-        for i in range(len(word) - 1):
-            if word[i] > word[i + 1]:
-                break
-        else:
-            return 1, ((word, _ONE),)
+    def _reorder(self, word: tuple, i: int) -> tuple:
+        """The normal form of a word whose first inversion is at i:
+        head run g tail = head g run tail + sum_j head run[:j] [run_j, g]
+        run[j+1:] tail, the words of one adjacent swap at a time, less those
+        with g part of the way across the run."""
         g = word[i + 1]
         lo = bisect_right(word, g, 0, i + 1)
         head, run, tail = word[:lo], word[lo:i + 1], word[i + 2:]
@@ -356,18 +358,16 @@ class PoincareAlgebra:
 
     def mul_terms(self, ta: dict, tb: dict, key_product=None, cap: int | None = None,
                   den: int = 1) -> tuple:
-        """The product of two flat numerator maps over den, as a canonical
-        (numerators, denominator).
+        """The product of two flat numerator maps of PBW elements over den,
+        as a canonical (numerators, denominator): the PBW product loop.
 
-        This is the one product kernel: PBW elements and tensors of any leg
-        count differ only in key_product(k1, k2), the (d, pairs) of the
-        product of two keys (a numerator 1 takes a fast path: a third of all
-        key products are by 1).  The default rule is mono_product.  With a
-        key commutator (mono_commutator, tensors._leg_commutator) the result
-        is ta*tb - tb*ta, and the two products that would cancel are never
-        formed; two-leg tensors group theirs in tensors.tensor_commutator.
-        Powers of h above cap (default: the order) are never formed.  The loop
-        runs on ints, one accumulator per rule denominator (see collect)."""
+        key_product(m1, m2) is the (d, pairs) of two monomials, mono_product
+        by default (a numerator 1 takes a fast path: a third of all key
+        products are by 1).  With mono_commutator the result is ta*tb - tb*ta,
+        and the two products that would cancel are never formed.  Powers of h
+        above cap (default: the order) are never formed.  The loop runs on
+        ints, one accumulator per rule denominator (see collect).  Tensors
+        multiply by their own kernel, tensors._combine."""
         N = self.order if cap is None else cap
         if key_product is None:
             key_product = self.mono_product
@@ -525,9 +525,9 @@ class TermElement:
 
     A subclass says what its keys are: _with builds an element of the same
     kind from canonical (num, den), _compatible says which elements combine,
-    _scalar embeds a scalar (where scalars have a place), _key_product gives
-    the rule by which PoincareAlgebra.mul_terms multiplies two of its keys
-    (where the kind has such a product), and _i_count(key) is the power of i
+    _scalar embeds a scalar (where scalars have a place), _mul(other, cap) is
+    the product of two of its elements with no power of h past cap (for the
+    kinds a MonomialMap takes images in), and _i_count(key) is the power of i
     between the key's symbols and the paper's (M = iX, x = iy).  Constructors
     take {(key, power of h): coefficient}, or canonical num with its den.
     """
@@ -542,9 +542,6 @@ class TermElement:
 
     def _scalar(self, value):
         return NotImplemented
-
-    def _key_product(self):
-        raise NotImplementedError
 
     def _i_count(self, key) -> int:
         raise NotImplementedError
@@ -698,17 +695,18 @@ class AlgebraElement(TermElement):
     def _scalar(self, value) -> "AlgebraElement":
         return self.algebra.scalar(value)
 
-    def _key_product(self):
-        return self.algebra.mono_product
-
     def _i_count(self, key) -> int:
         return self.algebra.i_count(key)
+
+    def _mul(self, other: "AlgebraElement", cap: int) -> "AlgebraElement":
+        """The product with no power of h past cap formed."""
+        den = self.den * other.den
+        return self._with(*self.algebra.mul_terms(self.num, other.num, cap=cap, den=den))
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            alg = self.algebra
-            return self._with(*alg.mul_terms(self.num, other.num, den=self.den * other.den))
+            return self._mul(other, self.algebra.order)
         return TermElement.__mul__(self, other)
 
     def __pow__(self, n: int):
@@ -749,16 +747,15 @@ class MonomialMap:
     the image of a longer monomial is the cap-c image of its prefix times that
     of its last generator (the other way round when anti is set, for the
     antipode), a product that never forms a power of h above c.  one is the
-    image of the empty monomial; its kind supplies the key-product rule."""
+    image of the empty monomial; its kind supplies that capped product, _mul."""
 
-    __slots__ = ("_images", "_one", "_gen_image", "_anti", "_rule")
+    __slots__ = ("_images", "_one", "_gen_image", "_anti")
 
     def __init__(self, one: TermElement, gen_image, anti: bool = False):
         self._images = {}
         self._one = one
         self._gen_image = gen_image
         self._anti = anti
-        self._rule = one._key_product()
 
     def image(self, mono: tuple, cap: int) -> TermElement:
         """The image of a monomial with every power of h above cap removed."""
@@ -766,11 +763,7 @@ class MonomialMap:
         if img is None:
             if len(mono) > 1:
                 head, last = self.image(mono[:-1], cap), self.image(mono[-1:], cap)
-                left, right = (last, head) if self._anti else (head, last)
-                num, den = head.algebra.mul_terms(
-                    left.num, right.num, self._rule, cap, left.den * right.den
-                )
-                img = head._with(num, den)
+                img = last._mul(head, cap) if self._anti else head._mul(last, cap)
             else:
                 full = self._gen_image(mono[0]) if mono else self._one
                 num = {t: c for t, c in full.num.items() if t[1] <= cap}

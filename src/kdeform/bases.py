@@ -81,25 +81,25 @@ class BasisChange:
         return img
 
     def push(self, elem: AlgebraElement, target: PoincareAlgebra) -> AlgebraElement:
-        """Multiplicative-linear extension of the generator map to U(iso(g))."""
-        num, den = target.extend(elem.num, self._monomials(target).pairs, elem.den)
+        """Multiplicative-linear extension of the generator map to U(iso(g)).
+        The images carry no h, so every monomial is asked at cap 0."""
+        images = self._monomials(target)
+        num, den = target.extend(elem.num, lambda mono, _: images.pairs(mono, 0), elem.den)
         return AlgebraElement(target, num, den)
 
     def push_tensor(self, t: TensorElement, target: PoincareAlgebra) -> TensorElement:
         """(push (x) ... (x) push)(t): push applied to every leg.  The terms
         are grouped by their right legs: per group, the sum of the left legs
-        is pushed once, each right leg once (only to the power of h that the
-        group's lowest term leaves), and the images multiply out as one
-        tensor product."""
+        is pushed once, each right leg once, and the images multiply out as
+        one tensor product."""
         images = self._monomials(target)
         groups = {}
         for (key, k), c in t.num.items():
             groups.setdefault(key[1:], {})[key[0], k] = c
         out = TensorElement(target, t.legs, {})
         for rights, lefts in groups.items():
-            cap = target.order - min(k for _, k in lefts)
-            left = AlgebraElement(target, *target.extend(lefts, images.pairs, t.den))
-            out = out + TensorElement.of(left, *(images.image(m, cap) for m in rights))
+            left = self.push(AlgebraElement(target, lefts, t.den), target)
+            out = out + TensorElement.of(left, *(images.image(m, 0) for m in rights))
         return out
 
     def _monomials(self, target: PoincareAlgebra) -> MonomialMap:

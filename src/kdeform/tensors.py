@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
 
 from . import exactla
 from .algebra import (
@@ -28,20 +27,20 @@ from .errors import ContextMismatchError, InvalidVectorError
 from .render import gen_text, tensor_text
 from .scalars import split_map
 
-_ONE = 1  # the kernels' fast path for a product by 1 (see PoincareAlgebra.mul_terms)
-
 
 class TensorElement(TermElement):
     """A k-legged tensor: {((monomial, ..., monomial), power of h): numerator}
     over a denominator (see TermElement), each leg a PBW monomial.  The
-    product acts leg-wise: (a (x) b)(c (x) d) = ac (x) bd."""
+    product acts leg-wise: (a (x) b)(c (x) d) = ac (x) bd, through _combine
+    on the terms grouped by last leg, once per element."""
 
-    __slots__ = ("legs",)
+    __slots__ = ("legs", "_tree")
 
     def __init__(self, algebra: PoincareAlgebra, legs: int, terms: dict, den: int | None = None):
         self.algebra = algebra
         self.legs = legs
         self.num, self.den = split_map(terms) if den is None else (terms, den)
+        self._tree = None
 
     def _with(self, num: dict, den: int = 1) -> "TensorElement":
         return TensorElement(self.algebra, self.legs, num, den)
@@ -49,8 +48,15 @@ class TensorElement(TermElement):
     def _compatible(self, other: "TensorElement") -> bool:
         return self.legs == other.legs and self.algebra.compatible(other.algebra)
 
-    def _key_product(self):
-        return _leg_product(self.algebra, self.legs)
+    def _leg_tree(self) -> list:
+        """The terms grouped by last leg down the legs (see _grouped)."""
+        if self._tree is None:
+            self._tree = _grouped(self.num, self.legs)
+        return self._tree
+
+    def _mul(self, other: "TensorElement", cap: int) -> "TensorElement":
+        """The product with no power of h past cap formed."""
+        return self._with(*_combined(self, other, cap, False))
 
     def _i_count(self, key) -> int:
         return sum(map(self.algebra.i_count, key))
@@ -76,9 +82,7 @@ class TensorElement(TermElement):
     def __mul__(self, other):
         if isinstance(other, TensorElement):
             self._check(other)
-            alg = self.algebra
-            rule = self._key_product()
-            return self._with(*alg.mul_terms(self.num, other.num, rule, den=self.den * other.den))
+            return self._mul(other, self.algebra.order)
         return TermElement.__mul__(self, other)
 
     # -- leg surgery ------------------------------------------------------------
@@ -135,30 +139,32 @@ class TensorElement(TermElement):
         return TensorElement(self.algebra, self.legs - 1, num, den)
 
     def merge_legs(self) -> AlgebraElement:
-        """Multiply all legs together left-to-right in U(iso(g)).
-
-        The tensor is paired with the unit in mul_terms, whose rule maps a
-        key to the PBW product of its legs, one leg at a time."""
+        """Multiply all legs together left-to-right in U(iso(g)): the linear
+        extension of the map from a key to the PBW product of its legs, one
+        leg at a time."""
         alg = self.algebra
         mono_product, mul_terms = alg.mono_product, alg.mul_terms
 
-        def merged(key, _unit):
+        def merged(key, _):
             d, pairs = mono_product(key[0], key[1])
+            num = {(m, 0): c for m, c in pairs}
             for mono in key[2:]:
-                num, d = mul_terms({(m, 0): c for m, c in pairs}, {(mono, 0): 1}, den=d)
-                pairs = [(m, c) for (m, _), c in num.items()]
-            return d, pairs
+                num, d = mul_terms(num, {(mono, 0): 1}, den=d)
+            return d, num.items()
 
-        one = alg.one()
-        return AlgebraElement(alg, *alg.mul_terms(self.num, one.num, merged, den=self.den))
+        return AlgebraElement(alg, *alg.extend(self.num, merged, self.den))
 
     def star_legs(self) -> "TensorElement":
         """(a (x) b)* = a* (x) b*: star each leg, no flip (X* = -X)."""
         normal_order = self.algebra.normal_order
 
         def image(key, _):
-            d, combos = _leg_combos(normal_order(tuple(reversed(m))) for m in key)
-            return d * (-1) ** self._i_count(key), [((ms, 0), c) for ms, c in combos]
+            den, combos = (-1) ** self._i_count(key), [((), 1)]
+            for m in key:
+                d, pairs = normal_order(tuple(reversed(m)))
+                den *= d
+                combos = [(ms + (p,), c * cp) for ms, c in combos for p, cp in pairs]
+            return den, [((ms, 0), c) for ms, c in combos]
 
         return self._star_by(image)
 
@@ -182,108 +188,99 @@ def _outer(num: dict, leg: dict, N: int) -> dict:
     return acc
 
 
-def _leg_combos(leg_products) -> tuple:
-    """(d, [(key, numerator)]) of the outer product of per-leg (d, pairs)."""
-    den, combos = 1, [((), 1)]
-    for d, pairs in leg_products:
-        den *= d
-        combos = [(ms + (m,), c * cm) for ms, c in combos for m, cm in pairs]
-    return den, combos
-
-
-def _leg_product(alg: PoincareAlgebra, legs: int):
-    """Key-product rule of legs-legged tensors: leg-wise PBW products.  Two
-    legs, the common case, read the two mono_product tables directly."""
-    mono_product = alg.mono_product
-    if legs != 2:
-        return lambda k1, k2: _leg_combos(map(mono_product, k1, k2))
-
-    def product(k1, k2):
-        da, pa = mono_product(k1[0], k2[0])
-        db, pb = mono_product(k1[1], k2[1])
-        return da * db, [
-            ((ma, mb), cb if ca is _ONE else ca if cb is _ONE else ca * cb)
-            for ma, ca in pa
-            for mb, cb in pb
-        ]
-
-    return product
-
-
-def _leg_commutator(alg: PoincareAlgebra):
-    """Key rule of the commutator of tensors, by the leg-wise Leibniz rule:
-    term i carries [a_i, b_i] on leg i, b_j a_j on the legs before it and
-    a_j b_j on the legs after it; a leg whose pair commutes contributes
-    nothing.  Two legs take tensor_commutator's grouped loop instead."""
-    mono_product, mono_commutator = alg.mono_product, alg.mono_commutator
-
-    def commutator(k1, k2):
-        out = []
-        for i, (a, b) in enumerate(zip(k1, k2)):
-            comm = mono_commutator(a, b)
-            if comm[1]:
-                before = map(mono_product, k2[:i], k1[:i])
-                after = map(mono_product, k1[i + 1 :], k2[i + 1 :])
-                out.append(_leg_combos((*before, comm, *after)))
-        d = lcm(*(dp for dp, _ in out))  # the terms' sum over the lcm
-        return d, [(m, c * (d // dp)) for dp, pairs in out for m, c in pairs]
-
-    return commutator
-
-
-def _by_right_leg(num: dict) -> list:
-    """[(right leg, [(left leg, power of h, numerator)] by rising power)]."""
+def _grouped(num: dict, legs: int) -> list:
+    """The terms of a legs-legged numerator map as a tree by last leg:
+    [(last leg, lowest power of h, rest)], where rest lists the group's
+    (first leg, power of h, numerator) by rising power at two legs, and is
+    the tree of the group's other legs past two."""
     groups = {}
-    for ((a, b), k), c in sorted(num.items(), key=lambda t: t[0][1]):
-        groups.setdefault(b, []).append((a, k, c))
-    return list(groups.items())
+    if legs == 2:
+        for ((a, b), k), c in sorted(num.items(), key=lambda t: t[0][1]):
+            groups.setdefault(b, []).append((a, k, c))
+        return [(b, rest[0][1], rest) for b, rest in groups.items()]
+    for (key, k), c in num.items():
+        groups.setdefault(key[-1], {})[key[:-1], k] = c
+    return [(b, min(k for _, k in rest), _grouped(rest, legs - 1)) for b, rest in groups.items()]
 
 
-def _gather(accs: dict, d: int, pairs, k: int, c: int):
-    """accs[d][(m, k)] += c * cm for each (m, cm) of a key rule's pairs."""
-    acc = accs.setdefault(d, {})
-    for m, cm in pairs:
-        accumulate(acc, (m, k), c * cm)
+def _combine(alg: PoincareAlgebra, x: list, y: list, legs: int, cap: int, comm: bool) -> dict:
+    """The product of two leg trees (see _grouped), or their commutator if
+    comm, as accumulators {d: {(key, power of h): numerator}} (see collect)
+    with no power of h past cap.  Per pair of groups (b, b') whose lowest
+    powers fit the cap it forms AA' (x) bb', or [A, A'] (x) bb' + A'A (x) [b, b'],
+    where A and A' combine by the same rule one leg down; at two legs, a
+    flat loop over pairs of PBW words through mono_product and
+    mono_commutator.  bb' is read only once some AA' or [A, A'] term is
+    nonzero, and A'A only if [b, b'] is."""
+    mono_product, mono_commutator = alg.mono_product, alg.mono_commutator
+    accs = {}
+    for b1, low1, rest1 in x:
+        for b2, low2, rest2 in y:
+            if low1 + low2 > cap:
+                continue
+            # (left operands, commutator?, right factor): None stands for bb'
+            passes = [(rest1, rest2, comm, None)]
+            if comm:
+                comm_b = mono_commutator(b1, b2)
+                if comm_b[1]:
+                    passes.append((rest2, rest1, False, comm_b))
+            for r1, r2, comm_a, right in passes:
+                if legs > 2:
+                    lefts = _combine(alg, r1, r2, legs - 1, cap, comm_a)
+                    if not lefts:
+                        continue
+                    d_right, rights = right or mono_product(b1, b2)
+                    for d, acc in lefts.items():
+                        out = accs.setdefault(d * d_right, {})
+                        for (m, k), c in acc.items():
+                            for mb, cb in rights:
+                                t = (m + (mb,), k)
+                                cur = out.get(t)
+                                out[t] = c * cb if cur is None else cur + c * cb
+                    continue
+                rule = mono_commutator if comm_a else mono_product
+                for a1, k1, c1 in r1:
+                    budget = cap - k1
+                    for a2, k2, c2 in r2:
+                        if k2 > budget:
+                            break
+                        d, pairs = rule(a1, a2)
+                        if not pairs:
+                            continue
+                        if right is None:
+                            right = mono_product(b1, b2)
+                        d_right, rights = right
+                        out = accs.get(d * d_right)
+                        if out is None:
+                            out = accs[d * d_right] = {}
+                        k, c = k1 + k2, c1 * c2
+                        for m, cm in pairs:
+                            p = c * cm
+                            for mb, cb in rights:
+                                t = ((m, mb), k)
+                                cur = out.get(t)
+                                out[t] = p * cb if cur is None else cur + p * cb
+    return accs
+
+
+def _combined(a: TensorElement, b: TensorElement, cap: int, comm: bool) -> tuple:
+    """The canonical (numerators, denominator) of a*b, or of [a, b] if comm,
+    with no power of h past cap (see _combine)."""
+    alg, den = a.algebra, a.den * b.den
+    if a.legs == 1:  # PBW elements, each word in a 1-tuple
+        ta, tb = ({(m, k): c for ((m,), k), c in t.num.items()} for t in (a, b))
+        rule = alg.mono_commutator if comm else alg.mono_product
+        num, den = alg.mul_terms(ta, tb, rule, cap, den)
+        return {((m,), k): c for (m, k), c in num.items()}, den
+    return collect(_combine(alg, a._leg_tree(), b._leg_tree(), a.legs, cap, comm), den)
 
 
 def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
-    """a*b - b*a, from the commutators of keys: the two products that cancel
-    are never formed.  Two legs group the terms by right leg and follow
-    [a (x) b, a' (x) b'] = [a, a'] (x) bb' + a'a (x) [b, b']: per pair of
-    groups, [b, b'] is read once (bb' only if some [a, a'] is nonzero) and
-    the left-leg sums are multiplied out once.  A pair of groups whose lowest
-    powers of h sum past the order makes no lookup."""
+    """a*b - b*a by the leg-grouped kernel (see _combine): the two products
+    that cancel are never formed, and a pair of groups whose lowest powers of
+    h sum past the order makes no lookup."""
     a._check(b)
-    alg, den = a.algebra, a.den * b.den
-    if a.legs != 2:
-        return a._with(*alg.mul_terms(a.num, b.num, _leg_commutator(alg), den=den))
-    N, mono_product, mono_commutator = alg.order, alg.mono_product, alg.mono_commutator
-    accs, right = {}, _by_right_leg(b.num)
-    for b1, terms1 in _by_right_leg(a.num):
-        for b2, terms2 in right:
-            if terms1[0][1] + terms2[0][1] > N:
-                continue
-            comm_b = mono_commutator(b1, b2)
-            comms, prods = {}, {}  # per denominator: {(left leg, power of h): numerator}
-            for a1, k1, c1 in terms1:
-                for a2, k2, c2 in terms2:
-                    if k1 + k2 > N:
-                        break
-                    d, pairs = mono_commutator(a1, a2)
-                    if pairs:
-                        _gather(comms, d, pairs, k1 + k2, c1 * c2)
-                    if comm_b[1]:
-                        _gather(prods, *mono_product(a2, a1), k1 + k2, c1 * c2)
-            parts = [(prods, comm_b)]
-            if comms:
-                parts.append((comms, mono_product(b1, b2)))
-            for lefts, (d_right, rights) in parts:
-                for d, acc in lefts.items():
-                    out = accs.setdefault(d * d_right, {})
-                    for (m, k), c in acc.items():
-                        for mb, cb in rights:
-                            accumulate(out, ((m, mb), k), c * cb)
-    return a._with(*collect(accs, den))
+    return a._with(*_combined(a, b, a.algebra.order, True))
 
 
 def tensor_invert(t: TensorElement) -> TensorElement:

@@ -130,3 +130,45 @@ def _adjacent_swap(alg, word: tuple, cache: dict) -> tuple:
             accumulate(acc, m, c * cb)
     num, d = collect(accs)
     return d, tuple(num.items())
+
+
+def legwise_rule(alg, commutator=False):
+    """A rule on pairs of tensor keys, one pair at a time, as (1, [(key,
+    Fraction)]): the leg-wise product (a_1 b_1, ..., a_k b_k), or with
+    commutator the leg-wise Leibniz rule, whose term i carries [a_i, b_i] on
+    leg i, b_j a_j on the legs before it and a_j b_j on the legs after it.
+    Each leg is read from mono_product or mono_commutator: a reference that
+    shares no grouping or accumulation with tensors._combine."""
+
+    def outer(legs):
+        combos = {(): Fraction(1)}
+        for d, pairs in legs:
+            f = Fraction(1, d)
+            combos = {ms + (m,): c * cm * f for ms, c in combos.items() for m, cm in pairs}
+        return combos
+
+    def rule(k1, k2):
+        if not commutator:
+            return 1, list(outer(map(alg.mono_product, k1, k2)).items())
+        out = {}
+        for i in range(len(k1)):
+            legs = [alg.mono_product(b, a) for a, b in zip(k1[:i], k2[:i])]
+            legs.append(alg.mono_commutator(k1[i], k2[i]))
+            legs += [alg.mono_product(a, b) for a, b in zip(k1[i + 1:], k2[i + 1:])]
+            for m, c in outer(legs).items():
+                out[m] = out.get(m, 0) + c
+        return 1, list(out.items())
+
+    return rule
+
+
+def brute_combined(t, u, cap, commutator=False) -> TensorElement:
+    """t*u, or [t, u] with commutator, term by term on the coefficient views
+    through legwise_rule, no power of h past cap."""
+    rule, out = legwise_rule(t.algebra, commutator), {}
+    for (k1, j1), c1 in t.terms.items():
+        for (k2, j2), c2 in u.terms.items():
+            if j1 + j2 <= cap:
+                for m, c in rule(k1, k2)[1]:
+                    out[m, j1 + j2] = out.get((m, j1 + j2), 0) + c1 * c2 * c
+    return TensorElement(t.algebra, t.legs, {key: c for key, c in out.items() if c})

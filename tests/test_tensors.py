@@ -27,7 +27,7 @@ from kdeform.minkowski import coordinate_monomial
 from kdeform.render import wedge_series
 from kdeform.tensors import tensor_commutator
 
-from conftest import brute_outer, random_metric, random_tau
+from conftest import brute_combined, brute_outer, random_metric, random_tau
 
 I = GaussRational(0, 1)
 
@@ -139,8 +139,10 @@ def _random_context(seed, dim):
 
 
 class TestSharedKernel:
-    """Tensors of two and three legs, merge_legs, the tensor series and the
-    kappa-Minkowski product all run through PoincareAlgebra.mul_terms."""
+    """Products and commutators of tensors of two and three legs and the
+    tensor series run through one leg-grouped kernel (tensors._combine);
+    merge_legs and the kappa-Minkowski product through PoincareAlgebra.extend:
+    each must agree with the products of its factors."""
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)))
@@ -236,13 +238,67 @@ class TestTwoLegCommutator:
         # every pair of terms sums past h^2
         s = TensorElement.of(x01, x02).times_h(2) + TensorElement.of(x12, x01).times_h(2)
         t = TensorElement.of(x02, x12).times_h(1) + TensorElement.of(x12, x02).times_h(1)
-        # both legs commute by structure, so the product of the right legs,
-        # an unsorted word, is never needed
+        s3 = TensorElement.of(x01, x02, x12).times_h(2) + TensorElement.of(x12, x01, x02).times_h(2)
+        t3 = TensorElement.of(x02, x12, x01).times_h(1) + TensorElement.of(x12, x02, x01).times_h(1)
+        # every leg commutes by structure, so no product of legs, an
+        # unsorted word, is ever needed
         w = TensorElement.of(x01, x01 * x12)
+        w3 = TensorElement.of(x01 * x12, x01, x01 * x12)
         before = len(alg._no_cache), len(alg._comm_cache)
-        for x, y in ((s, t), (t, s), (w, w)):
+        for x, y in ((s, t), (t, s), (w, w), (s3, t3), (t3, s3), (w3, w3)):
             assert tensor_commutator(x, y).is_zero
         assert (len(alg._no_cache), len(alg._comm_cache)) == before
+
+
+def _random_tensor(rng, alg, legs, terms=3):
+    """A sum of tensor products of PBW sums of two words of up to two
+    generators each (about one leg in five the unit), each product at a
+    random power of h, coefficients over mixed denominators; at three legs
+    also a 2-leg such sum embedded with a unit leg."""
+    codes = alg.generator_codes()
+
+    def leg():
+        if rng.random() < 0.2:
+            return alg.one()
+        words = (tuple(sorted(rng.choices(codes, k=rng.randint(0, 2)))) for _ in range(2))
+        return AlgebraElement(
+            alg, {(w, 0): Fraction(rng.randint(1, 4), rng.choice((-1, 2, 3, -5))) for w in words}
+        )
+
+    out = TensorElement(alg, legs, {})
+    for _ in range(terms):
+        term = TensorElement.of(*(leg() for _ in range(legs)))
+        out = out + term.times_h(rng.randint(0, alg.order))
+    if legs == 3:
+        out = out + _random_tensor(rng, alg, 2, terms=2).embed(rng.choice(("12", "13", "23")))
+    return out
+
+
+class TestLegKernel:
+    """Products and commutators of tensors of two to four legs, against the
+    term-by-term leg-wise rule of conftest.legwise_rule, at every cap below
+    the order too, over mixed denominators and on shifted tables."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        legs=st.sampled_from((2, 3, 4)),
+        shifted=st.booleans(),
+    )
+    def test_matches_legwise_rule(self, seed, legs, shifted):
+        rng = random.Random(seed)
+        dim = rng.choice((2, 3))
+        metric = random_metric(rng, dim)
+        codes = PoincareAlgebra(metric, 2).generator_codes()
+        # a shifted table need not satisfy Jacobi: the leg-wise rules hold all the same
+        shift = {tuple(rng.sample(codes, 2)): {rng.choice(codes): Fraction(1, 2)}}
+        alg = PoincareAlgebra(metric, rng.choice((2, 3)), shift=shift if shifted else None)
+        t, u = _random_tensor(rng, alg, legs), _random_tensor(rng, alg, legs)
+        for cap in range(alg.order):
+            assert t._mul(u, cap) == brute_combined(t, u, cap), cap
+        assert t * u == brute_combined(t, u, alg.order)
+        assert tensor_commutator(t, u) == brute_combined(t, u, alg.order, commutator=True)
+        assert tensor_commutator(t, t).is_zero
 
 
 class TestMapLeg:
