@@ -15,7 +15,9 @@ from .algebra import (
 from .bases import (
     BasisChange,
     MRGenerators,
+    OrbitClassification,
     adapted_context,
+    classify_orbit,
     lightcone_decompose,
     mr_generators,
     orthogonal_decompose,
@@ -26,9 +28,7 @@ from .minkowski import MinkowskiElement, act, act_on_product, coordinate, verify
 from .reports import CheckResult, VerificationReport
 from .scalars import GaussRational, binom_half
 from .tensors import (
-    OrbitClassification,
     TensorElement,
-    classify_orbit,
     omega,
     r_matrix,
     schouten_square,

@@ -1,5 +1,8 @@
 """Adapted bases: the 1+(D-1) orthogonal decomposition with the Majid-Ruegg
-generators, and the 2+(D-2) light-cone decomposition for null tau.
+generators, and the 2+(D-2) light-cone decomposition for null tau.  tau^2
+alone picks which of the two is adapted to tau, for adapted_context, for the
+predicate in_adapted_basis tests, and for classify_orbit, which reads the
+stability group of tau off the metric in that basis.
 
 A BasisChange carries the new basis vectors as columns A (new in old
 components); the metric transforms by congruence g' = A^T g A, the vector by
@@ -30,7 +33,7 @@ from .algebra import (
 from .errors import BasisError, InvalidVectorError
 from .hopf import DeformationContext
 from .reports import VerificationReport
-from .tensors import TensorElement, hyperbolic_pair_complement, tau_orthogonal_complement
+from .tensors import TensorElement
 
 
 class BasisChange:
@@ -120,12 +123,20 @@ def orthogonal_decompose(metric: Metric, tau: VectorTau) -> BasisChange:
     diagonal.  Requires tau^2 != 0."""
     if tau.is_zero:
         raise InvalidVectorError("cannot adapt a basis to the zero vector")
-    if not tau.tau_sq:
+    t2 = tau.tau_sq
+    if not t2:
         raise BasisError(
             "tau is null (tau^2 = 0): the orthogonal decomposition does not exist; "
             "use lightcone_decompose"
         )
-    rest = tau_orthogonal_complement(metric, tau)
+    d = metric.dim
+    cands = []
+    for e in exactla.identity(d):
+        lam = metric.apply(tau.components, e) / t2
+        v = tuple(e[i] - lam * tau.components[i] for i in range(d))
+        if any(v):
+            cands.append(v)
+    rest = exactla.select_independent(cands, d - 1)
     cols = exactla.transpose((tau.components,) + tuple(rest))
     return BasisChange(metric, cols)
 
@@ -149,42 +160,80 @@ def lightcone_decompose(metric: Metric, tau: VectorTau) -> BasisChange:
     p, q = metric.signature
     if p == 0 or q == 0:
         raise InvalidVectorError("definite signature admits no null directions")
-    tt, trans = hyperbolic_pair_complement(metric, tau)
+    d = metric.dim
+    units = exactla.identity(d)
+    row = tuple(metric.apply(tau.components, e) for e in units)
+    w = exactla.solve_single(row, 1)
+    lam = metric.apply(w, w) / 2
+    tt = tuple(w[i] - lam * tau.components[i] for i in range(d))
+    cands = []
+    for e in units:
+        a = metric.apply(e, tt)  # component along tau
+        b = metric.apply(e, tau.components)  # component along tau_tilde
+        v = tuple(e[i] - a * tau.components[i] - b * tt[i] for i in range(d))
+        if any(v):
+            cands.append(v)
+    trans = exactla.select_independent(cands, d - 2) if d > 2 else []
     cols = exactla.transpose((tau.components,) + tuple(trans) + (tt,))
     change = BasisChange(metric, cols)
-    last = metric.dim - 1
-    g = change.new_metric.rows
-    ok = (
+    if not _lightcone_gram(change.new_metric.rows):
+        raise BasisError("light-cone Gram conditions failed; defective decomposition")
+    return change
+
+
+def _lightcone_gram(g) -> bool:
+    """g(e_0, e_0) = g(e_-, e_-) = 0, g(e_0, e_-) = 1 for e_- the last basis
+    vector, and the transverse block orthogonal to both."""
+    last = len(g) - 1
+    return (
         not g[0][0]
         and not g[last][last]
         and g[0][last] == 1
         and all(not g[0][a] and not g[last][a] for a in range(1, last))
     )
-    if not ok:
-        raise BasisError("light-cone Gram conditions failed; defective decomposition")
-    return change
+
+
+def _tau_is_e0(ctx: DeformationContext) -> bool:
+    return ctx.tau.components == (1,) + (0,) * (ctx.algebra.dim - 1)
+
+
+def is_orthogonally_adapted(ctx: DeformationContext) -> bool:
+    g = ctx.metric.rows
+    return _tau_is_e0(ctx) and all(not g[0][i] for i in range(1, ctx.algebra.dim))
+
+
+def is_lightcone_adapted(ctx: DeformationContext) -> bool:
+    return _tau_is_e0(ctx) and _lightcone_gram(ctx.metric.rows)
+
+
+def _adapted_kind(tau: VectorTau) -> tuple:
+    """(decompose, is_adapted) for the basis adapted to tau: orthogonal for
+    tau^2 != 0, light-cone for null tau."""
+    if tau.tau_sq:
+        return orthogonal_decompose, is_orthogonally_adapted
+    return lightcone_decompose, is_lightcone_adapted
 
 
 def adapted_context(metric: Metric, tau: VectorTau, order: int, shift=None):
     """(BasisChange, DeformationContext) in the basis adapted to tau:
     orthogonal for tau^2 != 0, light-cone for tau^2 = 0.  shift goes to the
     context (see DeformationContext)."""
-    decompose = orthogonal_decompose if tau.tau_sq else lightcone_decompose
-    change = decompose(metric, tau)
+    change = _adapted_kind(tau)[0](metric, tau)
     ctx = DeformationContext(change.new_metric, change.transform_tau(tau), order, shift=shift)
     return change, ctx
 
 
-def in_adapted_basis(ctx: DeformationContext, is_adapted) -> tuple:
-    """(adapted, tie) for a suite that runs in the basis adapted to tau.
+def in_adapted_basis(ctx: DeformationContext) -> tuple:
+    """(adapted, tie) for a suite that runs in the basis adapted to tau,
+    orthogonal or light-cone as tau^2 decides (see adapted_context).
 
-    When is_adapted(ctx), adapted is ctx itself, so the suite reads the
-    caller's own tables, and tie is None.  Otherwise adapted is a fresh
-    context in the adapted basis, and tie(rep) records the check
+    When ctx already is in that basis, adapted is ctx itself, so the suite
+    reads the caller's own tables, and tie is None.  Otherwise adapted is a
+    fresh context in the adapted basis, and tie(rep) records the check
     caller-coproduct-in-adapted-basis: the caller's coproduct tables, carried
     through the basis change, are the adapted context's,
     (push (x) push)(Delta(x)) = Delta'(push(x)) for every generator x."""
-    if is_adapted(ctx):
+    if _adapted_kind(ctx.tau)[1](ctx):
         return ctx, None
     change, adapted = adapted_context(ctx.metric, ctx.tau, ctx.order)
     target = adapted.algebra
@@ -199,11 +248,47 @@ def in_adapted_basis(ctx: DeformationContext, is_adapted) -> tuple:
     return adapted, tie
 
 
-def is_orthogonally_adapted(ctx: DeformationContext) -> bool:
-    d = ctx.algebra.dim
-    g = ctx.metric.rows
-    tau_ok = ctx.tau.components == (1,) + (0,) * (d - 1)
-    return tau_ok and all(not g[0][i] for i in range(1, d))
+# -- orbit classification ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OrbitClassification:
+    """tau^2 sign, Yang-Baxter type, and the stability-group label of the orbit."""
+
+    tau_sq: Fraction
+    yb_type: str  # "MYBE" | "CYBE"
+    stability_kind: str  # "SO" | "ISO"
+    stability_pq: tuple
+
+    @property
+    def tau_sq_sign(self) -> int:
+        return (self.tau_sq > 0) - (self.tau_sq < 0)
+
+    @property
+    def stability_label(self) -> str:
+        p, q = self.stability_pq
+        inner = f"{p}" if q == 0 else (f"{q}" if p == 0 else f"{p},{q}")
+        return f"{self.stability_kind}({inner})"
+
+    @property
+    def suggested_basis(self) -> str:
+        return "lightcone" if self.yb_type == "CYBE" else "orthogonal"
+
+
+def classify_orbit(metric: Metric, tau: VectorTau) -> OrbitClassification:
+    """Orbit data for (g, tau): YB type from tau^2 and the stability group of
+    tau, read off the metric in the adapted basis.
+
+    For tau^2 != 0 the stability group is SO of the block on indices 1..D-1,
+    the orthogonal complement of tau; for null tau it is ISO of the transverse
+    block 1..D-2, left once the hyperbolic plane of tau and its null partner
+    is split off (empty at D = 2)."""
+    if tau.is_zero:
+        raise InvalidVectorError("cannot classify the orbit of the zero vector")
+    t2 = tau.tau_sq
+    g = _adapted_kind(tau)[0](metric, tau).new_metric.rows
+    yb_type, kind, stop = ("MYBE", "SO", len(g)) if t2 else ("CYBE", "ISO", len(g) - 1)
+    return OrbitClassification(t2, yb_type, kind, exactla.signature([r[1:stop] for r in g[1:stop]]))
 
 
 # -- the Majid-Ruegg generators -------------------------------------------------
@@ -278,7 +363,7 @@ def verify_mr(ctx: DeformationContext) -> VerificationReport:
     if ctx.tau.is_zero or not ctx.tau.tau_sq:
         rep.skipped = "Majid-Ruegg basis requires tau^2 != 0"
         return rep
-    ctx, tie = in_adapted_basis(ctx, is_orthogonally_adapted)
+    ctx, tie = in_adapted_basis(ctx)
     note = None if tie is None else "verified in the orthogonally adapted basis"
 
     alg = ctx.algebra

@@ -12,13 +12,13 @@ import json
 import sys
 
 from . import jsonio, render
-from .bases import adapted_context, verify_mr
+from .bases import adapted_context, classify_orbit, verify_mr
 from .errors import BasisError, ContextMismatchError, InternalConsistencyError, InvalidVectorError
 from .hopf import DeformationContext, pi_identities_report, verify_hopf
 from .minkowski import verify_covariance
 from .reports import VerificationReport
 from .scalars import I_POWERS
-from .tensors import classify_orbit, omega, r_matrix, schouten_square
+from .tensors import omega, r_matrix, schouten_square
 from .twist import build_twist, verify_twist
 
 EXAMPLES = {
@@ -263,6 +263,9 @@ def _schouten_report(cfg: jsonio.RunConfig, order: int) -> VerificationReport:
     from .algebra import PoincareAlgebra
 
     rep = VerificationReport("schouten")
+    if cfg.tau.is_zero:
+        rep.skipped = "tau = 0: no r-matrix, nothing to check"
+        return rep
     alg = PoincareAlgebra(cfg.metric, order)
     w = r_matrix(alg, cfg.tau)
     rep.record(

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau
+from .bases import OrbitClassification
 from .minkowski import MinkowskiElement
 from .render import gen_text, mink_mono_text, mono_text, wedge_series
 from .scalars import gauss
-from .tensors import OrbitClassification, TensorElement, wedge
+from .tensors import TensorElement, wedge
 
 
 def rational_to_str(x: Fraction) -> str:

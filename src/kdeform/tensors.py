@@ -5,14 +5,10 @@ r_tau = tau _| Omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 
-from . import exactla
 from .algebra import (
     AlgebraElement,
-    Metric,
     MonomialMap,
     PoincareAlgebra,
     TermElement,
@@ -396,96 +392,3 @@ def schouten_square(r: TensorElement) -> TensorElement:
     t3, d = collect(accs, r.den * r.den)
     num = {(tuple((g,) for g in codes), 0): 2 * c for codes, c in t3.items()}
     return TensorElement(alg, 3, *reduced(num, d))
-
-
-# -- orbit classification ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrbitClassification:
-    """tau^2 sign, Yang-Baxter type, and the stability-group label of the orbit."""
-
-    tau_sq: Fraction
-    yb_type: str  # "MYBE" | "CYBE"
-    stability_kind: str  # "SO" | "ISO"
-    stability_pq: tuple
-
-    @property
-    def tau_sq_sign(self) -> int:
-        return (self.tau_sq > 0) - (self.tau_sq < 0)
-
-    @property
-    def stability_label(self) -> str:
-        p, q = self.stability_pq
-        inner = f"{p}" if q == 0 else (f"{q}" if p == 0 else f"{p},{q}")
-        return f"{self.stability_kind}({inner})"
-
-    @property
-    def suggested_basis(self) -> str:
-        return "lightcone" if self.yb_type == "CYBE" else "orthogonal"
-
-
-def tau_orthogonal_complement(metric: Metric, tau: VectorTau):
-    """A rational basis of the g-orthogonal complement of a non-null tau."""
-    d = metric.dim
-    t2 = tau.tau_sq
-    cands = []
-    for e in exactla.identity(d):
-        lam = metric.apply(tau.components, e) / t2
-        v = tuple(e[i] - lam * tau.components[i] for i in range(d))
-        if any(v):
-            cands.append(v)
-    return exactla.select_independent(cands, d - 1)
-
-
-def hyperbolic_pair_complement(metric: Metric, tau: VectorTau):
-    """(tau_tilde, transverse basis) for a null tau: g(tau, tt) = 1, g(tt, tt) = 0,
-    transverse vectors g-orthogonal to both."""
-    d = metric.dim
-    units = exactla.identity(d)
-    row = tuple(metric.apply(tau.components, e) for e in units)
-    w = exactla.solve_single(row, 1)
-    lam = metric.apply(w, w) / 2
-    tt = tuple(w[i] - lam * tau.components[i] for i in range(d))
-    cands = []
-    for e in units:
-        a = metric.apply(e, tt)  # component along tau
-        b = metric.apply(e, tau.components)  # component along tau_tilde
-        v = tuple(e[i] - a * tau.components[i] - b * tt[i] for i in range(d))
-        if any(v):
-            cands.append(v)
-    trans = exactla.select_independent(cands, d - 2) if d > 2 else []
-    return tt, trans
-
-
-def classify_orbit(metric: Metric, tau: VectorTau) -> OrbitClassification:
-    """Orbit data for (g, tau): YB type from tau^2 and the stability group of tau.
-
-    For tau^2 != 0 the stability group is SO of g restricted to the orthogonal
-    complement of tau; for tau^2 = 0 it is ISO of the transverse block after
-    splitting off the hyperbolic plane spanned by tau and its null partner.
-    """
-    if tau.is_zero:
-        raise InvalidVectorError("cannot classify the orbit of the zero vector")
-    t2 = tau.tau_sq
-    if t2:
-        basis = tau_orthogonal_complement(metric, tau)
-        gram = _gram(metric, basis)
-        pq = exactla.signature(gram)
-        return OrbitClassification(t2, "MYBE", "SO", pq)
-    p, q = metric.signature
-    if p == 0 or q == 0:
-        raise InvalidVectorError(
-            "a nonzero null vector cannot exist for a definite metric; inconsistent input"
-        )
-    tt, trans = hyperbolic_pair_complement(metric, tau)
-    if trans:
-        gram = _gram(metric, trans)
-        pq = exactla.signature(gram)
-    else:
-        pq = (0, 0)
-    return OrbitClassification(t2, "CYBE", "ISO", pq)
-
-
-def _gram(metric: Metric, basis):
-    return tuple(tuple(metric.apply(u, v) for v in basis) for u in basis)

@@ -36,7 +36,7 @@ from .errors import BasisError, InternalConsistencyError, InvalidVectorError
 from .hopf import DeformationContext
 from .reports import VerificationReport
 from .tensors import TensorElement, tensor_commutator, tensor_exp, tensor_invert
-from .bases import in_adapted_basis
+from .bases import in_adapted_basis, is_lightcone_adapted
 
 _HALF = Fraction(1, 2)
 
@@ -54,20 +54,6 @@ class TwistData:
     r_quantum_inv: TensorElement  # R^-1 = F F_21^-1
     factor_jordanian_first: TensorElement
     factor_transverse_first: TensorElement
-
-
-def is_lightcone_adapted(ctx: DeformationContext) -> bool:
-    d = ctx.algebra.dim
-    g = ctx.metric.rows
-    if ctx.tau.components != (1,) + (0,) * (d - 1):
-        return False
-    last = d - 1
-    return (
-        not g[0][0]
-        and not g[last][last]
-        and g[0][last] == 1
-        and all(not g[0][a] and not g[last][a] for a in range(1, last))
-    )
 
 
 def build_twist(ctx: DeformationContext) -> TwistData:
@@ -118,7 +104,7 @@ def verify_twist(ctx: DeformationContext) -> VerificationReport:
     if ctx.tau.is_zero or ctx.tau.tau_sq:
         rep.skipped = "the twist suite requires null tau (tau^2 = 0)"
         return rep
-    ctx, tie = in_adapted_basis(ctx, is_lightcone_adapted)
+    ctx, tie = in_adapted_basis(ctx)
 
     alg = ctx.algebra
     d = alg.dim

@@ -340,3 +340,28 @@ class TestAdaptedContext:
         after = classify_orbit(ctx.metric, ctx.tau)
         assert before.stability_pq == after.stability_pq
         assert before.yb_type == after.yb_type
+
+
+class TestOrbitInertia:
+    """The stability group of tau against Sylvester's law of inertia on the
+    whole metric: tau's own line (tau^2 != 0) or hyperbolic plane (null tau)
+    takes (1, 0), (0, 1) or (1, 1) from g's signature, and the rest is the
+    stability block.  No decomposition is consulted for the expectation."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_stability_signature_is_g_minus_the_tau_block(self, dim):
+        from kdeform import classify_orbit
+        from kdeform.bases import in_adapted_basis
+
+        rng = random.Random(2000 + dim)
+        pairs = [(g, random_tau(rng, g)) for g in (random_metric(rng, dim) for _ in range(8))]
+        pairs += [random_null_pair(rng, dim) for _ in range(4)]
+        for metric, tau in pairs:
+            t2 = tau.tau_sq
+            off = (1, 0) if t2 > 0 else (0, 1) if t2 < 0 else (1, 1)
+            o = classify_orbit(metric, tau)
+            p, q = metric.signature
+            assert o.stability_pq == (p - off[0], q - off[1]), (metric, tau)
+            assert (o.stability_kind, o.yb_type) == (("SO", "MYBE") if t2 else ("ISO", "CYBE"))
+            ctx = adapted_context(metric, tau, 1)[1]
+            assert in_adapted_basis(ctx) == (ctx, None), (metric, tau)

@@ -144,6 +144,21 @@ class TestVerify:
         assert code == 0
         assert "skipped" in out  # the MR suite does not apply to null tau
 
+    def test_all_suites_zero_tau(self, capsys, tmp_path):
+        # every suite alone accepts tau = 0, so all of them together must too;
+        # the Schouten report has no r-matrix to check and says so
+        cfg = tmp_path / "zero.json"
+        data = {"metric": [[-1, 0, 0], [0, 1, 0], [0, 0, 1]], "tau": [0, 0, 0]}
+        cfg.write_text(json.dumps({**data, "truncation_order": 2}))
+        argv = ("verify", "--suite", "all", "--config", str(cfg), "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        schouten = json.loads(out)[0]
+        assert schouten["suite"] == "schouten" and "no r-matrix" in schouten["skipped"]
+        code, out, _ = run(capsys, *argv, "--corrupt")
+        assert code == 1
+        assert not all(r["passed"] for r in json.loads(out))
+
     @staticmethod
     def _null_eta3(tmp_path, basis):
         cfg = tmp_path / f"{basis}.json"
