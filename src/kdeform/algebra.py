@@ -16,14 +16,15 @@ so every coefficient the engine computes is real and its numerator an int.
 The paper's M = iX comes back only in output (see TermElement.series) and in
 the boundary constructor PoincareAlgebra.M.
 
-Generators are encoded as small integers so that monomials are plain int
-tuples: a rotation X_{mu nu} (mu < nu) gets code mu*D + nu, a momentum P_mu
-gets code D*D + mu.  The PBW order "rotations lexicographically, then momenta
-by index" is then just increasing code order, and a monomial is in normal form
-iff its code tuple is nondecreasing.  A word is reduced at its first inversion:
-the out-of-order letter moves left across the whole run of larger letters
-before it via x y = y x + [x, y], which leaves one word with fewer inversions
-plus words of lower degree, so rewriting terminates.
+PBWAlgebra normal-orders words over a bracket table whose generators are small
+integer codes, in increasing code order: a monomial is a plain int tuple, in
+normal form iff nondecreasing.  A word is reduced at its first inversion: the
+out-of-order letter moves left across the whole run of larger letters before
+it via x y = y x + [x, y], which leaves one word with fewer inversions plus
+words of lower degree, so rewriting terminates.  PoincareAlgebra is that
+engine over iso(g), where X_{mu nu} (mu < nu) gets code mu*D + nu and P_mu
+code D*D + mu ("rotations lexicographically, then momenta by index"), and
+CoordinateAlgebra over the kappa-Minkowski coordinates' an(D-1).
 """
 
 from __future__ import annotations
@@ -118,108 +119,21 @@ class VectorTau:
         return f"VectorTau({[str(c) for c in self.components]})"
 
 
-class PoincareAlgebra:
-    """U(iso(g)) over h-series coefficients at a fixed truncation order.
+class PBWAlgebra:
+    """PBW normal forms, products and commutators over a bracket table, at a
+    fixed truncation order.  A subclass supplies the table, _bracket_uncached(a,
+    b) = [a, b] of codes as {code: coefficient}, and its properties: the codes
+    from _commuting on commute pairwise (none do if it is past every code), so
+    their words multiply by sorting; _lie, unless cleared, says it obeys Jacobi."""
 
-    Owns the structure-constant table and the normal-order and commutator
-    caches of monomials; elements hold a reference back here.
-    All values are immutable once built, so a context can be shared freely.
-
-    shift perturbs the structure constants, for negative controls:
-    {(a, b): {c: value}} adds value * c to [a, b] (and its negative to
-    [b, a]), stated in the paper's generators M and P.
-    """
-
-    def __init__(self, metric: Metric, order: int, shift=None):
+    def __init__(self, order: int):
         if order < 1:
             raise ValueError("truncation order must be >= 1")
-        self.metric = metric
         self.order = order
-        self.dim = d = metric.dim
-        self._mom0 = d * d  # first momentum code
-        rotations = tuple(mu * d + nu for mu in range(d) for nu in range(mu + 1, d))
-        self._codes = rotations + tuple(range(d * d, d * d + d))  # PBW order
+        self._lie = True
         self._brackets = {}
         self._no_cache = {}
         self._comm_cache = {}
-        # [M_a, M_b] = i^(#a + #b) [X_a, X_b], and a term v M_c is v i^#c X_c
-        self._shift = {}
-        for (a, b), row in (shift or {}).items():
-            for pair, sign in (((a, b), 1), ((b, a), -1)):
-                out = self._shift.setdefault(pair, {})
-                for c, v in row.items():
-                    n = self.i_count((c,)) - self.i_count((a, b))
-                    accumulate(out, c, times_i(exact(v) * sign, n))
-        table = sorted((p, c, v) for p, row in self._shift.items() for c, v in row.items() if v)
-        self._key = (metric._key, order, tuple(table))  # tables that differ do not mix
-        # pure-momentum words commute unless a shift names a pair of momenta
-        mom0 = self._mom0
-        self._momenta_commute = not any(a >= mom0 and b >= mom0 for a, b in self._shift)
-
-    # -- generator codes ----------------------------------------------------
-
-    def momentum_code(self, mu: int) -> int:
-        if not 0 <= mu < self.dim:
-            raise IndexError(f"momentum index {mu} out of range for D={self.dim}")
-        return self._mom0 + mu
-
-    def rotation_code(self, mu: int, nu: int):
-        """Return (code, sign) canonicalizing M_{nu mu} = -M_{mu nu}; sign 0 for mu == nu."""
-        d = self.dim
-        if not (0 <= mu < d and 0 <= nu < d):
-            raise IndexError(f"rotation indices ({mu},{nu}) out of range for D={d}")
-        if mu == nu:
-            return (0, 0)
-        if mu < nu:
-            return (mu * d + nu, 1)
-        return (nu * d + mu, -1)
-
-    def decode(self, code: int):
-        """Return ('P', mu) or ('M', (mu, nu)) for a generator code; a rotation
-        code names X_{mu nu} = -i M_{mu nu}."""
-        if code >= self._mom0:
-            return ("P", code - self._mom0)
-        return ("M", divmod(code, self.dim))
-
-    def i_count(self, mono: tuple) -> int:
-        """The number of rotations in a word: the power of i between its
-        product of X's and the same product of the paper's M = iX."""
-        mom0 = self._mom0
-        return sum(1 for c in mono if c < mom0)
-
-    def generator_codes(self):
-        """All basis generator codes in PBW order (rotations, then momenta), as a tuple."""
-        return self._codes
-
-    # -- element constructors ------------------------------------------------
-
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {}, 1)
-
-    def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {((), 0): _ONE}, 1)
-
-    def scalar(self, value) -> "AlgebraElement":
-        return self.one() * value
-
-    def P(self, mu: int) -> "AlgebraElement":
-        return AlgebraElement(self, {((self.momentum_code(mu),), 0): _ONE}, 1)
-
-    def X(self, mu: int, nu: int) -> "AlgebraElement":
-        """The rotation X_{mu nu} = -i M_{mu nu} the engine computes with."""
-        code, sign = self.rotation_code(mu, nu)
-        return self.from_codes({code: sign} if sign else {})
-
-    def M(self, mu: int, nu: int) -> "AlgebraElement":
-        """The paper's rotation M_{mu nu} = i X_{mu nu}: a boundary value with
-        an imaginary coefficient."""
-        return self.X(mu, nu) * I_POWERS[1]
-
-    def from_codes(self, coeff_map) -> "AlgebraElement":
-        """Element from {generator code: coefficient}; degree-one terms only."""
-        return AlgebraElement(self, {((c,), 0): v for c, v in coeff_map.items()})
-
-    # -- structure constants --------------------------------------------------
 
     def bracket_codes(self, a: int, b: int) -> dict:
         """[a, b] for basis generators, as {generator code: coefficient}."""
@@ -230,42 +144,8 @@ class PoincareAlgebra:
         """[a, b] as (denominator, {generator code: numerator})."""
         out = self._brackets.get((a, b))
         if out is None:
-            acc = self._bracket_uncached(a, b)
-            for c, v in self._shift.get((a, b), {}).items():
-                accumulate(acc, c, v)
-            num, d = split_map(acc)
+            num, d = split_map(self._bracket_uncached(a, b))
             out = self._brackets[(a, b)] = (d, num)
-        return out
-
-    def _bracket_uncached(self, a: int, b: int) -> dict:
-        d = self.dim
-        mom0 = self._mom0
-        g = self.metric.rows
-        if a >= mom0 and b >= mom0:
-            return {}
-        if a < mom0 and b >= mom0:
-            # [X_{mu nu}, P_rho] = g_{nu rho} P_mu - g_{mu rho} P_nu, mu != nu
-            mu, nu = divmod(a, d)
-            rho = b - mom0
-            return {mom0 + mu: g[nu][rho], mom0 + nu: -g[mu][rho]}
-        if a >= mom0 and b < mom0:
-            return {c: -v for c, v in self._bracket_uncached(b, a).items()}
-        # [X_{mu nu}, X_{rho lam}] = g_{mu lam} X_{nu rho} - g_{nu lam} X_{mu rho}
-        #                           + g_{nu rho} X_{mu lam} - g_{mu rho} X_{nu lam}
-        mu, nu = divmod(a, d)
-        rho, lam = divmod(b, d)
-        out = {}
-        for f, p, q in (
-            (g[mu][lam], nu, rho),
-            (-g[nu][lam], mu, rho),
-            (g[nu][rho], mu, lam),
-            (-g[mu][rho], nu, lam),
-        ):
-            if not f:
-                continue
-            code, sign = self.rotation_code(p, q)
-            if sign:
-                accumulate(out, code, f * sign)
         return out
 
     # -- PBW normal ordering ---------------------------------------------------
@@ -275,13 +155,13 @@ class PoincareAlgebra:
         """Product of two normal-ordered monomials as (d, pairs).
 
         A pair whose concatenation is sorted (an empty word among them), or
-        two words of commuting momenta, is answered without a lookup.  The
+        two words of the commuting block, is answered without a lookup.  The
         other products are the normal forms of the concatenated word, which
         normal_order caches once for every pair that spells it."""
         if not m1 or not m2 or m1[-1] <= m2[0]:
             return 1, ((m1 + m2, _ONE),)
         word = m1 + m2
-        if m1[0] >= self._mom0 and m2[0] >= self._mom0 and self._momenta_commute:
+        if m1[0] >= self._commuting and m2[0] >= self._commuting:
             return 1, ((tuple(sorted(word)), _ONE),)
         out = self._no_cache.get(word)
         return self.normal_order(word) if out is None else out
@@ -290,23 +170,22 @@ class PoincareAlgebra:
         """[m1, m2] = m1 m2 - m2 m1 of two normal-ordered monomials, as (d, pairs).
 
         A pair that commutes by structure (an empty word, a word with itself,
-        or two words of momenta) is answered without a lookup and never
-        stored.  The other pairs are cached in one orientation, m1 < m2; the
-        reversed pair returns the same pairs under -d.  A miss forms neither
+        or two words of the commuting block) is answered without a lookup and
+        never stored.  The other pairs are cached in one orientation, m1 < m2;
+        the reversed pair returns the same pairs under -d.  A miss forms neither
         product: [a, b] = sum_ij NO(b[:j] a[:i] [a_i, b_j] a[i+1:] b[j+1:]) by
         the Leibniz rule, which needs the unique normal forms of a Lie table
-        (the diamond lemma); a shifted table, which can break Jacobi, takes NO(ab) - NO(ba)."""
+        (the diamond lemma); a table that can break Jacobi takes NO(ab) - NO(ba)."""
         if not m1 or not m2 or m1 == m2:
             return _EMPTY
-        mom0 = self._mom0
-        if m1[0] >= mom0 and m2[0] >= mom0 and self._momenta_commute:
+        if m1[0] >= self._commuting and m2[0] >= self._commuting:
             return _EMPTY
         rev = m2 < m1
         key = (m2, m1) if rev else (m1, m2)
         out = self._comm_cache.get(key)
         if out is None:
             a, b = key
-            if self._shift:
+            if not self._lie:
                 (d1, p1), (d2, p2) = self.mono_product(a, b), self.mono_product(b, a)
                 accs, splices = {d1: dict(p1), -d2: dict(p2)}, ()
             else:
@@ -418,6 +297,135 @@ class PoincareAlgebra:
                 acc[t] = p if cur is None else cur + p
         return collect(accs, den)
 
+
+class PoincareAlgebra(PBWAlgebra):
+    """U(iso(g)) at a fixed truncation order: the PBW engine over the iso(g)
+    table, its momenta the commuting block; elements hold a reference back here.
+
+    shift perturbs the structure constants, for negative controls:
+    {(a, b): {c: value}} adds value * c to [a, b] (and its negative to
+    [b, a]), stated in the paper's generators M and P.
+    """
+
+    def __init__(self, metric: Metric, order: int, shift=None):
+        super().__init__(order)
+        self.metric = metric
+        self.dim = d = metric.dim
+        self._mom0 = mom0 = d * d  # first momentum code
+        rotations = tuple(mu * d + nu for mu in range(d) for nu in range(mu + 1, d))
+        self._codes = rotations + tuple(range(d * d, d * d + d))  # PBW order
+        # [M_a, M_b] = i^(#a + #b) [X_a, X_b], and a term v M_c is v i^#c X_c
+        self._shift = {}
+        for (a, b), row in (shift or {}).items():
+            for pair, sign in (((a, b), 1), ((b, a), -1)):
+                out = self._shift.setdefault(pair, {})
+                for c, v in row.items():
+                    n = self.i_count((c,)) - self.i_count((a, b))
+                    accumulate(out, c, times_i(exact(v) * sign, n))
+        table = sorted((p, c, v) for p, row in self._shift.items() for c, v in row.items() if v)
+        self._key = (metric._key, order, tuple(table))  # tables that differ do not mix
+        # the momenta commute unless a shift names a pair of them; a shift can break Jacobi
+        momenta = any(a >= mom0 and b >= mom0 for a, b in self._shift)
+        self._commuting = mom0 + d if momenta else mom0
+        self._lie = not self._shift
+
+    # -- generator codes ----------------------------------------------------
+
+    def momentum_code(self, mu: int) -> int:
+        if not 0 <= mu < self.dim:
+            raise IndexError(f"momentum index {mu} out of range for D={self.dim}")
+        return self._mom0 + mu
+
+    def rotation_code(self, mu: int, nu: int):
+        """Return (code, sign) canonicalizing M_{nu mu} = -M_{mu nu}; sign 0 for mu == nu."""
+        d = self.dim
+        if not (0 <= mu < d and 0 <= nu < d):
+            raise IndexError(f"rotation indices ({mu},{nu}) out of range for D={d}")
+        if mu == nu:
+            return (0, 0)
+        if mu < nu:
+            return (mu * d + nu, 1)
+        return (nu * d + mu, -1)
+
+    def decode(self, code: int):
+        """Return ('P', mu) or ('M', (mu, nu)) for a generator code; a rotation
+        code names X_{mu nu} = -i M_{mu nu}."""
+        if code >= self._mom0:
+            return ("P", code - self._mom0)
+        return ("M", divmod(code, self.dim))
+
+    def i_count(self, mono: tuple) -> int:
+        """The number of rotations in a word: the power of i between its
+        product of X's and the same product of the paper's M = iX."""
+        mom0 = self._mom0
+        return sum(1 for c in mono if c < mom0)
+
+    def generator_codes(self):
+        """All basis generator codes in PBW order (rotations, then momenta), as a tuple."""
+        return self._codes
+
+    # -- element constructors ------------------------------------------------
+
+    def zero(self) -> "AlgebraElement":
+        return AlgebraElement(self, {}, 1)
+
+    def one(self) -> "AlgebraElement":
+        return AlgebraElement(self, {((), 0): _ONE}, 1)
+
+    def scalar(self, value) -> "AlgebraElement":
+        return self.one() * value
+
+    def P(self, mu: int) -> "AlgebraElement":
+        return AlgebraElement(self, {((self.momentum_code(mu),), 0): _ONE}, 1)
+
+    def X(self, mu: int, nu: int) -> "AlgebraElement":
+        """The rotation X_{mu nu} = -i M_{mu nu} the engine computes with."""
+        code, sign = self.rotation_code(mu, nu)
+        return self.from_codes({code: sign} if sign else {})
+
+    def M(self, mu: int, nu: int) -> "AlgebraElement":
+        """The paper's rotation M_{mu nu} = i X_{mu nu}: a boundary value with
+        an imaginary coefficient."""
+        return self.X(mu, nu) * I_POWERS[1]
+
+    def from_codes(self, coeff_map) -> "AlgebraElement":
+        """Element from {generator code: coefficient}; degree-one terms only."""
+        return AlgebraElement(self, {((c,), 0): v for c, v in coeff_map.items()})
+
+    # -- structure constants --------------------------------------------------
+
+    def _bracket_uncached(self, a: int, b: int) -> dict:
+        """[a, b] in iso(g), plus the shift's terms."""
+        d = self.dim
+        mom0 = self._mom0
+        g = self.metric.rows
+        out = {}
+        if (a < mom0) != (b < mom0):
+            # [X_{mu nu}, P_rho] = g_{nu rho} P_mu - g_{mu rho} P_nu = -[P_rho, X_{mu nu}]
+            (x, p), s = ((a, b), 1) if a < mom0 else ((b, a), -1)
+            mu, nu = divmod(x, d)
+            rho = p - mom0
+            out = {mom0 + mu: s * g[nu][rho], mom0 + nu: -s * g[mu][rho]}
+        elif a < mom0:
+            # [X_{mu nu}, X_{rho lam}] = g_{mu lam} X_{nu rho} - g_{nu lam} X_{mu rho}
+            #                           + g_{nu rho} X_{mu lam} - g_{mu rho} X_{nu lam}
+            mu, nu = divmod(a, d)
+            rho, lam = divmod(b, d)
+            for f, p, q in (
+                (g[mu][lam], nu, rho),
+                (-g[nu][lam], mu, rho),
+                (g[nu][rho], mu, lam),
+                (-g[mu][rho], nu, lam),
+            ):
+                if not f:
+                    continue
+                code, sign = self.rotation_code(p, q)
+                if sign:
+                    accumulate(out, code, f * sign)
+        for c, v in self._shift.get((a, b), {}).items():
+            accumulate(out, c, v)
+        return out
+
     # -- derived elements ---------------------------------------------------------
 
     def casimir(self) -> "AlgebraElement":
@@ -468,6 +476,19 @@ class PoincareAlgebra:
     def __repr__(self):
         p, q = self.metric.signature
         return f"PoincareAlgebra(iso({p},{q}), D={self.dim}, order={self.order})"
+
+
+class CoordinateAlgebra(PBWAlgebra):
+    """The PBW engine over the an(D-1) table of the kappa-Minkowski coordinates
+    z = y / h, each index its own code: [z^mu, z^nu] = tau^mu z^nu - tau^nu z^mu."""
+
+    def __init__(self, tau: VectorTau, order: int):
+        super().__init__(order)
+        self.tau = tau.components
+        self._commuting = len(self.tau)  # no two coordinates commute by structure
+
+    def _bracket_uncached(self, mu: int, nu: int) -> dict:
+        return {nu: self.tau[mu], mu: -self.tau[nu]} if mu != nu else {}
 
 
 def accumulate(acc: dict, key, val):

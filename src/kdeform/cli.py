@@ -139,7 +139,7 @@ def cmd_classify(cfg: jsonio.RunConfig) -> int:
         sign = {1: "> 0", -1: "< 0", 0: "= 0"}[orbit.tau_sq_sign]
         print(
             f"\\tau^2 {sign}, \\quad \\text{{{orbit.yb_type}}}, \\quad "
-            f"G_\\tau \\cong {orbit.stability_kind}({orbit.stability_pq[0]},{orbit.stability_pq[1]})"
+            f"G_\\tau \\cong {orbit.stability_label}"
         )
     else:
         print(f"tau^2 = {jsonio.rational_to_str(orbit.tau_sq)} (sign {orbit.tau_sq_sign:+d})")

@@ -46,6 +46,7 @@ from functools import cached_property
 
 from .algebra import (
     AlgebraElement,
+    CoordinateAlgebra,
     Metric,
     MonomialMap,
     PoincareAlgebra,
@@ -108,8 +109,8 @@ class DeformationContext:
         self.mono_coproduct = MonomialMap(unit2, lambda code: me.coproduct(code))
         self.mono_primitive = MonomialMap(unit2, lambda code: me._primitive_gen(code))
         self.mono_antipode = MonomialMap(alg.one(), lambda code: me.antipode(code), anti=True)
-        # kappa-Minkowski: normal forms and (monomial, word) action images, as tuples
-        self._mink_no_cache = {}
+        # kappa-Minkowski: the coordinates' table, and (monomial, word) action images as tuples
+        self.coordinate_algebra = CoordinateAlgebra(self.tau, order)
         self._act_cache = {}
 
     # -- deformation series -------------------------------------------------

@@ -6,22 +6,26 @@ computed in the real coordinates y = -i x, where
 
     [y^mu, y^nu] = h (tau^mu y^nu - tau^nu y^mu),
 
-normal-ordered on nondecreasing index words, and the covariant Hopf action of
-the deformed symmetry through the generalized Leibniz rule
+and the covariant Hopf action of the deformed symmetry through the
+generalized Leibniz rule
 
     L |> (a . b) = (L_(1) |> a) . (L_(2) |> b)
 
-with the deformed coproduct supplying the legs.  Generators act classically on
-single coordinates as P_mu = -i d_mu and M_mn = i(x_m d_n - x_n d_m), which
-represent the brackets; in X = -iM and y that is P_mu |> y^nu = -delta and
-X_mn |> y^rho = y_m delta_n^rho - y_n delta_m^rho, with the coordinate index
-lowered by the metric; constants are hit with the counit.  The action is the
-linear extension of the images of (PBW monomial, word) pairs, cached per
-context as (d, pairs) tuples: a monomial's first generator acts on the image
-of the rest, and a generator on a longer word expands by the Leibniz rule, in
-which each distinct leg monomial acts once per expansion and a term whose
-left leg annihilates is dropped.  A check on degree-d words of the paper's x
-records its y-form residual with the phase d (plus one per rotation): x = iy.
+with the deformed coproduct supplying the legs.  Words are normal-ordered by
+the PBW engine over the an(D-1) table of z = y / h (CoordinateAlgebra, one per
+context), [z^mu, z^nu] = tau^mu z^nu - tau^nu z^mu: a word w of y's is
+sum_v c_v h^(|w|-|v|) y^v for the normal form sum_v c_v z^v of w, truncated
+at h^N.  Generators act classically on single coordinates as P_mu = -i d_mu
+and M_mn = i(x_m d_n - x_n d_m), which represent the brackets; in X = -iM and
+y that is P_mu |> y^nu = -delta and X_mn |> y^rho = y_m delta_n^rho - y_n
+delta_m^rho, with the coordinate index lowered by the metric; constants are
+hit with the counit.  The action is the linear extension of the images of
+(PBW monomial, word) pairs, cached per context as (d, pairs) tuples: a
+monomial's first generator acts on the image of the rest, and a generator on
+a longer word expands by the Leibniz rule, in which each distinct leg monomial
+acts once per expansion and a term whose left leg annihilates is dropped.  A
+check on degree-d words of the paper's x records its y-form residual with the
+phase d (plus one per rotation): x = iy.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from __future__ import annotations
 import time
 from itertools import combinations_with_replacement
 
-from .algebra import _EMPTY, AlgebraElement, TermElement, accumulate, collect
+from .algebra import _EMPTY, AlgebraElement, TermElement, reduced
 from .errors import ContextMismatchError
-from .scalars import split, split_map
+from .scalars import split_map
 from .hopf import DeformationContext
 from .reports import VerificationReport
 
@@ -72,7 +76,7 @@ class MinkowskiElement(TermElement):
         ctx = self.context
 
         def image(mono, _):
-            d, pairs = _coord_normal_order(ctx, tuple(reversed(mono)))
+            d, pairs = _normal_form(ctx, tuple(reversed(mono)))
             return d * (-1) ** len(mono), pairs
 
         return self._star_by(image)
@@ -103,55 +107,26 @@ def coordinate_monomial(ctx: DeformationContext, indices) -> MinkowskiElement:
     for mu in word:
         if not 0 <= mu < ctx.algebra.dim:
             raise IndexError(f"coordinate index {mu} out of range")
-    d, pairs = _coord_normal_order(ctx, word)
-    return MinkowskiElement(ctx, dict(pairs), d)
+    d, pairs = _normal_form(ctx, word)
+    return MinkowskiElement(ctx, *reduced({t: c for t, c in pairs if t[1] <= ctx.order}, d))
 
 
-def _coord_normal_order(ctx: DeformationContext, word: tuple) -> tuple:
-    """Normal order a coordinate word, as an extend rule's image: (d, flat
-    ((word, power of h), numerator) pairs).  Each swap of an out-of-order
-    adjacent pair (mu > nu) emits the linear correction
-    h (tau^mu y^nu - tau^nu y^mu), one power of h up: the only key product
-    that shifts h."""
-    cache = ctx._mink_no_cache
-    out = cache.get(word)
-    if out is not None:
-        return out
-    for i in range(len(word) - 1):
-        if word[i] > word[i + 1]:
-            break
-    else:
-        out = cache[word] = (1, (((word, 0), 1),))
-        return out
-    N = ctx.algebra.order
-    mu, nu = word[i], word[i + 1]
-    head, tail = word[:i], word[i + 2 :]
-    d, swapped = _coord_normal_order(ctx, head + (nu, mu) + tail)
-    accs = {d: dict(swapped)}
-    tau = ctx.tau.components
-    for comp, keep in ((tau[mu], nu), (-tau[nu], mu)):
-        if not comp:
-            continue
-        n, dc = split(comp)
-        d, pairs = _coord_normal_order(ctx, head + (keep,) + tail)
-        acc = accs.setdefault(dc * d, {})
-        for (m, j), c in pairs:
-            if j < N:
-                accumulate(acc, (m, j + 1), c * n)
-    num, d = collect(accs)
-    out = cache[word] = (d, tuple(num.items()))
-    return out
+def _normal_form(ctx: DeformationContext, word: tuple) -> tuple:
+    """The normal form of a coordinate word, as an extend rule's image: each
+    word v of its an(D-1) normal form at h^(|word| - |v|)."""
+    d, pairs = ctx.coordinate_algebra.normal_order(word)
+    return d, [((v, len(word) - len(v)), c) for v, c in pairs]
 
 
 def mink_multiply(a: MinkowskiElement, b: MinkowskiElement) -> MinkowskiElement:
-    """a . b: every pair of words is concatenated and normal ordered, which
-    weights the corrections by powers of h.  The product is bilinear, so it
-    is the linear extension over a of each word's product with b."""
+    """a . b: every pair of words is concatenated and normal ordered (see
+    _normal_form).  The product is bilinear, so it is the linear extension
+    over a of each word's product with b."""
     ctx = a.context
     extend = a.algebra.extend
 
     def times_b(w1, _budget):
-        num, den = extend(b.num, lambda w2, _: _coord_normal_order(ctx, w1 + w2), b.den)
+        num, den = extend(b.num, lambda w2, _: _normal_form(ctx, w1 + w2), b.den)
         return den, num.items()
 
     return MinkowskiElement(ctx, *extend(a.num, times_b, a.den))
@@ -292,6 +267,7 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
                 rep.record("relation-preserved-under-action", lhs - rhs, label, phase=n)
 
     monomials = _monomials_up_to(d, max_degree)
+    coords = {m: coordinate_monomial(ctx, m) for m in [(), *monomials]}
 
     for i, c1 in enumerate(codes):
         e1 = ctx.gen_element(c1)
@@ -299,7 +275,7 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
             e2 = ctx.gen_element(c2)
             prod = e1 * e2
             for mono in monomials:
-                a = coordinate_monomial(ctx, mono)
+                a = coords[mono]
                 lhs = act(ctx, prod, a)
                 rhs = act(ctx, c1, act(ctx, c2, a))
                 residual = lhs - rhs
@@ -313,8 +289,8 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
     for code in codes:
         for mono in monomials:
             for cut in range(2, len(mono)):
-                a = coordinate_monomial(ctx, mono[:cut])
-                b = coordinate_monomial(ctx, mono[cut:])
+                a = coords[mono[:cut]]
+                b = coords[mono[cut:]]
                 lhs = act(ctx, code, a * b)
                 rhs = act_on_product(ctx, code, a, b)
                 residual = lhs - rhs
@@ -326,7 +302,7 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
 
     some = [m for m in monomials if len(m) <= 2]
     for mono in some:
-        a = coordinate_monomial(ctx, mono)
+        a = coords[mono]
         rep.record("unit-acts-as-identity", act(ctx, alg.one(), a) - a, phase=len(mono))
     for code in codes:
         residual = act(ctx, code, scalar_mink(ctx, 1))
@@ -335,7 +311,7 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
     cas = ctx.casimir
     for code in codes:
         for mono in some:
-            a = coordinate_monomial(ctx, mono)
+            a = coords[mono]
             lhs = act(ctx, cas, act(ctx, code, a))
             rhs = act(ctx, code, act(ctx, cas, a))
             residual = lhs - rhs
@@ -346,8 +322,8 @@ def verify_covariance(ctx: DeformationContext, max_degree: int = 3) -> Verificat
 
     for mono in monomials:
         for cut in range(0, len(mono) + 1):
-            a = coordinate_monomial(ctx, mono[:cut])
-            b = coordinate_monomial(ctx, mono[cut:])
+            a = coords[mono[:cut]]
+            b = coords[mono[cut:]]
             residual = (a * b).star() - b.star() * a.star()
             if not residual.is_zero:
                 label = f"x{list(mono)} split {cut}"

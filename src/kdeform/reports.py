@@ -79,7 +79,7 @@ class VerificationReport:
     def to_json(self) -> dict:
         out = {
             "suite": self.suite,
-            "passed": self.all_passed,
+            "passed": None if self.skipped else self.all_passed,  # a skipped suite checked nothing
             "seconds": round(self.seconds, 3),
             "checks": [c.to_json() for c in self.checks],
         }
@@ -88,7 +88,8 @@ class VerificationReport:
         return out
 
     def __str__(self):
-        lines = [f"suite {self.suite}: {'PASS' if self.all_passed else 'FAIL'}"
+        verdict = "SKIPPED" if self.skipped else "PASS" if self.all_passed else "FAIL"
+        lines = [f"suite {self.suite}: {verdict}"
                  + (f" ({self.seconds:.2f}s)" if self.seconds else "")]
         if self.skipped:
             lines.append(f"  skipped: {self.skipped}")

@@ -132,6 +132,33 @@ def _adjacent_swap(alg, word: tuple, cache: dict) -> tuple:
     return d, tuple(num.items())
 
 
+def coordinate_swap_normal_order(tau, order: int, word: tuple, cache: dict) -> dict:
+    """The normal form of a word of kappa-Minkowski coordinates y, as
+    {(nondecreasing word, power of h): Fraction} modulo h^(order+1), by
+    rewriting the leftmost out-of-order adjacent pair mu > nu as
+    y^mu y^nu = y^nu y^mu + h (tau^mu y^nu - tau^nu y^mu), one swap at a time,
+    every intermediate word memoised in cache (one cache per tau and order):
+    a reference that shares no code with the PBW engine."""
+    out = cache.get(word)
+    if out is None:
+        out = cache[word] = _coordinate_swap(tau, order, word, cache)
+    return out
+
+
+def _coordinate_swap(tau, order: int, word: tuple, cache: dict) -> dict:
+    i = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
+    if i is None:
+        return {(word, 0): Fraction(1)}
+    mu, nu = word[i], word[i + 1]
+    head, tail = word[:i], word[i + 2:]
+    out = dict(coordinate_swap_normal_order(tau, order, head + (nu, mu) + tail, cache))
+    for c, keep in ((tau[mu], nu), (-tau[nu], mu)):
+        for (v, k), cv in coordinate_swap_normal_order(tau, order, head + (keep,) + tail, cache).items():
+            if c and k < order:
+                out[v, k + 1] = out.get((v, k + 1), 0) + c * cv
+    return {t: c for t, c in out.items() if c}
+
+
 def legwise_rule(alg, commutator=False):
     """A rule on pairs of tensor keys, one pair at a time, as (1, [(key,
     Fraction)]): the leg-wise product (a_1 b_1, ..., a_k b_k), or with

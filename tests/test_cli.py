@@ -143,6 +143,8 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "all", "--config", str(cfg))
         assert code == 0
         assert "skipped" in out  # the MR suite does not apply to null tau
+        # a suite that checked nothing neither passed nor failed
+        assert "suite majid-ruegg: SKIPPED\n" in out and "suite majid-ruegg: PASS" not in out
 
     def test_all_suites_zero_tau(self, capsys, tmp_path):
         # every suite alone accepts tau = 0, so all of them together must too;
@@ -155,9 +157,10 @@ class TestVerify:
         assert code == 0
         schouten = json.loads(out)[0]
         assert schouten["suite"] == "schouten" and "no r-matrix" in schouten["skipped"]
+        assert all(r["passed"] is (None if "skipped" in r else True) for r in json.loads(out))
         code, out, _ = run(capsys, *argv, "--corrupt")
         assert code == 1
-        assert not all(r["passed"] for r in json.loads(out))
+        assert any(r["passed"] is False for r in json.loads(out))
 
     @staticmethod
     def _null_eta3(tmp_path, basis):

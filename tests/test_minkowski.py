@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_metric, random_null_pair, random_tau
+from conftest import coordinate_swap_normal_order, random_metric, random_null_pair, random_tau
 from kdeform import GaussRational, jsonio
 from kdeform.algebra import AlgebraElement, PoincareAlgebra
 from kdeform.errors import ContextMismatchError
@@ -208,10 +208,51 @@ class TestCovariance:
         assert all(c.generator.endswith("split 2") for c in failed)
 
 
-# -- an independent reference for the action ------------------------------------------
+# -- independent references for the normal forms and the action -------------------------
 # Elements are plain {(word, power of h): Fraction} maps truncated at the order.
-# The reference normal orders coordinate words itself and applies one generator
-# at a time, through ctx.coproduct and the Leibniz rule on longer words.
+# The reference normal orders coordinate words one adjacent swap at a time (see
+# conftest) and applies one generator at a time, through ctx.coproduct and the
+# Leibniz rule on longer words.
+
+
+def _tau_of_kind(rng: random.Random, dim: int, kind: str):
+    """(metric, tau components) with tau null, non-null, or with some components zero."""
+    if kind == "null":
+        metric, tau = random_null_pair(rng, dim)
+        return metric, tau.components
+    metric = random_metric(rng, dim)
+    tau = random_tau(rng, metric)
+    while kind == "non-null" and not tau.tau_sq:
+        tau = random_tau(rng, metric)
+    comps = list(tau.components)
+    if kind == "zeros":
+        keep = rng.randrange(dim)
+        comps[keep] = comps[keep] or Fraction(1)
+        for mu in rng.sample([mu for mu in range(dim) if mu != keep], rng.randint(1, dim - 1)):
+            comps[mu] = Fraction(0)
+    return metric, comps
+
+
+@pytest.mark.parametrize("order", (2, 3, 4))
+@pytest.mark.parametrize("kind", ("null", "non-null", "zeros"))
+@pytest.mark.parametrize("seed", range(3))
+def test_normal_forms_match_adjacent_swaps(seed, kind, order):
+    """Random coordinate words of length 1-5, normal-ordered through the
+    an(D-1) table and the power of h their rewriting removed letters, against
+    one adjacent swap at a time on the y-relations, alone and as a product of
+    the normal forms of their two parts."""
+    rng = random.Random(100 * seed + 10 * order + len(kind))
+    dim = rng.choice((2, 3, 4))
+    metric, tau = _tau_of_kind(rng, dim, kind)
+    ctx = DeformationContext(metric, tau, order)
+    cache = {}
+    for _ in range(40):
+        word = tuple(rng.randrange(dim) for _ in range(rng.randint(1, 5)))
+        want = coordinate_swap_normal_order(ctx.tau.components, order, word, cache)
+        assert coordinate_monomial(ctx, word).terms == want, word
+        cut = rng.randint(0, len(word))
+        a, b = coordinate_monomial(ctx, word[:cut]), coordinate_monomial(ctx, word[cut:])
+        assert (a * b).terms == want, (word, cut)
 
 
 def _add(acc: dict, terms: dict, c, k: int, order: int):
@@ -226,22 +267,7 @@ def _clean(terms: dict) -> dict:
 
 
 def _ref_word(ctx, word: tuple, memo: dict) -> dict:
-    """The normal form of a coordinate word: y^mu y^nu = y^nu y^mu +
-    h (tau^mu y^nu - tau^nu y^mu) on the first descent mu > nu."""
-    if word in memo:
-        return memo[word]
-    i = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
-    if i is None:
-        out = {(word, 0): Fraction(1)}
-    else:
-        mu, nu = word[i], word[i + 1]
-        head, tail = word[:i], word[i + 2 :]
-        tau, order = ctx.tau.components, ctx.algebra.order
-        out = dict(_ref_word(ctx, head + (nu, mu) + tail, memo))
-        _add(out, _ref_word(ctx, head + (nu,) + tail, memo), tau[mu], 1, order)
-        _add(out, _ref_word(ctx, head + (mu,) + tail, memo), -tau[nu], 1, order)
-    memo[word] = out = _clean(out)
-    return out
+    return coordinate_swap_normal_order(ctx.tau.components, ctx.algebra.order, word, memo)
 
 
 def _ref_product(ctx, a: dict, b: dict, memo: dict) -> dict:
