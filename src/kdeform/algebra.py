@@ -35,6 +35,7 @@ from math import gcd, lcm
 
 from . import exactla
 from .errors import ContextMismatchError, InvalidVectorError, NonInvertibleError
+from .render import element_text
 from .scalars import I_POWERS, GaussRational, as_fraction, exact, ratio, split, split_map, times_i
 
 _F0 = Fraction(0)
@@ -279,7 +280,7 @@ class PBWAlgebra:
         does; a rule need build nothing past the budget, and whatever it yields
         past it is dropped here.  Every structure map reaches elements this
         way: coproducts, antipodes, basis changes, leg maps, the
-        kappa-Minkowski product and action, and the star maps."""
+        kappa-Minkowski product and action, and the star."""
         N = self.order
         accs = {}
         for (key, k1), c1 in terms.items():
@@ -544,28 +545,25 @@ class TermElement:
     real (alg.M, report phases, shifts stated in M) has GaussRational
     numerators with int parts.  terms is the coefficient view, for output.
 
-    A subclass says what its keys are: _with builds an element of the same
-    kind from canonical (num, den), _compatible says which elements combine,
-    _scalar embeds a scalar (where scalars have a place), _mul(other, cap) is
-    the product of two of its elements with no power of h past cap (for the
-    kinds a MonomialMap takes images in), and _i_count(key) is the power of i
-    between the key's symbols and the paper's (M = iX, x = iy).  Constructors
-    take {(key, power of h): coefficient}, or canonical num with its den.
+    Sums, scalar and same-kind products, star() and the series views are
+    written here once, for every kind.  A kind says only what its keys are:
+    _with builds an element of the kind from canonical (num, den), _compatible
+    says which elements combine, _scalar embeds a scalar (where scalars have a
+    place), _mul(other, cap) is the product of two of its elements with no
+    power of h past cap, _reversed(key) is the normal form of the reversed key
+    (of each leg, for tensors) as an extend rule's image, and _i_count(key) is
+    the power of i between the key's symbols and the paper's (M = iX, x = iy).
+    Constructors take {(key, power of h): coefficient}, or canonical num with
+    its den.
     """
 
     __slots__ = ("algebra", "num", "den")
-
-    def _with(self, num: dict, den: int = 1):
-        raise NotImplementedError
 
     def _compatible(self, other) -> bool:
         return self.algebra.compatible(other.algebra)
 
     def _scalar(self, value):
         return NotImplemented
-
-    def _i_count(self, key) -> int:
-        raise NotImplementedError
 
     def _coerce(self, other):
         if type(other) is type(self):
@@ -634,7 +632,11 @@ class TermElement:
         return (-self) + other
 
     def __mul__(self, other):
-        """Multiplication by a scalar; subclasses handle their own products."""
+        """The product with a scalar, or with an element of the same kind at
+        the truncation order (see _mul)."""
+        if type(other) is type(self):
+            self._check(other)
+            return self._mul(other, self.algebra.order)
         if not isinstance(other, _SCALARS):
             return NotImplemented
         n, d = split(other)
@@ -659,9 +661,15 @@ class TermElement:
         shifted = self._with(*reduced(num, self.den))
         return shifted if c == 1 else shifted * c
 
-    def _star_by(self, image):
-        """The antilinear map conjugating coefficients and sending each key to
-        image(key, budget), an extend rule."""
+    def star(self):
+        """The antilinear anti-involution fixing the paper's generators and
+        coordinates, so X* = -X and y* = -y: coefficients are conjugated and
+        each key goes to (-1)^_i_count(key) times its reversal (see _reversed)."""
+
+        def image(key, _):
+            d, pairs = self._reversed(key)
+            return d * (-1) ** self._i_count(key), pairs
+
         conj = {t: c.conjugate() for t, c in self.num.items()}
         return self._with(*self.algebra.extend(conj, image, self.den))
 
@@ -724,11 +732,9 @@ class AlgebraElement(TermElement):
         den = self.den * other.den
         return self._with(*self.algebra.mul_terms(self.num, other.num, cap=cap, den=den))
 
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check(other)
-            return self._mul(other, self.algebra.order)
-        return TermElement.__mul__(self, other)
+    def _reversed(self, mono: tuple) -> tuple:
+        d, pairs = self.algebra.normal_order(mono[::-1])
+        return d, [((m, 0), c) for m, c in pairs]
 
     def __pow__(self, n: int):
         if n < 0:
@@ -744,21 +750,7 @@ class AlgebraElement(TermElement):
         """epsilon(a) 1: the terms of the empty monomial."""
         return self._with(*reduced({t: c for t, c in self.num.items() if not t[0]}, self.den))
 
-    def star(self) -> "AlgebraElement":
-        """Antilinear anti-involution: fixes P and M, so X* = -X; conjugates
-        coefficients, reverses monomials (then re-normal-orders)."""
-        alg = self.algebra
-
-        def image(mono, _):
-            d, pairs = alg.normal_order(tuple(reversed(mono)))
-            return d * (-1) ** alg.i_count(mono), [((m, 0), c) for m, c in pairs]
-
-        return self._star_by(image)
-
-    def __repr__(self):
-        from .render import element_text
-
-        return element_text(self)
+    __repr__ = element_text
 
 
 class MonomialMap:

@@ -44,7 +44,6 @@ class BasisChange:
         self.columns = exactla.freeze(columns)  # column j = new e_j in old coords
         self.inverse = exactla.invert(self.columns)
         self.new_metric = old_metric.congruence(self.columns)
-        self._gen_images = {}
         self._mono_maps = {}
 
     def transform_vector(self, v):
@@ -55,10 +54,8 @@ class BasisChange:
         return VectorTau(self.new_metric, self.transform_vector(tau.components))
 
     def generator_image(self, code: int, target: PoincareAlgebra) -> AlgebraElement:
-        """An old-basis generator as a linear combination of new-basis ones."""
-        img = self._gen_images.get((target._key, code))
-        if img is not None:
-            return img
+        """An old-basis generator as a linear combination of new-basis ones,
+        built afresh: push reads it memoised through _monomials."""
         b = self.inverse
         d = target.dim
         kind, idx = target.decode(code)
@@ -79,9 +76,7 @@ class BasisChange:
                     c, sign = target.rotation_code(mu, nu)
                     if sign:
                         accumulate(acc, c, b[mu][rho] * b[nu][sig] * sign)
-        img = target.from_codes(acc)
-        self._gen_images[(target._key, code)] = img
-        return img
+        return target.from_codes(acc)
 
     def push(self, elem: AlgebraElement, target: PoincareAlgebra) -> AlgebraElement:
         """Multiplicative-linear extension of the generator map to U(iso(g)).

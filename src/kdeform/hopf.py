@@ -424,7 +424,7 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
             n = ph((x,))
             rep.record(
                 "star-compatibility",
-                d.star_legs() - d * (-1) ** n,
+                d.star() - d * (-1) ** n,
                 generator=ctx.gen_name(x),
                 phase=-n,
             )

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau
 from .bases import OrbitClassification
 from .minkowski import MinkowskiElement
-from .render import gen_text, mink_mono_text, mono_text, wedge_series
+from .render import gen_text, mink_mono_text, mono_text, ordered, tensor_size, wedge_series
 from .scalars import gauss
 from .tensors import TensorElement, wedge
 
@@ -109,17 +109,21 @@ def _monomial(descriptors: list, alg: PoincareAlgebra) -> tuple:
     return mono
 
 
+def _terms_to_json(elem, field: str, key_json, size=len) -> list:
+    """The JSON term list of an element of any kind: each key of its series
+    under field, as key_json writes it, with its coefficients, in output
+    order (see render.ordered)."""
+    return [{field: key_json(key), "coeff": series_to_json(nz)}
+            for key, nz in ordered(elem.series(), size)]
+
+
+def _mono_json(mono: tuple, dim: int) -> list:
+    return [_gen_descriptor(c, dim) for c in mono]
+
+
 def element_to_json(elem: AlgebraElement) -> dict:
     dim = elem.algebra.dim
-    return {
-        "terms": [
-            {
-                "monomial": [_gen_descriptor(c, dim) for c in mono],
-                "coeff": series_to_json(nz),
-            }
-            for mono, nz in sorted(elem.series().items(), key=lambda kv: (len(kv[0]), kv[0]))
-        ]
-    }
+    return {"terms": _terms_to_json(elem, "monomial", lambda m: _mono_json(m, dim))}
 
 
 def element_from_json(data: dict, alg: PoincareAlgebra) -> AlgebraElement:
@@ -132,18 +136,11 @@ def element_from_json(data: dict, alg: PoincareAlgebra) -> AlgebraElement:
 
 def tensor_to_json(t: TensorElement) -> dict:
     dim = t.algebra.dim
-    return {
-        "legs": t.legs,
-        "terms": [
-            {
-                "monomials": [[_gen_descriptor(c, dim) for c in mono] for mono in key],
-                "coeff": series_to_json(nz),
-            }
-            for key, nz in sorted(
-                t.series().items(), key=lambda kv: (sum(len(m) for m in kv[0]), kv[0])
-            )
-        ],
-    }
+
+    def key_json(key):
+        return [_mono_json(m, dim) for m in key]
+
+    return {"legs": t.legs, "terms": _terms_to_json(t, "monomials", key_json, tensor_size)}
 
 
 def tensor_from_json(data: dict, alg: PoincareAlgebra) -> TensorElement:
@@ -170,7 +167,7 @@ def wedge_to_json(t: TensorElement) -> dict:
         "degree": t.legs,
         "terms": [
             {
-                "generators": [_gen_descriptor(c, dim) for c in key],
+                "generators": _mono_json(key, dim),
                 "coeff": gauss_to_json(c),
             }
             for key, ((_, c),) in sorted(wedge_series(t).items())
@@ -193,15 +190,7 @@ def wedge_from_json(data: dict, alg: PoincareAlgebra) -> TensorElement:
 
 
 def mink_to_json(elem: MinkowskiElement) -> dict:
-    return {
-        "terms": [
-            {
-                "monomial": [{"x": mu} for mu in mono],
-                "coeff": series_to_json(nz),
-            }
-            for mono, nz in sorted(elem.series().items(), key=lambda kv: (len(kv[0]), kv[0]))
-        ]
-    }
+    return {"terms": _terms_to_json(elem, "monomial", lambda mono: [{"x": mu} for mu in mono])}
 
 
 def mink_from_json(data: dict, ctx) -> MinkowskiElement:
@@ -252,14 +241,16 @@ def basischange_to_json(change) -> dict:
     }
 
 
+_WRITERS = {
+    AlgebraElement: element_to_json, TensorElement: tensor_to_json, MinkowskiElement: mink_to_json
+}
+
+
 def residual_to_json(residual):
     """Best-effort JSON encoding of a failed check's residual."""
-    if isinstance(residual, AlgebraElement):
-        return element_to_json(residual)
-    if isinstance(residual, TensorElement):
-        return tensor_to_json(residual)
-    if isinstance(residual, MinkowskiElement):
-        return mink_to_json(residual)
+    writer = _WRITERS.get(type(residual))
+    if writer is not None:
+        return writer(residual)
     if isinstance(residual, dict):
         return {repr(k): str(v) for k, v in residual.items()}
     return None
@@ -304,8 +295,8 @@ def config_from_json(data: dict) -> RunConfig:
     except KeyError as e:
         raise ValueError(f"configuration is missing the {e.args[0]!r} field") from None
     dim = data.get("dimension", len(rows))
-    if dim != len(rows):
-        raise ValueError("dimension field disagrees with the metric size")
+    if type(dim) is not int or dim != len(rows):
+        raise ValueError(f"dimension must be an integer equal to the metric size, got {dim!r}")
     metric = Metric(rows)
     tau = VectorTau(metric, tau_comps)
     order = data.get("truncation_order")

@@ -15,17 +15,18 @@ with the deformed coproduct supplying the legs.  Words are normal-ordered by
 the PBW engine over the an(D-1) table of z = y / h (CoordinateAlgebra, one per
 context), [z^mu, z^nu] = tau^mu z^nu - tau^nu z^mu: a word w of y's is
 sum_v c_v h^(|w|-|v|) y^v for the normal form sum_v c_v z^v of w, truncated
-at h^N.  Generators act classically on single coordinates as P_mu = -i d_mu
-and M_mn = i(x_m d_n - x_n d_m), which represent the brackets; in X = -iM and
-y that is P_mu |> y^nu = -delta and X_mn |> y^rho = y_m delta_n^rho - y_n
-delta_m^rho, with the coordinate index lowered by the metric; constants are
-hit with the counit.  The action is the linear extension of the images of
-(PBW monomial, word) pairs, cached per context as (d, pairs) tuples: a
-monomial's first generator acts on the image of the rest, and a generator on
-a longer word expands by the Leibniz rule, in which each distinct leg monomial
-acts once per expansion and a term whose left leg annihilates is dropped.  A
-check on degree-d words of the paper's x records its y-form residual with the
-phase d (plus one per rotation): x = iy.
+at h^N; two normal-ordered words multiply by the engine's mono_product, which
+answers a sorted concatenation without a scan.  Generators act classically on
+single coordinates as P_mu = -i d_mu and M_mn = i(x_m d_n - x_n d_m), which
+represent the brackets; in X = -iM and y that is P_mu |> y^nu = -delta and
+X_mn |> y^rho = y_m delta_n^rho - y_n delta_m^rho, with the coordinate index
+lowered by the metric; constants are hit with the counit.  The action is the
+linear extension of the images of (PBW monomial, word) pairs, cached per
+context as (d, pairs) tuples: a monomial's first generator acts on the image
+of the rest, and a generator on a longer word expands by the Leibniz rule, in
+which each distinct leg monomial acts once per expansion and a term whose
+left leg annihilates is dropped.  A check on degree-d words of the paper's x
+records its y-form residual with the phase d (plus one per rotation): x = iy.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ from itertools import combinations_with_replacement
 
 from .algebra import _EMPTY, AlgebraElement, TermElement, reduced
 from .errors import ContextMismatchError
-from .scalars import split_map
 from .hopf import DeformationContext
+from .render import mink_text
 from .reports import VerificationReport
+from .scalars import split_map
 
 
 class MinkowskiElement(TermElement):
@@ -64,27 +66,14 @@ class MinkowskiElement(TermElement):
     def _i_count(self, key) -> int:
         return len(key)
 
-    def __mul__(self, other):
-        if isinstance(other, MinkowskiElement):
-            self._check(other)
-            return mink_multiply(self, other)
-        return TermElement.__mul__(self, other)
+    def _mul(self, other: "MinkowskiElement", cap: int) -> "MinkowskiElement":
+        """The product, which is only formed at the order: cap is not read."""
+        return mink_multiply(self, other)
 
-    def star(self) -> "MinkowskiElement":
-        """Antilinear anti-involution fixing the coordinates x (tau real), so
-        y* = -y."""
-        ctx = self.context
+    def _reversed(self, word: tuple) -> tuple:
+        return _in_y(len(word), self.context.coordinate_algebra.normal_order(word[::-1]))
 
-        def image(mono, _):
-            d, pairs = _normal_form(ctx, tuple(reversed(mono)))
-            return d * (-1) ** len(mono), pairs
-
-        return self._star_by(image)
-
-    def __repr__(self):
-        from .render import mink_text
-
-        return mink_text(self)
+    __repr__ = mink_text
 
 
 def _same_coordinates(c1: DeformationContext, c2: DeformationContext) -> bool:
@@ -107,26 +96,26 @@ def coordinate_monomial(ctx: DeformationContext, indices) -> MinkowskiElement:
     for mu in word:
         if not 0 <= mu < ctx.algebra.dim:
             raise IndexError(f"coordinate index {mu} out of range")
-    d, pairs = _normal_form(ctx, word)
+    d, pairs = _in_y(len(word), ctx.coordinate_algebra.normal_order(word))
     return MinkowskiElement(ctx, *reduced({t: c for t, c in pairs if t[1] <= ctx.order}, d))
 
 
-def _normal_form(ctx: DeformationContext, word: tuple) -> tuple:
-    """The normal form of a coordinate word, as an extend rule's image: each
-    word v of its an(D-1) normal form at h^(|word| - |v|)."""
-    d, pairs = ctx.coordinate_algebra.normal_order(word)
-    return d, [((v, len(word) - len(v)), c) for v, c in pairs]
+def _in_y(length: int, image: tuple) -> tuple:
+    """The normal form (d, pairs) in z = y / h of a word of the given length,
+    read in y as an extend rule's image: each word v at h^(length - |v|)."""
+    d, pairs = image
+    return d, [((v, length - len(v)), c) for v, c in pairs]
 
 
 def mink_multiply(a: MinkowskiElement, b: MinkowskiElement) -> MinkowskiElement:
-    """a . b: every pair of words is concatenated and normal ordered (see
-    _normal_form).  The product is bilinear, so it is the linear extension
-    over a of each word's product with b."""
+    """a . b: the linear extension over a of each word's product with b, and
+    over b of each product of two normal-ordered words, mono_product of the
+    coordinates' table read in y (see _in_y)."""
     ctx = a.context
-    extend = a.algebra.extend
+    extend, mono_product = a.algebra.extend, ctx.coordinate_algebra.mono_product
 
     def times_b(w1, _budget):
-        num, den = extend(b.num, lambda w2, _: _normal_form(ctx, w1 + w2), b.den)
+        num, den = extend(b.num, lambda w2, _: _in_y(len(w1) + len(w2), mono_product(w1, w2)), b.den)
         return den, num.items()
 
     return MinkowskiElement(ctx, *extend(a.num, times_b, a.den))

@@ -91,14 +91,25 @@ def _coeff_prefix(nz: tuple, text: bool) -> str:
     return s
 
 
+def ordered(terms: dict, size=len) -> list:
+    """The (key, series) items of {key: series} by (size(key), key): the
+    order every output writes terms in."""
+    return sorted(terms.items(), key=lambda kv: (size(kv[0]), kv[0]))
+
+
+def tensor_size(key) -> int:
+    """The size a tensor key is ordered by: its generators over all legs."""
+    return sum(len(m) for m in key)
+
+
 def _sum(terms: dict, body, text: bool, size=len) -> str:
-    """{key: series} as 'coefficient*body' terms joined by ' + ', ordered by
-    (size(key), key); the empty key is the unit."""
+    """{key: series} as 'coefficient*body' terms joined by ' + ', in output
+    order (see ordered); the empty key is the unit."""
     if not terms:
         return "0"
     parts = []
-    for key in sorted(terms, key=lambda k: (size(k), k)):
-        pre = _coeff_prefix(terms[key], text)
+    for key, nz in ordered(terms, size):
+        pre = _coeff_prefix(nz, text)
         if not key:
             parts.append(pre or "1")
         elif not pre:
@@ -107,10 +118,6 @@ def _sum(terms: dict, body, text: bool, size=len) -> str:
             parts.append(f"{pre}*{body(key)}" if text else f"{pre}\\, {body(key)}")
     out = " + ".join(parts)
     return out if text else out.replace("+ -", "- ")
-
-
-def _legs(key) -> int:
-    return sum(len(m) for m in key)
 
 
 def element_text(elem) -> str:
@@ -129,7 +136,7 @@ def tensor_text(t) -> str:
     def body(key):
         return "[" + " (x) ".join(mono_text(m, dim) for m in key) + "]"
 
-    return _sum(t.series(), body, True, _legs)
+    return _sum(t.series(), body, True, tensor_size)
 
 
 def tensor_latex(t) -> str:
@@ -138,7 +145,7 @@ def tensor_latex(t) -> str:
     def body(key):
         return " \\otimes ".join(mono_latex(m, dim) for m in key)
 
-    return _sum(t.series(), body, False, _legs)
+    return _sum(t.series(), body, False, tensor_size)
 
 
 def wedge_series(t) -> dict:

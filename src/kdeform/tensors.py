@@ -57,6 +57,15 @@ class TensorElement(TermElement):
     def _i_count(self, key) -> int:
         return sum(map(self.algebra.i_count, key))
 
+    def _reversed(self, key: tuple) -> tuple:
+        """Each leg reversed in place, no flip: (a (x) b)* = a* (x) b*."""
+        den, combos = 1, [((), 1)]
+        for m in key:
+            d, pairs = self.algebra.normal_order(m[::-1])
+            den *= d
+            combos = [(ms + (p,), c * cp) for ms, c in combos for p, cp in pairs]
+        return den, [((ms, 0), c) for ms, c in combos]
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -74,12 +83,6 @@ class TensorElement(TermElement):
                 raise ContextMismatchError("tensor factors from incompatible contexts")
             num, den = _outer(num, f.num, alg.order), den * f.den
         return cls(alg, len(factors), *collect({1: num}, den))
-
-    def __mul__(self, other):
-        if isinstance(other, TensorElement):
-            self._check(other)
-            return self._mul(other, self.algebra.order)
-        return TermElement.__mul__(self, other)
 
     # -- leg surgery ------------------------------------------------------------
 
@@ -150,22 +153,7 @@ class TensorElement(TermElement):
 
         return AlgebraElement(alg, *alg.extend(self.num, merged, self.den))
 
-    def star_legs(self) -> "TensorElement":
-        """(a (x) b)* = a* (x) b*: star each leg, no flip (X* = -X)."""
-        normal_order = self.algebra.normal_order
-
-        def image(key, _):
-            den, combos = (-1) ** self._i_count(key), [((), 1)]
-            for m in key:
-                d, pairs = normal_order(tuple(reversed(m)))
-                den *= d
-                combos = [(ms + (p,), c * cp) for ms, c in combos for p, cp in pairs]
-            return den, [((ms, 0), c) for ms, c in combos]
-
-        return self._star_by(image)
-
-    def __repr__(self):
-        return tensor_text(self)
+    __repr__ = tensor_text
 
 
 def _outer(num: dict, leg: dict, N: int) -> dict:

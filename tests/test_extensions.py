@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_metric, random_tau
+from conftest import random_metric, random_null_pair, random_tau
 from kdeform import GaussRational, Metric, TensorElement, VectorTau, tensor_invert
 from kdeform.algebra import AlgebraElement, PoincareAlgebra
 from kdeform.bases import adapted_context, lightcone_decompose, orthogonal_decompose
@@ -70,6 +70,44 @@ def test_extensions_are_multiplicative(seed, dim):
     u = unit * 2 + TensorElement.of(a, b).times_h(1)
     assert tensor_invert(u) * u == unit
     assert u * tensor_invert(u) == unit
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)), null=st.booleans())
+def test_star_is_an_antilinear_anti_involution(seed, dim, null):
+    """TermElement.star, the one star of every kind, on random PBW elements,
+    2- and 3-leg tensors and kappa-Minkowski elements, for null and non-null
+    tau: x** = x, (xy)* = y* x*, and (x i)* = x* (-i)."""
+    rng = random.Random(seed)
+    if null:
+        metric, tau = random_null_pair(rng, dim)
+    else:
+        metric = random_metric(rng, dim)
+        tau = random_tau(rng, metric)
+        while not tau.tau_sq:
+            tau = random_tau(rng, metric)
+    ctx = DeformationContext(metric, tau, 2)
+
+    def tensor(legs):
+        out = TensorElement(ctx.algebra, legs, {})
+        for _ in range(2):
+            out = out + TensorElement.of(*(random_element(rng, ctx) for _ in range(legs)))
+        return out
+
+    def coordinates():
+        out = coordinate_monomial(ctx, ()) * GaussRational(rng.randint(-2, 2), 1)
+        for _ in range(3):
+            word = [rng.randrange(dim) for _ in range(rng.randint(1, 3))]
+            c = GaussRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1))
+            out = out + coordinate_monomial(ctx, word).times_h(rng.randint(0, 1), c)
+        return out
+
+    i = GaussRational(0, 1)
+    for make in (lambda: random_element(rng, ctx), lambda: tensor(2), lambda: tensor(3), coordinates):
+        x, y = make(), make()
+        assert x.star().star() == x
+        assert (x * y).star() == y.star() * x.star()
+        assert (x * i).star() == x.star() * (-i)
 
 
 def _degree3_contexts():

@@ -10,6 +10,7 @@ from kdeform import (
     r_matrix,
 )
 from kdeform import jsonio
+from kdeform.cli import main
 from kdeform.hopf import DeformationContext
 from kdeform.minkowski import coordinate
 from kdeform.scalars import GaussRational as GR
@@ -210,6 +211,15 @@ class TestRunConfig:
     def test_float_rejected(self):
         with pytest.raises(ValueError):
             jsonio.config_from_json({"metric": [[1.0, 0], [0, 1]], "tau": [1, 0]})
+
+    def test_float_dimension_rejected(self, tmp_path):
+        # 2.0 == 2: only its type tells a float dimension from an int
+        raw = {"metric": [[1, 0], [0, 1]], "tau": [1, 1], "dimension": 2.0}
+        with pytest.raises(ValueError, match="dimension"):
+            jsonio.config_from_json(raw)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["classify", "--config", str(cfg)]) == 2
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
