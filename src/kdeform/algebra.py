@@ -689,10 +689,9 @@ class TermElement:
             rows.setdefault(key, []).append((k, c))
         return {key: tuple(sorted(row)) for key, row in rows.items()}
 
-    def h_coefficient(self, k: int) -> dict:
-        """{key: coefficient} at a fixed power of h."""
-        d = self.den
-        return {key: ratio(c, d) for (key, j), c in self.num.items() if j == k}
+    def h_coefficient(self, k: int):
+        """The terms at h^k, still at h^k, as an element of the same kind."""
+        return self._with(*reduced({t: c for t, c in self.num.items() if t[1] == k}, self.den))
 
     def rescale_h(self, s):
         """Substitute h -> h/s = h q/p: c h^k becomes c q^k p^(N-k) / p^N."""

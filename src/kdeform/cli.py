@@ -177,7 +177,7 @@ def cmd_emit(cfg: jsonio.RunConfig, obj: str, generator: str | None) -> int:
         if obj == "schouten":
             w = schouten_square(w)
         w = w * I_POWERS[1]  # the paper's r and [[r, r]] are i times their X-forms
-        _print_one(fmt, w, jsonio.wedge_to_json, render.wedge_text, render.wedge_latex)
+        _print_one(fmt, w, jsonio.wedge_to_json, render.wedge_text)
         return 0
 
     if obj == "twist":
@@ -202,8 +202,8 @@ def cmd_emit(cfg: jsonio.RunConfig, obj: str, generator: str | None) -> int:
                 )
             )
         elif fmt == "latex":
-            print("\\mathcal{F} = " + render.tensor_latex(data.twist))
-            print("\\mathcal{R} = " + render.tensor_latex(data.r_quantum))
+            print("\\mathcal{F} = " + render.tensor_text(data.twist, render.LATEX))
+            print("\\mathcal{R} = " + render.tensor_text(data.r_quantum, render.LATEX))
         else:
             print("F =", render.tensor_text(data.twist))
             print("R =", render.tensor_text(data.r_quantum))
@@ -211,11 +211,11 @@ def cmd_emit(cfg: jsonio.RunConfig, obj: str, generator: str | None) -> int:
 
     ctx = _context(cfg, order)
     if obj == "pi":
-        _print_one(fmt, ctx.pi, jsonio.element_to_json, render.element_text, render.element_latex,
+        _print_one(fmt, ctx.pi, jsonio.element_to_json, render.element_text,
                    label="Pi_tau", latex_label="\\Pi_\\tau")
         return 0
     if obj == "c_tau":
-        _print_one(fmt, ctx.c_tau, jsonio.element_to_json, render.element_text, render.element_latex,
+        _print_one(fmt, ctx.c_tau, jsonio.element_to_json, render.element_text,
                    label="C_tau", latex_label="C_\\tau")
         return 0
 
@@ -228,35 +228,34 @@ def cmd_emit(cfg: jsonio.RunConfig, obj: str, generator: str | None) -> int:
         if fmt == "latex":
             # conventional symbols: Pi_tau, C_tau unexpanded
             print(
-                f"\\Delta_\\tau({render.gen_latex(code, ctx.algebra.dim)}) = "
+                f"\\Delta_\\tau({render.gen_text(code, ctx.algebra.dim, render.LATEX)}) = "
                 + render.coproduct_latex_symbolic(ctx, code)
             )
             return 0
         t = ctx.coproduct(code) * to_m
-        _print_one(fmt, t, jsonio.tensor_to_json, render.tensor_text, render.tensor_latex,
+        _print_one(fmt, t, jsonio.tensor_to_json, render.tensor_text,
                    label=f"Delta({ctx.gen_name(code)})")
     else:
         if fmt == "latex":
             print(
-                f"S_\\tau({render.gen_latex(code, ctx.algebra.dim)}) = "
+                f"S_\\tau({render.gen_text(code, ctx.algebra.dim, render.LATEX)}) = "
                 + render.antipode_latex_symbolic(ctx, code)
             )
             return 0
         s = ctx.antipode(code) * to_m
-        _print_one(fmt, s, jsonio.element_to_json, render.element_text, render.element_latex,
+        _print_one(fmt, s, jsonio.element_to_json, render.element_text,
                    label=f"S({ctx.gen_name(code)})")
     return 0
 
 
-def _print_one(fmt, value, to_json, to_text, to_latex, label=None, latex_label=None):
+def _print_one(fmt, value, to_json, to_text, label=None, latex_label=None):
+    """Print a value as JSON, or through its renderer in the format's style."""
     if fmt == "json":
         print(json.dumps(to_json(value), indent=2))
-    elif fmt == "latex":
-        head = f"{latex_label} = " if latex_label else ""
-        print(head + to_latex(value))
-    else:
-        head = f"{label} = " if label else ""
-        print(head + to_text(value))
+        return
+    latex = fmt == "latex"
+    head = latex_label if latex else label
+    print((f"{head} = " if head else "") + to_text(value, render.LATEX if latex else render.TEXT))
 
 
 def _schouten_report(cfg: jsonio.RunConfig, order: int) -> VerificationReport:

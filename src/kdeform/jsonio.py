@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau
 from .bases import OrbitClassification
 from .minkowski import MinkowskiElement
-from .render import gen_text, mink_mono_text, mono_text, ordered, tensor_size, wedge_series
+from .render import legs_text, mink_mono_text, mono_text, ordered, tensor_size, wedge_key_text, wedge_series
 from .scalars import gauss
 from .tensors import TensorElement, wedge
 
@@ -147,7 +147,7 @@ def tensor_from_json(data: dict, alg: PoincareAlgebra) -> TensorElement:
     legs = data["legs"]
 
     def name(key):
-        return "[" + " (x) ".join(mono_text(m, alg.dim) for m in key) + "]"
+        return legs_text(key, alg.dim)
 
     def key_of(item):
         key = tuple(_monomial(mono, alg) for mono in item["monomials"])
@@ -183,7 +183,7 @@ def wedge_from_json(data: dict, alg: PoincareAlgebra) -> TensorElement:
         key = tuple(_gen_from_descriptor(d, alg) for d in item["generators"])
         coords = tuple(sorted(key))
         if coords in seen:
-            raise ValueError(f"repeated term {' ^ '.join(gen_text(g, alg.dim) for g in key)}")
+            raise ValueError(f"repeated term {wedge_key_text(key, alg.dim)}")
         seen.add(coords)
         terms[key] = gauss_from_json(item["coeff"])
     return wedge(alg, data["degree"], terms).in_symbols(1)
@@ -246,14 +246,9 @@ _WRITERS = {
 }
 
 
-def residual_to_json(residual):
-    """Best-effort JSON encoding of a failed check's residual."""
-    writer = _WRITERS.get(type(residual))
-    if writer is not None:
-        return writer(residual)
-    if isinstance(residual, dict):
-        return {repr(k): str(v) for k, v in residual.items()}
-    return None
+def residual_to_json(residual) -> dict:
+    """The JSON encoding of a failed check's residual, an element of any kind."""
+    return _WRITERS[type(residual)](residual)
 
 
 # -- run configuration ------------------------------------------------------------

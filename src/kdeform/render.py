@@ -1,37 +1,29 @@
 """Text and LaTeX rendering of series, elements, tensors and wedges (read
 through wedge_series), in the paper's symbols: every kind comes in through
 TermElement.series, which restores M = iX and x = iy and groups each key's
-nonzero coefficients c of h^k as a series nz = ((k, c), ...) in increasing k."""
+nonzero coefficients c of h^k as a series nz = ((k, c), ...) in increasing k.
+
+Text and LaTeX are two Styles of one renderer: one term walk (_sum) and one
+series writer lay the terms out, and the style spells each piece.  Every
+renderer takes the style last, TEXT by default, so the text forms are reprs."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 
-def gen_text(code: int, dim: int) -> str:
-    if code >= dim * dim:
-        return f"P_{code - dim * dim}"
-    mu, nu = divmod(code, dim)
-    return f"M_{mu}{nu}"
+class Style(NamedTuple):
+    """How an output format spells each piece of a term."""
 
-
-def gen_latex(code: int, dim: int) -> str:
-    if code >= dim * dim:
-        return f"P_{{{code - dim * dim}}}"
-    mu, nu = divmod(code, dim)
-    return f"M_{{{mu}{nu}}}"
-
-
-def mono_text(mono: tuple, dim: int) -> str:
-    if not mono:
-        return "1"
-    return "".join(gen_text(c, dim) + " " for c in mono).strip()
-
-
-def mono_latex(mono: tuple, dim: int) -> str:
-    if not mono:
-        return "1"
-    return " ".join(gen_latex(c, dim) for c in mono)
+    script: str  # base, mark ('_' or '^') and index: P_0, M_01, h^2
+    coeff: Callable  # a rational or GaussRational coefficient
+    times: str  # between a coefficient and what it multiplies
+    group: str  # a coefficient of several powers of h
+    legs: str  # a tensor key, its legs joined by leg_sep
+    leg_sep: str
+    wedge: str  # between the generators of a wedge key
+    tidy: Callable  # the final string: LaTeX writes '+ -' as '- '
 
 
 def gauss_latex(c) -> str:
@@ -45,50 +37,43 @@ def gauss_latex(c) -> str:
     re, im = c.real, c.imag
     if not im:
         return frac(re)
-    if not re:
-        mag = frac(abs(im))
-        s = "-" if im < 0 else ""
-        return f"{s}{'' if mag == '1' else mag}i"
-    s = "+" if im > 0 else "-"
     mag = frac(abs(im))
-    return f"\\left({frac(re)} {s} {'' if mag == '1' else mag}i\\right)"
+    mag = "" if mag == "1" else mag
+    if not re:
+        return f"{'-' if im < 0 else ''}{mag}i"
+    return f"\\left({frac(re)} {'+' if im > 0 else '-'} {mag}i\\right)"
 
 
-def series_text(nz: tuple) -> str:
+TEXT = Style("{}{}{}", str, "*", "({})", "[{}]", " (x) ", " ^ ", lambda out: out)
+LATEX = Style(
+    "{}{}{{{}}}", gauss_latex, "\\, ", "\\left({}\\right)", "{}", " \\otimes ", " \\wedge ",
+    lambda out: out.replace("+ -", "- "),
+)
+
+
+def gen_text(code: int, dim: int, style: Style = TEXT) -> str:
+    if code >= dim * dim:
+        return style.script.format("P", "_", code - dim * dim)
+    mu, nu = divmod(code, dim)
+    return style.script.format("M", "_", f"{mu}{nu}")
+
+
+def mono_text(mono: tuple, dim: int, style: Style = TEXT) -> str:
+    return " ".join(gen_text(c, dim, style) for c in mono) if mono else "1"
+
+
+def series_text(nz: tuple, style: Style = TEXT) -> str:
     if not nz:
         return "0"
     parts = []
     for k, c in nz:
+        cs = style.coeff(c)
         if k == 0:
-            parts.append(str(c))
-        else:
-            hk = "h" if k == 1 else f"h^{k}"
-            parts.append(hk if c == 1 else f"{c}*{hk}")
-    return " + ".join(parts)
-
-
-def series_latex(nz: tuple) -> str:
-    if not nz:
-        return "0"
-    parts = []
-    for k, c in nz:
-        if k == 0:
-            parts.append(gauss_latex(c))
+            parts.append(cs)
             continue
-        hk = "h" if k == 1 else f"h^{{{k}}}"
-        cs = gauss_latex(c)
-        parts.append(hk if cs == "1" else f"{cs}\\, {hk}")
-    return " + ".join(parts).replace("+ -", "- ")
-
-
-def _coeff_prefix(nz: tuple, text: bool) -> str:
-    """Coefficient rendered for juxtaposition with a monomial."""
-    if len(nz) == 1 and nz[0][0] == 0 and nz[0][1] == 1:
-        return ""
-    s = series_text(nz) if text else series_latex(nz)
-    if len(nz) > 1:
-        return f"({s})" if text else f"\\left({s}\\right)"
-    return s
+        hk = "h" if k == 1 else style.script.format("h", "^", k)
+        parts.append(hk if cs == "1" else f"{cs}{style.times}{hk}")
+    return style.tidy(" + ".join(parts))
 
 
 def ordered(terms: dict, size=len) -> list:
@@ -102,50 +87,37 @@ def tensor_size(key) -> int:
     return sum(len(m) for m in key)
 
 
-def _sum(terms: dict, body, text: bool, size=len) -> str:
-    """{key: series} as 'coefficient*body' terms joined by ' + ', in output
-    order (see ordered); the empty key is the unit."""
+def _sum(terms: dict, body, style: Style, size=len) -> str:
+    """{key: series} as 'coefficient times body' terms joined by ' + ', in
+    output order (see ordered): a unit coefficient is dropped, one of several
+    powers of h grouped, and the empty key is the unit."""
     if not terms:
         return "0"
     parts = []
     for key, nz in ordered(terms, size):
-        pre = _coeff_prefix(nz, text)
+        pre = "" if nz == ((0, 1),) else series_text(nz, style)
+        if len(nz) > 1:
+            pre = style.group.format(pre)
         if not key:
             parts.append(pre or "1")
-        elif not pre:
-            parts.append(body(key))
         else:
-            parts.append(f"{pre}*{body(key)}" if text else f"{pre}\\, {body(key)}")
-    out = " + ".join(parts)
-    return out if text else out.replace("+ -", "- ")
+            parts.append(f"{pre}{style.times}{body(key)}" if pre else body(key))
+    return style.tidy(" + ".join(parts))
 
 
-def element_text(elem) -> str:
+def element_text(elem, style: Style = TEXT) -> str:
     dim = elem.algebra.dim
-    return _sum(elem.series(), lambda m: mono_text(m, dim), True)
+    return _sum(elem.series(), lambda m: mono_text(m, dim, style), style)
 
 
-def element_latex(elem) -> str:
-    dim = elem.algebra.dim
-    return _sum(elem.series(), lambda m: mono_latex(m, dim), False)
+def legs_text(key: tuple, dim: int, style: Style = TEXT) -> str:
+    """A tensor key: the monomials of its legs."""
+    return style.legs.format(style.leg_sep.join(mono_text(m, dim, style) for m in key))
 
 
-def tensor_text(t) -> str:
+def tensor_text(t, style: Style = TEXT) -> str:
     dim = t.algebra.dim
-
-    def body(key):
-        return "[" + " (x) ".join(mono_text(m, dim) for m in key) + "]"
-
-    return _sum(t.series(), body, True, tensor_size)
-
-
-def tensor_latex(t) -> str:
-    dim = t.algebra.dim
-
-    def body(key):
-        return " \\otimes ".join(mono_latex(m, dim) for m in key)
-
-    return _sum(t.series(), body, False, tensor_size)
+    return _sum(t.series(), lambda key: legs_text(key, dim, style), style, tensor_size)
 
 
 def wedge_series(t) -> dict:
@@ -160,18 +132,13 @@ def wedge_series(t) -> dict:
     return out
 
 
-def wedge_text(t) -> str:
+def wedge_key_text(gens: tuple, dim: int, style: Style = TEXT) -> str:
+    return style.wedge.join(gen_text(g, dim, style) for g in gens)
+
+
+def wedge_text(t, style: Style = TEXT) -> str:
     dim = t.algebra.dim
-    return _sum(wedge_series(t), lambda key: " ^ ".join(gen_text(g, dim) for g in key), True)
-
-
-def wedge_latex(t) -> str:
-    dim = t.algebra.dim
-
-    def body(key):
-        return " \\wedge ".join(gen_latex(g, dim) for g in key)
-
-    return _sum(wedge_series(t), body, False)
+    return _sum(wedge_series(t), lambda key: wedge_key_text(key, dim, style), style)
 
 
 def _kappa_term(coeff, kappa_power: int, body: str) -> str | None:
@@ -191,7 +158,7 @@ def coproduct_latex_symbolic(ctx, code: int) -> str:
     alg = ctx.algebra
     kind, idx = alg.decode(code)
     cov = ctx.tau.covariant
-    g = gen_latex(code, alg.dim)
+    g = gen_text(code, alg.dim, LATEX)
     pap = "P^{\\alpha} \\Pi_\\tau^{-1}"
     cp = "C_\\tau \\Pi_\\tau^{-1}"
     if kind == "P":
@@ -217,7 +184,7 @@ def antipode_latex_symbolic(ctx, code: int) -> str:
     alg = ctx.algebra
     kind, idx = alg.decode(code)
     cov = ctx.tau.covariant
-    g = gen_latex(code, alg.dim)
+    g = gen_text(code, alg.dim, LATEX)
     if kind == "P":
         mu = idx
         if not cov[mu]:
@@ -241,4 +208,4 @@ def mink_mono_text(mono: tuple) -> str:
 
 
 def mink_text(elem) -> str:
-    return _sum(elem.series(), mink_mono_text, True)
+    return _sum(elem.series(), mink_mono_text, TEXT)

@@ -1,4 +1,6 @@
-"""Structured results of the verification suites."""
+"""Structured results of the verification suites: each check is recorded
+with its residual, an element of any kind (record), or with a verdict alone
+(record_bool); a failure carries its residual as text and as JSON."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ class CheckResult:
     passed: bool
     generator: str | None = None
     residual: str | None = None
-    residual_json: object = None
+    residual_json: dict | None = None
     note: str | None = None
 
     def to_json(self) -> dict:
@@ -22,8 +24,6 @@ class CheckResult:
             out["generator"] = self.generator
         if self.residual_json is not None:
             out["residual"] = self.residual_json
-        elif self.residual is not None:
-            out["residual"] = self.residual
         if self.note is not None:
             out["note"] = self.note
         return out
@@ -42,24 +42,27 @@ class VerificationReport:
 
     def record(self, name: str, residual, generator: str | None = None, note: str | None = None,
                phase: int = 0):
-        """Record one identity check; residual is zero-testable and reprs to the
-        first offending term when nonzero.  A failed residual is reported as
-        i^phase times itself: phase is the power of i that turns the residual
-        of an identity in X = -iM back into that of the paper's M-form."""
-        passed = _is_zero(residual)
-        residual_json = None
+        """Record one identity check by its residual, an element of any kind:
+        it passes when the residual is zero.  A failed residual is reported,
+        as text cut at 400 characters and as JSON, as i^phase times itself:
+        phase is the power of i that turns the residual of an identity in
+        X = -iM back into that of the paper's M-form."""
+        passed = residual.is_zero
+        text = residual_json = None
         if not passed:
             from .jsonio import residual_to_json
 
             if phase % 4:
                 residual = residual * I_POWERS[phase % 4]
             residual_json = residual_to_json(residual)
+            text = repr(residual)
+            text = text if len(text) < 400 else text[:400] + " ..."
         self.checks.append(
             CheckResult(
                 name=name,
                 passed=passed,
                 generator=generator,
-                residual=None if passed else _first_term(residual),
+                residual=text,
                 residual_json=residual_json,
                 note=note,
             )
@@ -100,23 +103,3 @@ class VerificationReport:
             if not c.passed and c.residual:
                 lines.append(f"         residual: {c.residual}")
         return "\n".join(lines)
-
-
-def _is_zero(residual) -> bool:
-    if residual is None:
-        return True
-    if isinstance(residual, bool):
-        return residual  # already a verdict
-    if isinstance(residual, dict):
-        return not residual
-    return getattr(residual, "is_zero", not residual)
-
-
-def _first_term(residual) -> str:
-    if isinstance(residual, bool):
-        return "mismatch"
-    if isinstance(residual, dict):
-        key = next(iter(sorted(residual, key=repr)))
-        return f"{residual[key]} * {key!r}"
-    text = repr(residual)
-    return text if len(text) < 400 else text[:400] + " ..."

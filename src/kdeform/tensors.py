@@ -20,7 +20,7 @@ from .algebra import (
     reduced,
 )
 from .errors import ContextMismatchError, InvalidVectorError
-from .render import gen_text, tensor_text
+from .render import tensor_text, wedge_key_text
 from .scalars import split_map
 
 
@@ -290,7 +290,7 @@ def wedge(algebra: PoincareAlgebra, legs: int, terms: dict) -> TensorElement:
     render.wedge_series."""
     for gens in terms:
         if len(gens) != legs:
-            names = " ^ ".join(gen_text(g, algebra.dim) for g in gens)
+            names = wedge_key_text(gens, algebra.dim)
             raise ValueError(f"wedge term {names} has {len(gens)} generators, expected {legs}")
     num, den = split_map(terms)
     # the sign of each permutation, (-1) to the number of its inversions

@@ -173,7 +173,7 @@ def test_criterion_7_kappa_minkowski_covariance():
             ("eta4-lightlike", ETA4, (1, 0, 0, 1)),
         ):
             ctx = get_ctx(name, metric, tau, 3)
-            rep = verify_covariance(ctx, max_degree=3)
+            rep = verify_covariance(ctx)
             assert rep.all_passed, (
                 f"{name}: " + "; ".join(f"{c.name}[{c.generator}]" for c in rep.failures()[:3])
             )

@@ -467,7 +467,7 @@ class TestFlatLinearLayer:
         assert shifted.terms == flat(conv)
 
         for k in range(order + 1):
-            assert a.h_coefficient(k) == {key: cs[k] for key, cs in x.items() if cs[k]}
+            assert a.h_coefficient(k).terms == {(key, k): cs[k] for key, cs in x.items() if cs[k]}
         for r in (Fraction(2), Fraction(-1, 3)):
             assert a.rescale_h(r).terms == flat(map_ref(x, lambda k, c: c * (1 / r) ** k))
 

@@ -118,8 +118,10 @@ class TestCoproduct:
         alg = ctx.algebra
         d = ctx.coproduct(alg.momentum_code(1))
         p1, p0 = (alg.momentum_code(1),), (alg.momentum_code(0),)
-        assert d.h_coefficient(0) == {(p1, ()): GaussRational(1), ((), p1): GaussRational(1)}
-        assert d.h_coefficient(1) == {(p1, p0): GaussRational(1)}
+        assert d.h_coefficient(0).terms == {
+            ((p1, ()), 0): GaussRational(1), (((), p1), 0): GaussRational(1)
+        }
+        assert d.h_coefficient(1).terms == {((p1, p0), 1): GaussRational(1)}
 
     def test_zero_tau_primitive(self, eta4):
         ctx = DeformationContext(eta4, [0, 0, 0, 0], 2)
@@ -288,6 +290,15 @@ class TestVerifyHopfSmall:
         assert names == {"coassociativity", "counit-axioms"}
         data = rep.to_json()
         assert data["passed"] is True and data["suite"] == "hopf"
+
+    def test_cobracket_failure_names_its_tensor(self, eta3):
+        # a bump h 1 (x) P_1 on the coproduct of M_01 (code 1) survives the
+        # flip: the failed residual is the two-leg tensor at h, in the paper's M
+        ctx = DeformationContext(eta3, [1, 0, 0], 2, shift={1: {(((), (10,)), 1): 1}})
+        (failed,) = verify_hopf(ctx, checks=["classical-limit-cobracket"]).failures()
+        assert failed.generator == "M_01"
+        assert failed.residual == "h*[1 (x) P_1] + -1*h*[P_1 (x) 1]"
+        assert failed.residual_json["legs"] == 2
 
 
 class TestRandomizedSuites:

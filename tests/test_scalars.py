@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdeform import GaussRational, binom_half
-from kdeform.render import series_latex, series_text
+from kdeform.render import LATEX, series_text
 
 
 class TestGaussRational:
@@ -55,7 +55,7 @@ def test_binom_half():
 def test_series_output(nz, text, latex):
     # a series ((k, c), ...) as TermElement.series gives it
     assert series_text(nz) == text
-    assert series_latex(nz) == latex
+    assert series_text(nz, LATEX) == latex
 
 
 # -- reference arithmetic ---------------------------------------------------------

@@ -83,19 +83,19 @@ class TestBuildTwist:
         data = build_twist(lc_ctx)
         alg = lc_ctx.algebra
         minus = alg.dim - 1
-        assert data.twist.h_coefficient(0) == {((), ()): 1}
-        expect_h1 = {((alg.rotation_code(0, minus)[0],), (alg.momentum_code(0),)): 1}
+        assert data.twist.h_coefficient(0).terms == {(((), ()), 0): 1}
+        expect_h1 = {(((alg.rotation_code(0, minus)[0],), (alg.momentum_code(0),)), 1): 1}
         ginv = alg.metric.inverse
         for a in range(1, minus):
             for b in range(1, minus):
                 if ginv[a][b]:
                     key = ((alg.rotation_code(0, a)[0],), (alg.momentum_code(b),))
-                    expect_h1[key] = ginv[a][b]
-        assert data.twist.h_coefficient(1) == expect_h1
+                    expect_h1[(key, 1)] = ginv[a][b]
+        assert data.twist.h_coefficient(1).terms == expect_h1
 
     def test_unit_at_h_zero(self, lc_ctx):
         data = build_twist(lc_ctx)
-        assert data.twist.h_coefficient(0) == {((), ()): GaussRational(1)}
+        assert data.twist.h_coefficient(0).terms == {(((), ()), 0): GaussRational(1)}
 
     def test_factorizations_agree(self, lc_ctx):
         data = build_twist(lc_ctx)
