@@ -276,11 +276,10 @@ class PBWAlgebra:
         numerator map over den, as a canonical (numerators, denominator).  A
         term c h^k key can only contribute the image's powers of h up to
         N - k, so image(key, budget) is called with that budget and returns
-        (d, flat ((key, power of h), numerator) pairs), as TermElement.as_image
-        does; a rule need build nothing past the budget, and whatever it yields
-        past it is dropped here.  Every structure map reaches elements this
-        way: coproducts, antipodes, basis changes, leg maps, the
-        kappa-Minkowski product and action, and the star."""
+        (d, flat ((key, power of h), numerator) pairs), an element's (den,
+        num.items()); a rule need build nothing past the budget, and whatever
+        it yields past it is dropped here.  Coproducts, antipodes, basis
+        changes, leg maps and the star reach elements this way."""
         N = self.order
         accs = {}
         for (key, k1), c1 in terms.items():
@@ -296,6 +295,25 @@ class PBWAlgebra:
                 p = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
                 cur = acc.get(t)
                 acc[t] = p if cur is None else cur + p
+        return collect(accs, den)
+
+    def bilinear(self, ta: dict, tb: dict, rule, den: int = 1) -> tuple:
+        """extend over pairs of keys: sum ta[x] tb[y] rule(x, y) of two flat
+        numerator maps over den, rule(x, y) an image as extend's rules return
+        it, never asked for a pair of terms already past the order."""
+        N, accs = self.order, {}
+        items_b = [(y, k, c) for (y, k), c in tb.items()]
+        for (x, k1), c1 in ta.items():
+            for y, k2, c2 in items_b:
+                budget = N - k1 - k2
+                if budget >= 0:
+                    (d, pairs), k, c = rule(x, y), k1 + k2, c1 * c2
+                    acc = accs.setdefault(d, {})
+                    for (key, j), cm in pairs:
+                        if j <= budget:
+                            t = (key, k + j)
+                            cur = acc.get(t)
+                            acc[t] = c * cm if cur is None else cur + c * cm
         return collect(accs, den)
 
 
@@ -487,9 +505,20 @@ class CoordinateAlgebra(PBWAlgebra):
         super().__init__(order)
         self.tau = tau.components
         self._commuting = len(self.tau)  # no two coordinates commute by structure
+        self._y_products = {}
 
     def _bracket_uncached(self, mu: int, nu: int) -> dict:
         return {nu: self.tau[mu], mu: -self.tau[nu]} if mu != nu else {}
+
+    def y_product(self, w1: tuple, w2: tuple) -> tuple:
+        """w1 w2 for words of y = h z as an extend rule's image, cached per pair:
+        the normal form sum_v c_v z^v read in y, v at h^(|w1| + |w2| - |v|) <= h^N."""
+        out = self._y_products.get((w1, w2))
+        if out is None:
+            n, (d, pairs) = len(w1) + len(w2), self.normal_order(w1 + w2)
+            out = d, tuple(((v, n - len(v)), c) for v, c in pairs if n - len(v) <= self.order)
+            self._y_products[(w1, w2)] = out
+        return out
 
 
 def accumulate(acc: dict, key, val):
@@ -580,10 +609,6 @@ class TermElement:
         GaussRational: a fresh view of the element, for output."""
         d = self.den
         return {t: ratio(c, d) for t, c in self.num.items()}
-
-    def as_image(self) -> tuple:
-        """(den, numerator pairs): the element as a rule of extend returns it."""
-        return self.den, self.num.items()
 
     @property
     def is_zero(self) -> bool:
@@ -785,7 +810,8 @@ class MonomialMap:
 
     def pairs(self, mono: tuple, budget: int):
         """The image to the budget as an extend rule returns it."""
-        return self.image(mono, budget).as_image()
+        img = self.image(mono, budget)
+        return img.den, img.num.items()
 
 
 # -- series calculus, once for every element kind ----------------------------------

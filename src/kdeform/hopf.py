@@ -109,7 +109,7 @@ class DeformationContext:
         self.mono_coproduct = MonomialMap(unit2, lambda code: me.coproduct(code))
         self.mono_primitive = MonomialMap(unit2, lambda code: me._primitive_gen(code))
         self.mono_antipode = MonomialMap(alg.one(), lambda code: me.antipode(code), anti=True)
-        # kappa-Minkowski: the coordinates' table, and (monomial, word) action images as tuples
+        # kappa-Minkowski: the coordinates' table; action images and grouped coproducts
         self.coordinate_algebra = CoordinateAlgebra(self.tau, order)
         self._act_cache = {}
 

@@ -15,26 +15,31 @@ with the deformed coproduct supplying the legs.  Words are normal-ordered by
 the PBW engine over the an(D-1) table of z = y / h (CoordinateAlgebra, one per
 context), [z^mu, z^nu] = tau^mu z^nu - tau^nu z^mu: a word w of y's is
 sum_v c_v h^(|w|-|v|) y^v for the normal form sum_v c_v z^v of w, truncated
-at h^N; two normal-ordered words multiply by the engine's mono_product, which
-answers a sorted concatenation without a scan.  Generators act classically on
-single coordinates as P_mu = -i d_mu and M_mn = i(x_m d_n - x_n d_m), which
+at h^N, and CoordinateAlgebra.y_product caches that form of each pair of
+words with its powers of h attached.  Generators act classically on single
+coordinates as P_mu = -i d_mu and M_mn = i(x_m d_n - x_n d_m), which
 represent the brackets; in X = -iM and y that is P_mu |> y^nu = -delta and
 X_mn |> y^rho = y_m delta_n^rho - y_n delta_m^rho, with the coordinate index
-lowered by the metric; constants are hit with the counit.  The action is the
-linear extension of the images of (PBW monomial, word) pairs, cached per
-context as (d, pairs) tuples: a monomial's first generator acts on the image
-of the rest, and a generator on a longer word expands by the Leibniz rule, in
-which each distinct leg monomial acts once per expansion and a term whose
-left leg annihilates is dropped.  A check on degree-d words of the paper's x
-records its y-form residual with the phase d (plus one per rotation): x = iy.
+lowered by the metric; constants are hit with the counit.  The product and
+the action are one bilinear extension (PBWAlgebra.bilinear): of y_product
+over two elements, and of the images of (PBW monomial, word) pairs over an
+operator and an element.  The images are cached per context as (d, pairs)
+tuples: a monomial's first generator acts on the image of the rest, and a
+generator on a longer word expands by the Leibniz rule through its coproduct
+grouped by left leg, cached per context; a left leg whose images are all
+zero is skipped by those lookups, and each other left leg forms one product
+with its right legs' sum acting on the second factor.  A check on degree-d
+words of the paper's x records its y-form residual with the phase d (plus one
+per rotation): x = iy.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from itertools import combinations_with_replacement
 
-from .algebra import _EMPTY, AlgebraElement, TermElement, reduced
+from .algebra import _EMPTY, AlgebraElement, TermElement, accumulate, collect, reduced
 from .errors import ContextMismatchError
 from .hopf import DeformationContext
 from .render import mink_text
@@ -71,7 +76,7 @@ class MinkowskiElement(TermElement):
         return mink_multiply(self, other)
 
     def _reversed(self, word: tuple) -> tuple:
-        return _in_y(len(word), self.context.coordinate_algebra.normal_order(word[::-1]))
+        return self.context.coordinate_algebra.y_product(word[::-1], ())
 
     __repr__ = mink_text
 
@@ -96,29 +101,14 @@ def coordinate_monomial(ctx: DeformationContext, indices) -> MinkowskiElement:
     for mu in word:
         if not 0 <= mu < ctx.algebra.dim:
             raise IndexError(f"coordinate index {mu} out of range")
-    d, pairs = _in_y(len(word), ctx.coordinate_algebra.normal_order(word))
-    return MinkowskiElement(ctx, *reduced({t: c for t, c in pairs if t[1] <= ctx.order}, d))
-
-
-def _in_y(length: int, image: tuple) -> tuple:
-    """The normal form (d, pairs) in z = y / h of a word of the given length,
-    read in y as an extend rule's image: each word v at h^(length - |v|)."""
-    d, pairs = image
-    return d, [((v, length - len(v)), c) for v, c in pairs]
+    d, pairs = ctx.coordinate_algebra.y_product(word, ())
+    return MinkowskiElement(ctx, *reduced(dict(pairs), d))
 
 
 def mink_multiply(a: MinkowskiElement, b: MinkowskiElement) -> MinkowskiElement:
-    """a . b: the linear extension over a of each word's product with b, and
-    over b of each product of two normal-ordered words, mono_product of the
-    coordinates' table read in y (see _in_y)."""
-    ctx = a.context
-    extend, mono_product = a.algebra.extend, ctx.coordinate_algebra.mono_product
-
-    def times_b(w1, _budget):
-        num, den = extend(b.num, lambda w2, _: _in_y(len(w1) + len(w2), mono_product(w1, w2)), b.den)
-        return den, num.items()
-
-    return MinkowskiElement(ctx, *extend(a.num, times_b, a.den))
+    """a . b: the bilinear extension of CoordinateAlgebra.y_product."""
+    y_product = a.context.coordinate_algebra.y_product
+    return MinkowskiElement(a.context, *a.algebra.bilinear(a.num, b.num, y_product, a.den * b.den))
 
 
 # -- the Hopf action ---------------------------------------------------------------
@@ -126,16 +116,14 @@ def mink_multiply(a: MinkowskiElement, b: MinkowskiElement) -> MinkowskiElement:
 
 def act(ctx: DeformationContext, op, a: MinkowskiElement) -> MinkowskiElement:
     """The module action of U(iso(g))[[h]] on the coordinate algebra: the
-    linear extension, over the terms of op and of a, of the cached images of
+    bilinear extension, over the terms of op and of a, of the cached images of
     (PBW monomial, word) pairs.
 
     op may be an element of ctx's algebra or a generator code; products of
     generators act by successive action, scalars through the counit."""
     _check_operands(ctx, op, a)
-    if isinstance(op, AlgebraElement):
-        num, den = ctx.algebra.extend(op.num, lambda m, _: _act_mono(ctx, m, a).as_image(), op.den)
-        return MinkowskiElement(ctx, num, den)
-    return _act_mono(ctx, (op,), a)
+    num, den = (op.num, op.den) if isinstance(op, AlgebraElement) else ({((op,), 0): 1}, 1)
+    return MinkowskiElement(ctx, *ctx.algebra.bilinear(num, a.num, partial(_image, ctx), den * a.den))
 
 
 def _check_operands(ctx: DeformationContext, op, *coords: MinkowskiElement):
@@ -149,12 +137,6 @@ def _check_operands(ctx: DeformationContext, op, *coords: MinkowskiElement):
     for y in coords:
         if y.context is not ctx and not _same_coordinates(ctx, y.context):
             raise ContextMismatchError("coordinates from an incompatible context")
-
-
-def _act_mono(ctx: DeformationContext, mono: tuple, a: MinkowskiElement) -> MinkowskiElement:
-    """A PBW monomial on an element: the linear extension of its word images."""
-    num, den = ctx.algebra.extend(a.num, lambda w, _: _image(ctx, mono, w), a.den)
-    return MinkowskiElement(ctx, num, den)
 
 
 def _image(ctx: DeformationContext, mono: tuple, word: tuple) -> tuple:
@@ -181,7 +163,7 @@ def _act_gen_word(ctx: DeformationContext, code: int, word: tuple) -> tuple:
     and the Leibniz rule through the deformed coproduct on longer words."""
     if len(word) > 1:
         head, tail = coordinate(ctx, word[0]), coordinate_monomial(ctx, word[1:])
-        num, den = _leibniz(ctx, ctx.coproduct(code), head, tail)
+        num, den = _leibniz(ctx, _left_legs(ctx, code), head, tail)
     elif not word:
         return _EMPTY
     else:
@@ -204,29 +186,43 @@ def act_on_product(
     computed without multiplying a and b first (this is what makes the
     covariance check non-vacuous).  op is as in act."""
     _check_operands(ctx, op, a, b)
-    coproduct = ctx.coproduct_of(op) if isinstance(op, AlgebraElement) else ctx.coproduct(op)
+    coproduct = _by_left_leg(ctx.coproduct_of(op)) if isinstance(op, AlgebraElement) else _left_legs(ctx, op)
     return MinkowskiElement(ctx, *_leibniz(ctx, coproduct, a, b))
 
 
-def _leibniz(ctx: DeformationContext, coproduct, a: MinkowskiElement, b: MinkowskiElement):
-    """sum (L_(1) |> a)(L_(2) |> b) over the terms of a coproduct of L, as
-    (num, den).  Each distinct leg monomial acts once per call, and a term
-    whose left leg acts as zero is skipped before its right leg acts."""
-    lefts, rights = {}, {}
+def _left_legs(ctx: DeformationContext, code: int) -> tuple:
+    """_by_left_leg of a generator's coproduct, kept per context under its code."""
+    out = ctx._act_cache.get(code)
+    if out is None:
+        out = ctx._act_cache[code] = _by_left_leg(ctx.coproduct(code))
+    return out
 
-    def image(key, _budget):
-        m1, m2 = key
-        left = lefts.get(m1)
-        if left is None:
-            left = lefts[m1] = _act_mono(ctx, m1, a)
-        if not left:
-            return _EMPTY
-        right = rights.get(m2)
-        if right is None:
-            right = rights[m2] = _act_mono(ctx, m2, b)
-        return (left * right).as_image() if right else _EMPTY
 
-    return ctx.algebra.extend(coproduct.num, image, coproduct.den)
+def _by_left_leg(coproduct) -> tuple:
+    """A coproduct as (den, ((left leg, {(right leg, power of h): numerator}), ...))."""
+    groups = {}
+    for ((m1, m2), k), c in coproduct.num.items():
+        groups.setdefault(m1, {})[(m2, k)] = c
+    return coproduct.den, tuple(groups.items())
+
+
+def _leibniz(ctx: DeformationContext, coproduct: tuple, a: MinkowskiElement, b: MinkowskiElement):
+    """sum (L_(1) |> a)(L_(2) |> b) over a coproduct of L by left leg, as (num,
+    den): a left leg whose images on the words of a are all zero is skipped by
+    those lookups alone, and any other forms one product with its right legs' sum on b."""
+    den, groups = coproduct
+    bilinear, rule, y_product = ctx.algebra.bilinear, partial(_image, ctx), ctx.coordinate_algebra.y_product
+    accs = {}
+    for m1, rights in groups:
+        if not any(_image(ctx, m1, w)[1] for w, _ in a.num):
+            continue
+        left, dl = bilinear({(m1, 0): 1}, a.num, rule, a.den)
+        right, dr = bilinear(rights, b.num, rule, b.den)
+        num, d = bilinear(left, right, y_product, dl * dr)
+        acc = accs.setdefault(d, {})
+        for t, c in num.items():
+            accumulate(acc, t, c)
+    return collect(accs, den)
 
 
 MAX_DEGREE = 3  # of the coordinate words the covariance checks act on
@@ -263,6 +259,7 @@ def verify_covariance(ctx: DeformationContext) -> VerificationReport:
     monomials = [m for k in range(1, MAX_DEGREE + 1) for m in combinations_with_replacement(range(d), k)]
     coords = {m: coordinate_monomial(ctx, m) for m in [(), *monomials]}
 
+    after = {(c2, mono): act(ctx, c2, coords[mono]) for c2 in codes[:-1] for mono in monomials}
     for i, c1 in enumerate(codes):
         e1 = ctx.gen_element(c1)
         for c2 in codes[:i]:  # out of PBW order, so e1 * e2 is rewritten
@@ -271,7 +268,7 @@ def verify_covariance(ctx: DeformationContext) -> VerificationReport:
             for mono in monomials:
                 a = coords[mono]
                 lhs = act(ctx, prod, a)
-                rhs = act(ctx, c1, act(ctx, c2, a))
+                rhs = act(ctx, c1, after[c2, mono])
                 residual = lhs - rhs
                 if not residual.is_zero:
                     label = f"{ctx.gen_name(c1)} {ctx.gen_name(c2)} on x{list(mono)}"

@@ -9,6 +9,7 @@ renderer takes the style last, TEXT by default, so the text forms are reprs."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -44,7 +45,8 @@ def gauss_latex(c) -> str:
     return f"\\left({frac(re)} {'+' if im > 0 else '-'} {mag}i\\right)"
 
 
-TEXT = Style("{}{}{}", str, "*", "({})", "[{}]", " (x) ", " ^ ", lambda out: out)
+_FRAC_I = re.compile(r"(\d+/\d+)i")  # a fractional imaginary part: text writes (2/3)i, not 2/(3i)
+TEXT = Style("{}{}{}", lambda c: _FRAC_I.sub(r"(\1)i", str(c)), "*", "({})", "[{}]", " (x) ", " ^ ", str)
 LATEX = Style(
     "{}{}{{{}}}", gauss_latex, "\\, ", "\\left({}\\right)", "{}", " \\otimes ", " \\wedge ",
     lambda out: out.replace("+ -", "- "),

@@ -379,3 +379,24 @@ def test_action_matches_reference(seed, dim, null, order):
         assert act_on_product(ctx, op, ya, yb).terms == _ref_act(ctx, op, ab, memo)
         word = tuple(rng.randrange(dim) for _ in range(3))
         assert coordinate_monomial(ctx, word).terms == _ref_word(ctx, word, memo["words"])
+
+
+@pytest.mark.parametrize("metric, tau", [("eta4", (1, 0, 0, 1)), ("kleinian", (1, 1, 1, 1))])
+def test_action_matches_reference_d4(request, metric, tau):
+    """At D=4 and N=3, on words up to degree 3: every generator code, which
+    acts through its coproduct grouped by left leg and cached per context, and
+    random PBW elements, whose coproducts are formed afresh, against the
+    term-by-term reference."""
+    ctx = DeformationContext(request.getfixturevalue(metric), tau, 3)
+    rng = random.Random(sum(tau))
+    memo = {"words": {}, "gens": {}}
+    ops = [*ctx.generator_codes(), *(_random_pbw(rng, ctx) for _ in range(6))]
+    for op in ops * 3:
+        elem = op if isinstance(op, AlgebraElement) else ctx.gen_element(op)
+        a, b, c = _random_coords(rng, ctx, 2), _random_coords(rng, ctx, 1), _random_coords(rng, ctx, 3)
+        ya, yb, yc = (MinkowskiElement(ctx, t) for t in (a, b, c))
+        ab = _ref_product(ctx, a, b, memo)
+        assert (ya * yb).terms == ab
+        assert act(ctx, op, yc).terms == _ref_act(ctx, elem, c, memo)
+        assert act(ctx, op, ya * yb).terms == _ref_act(ctx, elem, ab, memo)
+        assert act_on_product(ctx, op, ya, yb).terms == _ref_act(ctx, elem, ab, memo)

@@ -54,7 +54,7 @@ def _wedge(alg):
         (
             _wedge,
             wedge_text,
-            "2/3i*M_01 ^ P_2 + -2i*P_0 ^ P_1",
+            "(2/3)i*M_01 ^ P_2 + -2i*P_0 ^ P_1",
             "\\tfrac{2}{3}i\\, M_{01} \\wedge P_{2} - 2i\\, P_{0} \\wedge P_{1}",
         ),
     ],
@@ -64,3 +64,20 @@ def test_output(alg, build, render, text, latex):
     x = build(alg)
     assert render(x) == render(x, TEXT) == text
     assert render(x, LATEX) == latex
+
+
+@pytest.mark.parametrize(
+    "c, text, latex",
+    [
+        (GaussRational(0, Fraction(2, 3)), "(2/3)i", "\\tfrac{2}{3}i"),
+        (GaussRational(0, Fraction(-1, 2)), "-(1/2)i", "-\\tfrac{1}{2}i"),
+        (GaussRational(Fraction(1, 2), Fraction(-2, 3)), "(1/2-(2/3)i)", "\\left(\\tfrac{1}{2} - \\tfrac{2}{3}i\\right)"),
+        (GaussRational(-1, 3), "(-1+3i)", "\\left(-1 + 3i\\right)"),
+        (Fraction(-5, 4), "-5/4", "\\tfrac{-5}{4}"),
+    ],
+)
+def test_coefficient_spelling(c, text, latex):
+    """A fractional imaginary part is bracketed in text, so (2/3)i does not
+    read as 2/(3i); LaTeX sets it as a fraction."""
+    assert TEXT.coeff(c) == text
+    assert LATEX.coeff(c) == latex
