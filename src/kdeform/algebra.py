@@ -1,9 +1,12 @@
 """The enveloping algebra of iso(g) over truncated h-series coefficients.
 
 Every element stores its terms flat, one per key and power k of h with
-0 <= k <= N, as int numerators over one denominator (see TermElement); the
-key-product tables and structure-map images share that form, so the product
-and extension kernels run on ints.
+0 <= k <= N, as int numerators over one denominator (see TermElement).  Every
+rule the kernels read returns one pair format, an extend image (d, ((key,
+power of h), numerator) pairs): PBW normal forms, key products and
+commutators (at power 0), structure-map images and the kappa-Minkowski word
+products and action images.  So one linear loop (extend) and one bilinear
+loop (mul_terms) form every product and extension, on ints.
 
 The rotations are the anti-Hermitian X_{mu nu} = -i M_{mu nu}, in which every
 structure constant is rational:
@@ -39,7 +42,6 @@ from .render import element_text
 from .scalars import I_POWERS, GaussRational, as_fraction, exact, ratio, split, split_map, times_i
 
 _F0 = Fraction(0)
-_ONE = 1  # a key product by 1 takes the kernels' fast path: the cached int 1
 _EMPTY = (1, ())  # the (denominator, pairs) of a key product or image that vanishes
 
 
@@ -150,7 +152,8 @@ class PBWAlgebra:
         return out
 
     # -- PBW normal ordering ---------------------------------------------------
-    # A key product is (d, pairs): (key, numerator) pairs over d; -d negates them.
+    # A normal form, key product or commutator is an extend image (d, pairs):
+    # ((monomial, 0), numerator) pairs over d; -d negates them.
 
     def mono_product(self, m1: tuple, m2: tuple) -> tuple:
         """Product of two normal-ordered monomials as (d, pairs).
@@ -160,10 +163,10 @@ class PBWAlgebra:
         other products are the normal forms of the concatenated word, which
         normal_order caches once for every pair that spells it."""
         if not m1 or not m2 or m1[-1] <= m2[0]:
-            return 1, ((m1 + m2, _ONE),)
+            return 1, (((m1 + m2, 0), 1),)
         word = m1 + m2
         if m1[0] >= self._commuting and m2[0] >= self._commuting:
-            return 1, ((tuple(sorted(word)), _ONE),)
+            return 1, (((tuple(sorted(word)), 0), 1),)
         out = self._no_cache.get(word)
         return self.normal_order(word) if out is None else out
 
@@ -177,9 +180,7 @@ class PBWAlgebra:
         product: [a, b] = sum_ij NO(b[:j] a[:i] [a_i, b_j] a[i+1:] b[j+1:]) by
         the Leibniz rule, which needs the unique normal forms of a Lie table
         (the diamond lemma); a table that can break Jacobi takes NO(ab) - NO(ba)."""
-        if not m1 or not m2 or m1 == m2:
-            return _EMPTY
-        if m1[0] >= self._commuting and m2[0] >= self._commuting:
+        if not m1 or not m2 or m1 == m2 or m1[0] >= self._commuting <= m2[0]:
             return _EMPTY
         rev = m2 < m1
         key = (m2, m1) if rev else (m1, m2)
@@ -206,7 +207,7 @@ class PBWAlgebra:
                     out = self._no_cache[word] = self._reorder(word, i)
                     break
             else:
-                return 1, ((word, _ONE),)
+                return 1, (((word, 0), 1),)
         return out
 
     def _reorder(self, word: tuple, i: int) -> tuple:
@@ -236,39 +237,32 @@ class PBWAlgebra:
 
     # -- products and linear extensions of term maps ----------------------------
 
-    def mul_terms(self, ta: dict, tb: dict, key_product=None, cap: int | None = None,
-                  den: int = 1) -> tuple:
-        """The product of two flat numerator maps of PBW elements over den,
-        as a canonical (numerators, denominator): the PBW product loop.
-
-        key_product(m1, m2) is the (d, pairs) of two monomials, mono_product
-        by default (a numerator 1 takes a fast path: a third of all key
-        products are by 1).  With mono_commutator the result is ta*tb - tb*ta,
-        and the two products that would cancel are never formed.  Powers of h
-        above cap (default: the order) are never formed.  The loop runs on
-        ints, one accumulator per rule denominator (see collect).  Tensors
-        multiply by their own kernel, tensors._combine."""
+    def mul_terms(self, ta: dict, tb: dict, rule, den: int = 1, cap: int | None = None) -> tuple:
+        """sum ta[x] tb[y] rule(x, y) of two flat numerator maps over den, as a
+        canonical (numerators, denominator): the one bilinear loop, one
+        accumulator per rule denominator (see collect).  rule(x, y) is an
+        extend image: mono_product, mono_commutator (ta*tb - tb*ta without
+        either product), y_product or the action's.  It is never asked for
+        a pair of terms whose powers of h sum past cap (default: the order),
+        and no power past cap is kept.  Tensors use tensors._combine."""
         N = self.order if cap is None else cap
-        if key_product is None:
-            key_product = self.mono_product
         accs = {}
-        items_b = [(m, k, c) for (m, k), c in tb.items()]
-        for (m1, k1), c1 in ta.items():
-            budget = N - k1
-            for m2, k2, c2 in items_b:
-                if k2 > budget:
+        items_b = [(y, k, c) for (y, k), c in tb.items()]
+        for (x, k1), c1 in ta.items():
+            top = N - k1
+            for y, k2, c2 in items_b:
+                if k2 > top:
                     continue
-                k = k1 + k2
-                c = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
-                d, pairs = key_product(m1, m2)
+                budget, k, c = top - k2, k1 + k2, c1 * c2
+                d, pairs = rule(x, y)
                 acc = accs.get(d)
                 if acc is None:
                     acc = accs[d] = {}
-                for m, cm in pairs:
-                    t = (m, k)
-                    p = c if cm is _ONE else c * cm
-                    cur = acc.get(t)
-                    acc[t] = p if cur is None else cur + p
+                for (key, j), cm in pairs:
+                    if j <= budget:
+                        t = (key, k + j)
+                        cur = acc.get(t)
+                        acc[t] = c * cm if cur is None else cur + c * cm
         return collect(accs, den)
 
     def extend(self, terms: dict, image, den: int = 1) -> tuple:
@@ -292,28 +286,8 @@ class PBWAlgebra:
                 if j > budget:
                     continue
                 t = (k2, k1 + j)
-                p = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
                 cur = acc.get(t)
-                acc[t] = p if cur is None else cur + p
-        return collect(accs, den)
-
-    def bilinear(self, ta: dict, tb: dict, rule, den: int = 1) -> tuple:
-        """extend over pairs of keys: sum ta[x] tb[y] rule(x, y) of two flat
-        numerator maps over den, rule(x, y) an image as extend's rules return
-        it, never asked for a pair of terms already past the order."""
-        N, accs = self.order, {}
-        items_b = [(y, k, c) for (y, k), c in tb.items()]
-        for (x, k1), c1 in ta.items():
-            for y, k2, c2 in items_b:
-                budget = N - k1 - k2
-                if budget >= 0:
-                    (d, pairs), k, c = rule(x, y), k1 + k2, c1 * c2
-                    acc = accs.setdefault(d, {})
-                    for (key, j), cm in pairs:
-                        if j <= budget:
-                            t = (key, k + j)
-                            cur = acc.get(t)
-                            acc[t] = c * cm if cur is None else cur + c * cm
+                acc[t] = c1 * c2 if cur is None else cur + c1 * c2
         return collect(accs, den)
 
 
@@ -389,13 +363,13 @@ class PoincareAlgebra(PBWAlgebra):
         return AlgebraElement(self, {}, 1)
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {((), 0): _ONE}, 1)
+        return AlgebraElement(self, {((), 0): 1}, 1)
 
     def scalar(self, value) -> "AlgebraElement":
         return self.one() * value
 
     def P(self, mu: int) -> "AlgebraElement":
-        return AlgebraElement(self, {((self.momentum_code(mu),), 0): _ONE}, 1)
+        return AlgebraElement(self, {((self.momentum_code(mu),), 0): 1}, 1)
 
     def X(self, mu: int, nu: int) -> "AlgebraElement":
         """The rotation X_{mu nu} = -i M_{mu nu} the engine computes with."""
@@ -484,8 +458,7 @@ class PoincareAlgebra(PBWAlgebra):
         return p_tau, x_tau
 
     def bracket(self, x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
-        num, den = self.mul_terms(x.num, y.num, self.mono_commutator, den=x.den * y.den)
-        return AlgebraElement(self, num, den)
+        return AlgebraElement(self, *self.mul_terms(x.num, y.num, self.mono_commutator, x.den * y.den))
 
     # -- compatibility -------------------------------------------------------------
 
@@ -516,7 +489,7 @@ class CoordinateAlgebra(PBWAlgebra):
         out = self._y_products.get((w1, w2))
         if out is None:
             n, (d, pairs) = len(w1) + len(w2), self.normal_order(w1 + w2)
-            out = d, tuple(((v, n - len(v)), c) for v, c in pairs if n - len(v) <= self.order)
+            out = d, tuple(((v, n - len(v)), c) for (v, _), c in pairs if n - len(v) <= self.order)
             self._y_products[(w1, w2)] = out
         return out
 
@@ -754,11 +727,11 @@ class AlgebraElement(TermElement):
     def _mul(self, other: "AlgebraElement", cap: int) -> "AlgebraElement":
         """The product with no power of h past cap formed."""
         den = self.den * other.den
-        return self._with(*self.algebra.mul_terms(self.num, other.num, cap=cap, den=den))
+        alg = self.algebra
+        return self._with(*alg.mul_terms(self.num, other.num, alg.mono_product, den, cap))
 
     def _reversed(self, mono: tuple) -> tuple:
-        d, pairs = self.algebra.normal_order(mono[::-1])
-        return d, [((m, 0), c) for m, c in pairs]
+        return self.algebra.normal_order(mono[::-1])
 
     def __pow__(self, n: int):
         if n < 0:

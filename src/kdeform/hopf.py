@@ -324,7 +324,8 @@ HOPF_CHECKS = (
 def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
     """Run the Hopf-axiom suite; every identity is exact modulo h^(N+1).
 
-    checks: optional iterable of 1-based check numbers or names to run.
+    checks: optional iterable of 1-based check numbers or names to run; an
+    unknown name or a number outside 1..len(HOPF_CHECKS) is a ValueError.
     """
     t0 = time.monotonic()
     rep = VerificationReport("hopf")
@@ -442,12 +443,11 @@ def verify_hopf(ctx: DeformationContext, checks=None) -> VerificationReport:
 
 
 def _select(checks):
-    if checks is None:
-        return set(HOPF_CHECKS)
     out = set()
-    for c in checks:
-        if isinstance(c, int):
-            out.add(HOPF_CHECKS[c - 1])
-        else:
-            out.add(c)
+    for c in HOPF_CHECKS if checks is None else checks:
+        if isinstance(c, int) and 1 <= c <= len(HOPF_CHECKS):
+            c = HOPF_CHECKS[c - 1]
+        if c not in HOPF_CHECKS:
+            raise ValueError(f"unknown Hopf check {c!r}: expected a name or 1..{len(HOPF_CHECKS)}")
+        out.add(c)
     return out

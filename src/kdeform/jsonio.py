@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau
 from .bases import OrbitClassification
-from .minkowski import MinkowskiElement
+from .minkowski import MinkowskiElement, checked_word
 from .render import legs_text, mink_mono_text, mono_text, ordered, tensor_size, wedge_key_text, wedge_series
 from .scalars import gauss
 from .tensors import TensorElement, wedge
@@ -194,13 +194,8 @@ def mink_to_json(elem: MinkowskiElement) -> dict:
 
 
 def mink_from_json(data: dict, ctx) -> MinkowskiElement:
-    dim = ctx.algebra.dim
-
     def word(item):
-        mono = tuple(d["x"] for d in item["monomial"])
-        if not all(type(mu) is int and 0 <= mu < dim for mu in mono) or list(mono) != sorted(mono):
-            raise ValueError(f"coordinate word {mono!r} is not nondecreasing in range({dim})")
-        return mono
+        return checked_word(tuple(d["x"] for d in item["monomial"]), ctx.algebra.dim)
 
     terms = _terms_from_json(data, ctx.algebra.order, word, mink_mono_text)
     return MinkowskiElement(ctx, terms).in_symbols(1)

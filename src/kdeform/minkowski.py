@@ -21,14 +21,14 @@ coordinates as P_mu = -i d_mu and M_mn = i(x_m d_n - x_n d_m), which
 represent the brackets; in X = -iM and y that is P_mu |> y^nu = -delta and
 X_mn |> y^rho = y_m delta_n^rho - y_n delta_m^rho, with the coordinate index
 lowered by the metric; constants are hit with the counit.  The product and
-the action are one bilinear extension (PBWAlgebra.bilinear): of y_product
-over two elements, and of the images of (PBW monomial, word) pairs over an
-operator and an element.  The images are cached per context as (d, pairs)
-tuples: a monomial's first generator acts on the image of the rest, and a
-generator on a longer word expands by the Leibniz rule through its coproduct
-grouped by left leg, cached per context; a left leg whose images are all
-zero is skipped by those lookups, and each other left leg forms one product
-with its right legs' sum acting on the second factor.  A check on degree-d
+the action are PBWAlgebra.mul_terms, the one bilinear loop: of y_product over
+two elements, and of the images of (PBW monomial, word) pairs over an
+operator and an element.  The images are extend images cached per context:
+a monomial's first generator acts on the image of the rest, and a generator
+on a longer word expands by the Leibniz rule through its coproduct grouped
+by left leg, cached per context; a left leg whose images are all zero is
+skipped by those lookups, and each other left leg forms one product with its
+right legs' sum acting on the second factor.  A check on degree-d
 words of the paper's x records its y-form residual with the phase d (plus one
 per rotation): x = iy.
 """
@@ -50,13 +50,16 @@ from .scalars import split_map
 class MinkowskiElement(TermElement):
     """Sparse element of the coordinate algebra in y = -i x:
     {(nondecreasing index tuple, power of h): numerator} over a denominator
-    (see TermElement)."""
+    (see TermElement).  Terms given without den are checked by checked_word."""
 
     __slots__ = ("context",)
 
     def __init__(self, context: DeformationContext, terms: dict, den: int | None = None):
         self.context = context
         self.algebra = context.algebra
+        if den is None:
+            for word, _ in terms:
+                checked_word(word, context.algebra.dim)
         self.num, self.den = split_map(terms) if den is None else (terms, den)
 
     def _with(self, num: dict, den: int = 1) -> "MinkowskiElement":
@@ -79,6 +82,14 @@ class MinkowskiElement(TermElement):
         return self.context.coordinate_algebra.y_product(word[::-1], ())
 
     __repr__ = mink_text
+
+
+def checked_word(word, dim: int) -> tuple:
+    """word, if it is a normal-ordered key: a nondecreasing tuple of indices in range(dim)."""
+    indices = type(word) is tuple and all(type(mu) is int and 0 <= mu < dim for mu in word)
+    if not indices or any(a > b for a, b in zip(word, word[1:])):
+        raise ValueError(f"coordinate word {word!r} is not nondecreasing in range({dim})")
+    return word
 
 
 def _same_coordinates(c1: DeformationContext, c2: DeformationContext) -> bool:
@@ -108,7 +119,7 @@ def coordinate_monomial(ctx: DeformationContext, indices) -> MinkowskiElement:
 def mink_multiply(a: MinkowskiElement, b: MinkowskiElement) -> MinkowskiElement:
     """a . b: the bilinear extension of CoordinateAlgebra.y_product."""
     y_product = a.context.coordinate_algebra.y_product
-    return MinkowskiElement(a.context, *a.algebra.bilinear(a.num, b.num, y_product, a.den * b.den))
+    return MinkowskiElement(a.context, *a.algebra.mul_terms(a.num, b.num, y_product, a.den * b.den))
 
 
 # -- the Hopf action ---------------------------------------------------------------
@@ -123,7 +134,7 @@ def act(ctx: DeformationContext, op, a: MinkowskiElement) -> MinkowskiElement:
     generators act by successive action, scalars through the counit."""
     _check_operands(ctx, op, a)
     num, den = (op.num, op.den) if isinstance(op, AlgebraElement) else ({((op,), 0): 1}, 1)
-    return MinkowskiElement(ctx, *ctx.algebra.bilinear(num, a.num, partial(_image, ctx), den * a.den))
+    return MinkowskiElement(ctx, *ctx.algebra.mul_terms(num, a.num, partial(_image, ctx), den * a.den))
 
 
 def _check_operands(ctx: DeformationContext, op, *coords: MinkowskiElement):
@@ -211,14 +222,14 @@ def _leibniz(ctx: DeformationContext, coproduct: tuple, a: MinkowskiElement, b: 
     den): a left leg whose images on the words of a are all zero is skipped by
     those lookups alone, and any other forms one product with its right legs' sum on b."""
     den, groups = coproduct
-    bilinear, rule, y_product = ctx.algebra.bilinear, partial(_image, ctx), ctx.coordinate_algebra.y_product
+    mul_terms, rule, y_product = ctx.algebra.mul_terms, partial(_image, ctx), ctx.coordinate_algebra.y_product
     accs = {}
     for m1, rights in groups:
         if not any(_image(ctx, m1, w)[1] for w, _ in a.num):
             continue
-        left, dl = bilinear({(m1, 0): 1}, a.num, rule, a.den)
-        right, dr = bilinear(rights, b.num, rule, b.den)
-        num, d = bilinear(left, right, y_product, dl * dr)
+        left, dl = mul_terms({(m1, 0): 1}, a.num, rule, a.den)
+        right, dr = mul_terms(rights, b.num, rule, b.den)
+        num, d = mul_terms(left, right, y_product, dl * dr)
         acc = accs.setdefault(d, {})
         for t, c in num.items():
             accumulate(acc, t, c)

@@ -63,7 +63,7 @@ class TensorElement(TermElement):
         for m in key:
             d, pairs = self.algebra.normal_order(m[::-1])
             den *= d
-            combos = [(ms + (p,), c * cp) for ms, c in combos for p, cp in pairs]
+            combos = [(ms + (p,), c * cp) for ms, c in combos for (p, _), cp in pairs]
         return den, [((ms, 0), c) for ms, c in combos]
 
     # -- constructors --------------------------------------------------------
@@ -139,19 +139,10 @@ class TensorElement(TermElement):
 
     def merge_legs(self) -> AlgebraElement:
         """Multiply all legs together left-to-right in U(iso(g)): the linear
-        extension of the map from a key to the PBW product of its legs, one
-        leg at a time."""
+        extension of the map from a key to the normal form of its legs'
+        concatenation."""
         alg = self.algebra
-        mono_product, mul_terms = alg.mono_product, alg.mul_terms
-
-        def merged(key, _):
-            d, pairs = mono_product(key[0], key[1])
-            num = {(m, 0): c for m, c in pairs}
-            for mono in key[2:]:
-                num, d = mul_terms(num, {(mono, 0): 1}, den=d)
-            return d, num.items()
-
-        return AlgebraElement(alg, *alg.extend(self.num, merged, self.den))
+        return AlgebraElement(alg, *alg.extend(self.num, lambda k, _: alg.normal_order(sum(k, ())), self.den))
 
     __repr__ = tensor_text
 
@@ -217,7 +208,7 @@ def _combine(alg: PoincareAlgebra, x: list, y: list, legs: int, cap: int, comm: 
                     for d, acc in lefts.items():
                         out = accs.setdefault(d * d_right, {})
                         for (m, k), c in acc.items():
-                            for mb, cb in rights:
+                            for (mb, _), cb in rights:
                                 t = (m + (mb,), k)
                                 cur = out.get(t)
                                 out[t] = c * cb if cur is None else cur + c * cb
@@ -238,9 +229,9 @@ def _combine(alg: PoincareAlgebra, x: list, y: list, legs: int, cap: int, comm: 
                         if out is None:
                             out = accs[d * d_right] = {}
                         k, c = k1 + k2, c1 * c2
-                        for m, cm in pairs:
+                        for (m, _), cm in pairs:
                             p = c * cm
-                            for mb, cb in rights:
+                            for (mb, _), cb in rights:
                                 t = ((m, mb), k)
                                 cur = out.get(t)
                                 out[t] = p * cb if cur is None else cur + p * cb
@@ -254,7 +245,7 @@ def _combined(a: TensorElement, b: TensorElement, cap: int, comm: bool) -> tuple
     if a.legs == 1:  # PBW elements, each word in a 1-tuple
         ta, tb = ({(m, k): c for ((m,), k), c in t.num.items()} for t in (a, b))
         rule = alg.mono_commutator if comm else alg.mono_product
-        num, den = alg.mul_terms(ta, tb, rule, cap, den)
+        num, den = alg.mul_terms(ta, tb, rule, den, cap)
         return {((m,), k): c for (m, k), c in num.items()}, den
     return collect(_combine(alg, a._leg_tree(), b._leg_tree(), a.legs, cap, comm), den)
 

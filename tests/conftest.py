@@ -102,7 +102,8 @@ def brute_outer(*factors) -> TensorElement:
 
 
 def adjacent_swap_normal_order(alg, word: tuple, cache: dict) -> tuple:
-    """The normal form of a generator word, as (d, pairs), by rewriting the
+    """The normal form of a generator word, as (d, ((monomial, 0), numerator)
+    pairs), the form of PoincareAlgebra.normal_order, by rewriting the
     leftmost out-of-order adjacent pair via x y = y x + [x, y], one swap at a
     time, every intermediate word memoised in cache: a reference that shares
     only the bracket table and collect with PoincareAlgebra.normal_order."""
@@ -117,7 +118,7 @@ def _adjacent_swap(alg, word: tuple, cache: dict) -> tuple:
         if word[i] > word[i + 1]:
             break
     else:
-        return 1, ((word, 1),)
+        return 1, (((word, 0), 1),)
     a, b = word[i], word[i + 1]
     head, tail = word[:i], word[i + 2:]
     d, swapped = adjacent_swap_normal_order(alg, head + (b, a) + tail, cache)
@@ -160,8 +161,8 @@ def _coordinate_swap(tau, order: int, word: tuple, cache: dict) -> dict:
 
 
 def legwise_rule(alg, commutator=False):
-    """A rule on pairs of tensor keys, one pair at a time, as (1, [(key,
-    Fraction)]): the leg-wise product (a_1 b_1, ..., a_k b_k), or with
+    """A rule on pairs of tensor keys, one pair at a time, as (1, [((key, 0),
+    Fraction)]), an extend image: the leg-wise product (a_1 b_1, ..., a_k b_k), or with
     commutator the leg-wise Leibniz rule, whose term i carries [a_i, b_i] on
     leg i, b_j a_j on the legs before it and a_j b_j on the legs after it.
     Each leg is read from mono_product or mono_commutator: a reference that
@@ -171,12 +172,12 @@ def legwise_rule(alg, commutator=False):
         combos = {(): Fraction(1)}
         for d, pairs in legs:
             f = Fraction(1, d)
-            combos = {ms + (m,): c * cm * f for ms, c in combos.items() for m, cm in pairs}
+            combos = {ms + (m,): c * cm * f for ms, c in combos.items() for (m, _), cm in pairs}
         return combos
 
     def rule(k1, k2):
         if not commutator:
-            return 1, list(outer(map(alg.mono_product, k1, k2)).items())
+            return 1, [((m, 0), c) for m, c in outer(map(alg.mono_product, k1, k2)).items()]
         out = {}
         for i in range(len(k1)):
             legs = [alg.mono_product(b, a) for a, b in zip(k1[:i], k2[:i])]
@@ -184,7 +185,7 @@ def legwise_rule(alg, commutator=False):
             legs += [alg.mono_product(a, b) for a, b in zip(k1[i + 1:], k2[i + 1:])]
             for m, c in outer(legs).items():
                 out[m] = out.get(m, 0) + c
-        return 1, list(out.items())
+        return 1, [((m, 0), c) for m, c in out.items()]
 
     return rule
 
@@ -196,6 +197,7 @@ def brute_combined(t, u, cap, commutator=False) -> TensorElement:
     for (k1, j1), c1 in t.terms.items():
         for (k2, j2), c2 in u.terms.items():
             if j1 + j2 <= cap:
-                for m, c in rule(k1, k2)[1]:
-                    out[m, j1 + j2] = out.get((m, j1 + j2), 0) + c1 * c2 * c
+                for (m, j), c in rule(k1, k2)[1]:
+                    if j1 + j2 + j <= cap:
+                        out[m, j1 + j2 + j] = out.get((m, j1 + j2 + j), 0) + c1 * c2 * c
     return TensorElement(t.algebra, t.legs, {key: c for key, c in out.items() if c})

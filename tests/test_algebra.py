@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -11,7 +12,8 @@ from kdeform import GaussRational, Metric, PoincareAlgebra, VectorTau
 from kdeform.algebra import AlgebraElement, collect
 from kdeform.errors import ContextMismatchError, DegenerateMetricError
 from kdeform.hopf import DeformationContext, verify_hopf
-from kdeform.minkowski import MinkowskiElement
+from kdeform import minkowski
+from kdeform.minkowski import MinkowskiElement, coordinate
 from kdeform.tensors import TensorElement, tensor_commutator
 
 from conftest import adjacent_swap_normal_order, legwise_rule, random_metric, random_tau
@@ -288,7 +290,7 @@ class TestMultiply:
     def test_normal_form_idempotent(self, eta4):
         alg = PoincareAlgebra(eta4, 2)
         a = alg.M(0, 1) * alg.M(1, 3) * alg.P(0) * alg.P(2)
-        redone = alg.mul_terms(a.num, alg.one().num, den=a.den)
+        redone = alg.mul_terms(a.num, alg.one().num, alg.mono_product, a.den)
         assert redone == (a.num, a.den)
 
     def test_context_mismatch(self, eta4, eta3):
@@ -568,17 +570,19 @@ def fraction_sum(*parts) -> dict:
 
 
 def fraction_product(ta, tb, rule, order) -> dict:
-    """sum of c1 c2 (n / d) h^(k1 + k2) m over the term pairs of ta and tb and
-    the pairs (m, n) of rule(m1, m2) = (d, pairs), in Fraction arithmetic."""
+    """sum of c1 c2 (n / d) h^(k1 + k2 + j) m over the term pairs of ta and tb
+    and the pairs ((m, j), n) of rule(m1, m2) = (d, pairs), an extend image,
+    in Fraction arithmetic."""
     out = {}
     for (m1, k1), c1 in ta.items():
         for (m2, k2), c2 in tb.items():
             if k1 + k2 > order:
                 continue
             d, pairs = rule(m1, m2)
-            for m, n in pairs:
-                t = (m, k1 + k2)
-                out[t] = out.get(t, 0) + c1 * c2 * n * Fraction(1, d)
+            for (m, j), n in pairs:
+                if k1 + k2 + j <= order:
+                    t = (m, k1 + k2 + j)
+                    out[t] = out.get(t, 0) + c1 * c2 * n * Fraction(1, d)
     return {t: c for t, c in out.items() if c}
 
 
@@ -642,3 +646,93 @@ class TestIntegerKernels:
         for got, want in cases:
             assert got.terms == want
             assert canonical(got)
+
+
+def _is_image(out, order: int) -> bool:
+    """Whether out is an extend image: (d, ((key, power of h), numerator)
+    pairs), d a nonzero int, each key a tuple, 0 <= power <= order and each
+    numerator a nonzero int."""
+    d, pairs = out
+    return type(d) is int and d != 0 and all(
+        type(key) is tuple and type(k) is int and 0 <= k <= order and type(c) is int and c
+        for (key, k), c in pairs
+    )
+
+
+class TestProductLoop:
+    """PBWAlgebra.mul_terms is the one loop that pairs the terms of two
+    operands under a rule that returns an extend image: PBW key products,
+    kappa-Minkowski word products and the action's (monomial, word) images."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self, eta3):
+        return DeformationContext(eta3, (1, 0, 0), 3)
+
+    @staticmethod
+    def _operands(ctx):
+        """PBW operands and coordinate operands with terms at several powers of h."""
+        alg = ctx.algebra
+        a = ctx.pi * alg.X(0, 1) + ctx.pi_inv
+        b = ctx.c_tau * alg.P(1) + alg.X(1, 2).times_h(1)
+        y0, y1, y2 = (coordinate(ctx, mu) for mu in range(3))
+        u = y2 * y1 + (y1 * y0).times_h(1) + y2.times_h(2)
+        v = y1 * y0 * y2 + y0.times_h(1)
+        return a, b, u, v
+
+    @staticmethod
+    def _check(alg, x, y, rule, cap) -> list:
+        """x*y under rule through mul_terms at cap, against fraction_product;
+        returns the powers of h of each image the rule returned."""
+        calls = []
+
+        def counted(key_x, key_y):
+            out = rule(key_x, key_y)
+            calls.append([k for (_, k), _ in out[1]])
+            return out
+
+        num, den = alg.mul_terms(x.num, y.num, counted, x.den * y.den, cap)
+        fits = sum(1 for _, k1 in x.num for _, k2 in y.num if k1 + k2 <= cap)
+        assert len(calls) == fits  # one call per pair of terms that fits, none past cap
+        assert all(k <= cap for _, k in num)
+        want = fraction_product(x.terms, y.terms, rule, cap)
+        assert {t: Fraction(c, den) for t, c in num.items()} == want
+        return calls
+
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_mono_product_below_the_order(self, ctx, cap):
+        a, b, _, _ = self._operands(ctx)
+        alg = ctx.algebra
+        assert cap < alg.order
+        self._check(alg, a, b, alg.mono_product, cap)
+        self._check(alg, b, a, alg.mono_commutator, cap)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_y_product(self, ctx, cap):
+        _, _, u, v = self._operands(ctx)
+        calls = self._check(ctx.algebra, u, v, ctx.coordinate_algebra.y_product, cap)
+        assert any(k > 0 for powers in calls for k in powers)
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_action_image(self, ctx, cap):
+        a, b, u, v = self._operands(ctx)
+        rule = partial(minkowski._image, ctx)
+        calls = []
+        for op, y in ((a, v), (b, u), (a * b, v)):
+            calls += self._check(ctx.algebra, op, y, rule, cap)
+        assert any(k > 0 for powers in calls for k in powers)
+
+    def test_every_producer_returns_extend_images(self, ctx):
+        alg, order = ctx.algebra, ctx.algebra.order
+        x01, x12 = (alg.rotation_code(mu, nu)[0] for mu, nu in ((0, 1), (1, 2)))
+        p0, p2 = alg.momentum_code(0), alg.momentum_code(2)
+        words = [(p2, x12, p0), (p0, x01, x12), (x12, x01)]
+        monos = [(x01, p2), (x12, p0), (x01, x12, p0, p2), (p0,)]
+        images = [alg.normal_order(w) for w in words]
+        images += [rule(m1, m2) for m1 in monos for m2 in monos
+                   for rule in (alg.mono_product, alg.mono_commutator)]
+        ywords = [(), (0,), (2, 1), (1, 0, 2), (2, 2, 0)]
+        images += [ctx.coordinate_algebra.y_product(w1, w2) for w1 in ywords for w2 in ywords]
+        images += [ctx.mono_coproduct.pairs(m, budget) for m in monos for budget in range(order + 1)]
+        images += [minkowski._image(ctx, m, tuple(sorted(w))) for m in monos for w in ywords]
+        assert all(_is_image(out, order) for out in images)
+        assert any(k for _, pairs in images for (_, k), _ in pairs)

@@ -291,6 +291,13 @@ class TestVerifyHopfSmall:
         data = rep.to_json()
         assert data["passed"] is True and data["suite"] == "hopf"
 
+    @pytest.mark.parametrize("checks", [["coassociativty"], [0], [-1], [11], [2, "antipode"]])
+    def test_unknown_check_rejected(self, eta3, checks):
+        # a misspelt name must not run nothing and pass, nor a number wrap round
+        ctx = DeformationContext(eta3, [1, 0, 0], 2)
+        with pytest.raises(ValueError, match="unknown Hopf check"):
+            verify_hopf(ctx, checks)
+
     def test_cobracket_failure_names_its_tensor(self, eta3):
         # a bump h 1 (x) P_1 on the coproduct of M_01 (code 1) survives the
         # flip: the failed residual is the two-leg tensor at h, in the paper's M
@@ -377,9 +384,9 @@ def _structure_faults(ctx):
             for word in ((x, y), (y, x, y)):
                 d, pairs = alg.normal_order(word)
                 stored(f"normal order {word}", d, [c for _, c in pairs])
-                for m, _ in pairs:
-                    if sum(weight[g] for g in m) != sum(weight[g] for g in word):
-                        faults.append(f"normal order {word}: {m} off weight")
+                for (m, k), _ in pairs:
+                    if sum(weight[g] for g in m) - k != sum(weight[g] for g in word):
+                        faults.append(f"normal order {word}: {m} h^{k} off weight")
     ys = [coordinate(ctx, mu) for mu in range(alg.dim)]
     for name, elem, w in (
         ("y1 y0 y1", ys[1] * ys[0] * ys[-1], -3),

@@ -143,6 +143,20 @@ class TestBadInput:
             act_on_product(ctx_t, code, y, y)
 
 
+    @pytest.mark.parametrize("word", [(1, 0), (7,), (0, 3), (-1,), ("1",)])
+    def test_word_not_in_normal_form(self, eta3, word):
+        # an unsorted word would be stored as it is and compare unequal to
+        # its own normal form; an index past D would print as a coordinate
+        ctx = DeformationContext(eta3, (1, 0, 0), 2)
+        with pytest.raises(ValueError, match="coordinate word"):
+            MinkowskiElement(ctx, {(word, 0): 1})
+
+    def test_normal_form_words_accepted(self, eta3):
+        ctx = DeformationContext(eta3, (1, 0, 0), 2)
+        assert MinkowskiElement(ctx, {((0, 1), 0): 1}) == coordinate_monomial(ctx, (0, 1))
+        assert MinkowskiElement(ctx, {((), 0): 1, ((2, 2), 1): 3}).terms == {((), 0): 1, ((2, 2), 1): 3}
+
+
 class TestStar:
     def test_reality_of_relations(self, ctx_t):
         x0, x1 = coordinate(ctx_t, 0), coordinate(ctx_t, 1)
