@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import exactla
@@ -246,14 +246,11 @@ def in_adapted_basis(ctx: DeformationContext) -> tuple:
 # -- orbit classification ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitClassification:
-    """tau^2 sign, Yang-Baxter type, and the stability-group label of the orbit."""
+class OrbitClassification(namedtuple("OrbitClassification", "tau_sq yb_type stability_kind stability_pq")):
+    """tau^2 sign, Yang-Baxter type ("MYBE" | "CYBE"), and the stability-group
+    label of the orbit: stability_kind ("SO" | "ISO") of signature stability_pq."""
 
-    tau_sq: Fraction
-    yb_type: str  # "MYBE" | "CYBE"
-    stability_kind: str  # "SO" | "ISO"
-    stability_pq: tuple
+    __slots__ = ()
 
     @property
     def tau_sq_sign(self) -> int:
@@ -289,7 +286,6 @@ def classify_orbit(metric: Metric, tau: VectorTau) -> OrbitClassification:
 # -- the Majid-Ruegg generators -------------------------------------------------
 
 
-@dataclass
 class MRGenerators:
     """The nonlinear generators of the bicrossproduct presentation:
     p_tilde_tau = kappa ln Pi_tau (primitive), p_tilde[i] = P_i Pi^-1, and the
@@ -297,10 +293,11 @@ class MRGenerators:
     deformed bracket [M_{tau i}, P~_j].  Elements live in the context they were
     built from; the rotations are the unchanged X_{0i} (= X_{tau i}) and X_{ij}."""
 
-    context: DeformationContext
-    p_tilde_tau: AlgebraElement
-    p_tilde: list
-    kappa_term: AlgebraElement
+    __slots__ = ("context", "p_tilde_tau", "p_tilde", "kappa_term")
+
+    def __init__(self, context: DeformationContext, p_tilde_tau: AlgebraElement, p_tilde: list,
+                 kappa_term: AlgebraElement):
+        self.context, self.p_tilde_tau, self.p_tilde, self.kappa_term = context, p_tilde_tau, p_tilde, kappa_term
 
 
 def _raised(ctx: DeformationContext, lowered: list, k: int) -> AlgebraElement:

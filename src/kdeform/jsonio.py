@@ -10,7 +10,6 @@ engine's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau
@@ -253,16 +252,16 @@ BASIS_CHOICES = ("auto", "identity", "orthogonal", "lightcone")
 FORMAT_CHOICES = ("text", "json", "latex")
 
 
-@dataclass
 class RunConfig:
     """Validated CLI configuration: dimension, metric, tau, truncation order,
     preferred basis and output format."""
 
-    metric: Metric
-    tau: VectorTau
-    truncation_order: int | None = None
-    basis: str = "auto"
-    output_format: str = "text"
+    __slots__ = ("metric", "tau", "truncation_order", "basis", "output_format")
+
+    def __init__(self, metric: Metric, tau: VectorTau, truncation_order: int | None = None, basis: str = "auto",
+                 output_format: str = "text"):
+        self.metric, self.tau, self.truncation_order = metric, tau, truncation_order
+        self.basis, self.output_format = basis, output_format
 
     @property
     def dimension(self) -> int:

@@ -4,19 +4,16 @@ with its residual, an element of any kind (record), or with a verdict alone
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .scalars import I_POWERS
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    generator: str | None = None
-    residual: str | None = None
-    residual_json: dict | None = None
-    note: str | None = None
+    __slots__ = ("name", "passed", "generator", "residual", "residual_json", "note")
+
+    def __init__(self, name: str, passed: bool, generator: str | None = None, residual: str | None = None,
+                 residual_json: dict | None = None, note: str | None = None):
+        self.name, self.passed, self.generator = name, passed, generator
+        self.residual, self.residual_json, self.note = residual, residual_json, note
 
     def to_json(self) -> dict:
         out = {"name": self.name, "passed": self.passed}
@@ -29,12 +26,12 @@ class CheckResult:
         return out
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list = field(default_factory=list)
-    seconds: float = 0.0
-    skipped: str | None = None  # reason, when the whole suite is inapplicable
+    __slots__ = ("suite", "checks", "seconds", "skipped")
+
+    def __init__(self, suite: str, checks: list | None = None, seconds: float = 0.0, skipped: str | None = None):
+        self.suite, self.checks = suite, [] if checks is None else checks
+        self.seconds, self.skipped = seconds, skipped  # skipped: why the whole suite is inapplicable
 
     @property
     def all_passed(self) -> bool:

@@ -111,16 +111,15 @@ class TensorElement(TermElement):
         """Replace leg i by its image under fn: monomial -> AlgebraElement or
         TensorElement; other legs are carried along, coefficients multiply.
         A MonomialMap builds each image only to the power of h that survives;
-        a plain callable's image is cut there before any key is spliced."""
+        extend drops what a plain callable's image holds past it."""
         image = fn.image if isinstance(fn, MonomialMap) else (lambda mono, _: fn(mono))
 
         def spliced(key, budget):
             img = image(key[i], budget)
             head, tail = key[:i], key[i + 1 :]
-            pairs = [(m, j, c) for (m, j), c in img.num.items() if j <= budget]
             if isinstance(img, TensorElement):
-                return img.den, [((head + m + tail, j), c) for m, j, c in pairs]
-            return img.den, [((head + (m,) + tail, j), c) for m, j, c in pairs]
+                return img.den, [((head + m + tail, j), c) for (m, j), c in img.num.items()]
+            return img.den, [((head + (m,) + tail, j), c) for (m, j), c in img.num.items()]
 
         unit = image((), 0)  # the image of 1: leg i becomes as many legs as it has
         legs = self.legs - 1 + (unit.legs if isinstance(unit, TensorElement) else 1)

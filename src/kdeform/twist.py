@@ -28,7 +28,6 @@ X = -iM, where every i cancels.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, kappa_log, series_exp
@@ -41,19 +40,21 @@ from .bases import in_adapted_basis, is_lightcone_adapted
 _HALF = Fraction(1, 2)
 
 
-@dataclass
 class TwistData:
     """The twist and its derived tensors, with both factorization witnesses,
     and P~_+ = kappa ln Pi_+, the Jordanian exponent's second leg over h."""
 
-    context: DeformationContext
-    p_tilde_plus: AlgebraElement
-    twist: TensorElement  # F
-    twist_inv: TensorElement  # F^-1
-    r_quantum: TensorElement  # R = F_21 F^-1
-    r_quantum_inv: TensorElement  # R^-1 = F F_21^-1
-    factor_jordanian_first: TensorElement
-    factor_transverse_first: TensorElement
+    __slots__ = ("context", "p_tilde_plus", "twist", "twist_inv", "r_quantum", "r_quantum_inv",
+                 "factor_jordanian_first", "factor_transverse_first")
+
+    def __init__(self, context: DeformationContext, p_tilde_plus: AlgebraElement, twist: TensorElement,
+                 twist_inv: TensorElement, r_quantum: TensorElement, r_quantum_inv: TensorElement,
+                 factor_jordanian_first: TensorElement, factor_transverse_first: TensorElement):
+        self.context, self.p_tilde_plus = context, p_tilde_plus
+        self.twist, self.twist_inv = twist, twist_inv  # F, F^-1
+        self.r_quantum, self.r_quantum_inv = r_quantum, r_quantum_inv  # R = F_21 F^-1, R^-1 = F F_21^-1
+        self.factor_jordanian_first = factor_jordanian_first
+        self.factor_transverse_first = factor_transverse_first
 
 
 def build_twist(ctx: DeformationContext) -> TwistData:
