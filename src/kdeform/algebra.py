@@ -244,13 +244,19 @@ class PBWAlgebra:
         extend image: mono_product, mono_commutator (ta*tb - tb*ta without
         either product), y_product or the action's.  It is never asked for
         a pair of terms whose powers of h sum past cap (default: the order),
-        and no power past cap is kept.  Tensors use tensors._combine."""
+        and no power past cap is kept.  Under mono_commutator two central
+        words (empty or in the commuting block, which a shift naming two
+        momenta empties) are never paired.  Tensors use tensors._combine."""
         N = self.order if cap is None else cap
         accs = {}
         items_b = [(y, k, c) for (y, k), c in tb.items()]
+        block = self._commuting if rule == self.mono_commutator else None
+        free_b = None  # the terms of tb whose words are not central, once asked for
         for (x, k1), c1 in ta.items():
-            top = N - k1
-            for y, k2, c2 in items_b:
+            top, ys = N - k1, items_b
+            if block is not None and (not x or x[0] >= block):
+                ys = free_b = [t for t in items_b if t[0] and t[0][0] < block] if free_b is None else free_b
+            for y, k2, c2 in ys:
                 if k2 > top:
                     continue
                 budget, k, c = top - k2, k1 + k2, c1 * c2

@@ -185,15 +185,27 @@ def _combine(alg: PoincareAlgebra, x: list, y: list, legs: int, cap: int, comm: 
     where A and A' combine by the same rule one leg down; at two legs, a
     flat loop over pairs of PBW words through mono_product and
     mono_commutator.  bb' is read only once some AA' or [A, A'] term is
-    nonzero, and A'A only if [b, b'] is."""
+    nonzero, and A'A only if [b, b'] is.  At two legs a commutator never
+    forms [A, A'] when every first leg of both groups is central (empty or in
+    the commuting block, see PBWAlgebra.mul_terms), nor [b, b'] when b and b'
+    are central too; a shift naming two momenta empties the block."""
     mono_product, mono_commutator = alg.mono_product, alg.mono_commutator
+    # at two legs under comm, filled once a group of x is all central: {b': is its group?}
+    block, central = alg._commuting, ({} if comm and legs == 2 else None)
     accs = {}
     for b1, low1, rest1 in x:
+        skip = central is not None and _central((a for a, _, _ in rest1), block)
+        if skip and not central:
+            central.update((b2, _central((a for a, _, _ in rest2), block)) for b2, _, rest2 in y)
         for b2, low2, rest2 in y:
             if low1 + low2 > cap:
                 continue
             # (left operands, commutator?, right factor): None stands for bb'
             passes = [(rest1, rest2, comm, None)]
+            if skip and central[b2]:  # [A, A'] = 0, and [b, b'] = 0 if both are central
+                if _central((b1, b2), block):
+                    continue
+                passes = []
             if comm:
                 comm_b = mono_commutator(b1, b2)
                 if comm_b[1]:
@@ -235,6 +247,11 @@ def _combine(alg: PoincareAlgebra, x: list, y: list, legs: int, cap: int, comm: 
                                 cur = out.get(t)
                                 out[t] = p * cb if cur is None else cur + p * cb
     return accs
+
+
+def _central(words, block: int) -> bool:
+    """Whether every word is empty or in the commuting block, codes >= block."""
+    return all(not w or w[0] >= block for w in words)
 
 
 def _combined(a: TensorElement, b: TensorElement, cap: int, comm: bool) -> tuple:
