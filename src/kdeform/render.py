@@ -74,7 +74,7 @@ def series_text(nz: tuple, style: Style = TEXT) -> str:
             parts.append(cs)
             continue
         hk = "h" if k == 1 else style.script.format("h", "^", k)
-        parts.append(hk if cs == "1" else f"{cs}{style.times}{hk}")
+        parts.append(hk if cs == "1" else "-" + hk if cs == "-1" else f"{cs}{style.times}{hk}")
     return style.tidy(" + ".join(parts))
 
 
@@ -91,19 +91,19 @@ def tensor_size(key) -> int:
 
 def _sum(terms: dict, body, style: Style, size=len) -> str:
     """{key: series} as 'coefficient times body' terms joined by ' + ', in
-    output order (see ordered): a unit coefficient is dropped, one of several
-    powers of h grouped, and the empty key is the unit."""
+    output order (see ordered): a coefficient of 1 or -1 leaves only its
+    sign, one of several powers of h is grouped, and the empty key is the unit."""
     if not terms:
         return "0"
     parts = []
     for key, nz in ordered(terms, size):
-        pre = "" if nz == ((0, 1),) else series_text(nz, style)
+        pre = series_text(nz, style)
         if len(nz) > 1:
             pre = style.group.format(pre)
         if not key:
-            parts.append(pre or "1")
+            parts.append(pre)
         else:
-            parts.append(f"{pre}{style.times}{body(key)}" if pre else body(key))
+            parts.append(pre[:-1] + body(key) if pre in ("1", "-1") else f"{pre}{style.times}{body(key)}")
     return style.tidy(" + ".join(parts))
 
 

@@ -304,7 +304,7 @@ class TestVerifyHopfSmall:
         ctx = DeformationContext(eta3, [1, 0, 0], 2, shift={1: {(((), (10,)), 1): 1}})
         (failed,) = verify_hopf(ctx, checks=["classical-limit-cobracket"]).failures()
         assert failed.generator == "M_01"
-        assert failed.residual == "h*[1 (x) P_1] + -1*h*[P_1 (x) 1]"
+        assert failed.residual == "h*[1 (x) P_1] + -h*[P_1 (x) 1]"
         assert failed.residual_json["legs"] == 2
 
 

@@ -1,6 +1,7 @@
 """Text and LaTeX output of a PBW element, a two-leg tensor and a wedge:
 terms in (size, key) order, a coefficient spanning several powers of h
-grouped, complex and negative coefficients, and the unit key."""
+grouped, complex and negative coefficients, a coefficient of 1 or -1
+written as its sign alone, and the unit key."""
 
 from fractions import Fraction
 
@@ -35,6 +36,18 @@ def _wedge(alg):
     return wedge(alg, 2, {(m01, p2): Fraction(-2, 3), (p0, p1): I * -2})
 
 
+def _unit_signs(alg):
+    p1 = alg.P(1)
+    return p1 - p1.times_h(1) - alg.P(0) - alg.M(0, 1).times_h(1) - 1
+
+
+def _unit_wedge(alg):
+    m01 = alg.rotation_code(0, 1)[0]
+    p0, p1 = alg.momentum_code(0), alg.momentum_code(1)
+    # X = -iM, so -i X_01 ^ P is -M_01 ^ P
+    return wedge(alg, 2, {(m01, p0): -I, (m01, p1): -I})
+
+
 @pytest.mark.parametrize(
     "build, render, text, latex",
     [
@@ -57,8 +70,20 @@ def _wedge(alg):
             "(2/3)i*M_01 ^ P_2 + -2i*P_0 ^ P_1",
             "\\tfrac{2}{3}i\\, M_{01} \\wedge P_{2} - 2i\\, P_{0} \\wedge P_{1}",
         ),
+        (
+            _unit_signs,
+            element_text,
+            "-1 + -h*M_01 + -P_0 + (1 + -h)*P_1",
+            "-1 - h\\, M_{01} - P_{0} + \\left(1 - h\\right)\\, P_{1}",
+        ),
+        (
+            _unit_wedge,
+            wedge_text,
+            "-M_01 ^ P_0 + -M_01 ^ P_1",
+            "-M_{01} \\wedge P_{0} - M_{01} \\wedge P_{1}",
+        ),
     ],
-    ids=("element", "tensor", "wedge"),
+    ids=("element", "tensor", "wedge", "unit-signs", "unit-signed-wedge"),
 )
 def test_output(alg, build, render, text, latex):
     x = build(alg)
