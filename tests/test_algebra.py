@@ -200,6 +200,49 @@ class TestCommutatorRule:
         assert alg.bracket(y, x) == y * x - x * y
 
 
+def _momentum_heavy(rng, ctx):
+    """A scalar plus Pi, Pi^-1, C_tau and an antipode S(P_mu), each at a
+    random power of h with a random coefficient, times the unit, a momentum
+    or (one time in four) a rotation: mostly words of the commuting block."""
+    alg, dim = ctx.algebra, ctx.algebra.dim
+    series = (ctx.pi, ctx.pi_inv, ctx.c_tau, ctx.antipode(alg.momentum_code(rng.randrange(dim))))
+    factors = (alg.one(), alg.one(), alg.P(rng.randrange(dim)), alg.X(0, dim - 1))
+    out = alg.one() * rng.randint(-2, 2)
+    for s in series:
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        out = out + (s * rng.choice(factors)).times_h(rng.randint(0, 1), c)
+    return out
+
+
+class TestMomentumBlockSkip:
+    """bracket pairs no two words of the commuting block (nor the empty
+    word with one), by the predicate mono_commutator applies; a shift naming
+    two momenta empties the block.  On operands made mostly of such words it
+    must still agree with the difference of the two products."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)), shifted=st.booleans())
+    def test_matches_products(self, seed, dim, shifted):
+        rng = random.Random(seed)
+        metric = random_metric(rng, dim)
+        mom0 = dim * dim
+        # [P_0, P_1] += M_01: the momenta no longer commute by structure
+        alg = PoincareAlgebra(metric, 2, shift={(mom0, mom0 + 1): {1: 1}} if shifted else None)
+        ctx = DeformationContext(metric, random_tau(rng, metric), 2, algebra=alg)
+        for _ in range(3):
+            x, y = _momentum_heavy(rng, ctx), _momentum_heavy(rng, ctx)
+            assert alg.bracket(x, y) == x * y - y * x
+            assert alg.bracket(y, x) == y * x - x * y
+
+    def test_shift_turns_the_skip_off(self, eta3):
+        # with [P_0, P_1] += M_01 the bracket of two momentum series is not zero
+        alg = PoincareAlgebra(eta3, 2, shift={(9, 10): {1: 1}})
+        ctx = DeformationContext(eta3, (1, 0, 0), 2, algebra=alg)
+        x, y = ctx.antipode(9), ctx.antipode(10)
+        assert not alg.bracket(x, y).is_zero
+        assert alg.bracket(x, y) == x * y - y * x
+
+
 def _canonical(d_pairs):
     d, pairs = d_pairs
     return d, dict(pairs)

@@ -250,6 +250,58 @@ class TestTwoLegCommutator:
         assert (len(alg._no_cache), len(alg._comm_cache)) == before
 
 
+class TestMomentumBlockSkip:
+    """A two-leg commutator forms no [A, A'] for two groups whose first legs
+    are all central (empty or in the commuting block), and no [b, b'] for
+    central right legs too; bracket pairs no two central words.  Coproducts
+    and antipodes of momenta are made of such words."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)), shifted=st.booleans())
+    def test_matches_products(self, seed, dim, shifted):
+        rng = random.Random(seed)
+        metric = random_metric(rng, dim)
+        mom0 = dim * dim
+        # [P_0, P_1] += M_01 empties the commuting block
+        alg = PoincareAlgebra(metric, 2, shift={(mom0, mom0 + 1): {1: 1}} if shifted else None)
+        ctx = DeformationContext(metric, random_tau(rng, metric), 2, algebra=alg)
+        rot = alg.X(0, dim - 1)
+        deltas = [ctx.coproduct(alg.momentum_code(mu)) for mu in range(dim)]
+        series = (ctx.pi, ctx.pi_inv, ctx.c_tau, ctx.antipode(alg.momentum_code(rng.randrange(dim))))
+
+        def pick():
+            return rng.choice(series)
+
+        s = rng.choice(deltas) + TensorElement.of(pick(), pick()) + TensorElement.of(alg.one(), pick())
+        t = rng.choice(deltas) + TensorElement.of(pick(), pick() * rot) + TensorElement.of(rot * pick(), pick())
+        for x, y in ((s, t), (t, s), (s, s + t), (deltas[0], deltas[-1])):
+            assert tensor_commutator(x, y) == x * y - y * x
+
+    def test_momentum_pairs_make_no_call(self, kleinian):
+        ctx = DeformationContext(kleinian, (1, 1, 1, 1), 3)
+        alg = ctx.algebra
+        momenta = [alg.momentum_code(mu) for mu in range(4)]
+        deltas = [ctx.coproduct(c) for c in momenta]
+        antipodes = [ctx.antipode(c) for c in momenta]
+        calls = []
+        rule = alg.mono_commutator
+        alg.mono_commutator = lambda m1, m2: calls.append((m1, m2)) or rule(m1, m2)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert tensor_commutator(deltas[i], deltas[j]).is_zero
+                assert alg.bracket(antipodes[i], antipodes[j]).is_zero
+        assert calls == []
+        # one rotation word in a group of first legs, or in an operand, still pairs
+        x01 = (alg.rotation_code(0, 1)[0],)
+        t = deltas[1] + TensorElement.of(alg.X(0, 1), alg.P(1))
+        assert tensor_commutator(deltas[0], t) == deltas[0] * t - t * deltas[0]
+        assert any(x01 in pair for pair in calls)
+        calls.clear()
+        y = antipodes[1] + alg.X(0, 1)
+        assert alg.bracket(antipodes[0], y) == antipodes[0] * y - y * antipodes[0]
+        assert any(x01 in pair for pair in calls)
+
+
 def _random_tensor(rng, alg, legs, terms=3):
     """A sum of tensor products of PBW sums of two words of up to two
     generators each (about one leg in five the unit), each product at a
