@@ -202,11 +202,11 @@ def _combine(alg: PoincareAlgebra, x: list, y: list, legs: int, cap: int, comm: 
                 continue
             # (left operands, commutator?, right factor): None stands for bb'
             passes = [(rest1, rest2, comm, None)]
-            if skip and central[b2]:  # [A, A'] = 0, and [b, b'] = 0 if both are central
-                if _central((b1, b2), block):
-                    continue
-                passes = []
             if comm:
+                if skip and central[b2]:  # [A, A'] = 0, and [b, b'] = 0 if both are central
+                    if _central((b1, b2), block):
+                        continue
+                    passes = []
                 comm_b = mono_commutator(b1, b2)
                 if comm_b[1]:
                     passes.append((rest2, rest1, False, comm_b))
