@@ -2,7 +2,7 @@
 verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 internal
-defect (two computation routes or truncation contexts disagreed).
+defect (two routes or contexts disagreed, or any other exception was raised).
 """
 
 from __future__ import annotations
@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import jsonio, render
 from .bases import adapted_context, classify_orbit, verify_mr
-from .errors import BasisError, ContextMismatchError, InternalConsistencyError, InvalidVectorError
+from .errors import BasisError, ContextMismatchError, InternalConsistencyError
 from .hopf import DeformationContext, pi_identities_report, verify_hopf
 from .minkowski import verify_covariance
 from .reports import VerificationReport
@@ -339,9 +340,13 @@ def main(argv=None) -> int:
     except (InternalConsistencyError, ContextMismatchError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, BasisError, InvalidVectorError, IndexError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # any other defect, with the traceback that locates it
+        print(f"internal error: {e}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

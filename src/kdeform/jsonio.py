@@ -1,23 +1,22 @@
 """JSON encodings of every expression type, and run-configuration ingestion.
 
-Rationals travel as exact "num/den" strings (plain integers are accepted);
-floats are rejected outright.  Series are arrays of
+Element JSON is an output format only; the one JSON input is the run
+configuration, whose rationals are exact "num/den" strings or plain integers
+(floats are rejected outright).  Series are arrays of
 {h_power, re_num, re_den, im_num, im_den} with zero coefficients omitted;
 h_power is a plain integer >= 0.  Expressions are written in the paper's
-symbols M = iX and x = iy (see TermElement.in_symbols) and read back into the
-engine's.
+symbols M = iX and x = iy (see TermElement.in_symbols).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraElement, Metric, PoincareAlgebra, VectorTau
+from .algebra import AlgebraElement, Metric, VectorTau
 from .bases import OrbitClassification
-from .minkowski import MinkowskiElement, checked_word
-from .render import legs_text, mink_mono_text, mono_text, ordered, tensor_size, wedge_key_text, wedge_series
-from .scalars import gauss
-from .tensors import TensorElement, wedge
+from .minkowski import MinkowskiElement
+from .render import ordered, tensor_size, wedge_series
+from .tensors import TensorElement
 
 
 def rational_to_str(x: Fraction) -> str:
@@ -54,32 +53,9 @@ def gauss_to_json(c) -> dict:
     }
 
 
-def gauss_from_json(d: dict):
-    return gauss(
-        Fraction(d["re_num"], d["re_den"]), Fraction(d.get("im_num", 0), d.get("im_den", 1))
-    )
-
-
 def series_to_json(nz: tuple) -> list:
     """A series ((k, c), ...) as in TermElement.series."""
     return [{"h_power": k, **gauss_to_json(c)} for k, c in nz]
-
-
-def _terms_from_json(data: dict, order: int, key_of, name) -> dict:
-    """Flat terms {(key, power of h): coefficient} of a JSON term list, in the
-    paper's symbols, truncated at the order.  A term given twice (the same
-    key and power of h) is malformed; name(key) names it in the error."""
-    terms = {}
-    for item in data["terms"]:
-        key = key_of(item)
-        for entry in item["coeff"]:
-            k = entry["h_power"]
-            if type(k) is not int or k < 0:
-                raise ValueError(f"h_power must be an integer >= 0, got {k!r}")
-            if (key, k) in terms:
-                raise ValueError(f"repeated term {name(key)} at h^{k}")
-            terms[(key, k)] = gauss_from_json(entry)
-    return {t: c for t, c in terms.items() if t[1] <= order and c}
 
 
 def _gen_descriptor(code: int, dim: int) -> dict:
@@ -87,25 +63,6 @@ def _gen_descriptor(code: int, dim: int) -> dict:
         return {"P": code - dim * dim}
     mu, nu = divmod(code, dim)
     return {"M": [mu, nu]}
-
-
-def _gen_from_descriptor(d: dict, alg: PoincareAlgebra) -> int:
-    if "P" in d:
-        return alg.momentum_code(d["P"])
-    mu, nu = d["M"]
-    code, sign = alg.rotation_code(mu, nu)
-    if sign != 1:
-        raise ValueError(f"rotation descriptor {d} is not in canonical order")
-    return code
-
-
-def _monomial(descriptors: list, alg: PoincareAlgebra) -> tuple:
-    """The PBW monomial of a list of generator descriptors, which must come
-    in PBW order: a nondecreasing code tuple."""
-    mono = tuple(_gen_from_descriptor(d, alg) for d in descriptors)
-    if any(a > b for a, b in zip(mono, mono[1:])):
-        raise ValueError(f"monomial {mono_text(mono, alg.dim)} is not in PBW order")
-    return mono
 
 
 def _terms_to_json(elem, field: str, key_json, size=len) -> list:
@@ -125,14 +82,6 @@ def element_to_json(elem: AlgebraElement) -> dict:
     return {"terms": _terms_to_json(elem, "monomial", lambda m: _mono_json(m, dim))}
 
 
-def element_from_json(data: dict, alg: PoincareAlgebra) -> AlgebraElement:
-    def monomial(item):
-        return _monomial(item["monomial"], alg)
-
-    terms = _terms_from_json(data, alg.order, monomial, lambda m: mono_text(m, alg.dim))
-    return AlgebraElement(alg, terms).in_symbols(1)
-
-
 def tensor_to_json(t: TensorElement) -> dict:
     dim = t.algebra.dim
 
@@ -140,22 +89,6 @@ def tensor_to_json(t: TensorElement) -> dict:
         return [_mono_json(m, dim) for m in key]
 
     return {"legs": t.legs, "terms": _terms_to_json(t, "monomials", key_json, tensor_size)}
-
-
-def tensor_from_json(data: dict, alg: PoincareAlgebra) -> TensorElement:
-    legs = data["legs"]
-
-    def name(key):
-        return legs_text(key, alg.dim)
-
-    def key_of(item):
-        key = tuple(_monomial(mono, alg) for mono in item["monomials"])
-        if len(key) != legs:
-            raise ValueError(f"tensor term {name(key)} has {len(key)} legs, expected {legs}")
-        return key
-
-    terms = _terms_from_json(data, alg.order, key_of, name)
-    return TensorElement(alg, legs, terms).in_symbols(1)
 
 
 def wedge_to_json(t: TensorElement) -> dict:
@@ -174,30 +107,8 @@ def wedge_to_json(t: TensorElement) -> dict:
     }
 
 
-def wedge_from_json(data: dict, alg: PoincareAlgebra) -> TensorElement:
-    """A wedge term may list its generators in any order (see tensors.wedge),
-    so two terms over the same generators repeat one wedge coordinate."""
-    terms, seen = {}, set()
-    for item in data["terms"]:
-        key = tuple(_gen_from_descriptor(d, alg) for d in item["generators"])
-        coords = tuple(sorted(key))
-        if coords in seen:
-            raise ValueError(f"repeated term {wedge_key_text(key, alg.dim)}")
-        seen.add(coords)
-        terms[key] = gauss_from_json(item["coeff"])
-    return wedge(alg, data["degree"], terms).in_symbols(1)
-
-
 def mink_to_json(elem: MinkowskiElement) -> dict:
     return {"terms": _terms_to_json(elem, "monomial", lambda mono: [{"x": mu} for mu in mono])}
-
-
-def mink_from_json(data: dict, ctx) -> MinkowskiElement:
-    def word(item):
-        return checked_word(tuple(d["x"] for d in item["monomial"]), ctx.algebra.dim)
-
-    terms = _terms_from_json(data, ctx.algebra.order, word, mink_mono_text)
-    return MinkowskiElement(ctx, terms).in_symbols(1)
 
 
 def orbit_to_json(o: OrbitClassification) -> dict:
@@ -212,26 +123,6 @@ def orbit_to_json(o: OrbitClassification) -> dict:
         },
         "label": o.stability_label,
         "suggested_basis": o.suggested_basis,
-    }
-
-
-def orbit_from_json(data: dict) -> OrbitClassification:
-    return OrbitClassification(
-        parse_rational(data["tau_sq"]),
-        data["yb_type"],
-        data["stability"]["kind"],
-        (data["stability"]["p"], data["stability"]["q"]),
-    )
-
-
-def basischange_to_json(change) -> dict:
-    """Matrix of new basis vectors (columns, in old components) plus the
-    transformed metric."""
-    return {
-        "matrix": [[rational_to_str(x) for x in row] for row in change.columns],
-        "transformed_metric": [
-            [rational_to_str(x) for x in row] for row in change.new_metric.rows
-        ],
     }
 
 
@@ -298,14 +189,3 @@ def config_from_json(data: dict) -> RunConfig:
     if fmt not in FORMAT_CHOICES:
         raise ValueError(f"output_format must be one of {FORMAT_CHOICES}")
     return RunConfig(metric, tau, order, basis, fmt)
-
-
-def config_to_json(cfg: RunConfig) -> dict:
-    return {
-        "dimension": cfg.dimension,
-        "metric": [[rational_to_str(x) for x in row] for row in cfg.metric.rows],
-        "tau": [rational_to_str(x) for x in cfg.tau.components],
-        "truncation_order": cfg.truncation_order,
-        "basis": cfg.basis,
-        "output_format": cfg.output_format,
-    }

@@ -257,13 +257,7 @@ def _central(words, block: int) -> bool:
 def _combined(a: TensorElement, b: TensorElement, cap: int, comm: bool) -> tuple:
     """The canonical (numerators, denominator) of a*b, or of [a, b] if comm,
     with no power of h past cap (see _combine)."""
-    alg, den = a.algebra, a.den * b.den
-    if a.legs == 1:  # PBW elements, each word in a 1-tuple
-        ta, tb = ({(m, k): c for ((m,), k), c in t.num.items()} for t in (a, b))
-        rule = alg.mono_commutator if comm else alg.mono_product
-        num, den = alg.mul_terms(ta, tb, rule, den, cap)
-        return {((m,), k): c for (m, k), c in num.items()}, den
-    return collect(_combine(alg, a._leg_tree(), b._leg_tree(), a.legs, cap, comm), den)
+    return collect(_combine(a.algebra, a._leg_tree(), b._leg_tree(), a.legs, cap, comm), a.den * b.den)
 
 
 def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:

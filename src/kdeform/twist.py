@@ -41,19 +41,19 @@ _HALF = Fraction(1, 2)
 
 
 class TwistData:
-    """The twist and its derived tensors, with both factorization witnesses,
-    and P~_+ = kappa ln Pi_+, the Jordanian exponent's second leg over h."""
+    """The twist F, factored Jordanian first, and its derived tensors, with
+    the transverse-first factorization as a witness, and P~_+ = kappa ln
+    Pi_+, the Jordanian exponent's second leg over h."""
 
     __slots__ = ("context", "p_tilde_plus", "twist", "twist_inv", "r_quantum", "r_quantum_inv",
-                 "factor_jordanian_first", "factor_transverse_first")
+                 "factor_transverse_first")
 
     def __init__(self, context: DeformationContext, p_tilde_plus: AlgebraElement, twist: TensorElement,
                  twist_inv: TensorElement, r_quantum: TensorElement, r_quantum_inv: TensorElement,
-                 factor_jordanian_first: TensorElement, factor_transverse_first: TensorElement):
+                 factor_transverse_first: TensorElement):
         self.context, self.p_tilde_plus = context, p_tilde_plus
         self.twist, self.twist_inv = twist, twist_inv  # F, F^-1
         self.r_quantum, self.r_quantum_inv = r_quantum, r_quantum_inv  # R = F_21 F^-1, R^-1 = F F_21^-1
-        self.factor_jordanian_first = factor_jordanian_first
         self.factor_transverse_first = factor_transverse_first
 
 
@@ -80,17 +80,16 @@ def build_twist(ctx: DeformationContext) -> TwistData:
         x_ext = x_ext + TensorElement.of(alg.X(0, a), p_up * ctx.pi_inv)
         x_ext_bare = x_ext_bare + TensorElement.of(alg.X(0, a), p_up)
 
-    f_jordanian_first = jordanian * tensor_exp(x_ext.times_h(1))
+    f = jordanian * tensor_exp(x_ext.times_h(1))
     f_transverse_first = tensor_exp(x_ext_bare.times_h(1)) * jordanian
-    if f_jordanian_first != f_transverse_first:
+    if f != f_transverse_first:
         raise InternalConsistencyError(
             "the two factorization orders of the extended Jordanian twist disagree"
         )
-    f = f_jordanian_first
     f_inv = tensor_invert(f)
     r = f.flip() * f_inv
     r_inv = f * f_inv.flip()
-    return TwistData(ctx, p_tilde_plus, f, f_inv, r, r_inv, f_jordanian_first, f_transverse_first)
+    return TwistData(ctx, p_tilde_plus, f, f_inv, r, r_inv, f_transverse_first)
 
 
 def verify_twist(ctx: DeformationContext) -> VerificationReport:
@@ -116,7 +115,7 @@ def verify_twist(ctx: DeformationContext) -> VerificationReport:
 
     rep.record(
         "twist-factorizations-agree",
-        data.factor_jordanian_first - data.factor_transverse_first,
+        data.twist - data.factor_transverse_first,
     )
     rep.record("twist-times-inverse", f * f_inv - unit2)
     rep.record("triangularity", r.flip() * r - unit2)

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from kdeform import Metric, TensorElement, VectorTau
+from kdeform import AlgebraElement, Metric, OrbitClassification, PoincareAlgebra, TensorElement, VectorTau
 from kdeform.algebra import accumulate, collect
+from kdeform.minkowski import MinkowskiElement
+from kdeform.scalars import gauss
+from kdeform.tensors import wedge
 
 
 @pytest.fixture(scope="session")
@@ -201,3 +205,38 @@ def brute_combined(t, u, cap, commutator=False) -> TensorElement:
                     if j1 + j2 + j <= cap:
                         out[m, j1 + j2 + j] = out.get((m, j1 + j2 + j), 0) + c1 * c2 * c
     return TensorElement(t.algebra, t.legs, {key: c for key, c in out.items() if c})
+
+
+def decode_json(data: dict, owner):
+    """The element that a jsonio writer encoded as data, back in the engine's
+    symbols (see TermElement.in_symbols): a PBW element, tensor or wedge over
+    the PoincareAlgebra owner, or a kappa-Minkowski element over the
+    DeformationContext owner.  It inverts the writers on their own output
+    only, so it validates nothing."""
+    alg = owner if isinstance(owner, PoincareAlgebra) else owner.algebra
+
+    def coeff(d):
+        return gauss(Fraction(d["re_num"], d["re_den"]), Fraction(d["im_num"], d["im_den"]))
+
+    def mono(descriptors):
+        return tuple(alg.momentum_code(d["P"]) if "P" in d else alg.rotation_code(*d["M"])[0]
+                     for d in descriptors)
+
+    if "degree" in data:  # a wedge: one classical coefficient per generator tuple
+        terms = {mono(t["generators"]): coeff(t["coeff"]) for t in data["terms"]}
+        return wedge(alg, data["degree"], terms).in_symbols(1)
+    if "legs" in data:
+        make, key = partial(TensorElement, alg, data["legs"]), lambda t: tuple(map(mono, t["monomials"]))
+    elif alg is owner:
+        make, key = partial(AlgebraElement, alg), lambda t: mono(t["monomial"])
+    else:
+        make, key = partial(MinkowskiElement, owner), lambda t: tuple(d["x"] for d in t["monomial"])
+    terms = {(key(t), e["h_power"]): coeff(e) for t in data["terms"] for e in t["coeff"]}
+    return make(terms).in_symbols(1)
+
+
+def decode_orbit(data: dict) -> OrbitClassification:
+    """The orbit classification that jsonio.orbit_to_json encoded as data."""
+    stability = data["stability"]
+    return OrbitClassification(Fraction(data["tau_sq"]), data["yb_type"], stability["kind"],
+                               (stability["p"], stability["q"]))

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import decode_json
 
 from kdeform import cli, jsonio
 from kdeform.cli import EXAMPLES, main
@@ -75,18 +76,25 @@ class TestEmit:
         assert code == 0
         assert "P_1 (x) 1" in out or "1 (x) P_1" in out
 
-    def test_coproduct_json_round_trips(self, capsys, eta4):
+    @pytest.mark.parametrize(
+        "obj, generator",
+        [("coproduct", "P 1"), ("coproduct", "M 0 1"), ("antipode", "M 0 1")],
+    )
+    def test_coproduct_json_round_trips(self, capsys, eta4, obj, generator):
+        # the output is in the paper's symbols, M = iX: for M_01 it carries
+        # the phase i that the engine's images of X_01 lack
         code, out, _ = run(
-            capsys, "emit", "coproduct", "--generator", "P 1",
+            capsys, "emit", obj, "--generator", generator,
             "--example", "time-like", "--order", "2", "--format", "json",
         )
         assert code == 0
         from kdeform.hopf import DeformationContext
 
-        data = json.loads(out)
         ctx = DeformationContext(eta4, [1, 0, 0, 0], 2)
-        parsed = jsonio.tensor_from_json(data, ctx.algebra)
-        assert parsed == ctx.coproduct(ctx.algebra.momentum_code(1))
+        alg = ctx.algebra
+        gen = alg.P(1) if generator == "P 1" else alg.M(0, 1)
+        image = ctx.coproduct_of(gen) if obj == "coproduct" else ctx.antipode_of(gen)
+        assert decode_json(json.loads(out), alg) == image
 
     def test_schouten_lightlike_is_zero(self, capsys):
         code, out, _ = run(capsys, "emit", "schouten", "--example", "light-like", "--order", "2")
@@ -213,8 +221,13 @@ class TestVerify:
         assert code == 1
         assert "FAILED" in out
 
-    @pytest.mark.parametrize("exc", [InternalConsistencyError, ContextMismatchError])
+    @pytest.mark.parametrize(
+        "exc",
+        [InternalConsistencyError, ContextMismatchError, IndexError, KeyError, ZeroDivisionError],
+    )
     def test_internal_defect_exits_3(self, capsys, monkeypatch, exc):
+        # an unexpected exception is a defect, never bad input (exit 2) nor a
+        # failed identity (exit 1)
         def broken(ctx):
             raise exc("routes disagree")
 
@@ -223,7 +236,7 @@ class TestVerify:
             capsys, "verify", "--suite", "mr", "--example", "time-like", "--order", "1"
         )
         assert code == 3
-        assert err.startswith("internal error: routes disagree")
+        assert err.startswith(f"internal error: {exc('routes disagree')}")
 
     def test_json_report(self, capsys, tmp_path):
         cfg = tmp_path / "d2.json"

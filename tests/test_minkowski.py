@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coordinate_swap_normal_order, random_metric, random_null_pair, random_tau
+from conftest import coordinate_swap_normal_order, decode_json, random_metric, random_null_pair, random_tau
 from kdeform import GaussRational, jsonio
 from kdeform.algebra import AlgebraElement, PoincareAlgebra
 from kdeform.errors import ContextMismatchError
@@ -201,7 +201,7 @@ class TestCovariance:
             "casimir-action-commutes",
         }
         for c in failed:
-            back = jsonio.mink_from_json(c.residual_json, ctx)
+            back = decode_json(c.residual_json, ctx)
             assert not back.is_zero
             assert jsonio.mink_to_json(back) == c.residual_json
 

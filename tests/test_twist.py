@@ -99,7 +99,7 @@ class TestBuildTwist:
 
     def test_factorizations_agree(self, lc_ctx):
         data = build_twist(lc_ctx)
-        assert data.factor_jordanian_first == data.factor_transverse_first
+        assert data.twist == data.factor_transverse_first
 
     def test_triangularity(self, lc_ctx):
         data = build_twist(lc_ctx)
