@@ -81,8 +81,8 @@ class TestEmit:
         [("coproduct", "P 1"), ("coproduct", "M 0 1"), ("antipode", "M 0 1")],
     )
     def test_coproduct_json_round_trips(self, capsys, eta4, obj, generator):
-        # the output is in the paper's symbols, M = iX: for M_01 it carries
-        # the phase i that the engine's images of X_01 lack
+        # the output is in the paper's symbols, in which the images of M_01
+        # are real; in the engine's, M = iX, they carry a factor of i
         code, out, _ = run(
             capsys, "emit", obj, "--generator", generator,
             "--example", "time-like", "--order", "2", "--format", "json",
