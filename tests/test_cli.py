@@ -9,7 +9,7 @@ from conftest import decode_json
 
 from kdeform import cli, jsonio
 from kdeform.cli import EXAMPLES, main
-from kdeform.errors import ContextMismatchError, InternalConsistencyError
+from kdeform.errors import ContextMismatchError, InternalConsistencyError, NonInvertibleError
 
 
 def run(capsys, *argv):
@@ -95,6 +95,35 @@ class TestEmit:
         gen = alg.P(1) if generator == "P 1" else alg.M(0, 1)
         image = ctx.coproduct_of(gen) if obj == "coproduct" else ctx.antipode_of(gen)
         assert decode_json(json.loads(out), alg) == image
+
+    @pytest.mark.parametrize("obj", ["pi", "c_tau", "r_matrix", "twist"])
+    def test_emit_json_round_trips(self, capsys, eta4, obj):
+        # r = i r_X in the paper's symbols (see cmd_emit); the twist and its
+        # R-matrix are built in the light-cone basis adapted to tau
+        from kdeform import PoincareAlgebra, VectorTau, r_matrix
+        from kdeform.bases import adapted_context
+        from kdeform.hopf import DeformationContext
+        from kdeform.scalars import I_POWERS
+        from kdeform.twist import build_twist
+
+        example = "light-like"
+        code, out, _ = run(
+            capsys, "emit", obj, "--example", example, "--order", "2", "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        tau = EXAMPLES[example]["tau"]
+        if obj == "twist":
+            twist = build_twist(adapted_context(eta4, VectorTau(eta4, tau), 2)[1])
+            alg = twist.twist.algebra
+            assert decode_json(data["twist"], alg) == twist.twist
+            assert decode_json(data["r_matrix"], alg) == twist.r_quantum
+        elif obj == "r_matrix":
+            alg = PoincareAlgebra(eta4, 2)
+            assert decode_json(data, alg) == r_matrix(alg, VectorTau(eta4, tau)) * I_POWERS[1]
+        else:
+            ctx = DeformationContext(eta4, tau, 2)
+            assert decode_json(data, ctx.algebra) == getattr(ctx, obj)
 
     def test_schouten_lightlike_is_zero(self, capsys):
         code, out, _ = run(capsys, "emit", "schouten", "--example", "light-like", "--order", "2")
@@ -223,7 +252,10 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "exc",
-        [InternalConsistencyError, ContextMismatchError, IndexError, KeyError, ZeroDivisionError],
+        [
+            InternalConsistencyError, ContextMismatchError, IndexError, KeyError, TypeError,
+            ZeroDivisionError, NonInvertibleError,
+        ],
     )
     def test_internal_defect_exits_3(self, capsys, monkeypatch, exc):
         # an unexpected exception is a defect, never bad input (exit 2) nor a

@@ -127,6 +127,35 @@ class TestRunConfig:
         cfg.write_text(json.dumps(raw))
         assert main(["classify", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "patch, match",
+        [
+            ({"metric": None}, "missing the 'metric' field"),
+            ({"tau": None}, "missing the 'tau' field"),
+            ({"metric": "diag(-1,1)"}, "metric must be a list"),
+            ({"metric": [[-1, 0], "0 1"]}, "a metric row must be a list"),
+            ({"tau": {"0": 1}}, "tau must be a list"),
+            ({"tau": [True, 0]}, "rationals must be exact"),
+            ({"metric": [["-1/0", 0], [0, 1]]}, "zero denominator"),
+            ({"dimension": 3}, "dimension must be an integer equal to the metric size"),
+            ({"truncation_order": 0}, "truncation_order must be an integer >= 1"),
+            ({"truncation_order": "2"}, "truncation_order must be an integer >= 1"),
+            ({"basis": "diagonal"}, "basis must be one of"),
+            ({"output_format": "xml"}, "output_format must be one of"),
+        ],
+    )
+    def test_malformed_field_rejected(self, patch, match):
+        # a field patched to None is left out
+        raw = {"metric": [[-1, 0], [0, 1]], "tau": [1, 0]}
+        raw.update(patch)
+        raw = {k: v for k, v in raw.items() if v is not None}
+        with pytest.raises(ValueError, match=match):
+            jsonio.config_from_json(raw)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            jsonio.config_from_json([[[-1, 0], [0, 1]], [1, 0]])
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             jsonio.config_from_json({"metric": [[1, 2], [0, 1]], "tau": [1, 0]})
