@@ -43,6 +43,7 @@ from .scalars import I_POWERS, GaussRational, as_fraction, exact, ratio, split, 
 
 _F0 = Fraction(0)
 _EMPTY = (1, ())  # the (denominator, pairs) of a key product or image that vanishes
+ID_BITS = 24  # the bits of a word id (PBWAlgebra.word_id)
 
 
 class Metric:
@@ -137,6 +138,9 @@ class PBWAlgebra:
         self._brackets = {}
         self._no_cache = {}
         self._comm_cache = {}
+        # the tensor kernel's word table (word -> id, id -> word), its products and commutators
+        # of two words by packed ids, and one copy of each distinct value those hold
+        self._ids, self._words, self._id_products, self._id_comms, self._id_values = {}, [], {}, {}, {}
 
     def bracket_codes(self, a: int, b: int) -> dict:
         """[a, b] for basis generators, as {generator code: coefficient}."""
@@ -150,6 +154,16 @@ class PBWAlgebra:
             num, d = split_map(self._bracket_uncached(a, b))
             out = self._brackets[(a, b)] = (d, num)
         return out
+
+    def word_id(self, word: tuple) -> int:
+        """The id of a word in this algebra's table, issued on first sight, below 2^ID_BITS."""
+        i = self._ids.get(word)
+        if i is None:
+            if len(self._words) >> ID_BITS:
+                raise MemoryError(f"more than 2^{ID_BITS} words in one table")
+            i = self._ids[word] = len(self._words)
+            self._words.append(word)
+        return i
 
     # -- PBW normal ordering ---------------------------------------------------
     # A normal form, key product or commutator is an extend image (d, pairs):

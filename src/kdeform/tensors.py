@@ -8,6 +8,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .algebra import (
+    ID_BITS,
     AlgebraElement,
     MonomialMap,
     PoincareAlgebra,
@@ -44,10 +45,13 @@ class TensorElement(TermElement):
     def _compatible(self, other: "TensorElement") -> bool:
         return self.legs == other.legs and self.algebra.compatible(other.algebra)
 
-    def _leg_tree(self) -> list:
-        """The terms grouped by last leg down the legs (see _grouped)."""
+    def _leg_tree(self, alg: PoincareAlgebra) -> list:
+        """The terms grouped by last leg down the legs on alg's word ids (see
+        _grouped): kept for the own algebra, rebuilt for another's table."""
+        if alg is not self.algebra:
+            return _grouped(self.num, self.legs, alg)
         if self._tree is None:
-            self._tree = _grouped(self.num, self.legs)
+            self._tree = _grouped(self.num, self.legs, alg)
         return self._tree
 
     def _mul(self, other: "TensorElement", cap: int) -> "TensorElement":
@@ -76,6 +80,8 @@ class TensorElement(TermElement):
     def of(cls, *factors: AlgebraElement) -> "TensorElement":
         """The tensor product a1 (x) a2 (x) ... of algebra elements: keys
         concatenate and powers of h add, those past the order dropped."""
+        if len(factors) < 2:
+            raise ValueError("a tensor product takes at least two factors")
         alg = factors[0].algebra
         num, den = {((), 0): 1}, 1
         for f in factors:
@@ -162,52 +168,78 @@ def _outer(num: dict, leg: dict, N: int) -> dict:
     return acc
 
 
-def _grouped(num: dict, legs: int) -> list:
-    """The terms of a legs-legged numerator map as a tree by last leg:
-    [(last leg, lowest power of h, rest)], where rest lists the group's
-    (first leg, power of h, numerator) by rising power at two legs, and is
-    the tree of the group's other legs past two."""
+# A packed key is a tensor term in one int: each leg's id in _SHIFT bits, the
+# first leg highest, and the power of h above them, so a leg appends as key << _SHIFT | id.
+_SHIFT = ID_BITS
+_MASK = (1 << _SHIFT) - 1
+
+
+def _grouped(num: dict, legs: int, alg: PoincareAlgebra) -> list:
+    """The terms of a legs-legged numerator map as a tree by last leg, every
+    leg interned here as its id in alg's word table (PBWAlgebra.word_id), once
+    per element: [(last leg, lowest power of h, rest, central)], where rest
+    lists the group's (first leg, power of h, numerator) by rising power at
+    two legs, and is the tree of the group's other legs past two.  At two legs
+    central is 1 when every first leg is empty or in the commuting block, 2
+    when the last leg is too, and 0 otherwise, as it is past two legs."""
+    word_id, block = alg.word_id, alg._commuting
     groups = {}
     if legs == 2:
+        free = set()  # the last legs of groups with a first leg that is not central
         for ((a, b), k), c in sorted(num.items(), key=lambda t: t[0][1]):
-            groups.setdefault(b, []).append((a, k, c))
-        return [(b, rest[0][1], rest) for b, rest in groups.items()]
+            groups.setdefault(b, []).append((word_id(a), k, c))
+            if a and a[0] < block:
+                free.add(b)
+        return [(word_id(b), rest[0][1], rest, b not in free and 1 + (not b or b[0] >= block))
+                for b, rest in groups.items()]
     for (key, k), c in num.items():
         groups.setdefault(key[-1], {})[key[:-1], k] = c
-    return [(b, min(k for _, k in rest), _grouped(rest, legs - 1)) for b, rest in groups.items()]
+    return [(word_id(b), min(k for _, k in rest), _grouped(rest, legs - 1, alg), 0) for b, rest in groups.items()]
+
+
+def _id_image(alg: PoincareAlgebra, cache: dict, rule, i: int, j: int) -> tuple:
+    """rule (mono_product or mono_commutator) on the words of ids i and j, as
+    (d, ((id, numerator), ...)), stored in cache under i << _SHIFT | j."""
+    words, word_id = alg._words, alg.word_id
+    d, pairs = rule(words[i], words[j])
+    out = d, tuple([(word_id(m), c) for (m, _), c in pairs])
+    out = cache[i << _SHIFT | j] = alg._id_values.setdefault(out, out)
+    return out
 
 
 def _combine(alg: PoincareAlgebra, x: list, y: list, legs: int, cap: int, comm: bool) -> dict:
     """The product of two leg trees (see _grouped), or their commutator if
-    comm, as accumulators {d: {(key, power of h): numerator}} (see collect)
-    with no power of h past cap.  Per pair of groups (b, b') whose lowest
-    powers fit the cap it forms AA' (x) bb', or [A, A'] (x) bb' + A'A (x) [b, b'],
-    where A and A' combine by the same rule one leg down; at two legs, a
-    flat loop over pairs of PBW words through mono_product and
-    mono_commutator.  bb' is read only once some AA' or [A, A'] term is
-    nonzero, and A'A only if [b, b'] is.  At two legs a commutator never
-    forms [A, A'] when every first leg of both groups is central (empty or in
-    the commuting block, see PBWAlgebra.mul_terms), nor [b, b'] when b and b'
-    are central too; a shift naming two momenta empties the block."""
+    comm, as accumulators {d: {packed key: numerator}} (see collect and
+    _SHIFT) with no power of h past cap.  Per pair of groups (b, b') whose
+    lowest powers fit the cap it forms AA' (x) bb', or [A, A'] (x) bb' + A'A
+    (x) [b, b'], where A and A' combine by the same rule one leg down; at two
+    legs, a flat loop over pairs of word ids.  Products and commutators of
+    two words are read from alg's id-keyed caches, filled from mono_product
+    and mono_commutator on a miss, so no lookup or accumulation hashes a
+    word; _combined decodes each output term once.  mul_terms and extend stay
+    on words: their operands are mostly fresh elements read once, so
+    interning them on each call costs what it saves.  bb' is read only once
+    some AA' or [A, A'] term is nonzero, and A'A only if [b, b'] is.  At two
+    legs a commutator never forms [A, A'] when every first leg of both groups
+    is central (empty or in the commuting block, see PBWAlgebra.mul_terms),
+    nor [b, b'] when b and b' are central too; a shift naming two momenta
+    empties the block."""
     mono_product, mono_commutator = alg.mono_product, alg.mono_commutator
-    # at two legs under comm, filled once a group of x is all central: {b': is its group?}
-    block, central = alg._commuting, ({} if comm and legs == 2 else None)
+    products, comms = alg._id_products, alg._id_comms
     accs = {}
-    for b1, low1, rest1 in x:
-        skip = central is not None and _central((a for a, _, _ in rest1), block)
-        if skip and not central:
-            central.update((b2, _central((a for a, _, _ in rest2), block)) for b2, _, rest2 in y)
-        for b2, low2, rest2 in y:
+    for b1, low1, rest1, central1 in x:
+        for b2, low2, rest2, central2 in y:
             if low1 + low2 > cap:
                 continue
+            bb = b1 << _SHIFT | b2
             # (left operands, commutator?, right factor): None stands for bb'
             passes = [(rest1, rest2, comm, None)]
             if comm:
-                if skip and central[b2]:  # [A, A'] = 0, and [b, b'] = 0 if both are central
-                    if _central((b1, b2), block):
+                if central1 and central2:  # [A, A'] = 0, and [b, b'] = 0 if both are central
+                    if central1 == central2 == 2:
                         continue
                     passes = []
-                comm_b = mono_commutator(b1, b2)
+                comm_b = comms.get(bb) or _id_image(alg, comms, mono_commutator, b1, b2)
                 if comm_b[1]:
                     passes.append((rest2, rest1, False, comm_b))
             for r1, r2, comm_a, right in passes:
@@ -215,49 +247,51 @@ def _combine(alg: PoincareAlgebra, x: list, y: list, legs: int, cap: int, comm: 
                     lefts = _combine(alg, r1, r2, legs - 1, cap, comm_a)
                     if not lefts:
                         continue
-                    d_right, rights = right or mono_product(b1, b2)
+                    d_right, rights = right or products.get(bb) or _id_image(alg, products, mono_product, b1, b2)
                     for d, acc in lefts.items():
                         out = accs.setdefault(d * d_right, {})
-                        for (m, k), c in acc.items():
-                            for (mb, _), cb in rights:
-                                t = (m + (mb,), k)
-                                cur = out.get(t)
-                                out[t] = c * cb if cur is None else cur + c * cb
+                        for t, c in acc.items():
+                            t <<= _SHIFT
+                            for mb, cb in rights:
+                                cur = out.get(t | mb)
+                                out[t | mb] = c * cb if cur is None else cur + c * cb
                     continue
-                rule = mono_commutator if comm_a else mono_product
+                cache, rule = (comms, mono_commutator) if comm_a else (products, mono_product)
                 for a1, k1, c1 in r1:
-                    budget = cap - k1
+                    budget, row = cap - k1, a1 << _SHIFT
                     for a2, k2, c2 in r2:
                         if k2 > budget:
                             break
-                        d, pairs = rule(a1, a2)
+                        d, pairs = cache.get(row | a2) or _id_image(alg, cache, rule, a1, a2)
                         if not pairs:
                             continue
                         if right is None:
-                            right = mono_product(b1, b2)
+                            right = products.get(bb) or _id_image(alg, products, mono_product, b1, b2)
                         d_right, rights = right
                         out = accs.get(d * d_right)
                         if out is None:
                             out = accs[d * d_right] = {}
-                        k, c = k1 + k2, c1 * c2
-                        for (m, _), cm in pairs:
-                            p = c * cm
-                            for (mb, _), cb in rights:
-                                t = ((m, mb), k)
+                        high, c = (k1 + k2) << _SHIFT, c1 * c2
+                        for m, cm in pairs:
+                            p, head = c * cm, (high | m) << _SHIFT
+                            for mb, cb in rights:
+                                t = head | mb
                                 cur = out.get(t)
                                 out[t] = p * cb if cur is None else cur + p * cb
     return accs
 
 
-def _central(words, block: int) -> bool:
-    """Whether every word is empty or in the commuting block, codes >= block."""
-    return all(not w or w[0] >= block for w in words)
-
-
 def _combined(a: TensorElement, b: TensorElement, cap: int, comm: bool) -> tuple:
     """The canonical (numerators, denominator) of a*b, or of [a, b] if comm,
-    with no power of h past cap (see _combine)."""
-    return collect(_combine(a.algebra, a._leg_tree(), b._leg_tree(), a.legs, cap, comm), a.den * b.den)
+    with no power of h past cap (see _combine): collected on packed keys,
+    each output term then decoded once to (leg words, power of h)."""
+    alg, legs = a.algebra, a.legs
+    num, den = collect(_combine(alg, a._leg_tree(alg), b._leg_tree(alg), legs, cap, comm), a.den * b.den)
+    words, top = alg._words, _SHIFT * legs
+    if legs == 2:
+        return {((words[t >> _SHIFT & _MASK], words[t & _MASK]), t >> top): c for t, c in num.items()}, den
+    shifts = range(top - _SHIFT, -1, -_SHIFT)
+    return {(tuple([words[t >> s & _MASK] for s in shifts]), t >> top): c for t, c in num.items()}, den
 
 
 def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:

@@ -16,6 +16,7 @@ from kdeform.hopf import DeformationContext, pi_identities_report, verify_hopf
 from kdeform.jsonio import config_from_json
 from kdeform.minkowski import coordinate, verify_covariance
 from kdeform.reports import VerificationReport
+from kdeform.tensors import tensor_commutator
 from kdeform.twist import build_twist, verify_twist
 
 I = GaussRational(0, 1)
@@ -225,6 +226,25 @@ class TestLifetime:
                 ctx.antipode_of(ctx.gen_element(code) * ctx.pi)
             refs = weakref.ref(ctx), weakref.ref(ctx.algebra)
             del ctx
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_word_table_holds_no_cycle(self, eta3):
+        # the tensor kernel's word table and id-keyed caches hold words and
+        # ints only: a context that ran tensor commutators and a three-leg
+        # product must still be freed without the cyclic collector
+        gc.disable()
+        try:
+            ctx = DeformationContext(eta3, [1, 1, 0], 2)
+            deltas = [ctx.coproduct(code) for code in ctx.generator_codes()]
+            for d in deltas:
+                tensor_commutator(deltas[-1], d)
+            deltas[0].embed("12") * deltas[-1].embed("23")
+            alg = ctx.algebra
+            assert alg._words and alg._id_products and alg._id_comms
+            refs = weakref.ref(ctx), weakref.ref(alg)
+            del ctx, alg, deltas, d
             assert [r() for r in refs] == [None, None]
         finally:
             gc.enable()

@@ -21,6 +21,7 @@ from kdeform import (
     tensor_invert,
     wedge,
 )
+from kdeform import algebra
 from kdeform.errors import ContextMismatchError, InvalidVectorError
 from kdeform.hopf import DeformationContext
 from kdeform.minkowski import coordinate_monomial
@@ -81,7 +82,7 @@ class TestOuterProduct:
     with the term-by-term product on coefficients."""
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), legs=st.sampled_from((1, 2, 3)))
+    @given(seed=st.integers(0, 2**32 - 1), legs=st.sampled_from((2, 3)))
     def test_matches_brute_force(self, seed, legs):
         rng = random.Random(seed)
         alg = PoincareAlgebra(random_metric(rng, rng.choice((2, 3))), rng.choice((2, 3)))
@@ -117,6 +118,13 @@ class TestOuterProduct:
             TensorElement.of(alg.P(0), other.P(0))
         with pytest.raises(ContextMismatchError):
             TensorElement.of(alg.P(0), PoincareAlgebra(eta3, 3).P(0))
+
+    def test_needs_two_factors(self, eta3):
+        # the leg-grouped kernel reads a first and a last leg
+        alg = PoincareAlgebra(eta3, 2)
+        for factors in ((), (alg.P(0) + alg.X(0, 1),)):
+            with pytest.raises(ValueError, match="at least two factors"):
+                TensorElement.of(*factors)
 
 
 def _random_element(rng, ctx, min_h=0):
@@ -291,6 +299,7 @@ class TestMomentumBlockSkip:
                 assert tensor_commutator(deltas[i], deltas[j]).is_zero
                 assert alg.bracket(antipodes[i], antipodes[j]).is_zero
         assert calls == []
+        assert not alg._id_comms  # nor any id-level commutator of two words
         # one rotation word in a group of first legs, or in an operand, still pairs
         x01 = (alg.rotation_code(0, 1)[0],)
         t = deltas[1] + TensorElement.of(alg.X(0, 1), alg.P(1))
@@ -300,6 +309,38 @@ class TestMomentumBlockSkip:
         y = antipodes[1] + alg.X(0, 1)
         assert alg.bracket(antipodes[0], y) == antipodes[0] * y - y * antipodes[0]
         assert any(x01 in pair for pair in calls)
+
+
+class TestWordTables:
+    """The tensor kernel reads every leg as an id of the multiplying
+    algebra's word table, and an id means something only in the table that
+    issued it: an operand from another, compatible algebra is regrouped on
+    the multiplying algebra's ids."""
+
+    def test_equal_contexts_mix(self, eta3):
+        one, two = (DeformationContext(eta3, (1, 1, 0), 2) for _ in range(2))
+        assert one.algebra is not two.algebra and one.algebra.compatible(two.algebra)
+        codes = one.generator_codes()
+        d1 = [one.coproduct(c) for c in codes]
+        d2 = [two.coproduct(c) for c in reversed(codes)][::-1]
+        # the second table issues its ids in another order than the first
+        for x in reversed(d2):
+            for y in reversed(d2):
+                tensor_commutator(x, y), x * y
+        pairs = [(i, j) for i in range(len(codes)) for j in range(len(codes))]
+        want = {(i, j): (d1[i] * d1[j], tensor_commutator(d1[i], d1[j])) for i, j in pairs}
+        assert one.algebra._words != two.algebra._words
+        for i, j in pairs:
+            for x, y in ((d1[i], d2[j]), (d2[i], d1[j])):
+                assert (x * y, tensor_commutator(x, y)) == want[i, j], (codes[i], codes[j])
+
+    def test_full_table_raises(self, eta3, monkeypatch):
+        monkeypatch.setattr(algebra, "ID_BITS", 2)
+        alg = PoincareAlgebra(eta3, 2)
+        assert [alg.word_id((n,)) for n in range(4)] == [0, 1, 2, 3]
+        with pytest.raises(MemoryError):
+            alg.word_id((4,))
+        assert alg.word_id((3,)) == 3
 
 
 def _random_tensor(rng, alg, legs, terms=3):
