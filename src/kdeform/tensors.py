@@ -45,13 +45,10 @@ class TensorElement(TermElement):
     def _compatible(self, other: "TensorElement") -> bool:
         return self.legs == other.legs and self.algebra.compatible(other.algebra)
 
-    def _leg_tree(self, alg: PoincareAlgebra) -> list:
-        """The terms grouped by last leg down the legs on alg's word ids (see
-        _grouped): kept for the own algebra, rebuilt for another's table."""
-        if alg is not self.algebra:
-            return _grouped(self.num, self.legs, alg)
+    def _leg_tree(self) -> list:
+        """The terms grouped by last leg down the legs, on the algebra's word ids (see _grouped)."""
         if self._tree is None:
-            self._tree = _grouped(self.num, self.legs, alg)
+            self._tree = _grouped(self.num, self.legs, self.algebra)
         return self._tree
 
     def _mul(self, other: "TensorElement", cap: int) -> "TensorElement":
@@ -200,9 +197,8 @@ def _grouped(num: dict, legs: int, alg: PoincareAlgebra) -> list:
 def _id_image(alg: PoincareAlgebra, cache: dict, rule, i: int, j: int) -> tuple:
     """rule (mono_product or mono_commutator) on the words of ids i and j, as
     (d, ((id, numerator), ...)), stored in cache under i << _SHIFT | j."""
-    words, word_id = alg._words, alg.word_id
-    d, pairs = rule(words[i], words[j])
-    out = d, tuple([(word_id(m), c) for (m, _), c in pairs])
+    d, pairs = rule(alg._words[i], alg._words[j])
+    out = d, tuple([(alg.word_id(m), c) for (m, _), c in pairs])
     out = cache[i << _SHIFT | j] = alg._id_values.setdefault(out, out)
     return out
 
@@ -286,7 +282,9 @@ def _combined(a: TensorElement, b: TensorElement, cap: int, comm: bool) -> tuple
     with no power of h past cap (see _combine): collected on packed keys,
     each output term then decoded once to (leg words, power of h)."""
     alg, legs = a.algebra, a.legs
-    num, den = collect(_combine(alg, a._leg_tree(alg), b._leg_tree(alg), legs, cap, comm), a.den * b.den)
+    if b.algebra is not alg:  # an id means something only in the table that issued it
+        b = TensorElement(alg, legs, b.num, b.den)
+    num, den = collect(_combine(alg, a._leg_tree(), b._leg_tree(), legs, cap, comm), a.den * b.den)
     words, top = alg._words, _SHIFT * legs
     if legs == 2:
         return {((words[t >> _SHIFT & _MASK], words[t & _MASK]), t >> top): c for t, c in num.items()}, den
